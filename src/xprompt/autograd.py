@@ -303,54 +303,6 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
     return out
 
 
-def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
-    """Multi-head scaled dot-product attention over full (unmasked) rows.
-
-    q is (Tq, e); k and v are (Tk, e); columns split into equal heads.
-    """
-    if q.cols != k.cols or q.cols != v.cols:
-        raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    if k.rows != v.rows:
-        raise ShapeError(f"attention needs matching key/value rows: k {k.shape}, v {v.shape}")
-    e = q.cols
-    if heads < 1 or e % heads != 0:
-        raise ShapeError(f"width e={e} does not split into {heads} heads")
-    d = e // heads
-    scale = 1.0 / np.sqrt(d)
-
-    out_val = np.empty((q.rows, e))
-    weights = []
-    for h in range(heads):
-        sl = slice(h * d, (h + 1) * d)
-        scores = (q.value[:, sl] @ k.value[:, sl].T) * scale
-        scores -= scores.max(axis=1, keepdims=True)
-        ex = np.exp(scores)
-        a = ex / ex.sum(axis=1, keepdims=True)
-        weights.append(a)
-        out_val[:, sl] = a @ v.value[:, sl]
-
-    out = Node(out_val, (q, k, v), op="attention")
-    if out.requires_grad:
-        def backprop(g, q=q, k=k, v=v, weights=weights, heads=heads, d=d, scale=scale):
-            for h in range(heads):
-                sl = slice(h * d, (h + 1) * d)
-                a = weights[h]
-                gh = g[:, sl]
-                if v.requires_grad:
-                    v.grad  # ensure allocation
-                    v._grad[:, sl] += a.T @ gh
-                da = gh @ v.value[:, sl].T
-                ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-                if q.requires_grad:
-                    q.grad
-                    q._grad[:, sl] += (ds @ k.value[:, sl]) * scale
-                if k.requires_grad:
-                    k.grad
-                    k._grad[:, sl] += (ds.T @ q.value[:, sl]) * scale
-        out._backprop = backprop
-    return out
-
-
 def attention_blocks(q: Node, k: Node, v: Node, heads: int,
                      bounds: list[tuple[int, int]]) -> Node:
     """Multi-head attention restricted to independent row blocks.

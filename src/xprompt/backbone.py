@@ -4,10 +4,10 @@ The encoder is pretrained once on masked-token prediction, then frozen for
 good: prompt tuning trains only the rows prepended in front of the input
 embeddings. Architecture: learned token + absolute position embeddings
 (real-token positions only; prompt rows are position-free, so the encoder
-treats them as a set), pre-LN residual blocks (multi-head attention, GELU
-FFN of width 4e), a final layer norm, mean pooling over the non-prompt
-positions, and a linear classifier head that stays at its seeded init
-(pretraining never touches it).
+treats them as a set), post-LN residual blocks (multi-head attention, GELU
+FFN of width 4e, each residual sum followed by a layer norm), mean pooling
+over the non-prompt positions, and a linear classifier head that stays at
+its seeded init (pretraining never touches it).
 """
 
 from __future__ import annotations
@@ -211,16 +211,6 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
     h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=[m] * len(bounds))
     pooled = ag.concat_rows(*[ag.mean_pool(h, a + m, b) for a, b in bounds])
     return ag.matmul(pooled, w["head"])
-
-
-def forward_with_prompt(bb: FrozenBackbone, prompt_rows: ag.Node | None, input_ids,
-                        weight_nodes: dict[str, ag.Node] | None = None) -> ag.Node:
-    """Logits (1, C) for one sequence with prompt rows prepended.
-
-    Mean pooling covers the non-prompt positions only, so prompt rows steer
-    the pooled representation purely through attention.
-    """
-    return forward_batch(bb, prompt_rows, [input_ids], weight_nodes=weight_nodes)
 
 
 def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> list[int]:

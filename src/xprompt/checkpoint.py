@@ -19,6 +19,8 @@ from .util import sha256_hex, write_bytes_atomic, write_text_atomic
 
 BACKBONE_FORMAT = "backbone-checkpoint v1"
 PROMPT_FORMAT = "prompt-checkpoint v1"
+BACKBONE_FIELDS = ("vocab_size", "embed_dim", "layers", "heads", "max_seq_len",
+                   "num_classes", "seed")
 
 
 def _blob_bytes(arr: np.ndarray) -> bytes:
@@ -31,7 +33,10 @@ def _write_blob(dirpath: str, name: str, arr: np.ndarray) -> str:
     return sha256_hex(data)
 
 
-def _read_blob(dirpath: str, name: str, shape: tuple[int, int], want_hash: str) -> np.ndarray:
+def _read_blob(dirpath: str, name: str, shape: tuple[int, int],
+               want_hash: str | None) -> np.ndarray:
+    if want_hash is None:
+        raise DataError(f"checkpoint manifest in {dirpath} lists no {name} blob")
     path = os.path.join(dirpath, name + ".bin")
     if not os.path.exists(path):
         raise DataError(f"checkpoint blob missing: {path}")
@@ -45,6 +50,42 @@ def _read_blob(dirpath: str, name: str, shape: tuple[int, int], want_hash: str) 
     return arr.reshape(shape)
 
 
+def _read_manifest(dirpath: str, fmt: str) -> list[tuple[str, str]]:
+    """(key, rest of the line) per entry of a checkpoint manifest of format fmt."""
+    path = os.path.join(dirpath, "manifest.txt")
+    if not os.path.exists(path):
+        raise DataError(f"checkpoint manifest missing: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        entries = [_split_entry(line) for line in fh.read().split("\n")
+                   if line and not line.startswith("#")]
+    found = dict(entries).get("format")
+    if found != fmt:
+        raise DataError(f"unrecognized checkpoint format {found!r} in {path}; "
+                        f"wanted {fmt!r}")
+    return entries
+
+
+def _split_entry(text: str) -> tuple[str, str]:
+    key, _, val = text.partition(" ")
+    return key, val
+
+
+def _field(dirpath: str, fields: dict[str, str], key: str, parse=str):
+    try:
+        return parse(fields[key])
+    except (KeyError, ValueError):
+        raise DataError(f"checkpoint manifest in {dirpath}: field {key!r} "
+                        f"missing or malformed") from None
+
+
+def _mask_row(dirpath: str, what: str, text: str | None, width: int) -> list[float]:
+    vals = (text or "").split()
+    if len(vals) != width or not set(vals) <= {"0", "1"}:
+        raise DataError(f"checkpoint manifest in {dirpath}: {what} must hold "
+                        f"{width} values of 0 or 1, got {text!r}")
+    return [float(v) for v in vals]
+
+
 # --- backbone -------------------------------------------------------------------
 
 
@@ -52,8 +93,7 @@ def save_backbone(bb: FrozenBackbone, dirpath: str) -> None:
     os.makedirs(dirpath, exist_ok=True)
     lines = [f"format {BACKBONE_FORMAT}"]
     cfg = bb.cfg
-    for k in ("vocab_size", "embed_dim", "layers", "heads", "max_seq_len",
-              "num_classes", "seed"):
+    for k in BACKBONE_FIELDS:
         lines.append(f"{k} {getattr(cfg, k)}")
     lines.append(f"frozen {int(bb.frozen)}")
     for name in sorted(bb.weights):
@@ -64,33 +104,20 @@ def save_backbone(bb: FrozenBackbone, dirpath: str) -> None:
 
 
 def load_backbone(dirpath: str) -> FrozenBackbone:
-    manifest_path = os.path.join(dirpath, "manifest.txt")
-    if not os.path.exists(manifest_path):
-        raise DataError(f"checkpoint manifest missing: {manifest_path}")
-    fields: dict[str, str] = {}
-    weights_meta: list[tuple[str, int, int, str]] = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(" ")
-            if key == "weight":
-                name, r, c, digest = val.split(" ")
-                weights_meta.append((name, int(r), int(c), digest))
-            else:
-                fields[key] = val
-    if fields.get("format") != BACKBONE_FORMAT:
-        raise DataError(f"unrecognized backbone checkpoint format {fields.get('format')!r}")
-    cfg = BackboneConfig(
-        vocab_size=int(fields["vocab_size"]), embed_dim=int(fields["embed_dim"]),
-        layers=int(fields["layers"]), heads=int(fields["heads"]),
-        max_seq_len=int(fields["max_seq_len"]), num_classes=int(fields["num_classes"]),
-        seed=int(fields["seed"]))
-    weights = {name: _read_blob(dirpath, name, (r, c), digest)
-               for name, r, c, digest in weights_meta}
+    entries = _read_manifest(dirpath, BACKBONE_FORMAT)
+    fields = dict(entries)
+    cfg = BackboneConfig(**{k: _field(dirpath, fields, k, int) for k in BACKBONE_FIELDS})
+    weights = {}
+    for val in [val for key, val in entries if key == "weight"]:
+        try:
+            name, r, c, digest = val.split(" ")
+            shape = (int(r), int(c))
+        except ValueError:
+            raise DataError(f"checkpoint manifest in {dirpath}: malformed weight "
+                            f"line {val!r}") from None
+        weights[name] = _read_blob(dirpath, name, shape, digest)
     bb = FrozenBackbone(cfg, weights)
-    if fields.get("frozen") == "1":
+    if _mask_row(dirpath, "frozen", fields.get("frozen"), 1) == [1.0]:
         bb.freeze()
     return bb
 
@@ -121,39 +148,19 @@ def save_prompt(bank, dirpath: str, stage: str) -> None:
 def load_prompt(dirpath: str):
     from .prompt import PromptBank  # local import to avoid a cycle
 
-    manifest_path = os.path.join(dirpath, "manifest.txt")
-    if not os.path.exists(manifest_path):
-        raise DataError(f"checkpoint manifest missing: {manifest_path}")
-    fields: dict[str, str] = {}
-    piece_rows: dict[int, list[int]] = {}
-    blobs: dict[str, str] = {}
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(" ")
-            if key == "piece_mask":
-                idx, _, rest = val.partition(" ")
-                piece_rows[int(idx)] = [int(v) for v in rest.split()]
-            elif key == "blob":
-                name, _, digest = val.partition(" ")
-                blobs[name] = digest
-            else:
-                fields[key] = val
-    if fields.get("format") != PROMPT_FORMAT:
-        raise DataError(f"unrecognized prompt checkpoint format {fields.get('format')!r}")
-    m, e, k = int(fields["m"]), int(fields["e"]), int(fields["k"])
-    p = _read_blob(dirpath, "p_e", (m, e), blobs["p_e"])
-    token_mask = np.array([float(v) for v in fields["token_mask"].split()])
-    if token_mask.size != m:
-        raise DataError(f"token mask has {token_mask.size} entries, wanted {m}")
-    piece_mask = np.zeros((m, k))
-    for i in range(m):
-        if i not in piece_rows or len(piece_rows[i]) != k:
-            raise DataError(f"piece mask row {i} missing or wrong width")
-        piece_mask[i] = piece_rows[i]
+    entries = _read_manifest(dirpath, PROMPT_FORMAT)
+    fields = dict(entries)
+    m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))
+    if min(m, e, k) < 1 or e % k != 0:
+        raise DataError(f"checkpoint manifest in {dirpath}: bad geometry m={m}, e={e}, k={k}")
+    blobs = dict(_split_entry(val) for key, val in entries if key == "blob")
+    p = _read_blob(dirpath, "p_e", (m, e), blobs.get("p_e"))
+    token_mask = np.array(_mask_row(dirpath, "token_mask",
+                                    _field(dirpath, fields, "token_mask"), m))
+    rows = dict(_split_entry(val) for key, val in entries if key == "piece_mask")
+    piece_mask = np.array([_mask_row(dirpath, f"piece_mask row {i}", rows.get(str(i)), k)
+                           for i in range(m)])
     bank = PromptBank(p=p, token_mask=token_mask, piece_mask=piece_mask, k=k)
     if "snapshot" in blobs:
         bank.snapshot = _read_blob(dirpath, "snapshot", (m, e), blobs["snapshot"])
-    return bank, fields["stage"]
+    return bank, _field(dirpath, fields, "stage")

@@ -14,7 +14,8 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,13 +148,9 @@ class RunConfig:
         return self.values[key]
 
     def with_overrides(self, **pairs) -> "RunConfig":
-        values = dict(self.values)
-        for dotted, val in pairs.items():
-            key = dotted.replace("__", ".")
-            if key not in _TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = val
-        return RunConfig(values)
+        """A copy with keys given as section__name, e.g. run__out="x"."""
+        return RunConfig.from_mapping(
+            {**self.values, **{k.replace("__", "."): v for k, v in pairs.items()}})
 
     def to_text(self) -> str:
         return "\n".join(f"{key} = {_render(key, self.values[key])}"
@@ -278,7 +275,6 @@ class MetricsRecord:
     kept_tokens: int
     kept_params: int
     percent: str
-    wall_clock: float = 0.0  # human report only, never in metrics files
 
     def tsv_line(self) -> str:
         return (f"{self.stage}\t{self.seed}\t{self.dev_acc!r}\t"
@@ -298,10 +294,15 @@ def _read_records(path: str) -> list[MetricsRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise DataError(f"metrics fragment {path} has a bad header")
-    for line in lines[1:]:
-        stage, seed, acc, ktok, kpar, pct = line.split("\t")
-        records.append(MetricsRecord(stage, int(seed), float(acc), int(ktok),
-                                     int(kpar), pct))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            stage, seed, acc, ktok, kpar, pct = line.split("\t")
+            float(pct)  # copied verbatim, but must still be a number
+            records.append(MetricsRecord(stage, int(seed), float(acc), int(ktok),
+                                         int(kpar), pct))
+        except ValueError:
+            raise DataError(f"metrics fragment {path} line {lineno}: "
+                            f"malformed record {line!r}") from None
     return records
 
 
@@ -397,21 +398,41 @@ def build_corpus(cfg: RunConfig, train) -> list[tuple[int, ...]]:
 # --- pipeline --------------------------------------------------------------------
 
 
-def _selection_of(bank: PromptBank, token_ratio: float = 0.0,
-                  piece_ratio: float = 0.0) -> MaskSelection:
+@contextmanager
+def _stage(name: str):
+    """Let config and data errors through; report any other failure as one
+    of stage name (exit code 4)."""
+    try:
+        yield
+    except (ConfigError, DataError):
+        raise
+    except Exception as exc:
+        raise StageError(f"stage {name} failed: {exc}") from exc
+
+
+def _selection_of(bank: PromptBank) -> MaskSelection:
     kept_tokens = frozenset(int(i) for i in np.flatnonzero(bank.token_mask > 0))
     kept_pieces = {i: frozenset(int(q) for q in np.flatnonzero(bank.piece_mask[i] > 0))
                    for i in kept_tokens}
-    return MaskSelection(kept_tokens, kept_pieces, token_ratio, piece_ratio,
-                         bank.m, bank.k)
+    return MaskSelection(kept_tokens, kept_pieces, 0.0, 0.0, bank.m, bank.k)
 
 
-def _bank_record(stage: str, seed: int, dev_acc: float, bank: PromptBank,
-                 e: int, wall: float = 0.0) -> MetricsRecord:
-    sel = _selection_of(bank)
-    counted = param_count(bank.m, e, sel)
-    return MetricsRecord(stage, seed, dev_acc, len(sel.kept_tokens),
-                         counted["count"], counted["percentage"], wall)
+def _record(stage: str, seed: int, dev_acc: float, selection: MaskSelection,
+            e: int) -> MetricsRecord:
+    counted = param_count(selection.m, e, selection)
+    return MetricsRecord(stage, seed, dev_acc, len(selection.kept_tokens),
+                         counted["count"], counted["percentage"])
+
+
+def _prune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data,
+           sched: PruneSchedule, seed: int):
+    """hierarchical_prune with the run's retraining recipe."""
+    v = cfg.values
+    return hierarchical_prune(
+        bank, bb, data["train"], data["dev"], sched,
+        v["prune.retrain_epochs"], opt_kind=v["optim.kind"],
+        learning_rate=v["optim.lr"], weight_decay=v["optim.weight_decay"],
+        batch_size=v["tune.batch_size"], seed=seed)
 
 
 def _seed_dir(out: str, seed: int, stage: str) -> str:
@@ -443,14 +464,10 @@ def ensure_backbone(cfg: RunConfig, out: str, train, resume: bool = True,
             raise ConfigError("backbone checkpoint does not match backbone config")
         return bb
     t0 = time.monotonic()
-    try:
+    with _stage("backbone"):
         bb = init_backbone(cfg.backbone_config())
         pretrain(bb, build_corpus(cfg, train), cfg["pretrain.steps"], cfg["pretrain.lr"])
         checkpoint.save_backbone(bb, bb_dir)
-    except (ConfigError, DataError):
-        raise
-    except Exception as exc:
-        raise StageError(f"stage backbone failed: {exc}") from exc
     if wall is not None:
         wall["backbone"] = time.monotonic() - t0
     return bb
@@ -459,31 +476,20 @@ def ensure_backbone(cfg: RunConfig, out: str, train, resume: bool = True,
 def _run_stage1(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
                 resume: bool) -> tuple[PromptBank, MetricsRecord]:
     stage_dir = _seed_dir(out, seed, "stage1")
-    records_path = os.path.join(stage_dir, "records.tsv")
     if resume and _stage_done(stage_dir):
-        bank, _ = checkpoint.load_prompt(stage_dir)
-        return bank, _read_records(records_path)[0]
-    t0 = time.monotonic()
-    try:
-        v = cfg.values
+        return _load_stage1(out, seed)
+    v = cfg.values
+    with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"],
                            cfg.init_strategy(seed), bb)
         res = tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
                    cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
         bank.take_snapshot()
         checkpoint.save_prompt(bank, stage_dir, "stage1")
-        record = _bank_record("stage1", seed, res.best_dev_acc, bank,
-                              v["backbone.embed_dim"], time.monotonic() - t0)
-        _write_records(records_path, [record])
-        return bank, record
-    except (ConfigError, DataError):
-        raise
-    except Exception as exc:
-        raise StageError(f"stage stage1 failed: {exc}") from exc
-
-
-def _cell_stage_tag(token_ratio: float, piece_ratio: float) -> str:
-    return f"cell[{token_ratio!r},{piece_ratio!r}]"
+        record = _record("stage1", seed, res.best_dev_acc, _selection_of(bank),
+                         v["backbone.embed_dim"])
+        _write_records(os.path.join(stage_dir, "records.tsv"), [record])
+    return bank, record
 
 
 def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
@@ -492,28 +498,14 @@ def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
     records_path = os.path.join(stage_dir, "records.tsv")
     if resume and _stage_done(stage_dir):
         return _read_records(records_path)
-    t0 = time.monotonic()
-    try:
-        v = cfg.values
-        e = v["backbone.embed_dim"]
-        result = hierarchical_prune(
-            bank, bb, data["train"], data["dev"], cfg.schedule(),
-            v["prune.retrain_epochs"], opt_kind=v["optim.kind"],
-            learning_rate=v["optim.lr"], weight_decay=v["optim.weight_decay"],
-            batch_size=v["tune.batch_size"], seed=seed)
-        records = []
-        for cell in result.cells:
-            counted = param_count(bank.m, e, cell.selection)
-            records.append(MetricsRecord(
-                _cell_stage_tag(cell.token_ratio, cell.piece_ratio), seed,
-                cell.dev_acc, len(cell.selection.kept_tokens), counted["count"],
-                counted["percentage"]))
+    e = cfg["backbone.embed_dim"]
+    with _stage("prune"):
+        result = _prune(cfg, bank, bb, data, cfg.schedule(), seed)
+        records = [_record(f"cell[{cell.token_ratio!r},{cell.piece_ratio!r}]", seed,
+                           cell.dev_acc, cell.selection, e)
+                   for cell in result.cells]
         best = result.best
-        counted = param_count(bank.m, e, best.selection)
-        records.append(MetricsRecord("final", seed, best.dev_acc,
-                                     len(best.selection.kept_tokens),
-                                     counted["count"], counted["percentage"],
-                                     time.monotonic() - t0))
+        records.append(_record("final", seed, best.dev_acc, best.selection, e))
         checkpoint.save_prompt(bank, stage_dir, "final")
         write_text_atomic(os.path.join(stage_dir, "best.txt"),
                           f"token_ratio = {best.token_ratio!r}\n"
@@ -521,11 +513,7 @@ def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
         export_saliency(merge_saliency_report(best), best.selection,
                         os.path.join(stage_dir, "saliency.txt"))
         _write_records(records_path, records)
-        return records
-    except (ConfigError, DataError):
-        raise
-    except Exception as exc:
-        raise StageError(f"stage prune failed: {exc}") from exc
+    return records
 
 
 def _map_seeds(jobs: int, fn, seeds):
@@ -605,16 +593,25 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
     out = cfg["run.out"]
     records: list[MetricsRecord] = []
     for seed in cfg["run.seeds"]:
-        records.extend(_read_records(os.path.join(_seed_dir(out, seed, "stage1"),
-                                                  "records.tsv")))
-        records.extend(_read_records(os.path.join(_seed_dir(out, seed, "prune"),
-                                                  "records.tsv")))
+        for stage in ("stage1", "prune"):
+            records.extend(_read_records(os.path.join(_seed_dir(out, seed, stage),
+                                                      "records.tsv")))
     _write_records(os.path.join(out, "metrics.tsv"), records)
     _write_report(out, cfg, records, wall={})
     return records
 
 
 # --- baselines ----------------------------------------------------------------------
+
+
+def _open_run(cfg: RunConfig) -> tuple[str, dict[str, tuple], FrozenBackbone]:
+    """Output directory, splits and backbone of a run that builds on an
+    existing one; the backbone is pretrained if the run has none yet."""
+    cfg.validate()
+    out = cfg["run.out"]
+    os.makedirs(out, exist_ok=True)
+    data = load_splits(cfg)
+    return out, data, ensure_backbone(cfg, out, data["train"], resume=True)
 
 
 def _load_stage1(out: str, seed: int) -> tuple[PromptBank, MetricsRecord]:
@@ -651,25 +648,16 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
     for arm in which:
         if arm not in BASELINE_ARMS:
             raise ConfigError(f"unknown baseline {arm!r}; expected from {BASELINE_ARMS}")
-    cfg.validate()
-    out = cfg["run.out"]
-    os.makedirs(out, exist_ok=True)
-    data = load_splits(cfg)
-    bb = ensure_backbone(cfg, out, data["train"], resume=True)
+    out, data, bb = _open_run(cfg)
     v = cfg.values
     e = v["backbone.embed_dim"]
 
     def arm_records(seed: int) -> list[MetricsRecord]:
         recs: list[MetricsRecord] = []
-        try:
+        with _stage("baselines"):
             if "vanilla" in which:
-                try:
-                    _, rec = _load_stage1(out, seed)
-                except DataError:
-                    _, rec = _run_stage1(cfg, out, bb, data, seed, resume=True)
-                recs.append(MetricsRecord("vanilla", seed, rec.dev_acc,
-                                          rec.kept_tokens, rec.kept_params,
-                                          rec.percent))
+                _, rec = _run_stage1(cfg, out, bb, data, seed, resume=True)
+                recs.append(replace(rec, stage="vanilla"))
             if "negative" in which:
                 bank, _ = _load_stage1(out, seed)
                 ratio = v["prune.negative_ratio"]
@@ -687,16 +675,8 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
                 bank, _ = _load_stage1(out, seed)
                 _, t_ratio, p_ratio = _load_best_cell(out, seed)
                 sched = PruneSchedule((t_ratio,), (p_ratio,), arm, seed=seed)
-                result = hierarchical_prune(
-                    bank, bb, data["train"], data["dev"], sched,
-                    v["prune.retrain_epochs"], opt_kind=v["optim.kind"],
-                    learning_rate=v["optim.lr"], weight_decay=v["optim.weight_decay"],
-                    batch_size=v["tune.batch_size"], seed=seed)
-                best = result.best
-                counted = param_count(bank.m, e, best.selection)
-                recs.append(MetricsRecord(arm, seed, best.dev_acc,
-                                          len(best.selection.kept_tokens),
-                                          counted["count"], counted["percentage"]))
+                best = _prune(cfg, bank, bb, data, sched, seed).best
+                recs.append(_record(arm, seed, best.dev_acc, best.selection, e))
             if "length" in which:
                 stage1_bank, _ = _load_stage1(out, seed)
                 final_bank, _, _ = _load_best_cell(out, seed)
@@ -709,11 +689,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
                     batch_size=v["tune.batch_size"], seed=seed)
                 recs.append(MetricsRecord("length", seed, acc, m_kept, m_kept * e,
                                           exact_percent(m_kept * e, stage1_bank.m * e)))
-            return recs
-        except (ConfigError, DataError):
-            raise
-        except Exception as exc:
-            raise StageError(f"stage baselines failed: {exc}") from exc
+        return recs
 
     seeds = list(cfg["run.seeds"])
     per_seed = _map_seeds(jobs, arm_records, seeds)
@@ -739,7 +715,6 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     for variant in variants:
         if variant not in ("transfer_o", "transfer"):
             raise ConfigError(f"unknown transfer variant {variant!r}")
-    cfg.validate()
     source, _ = checkpoint.load_prompt(source_dir)
     v = cfg.values
     if (source.m, source.e, source.k) != (v["prompt.m"], v["backbone.embed_dim"],
@@ -748,40 +723,26 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
             f"source prompt ({source.m}, {source.e}, k={source.k}) does not match "
             f"target config ({v['prompt.m']}, {v['backbone.embed_dim']}, "
             f"k={v['prompt.k']})")
-    out = cfg["run.out"]
-    os.makedirs(out, exist_ok=True)
-    data = load_splits(cfg)
-    bb = ensure_backbone(cfg, out, data["train"], resume=True)
+    out, data, bb = _open_run(cfg)
     e = v["backbone.embed_dim"]
 
     def transfer_for(seed: int) -> list[MetricsRecord]:
         recs = []
-        try:
+        with _stage("transfer"):
             if "transfer_o" in variants:
                 bank = source.copy()
                 res = tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
                            cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
-                recs.append(_bank_record("transfer_o", seed, res.best_dev_acc, bank, e))
+                recs.append(_record("transfer_o", seed, res.best_dev_acc,
+                                    _selection_of(bank), e))
             if "transfer" in variants:
                 bank = source.copy()
                 tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
                      cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
                 bank.take_snapshot()
-                result = hierarchical_prune(
-                    bank, bb, data["train"], data["dev"], cfg.schedule(),
-                    v["prune.retrain_epochs"], opt_kind=v["optim.kind"],
-                    learning_rate=v["optim.lr"], weight_decay=v["optim.weight_decay"],
-                    batch_size=v["tune.batch_size"], seed=seed)
-                best = result.best
-                counted = param_count(bank.m, e, best.selection)
-                recs.append(MetricsRecord("transfer", seed, best.dev_acc,
-                                          len(best.selection.kept_tokens),
-                                          counted["count"], counted["percentage"]))
-            return recs
-        except (ConfigError, DataError):
-            raise
-        except Exception as exc:
-            raise StageError(f"stage transfer failed: {exc}") from exc
+                best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best
+                recs.append(_record("transfer", seed, best.dev_acc, best.selection, e))
+        return recs
 
     seeds = list(cfg["run.seeds"])
     per_seed = _map_seeds(jobs, transfer_for, seeds)

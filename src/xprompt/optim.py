@@ -29,8 +29,6 @@ KINDS = ("adafactor", "adam", "sgd")
 class OptimizerState:
     """Base: holds hyperparameters and the step counter; subclasses own slots."""
 
-    kind = "base"
-
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         if learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
@@ -54,8 +52,6 @@ class OptimizerState:
 
 
 class AdafactorLite(OptimizerState):
-    kind = "adafactor"
-
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         super().__init__(learning_rate, weight_decay)
         self.row_accum: np.ndarray | None = None
@@ -102,8 +98,6 @@ class AdafactorLite(OptimizerState):
 
 
 class Adam(OptimizerState):
-    kind = "adam"
-
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
@@ -131,8 +125,6 @@ class Adam(OptimizerState):
 
 
 class SGD(OptimizerState):
-    kind = "sgd"
-
     def step(self, p, grad, mask):
         self.step_count += 1
         p -= self.effective_lr * (grad + self.weight_decay * p) * (mask > 0)

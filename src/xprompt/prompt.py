@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .backbone import FrozenBackbone, forward_batch, _wrap_weights
+from .backbone import FrozenBackbone, forward_batch, predict, _wrap_weights
 from .errors import ConfigError, DataError, ShapeError, StateError
 from .optim import OptimizerState
 from .tasks import accuracy
@@ -123,18 +123,11 @@ def init_prompt(m: int, e: int, k: int, strat: InitStrategy, bb: FrozenBackbone)
     return PromptBank(p=p, token_mask=np.ones(m), piece_mask=np.ones((m, k)), k=k)
 
 
-def effective_prompt(bank: PromptBank) -> ag.Node:
-    """The masked prompt as a graph node (fresh leaves on every call)."""
-    return bank.graph().output
-
-
 def evaluate(bank: PromptBank, bb: FrozenBackbone, dataset) -> float:
     """Dev accuracy under the current masked prompt values."""
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
-    prompt = ag.constant(bank.effective_values())
-    logits = forward_batch(bb, prompt, [ex.tokens for ex in dataset])
-    preds = [int(np.argmax(row)) for row in logits.value]
+    preds = predict(bb, bank.effective_values(), dataset)
     return accuracy(preds, [ex.label for ex in dataset])
 
 

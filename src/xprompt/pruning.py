@@ -88,16 +88,6 @@ def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
     return ImportanceReport(tok, pc, token_live, piece_live, n, agg)
 
 
-def score_pieces(bank: PromptBank, bb: FrozenBackbone, train,
-                 agg: str = "per_batch_abs", batch_size: int = SCORE_BATCH) -> ImportanceReport:
-    """Piece importance over zeta entries of surviving tokens.
-
-    Identical sweep to score_tokens; kept separate because the hierarchical
-    procedure rescoring happens after token masks have changed.
-    """
-    return score_tokens(bank, bb, train, agg, batch_size)
-
-
 # --- selections -----------------------------------------------------------------
 
 
@@ -276,7 +266,8 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
             token_sel = select_tokens(token_report, t_ratio, sched.rule, sched.seed)
             apply_selection(bank, token_sel)
 
-            piece_report = score_pieces(bank, bb, train, agg, batch_size)
+            # the same sweep, rescored over the surviving tokens only
+            piece_report = score_tokens(bank, bb, train, agg, batch_size)
             selection = select_pieces(piece_report, p_ratio, sched.rule,
                                       sched.seed, base=token_sel)
 
@@ -339,16 +330,3 @@ def baseline_length_prompt(m_kept: int, bank: PromptBank, bb: FrozenBackbone,
     opt = make_optimizer(opt_kind, learning_rate, weight_decay)
     result = tune(short, bb, train, dev, epochs, opt, batch_size=batch_size, seed=seed)
     return result.best_dev_acc
-
-
-# --- export ---------------------------------------------------------------------
-
-
-def report_to_text(report: ImportanceReport) -> str:
-    """One line per token: index, token score, then the k piece scores."""
-    lines = [f"batches_seen\t{report.batches_seen}",
-             f"aggregation\t{report.aggregation}"]
-    for i, (ts, row) in enumerate(zip(report.token_scores, report.piece_scores)):
-        cells = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{i}\t{float(ts)!r}\t{cells}")
-    return "\n".join(lines) + "\n"

@@ -23,14 +23,11 @@ def sha256_hex(data: bytes) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see a partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
+    """Write via a temp file + rename so readers never see a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

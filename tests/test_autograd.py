@@ -6,7 +6,7 @@ import pytest
 from xprompt import autograd as ag
 from xprompt.errors import ShapeError, StateError
 
-from support import central_diff, max_rel_err
+from support import attention, central_diff, max_rel_err
 
 
 # --- hand-checked values ------------------------------------------------------
@@ -198,7 +198,7 @@ def test_forward_is_deterministic_bitwise():
 
     def run():
         q = ag.matmul(ag.leaf(x), ag.constant(w))
-        att = ag.attention(q, q, q, heads=2)
+        att = attention(q, q, q, heads=2)
         out = ag.gelu(att)
         loss = ag.softmax_cross_entropy(ag.matmul(ag.mean_pool(out), ag.constant(w[:, :3])), [1])
         return loss.value, out.value.copy()
@@ -267,7 +267,7 @@ def test_fd_gelu_layer_norm_bias():
 
 def test_fd_attention():
     def build(q, k, v):
-        h = ag.attention(q, k, v, heads=2)
+        h = attention(q, k, v, heads=2)
         return ag.softmax_cross_entropy(ag.mean_pool(h), [3])
     for seed in range(5):
         _fd_case(build, [(4, 6), (5, 6), (5, 6)], seed)
@@ -290,7 +290,7 @@ def test_attention_blocks_match_separate_attention():
     bounds = [(0, 4), (4, 7)]
     packed = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, bounds)
     for a, b in bounds:
-        alone = ag.attention(ag.leaf(q[a:b]), ag.leaf(k[a:b]), ag.leaf(v[a:b]), 2)
+        alone = attention(ag.leaf(q[a:b]), ag.leaf(k[a:b]), ag.leaf(v[a:b]), 2)
         assert np.allclose(packed.value[a:b], alone.value, atol=1e-14)
 
 
@@ -317,7 +317,7 @@ def test_fd_composite_transformer_block():
     # FFN -> final LN -> head (final LN keeps logits unsaturated for any seed)
     def build(x, wq, wk, wv, wo, g1, b1, w1, bb1, w2, bb2, g2, b2, g3, b3, head):
         ln1 = ag.layer_norm(x, g1, b1)
-        att = ag.attention(ag.matmul(ln1, wq), ag.matmul(ln1, wk), ag.matmul(ln1, wv), heads=2)
+        att = attention(ag.matmul(ln1, wq), ag.matmul(ln1, wk), ag.matmul(ln1, wv), heads=2)
         h = ag.add(x, ag.matmul(att, wo))
         ln2 = ag.layer_norm(h, g2, b2)
         f = ag.bias_add(ag.matmul(ln2, w1), bb1)

@@ -68,7 +68,7 @@ def test_pretrain_on_frozen_backbone_rejected(raw_micro_backbone):
 def test_forward_requires_frozen():
     bb = bbm.init_backbone(MICRO_CFG)
     with pytest.raises(StateError):
-        bbm.forward_with_prompt(bb, None, [2, 3, 4])
+        bbm.forward_batch(bb, None, [[2, 3, 4]])
 
 
 def test_frozen_weights_are_immutable(raw_micro_backbone):
@@ -78,9 +78,9 @@ def test_frozen_weights_are_immutable(raw_micro_backbone):
 
 def test_forward_empty_prompt_equals_plain(raw_micro_backbone):
     ids = [2, 5, 7, 3]
-    a = bbm.forward_with_prompt(raw_micro_backbone, None, ids)
+    a = bbm.forward_batch(raw_micro_backbone, None, [ids])
     empty = ag.leaf(np.zeros((0, MICRO_CFG.embed_dim)))
-    b = bbm.forward_with_prompt(raw_micro_backbone, empty, ids)
+    b = bbm.forward_batch(raw_micro_backbone, empty, [ids])
     assert np.array_equal(a.value, b.value)
 
 
@@ -88,8 +88,8 @@ def test_forward_reproducible_bitwise(raw_micro_backbone):
     rng = np.random.default_rng(0)
     prompt = rng.normal(scale=0.02, size=(4, MICRO_CFG.embed_dim))
     ids = [2, 5, 7]
-    a = bbm.forward_with_prompt(raw_micro_backbone, ag.constant(prompt), ids)
-    b = bbm.forward_with_prompt(raw_micro_backbone, ag.constant(prompt), ids)
+    a = bbm.forward_batch(raw_micro_backbone, ag.constant(prompt), [ids])
+    b = bbm.forward_batch(raw_micro_backbone, ag.constant(prompt), [ids])
     assert np.array_equal(a.value, b.value)
     assert a.shape == (1, MICRO_CFG.num_classes)
     assert np.isfinite(a.value).all()
@@ -98,13 +98,13 @@ def test_forward_reproducible_bitwise(raw_micro_backbone):
 def test_forward_rejects_overlong_and_bad_ids(raw_micro_backbone):
     too_long = [2] * (MICRO_CFG.max_seq_len + 1)
     with pytest.raises(DataError) as exc:
-        bbm.forward_with_prompt(raw_micro_backbone, None, too_long)
+        bbm.forward_batch(raw_micro_backbone, None, [too_long])
     assert str(MICRO_CFG.max_seq_len) in str(exc.value)
     with pytest.raises(DataError):
-        bbm.forward_with_prompt(raw_micro_backbone, None, [MICRO_CFG.vocab_size])
+        bbm.forward_batch(raw_micro_backbone, None, [[MICRO_CFG.vocab_size]])
     prompt = ag.constant(np.zeros((30, MICRO_CFG.embed_dim)))
     with pytest.raises(DataError):
-        bbm.forward_with_prompt(raw_micro_backbone, prompt, [2, 3, 4])
+        bbm.forward_batch(raw_micro_backbone, prompt, [[2, 3, 4]])
 
 
 def test_prompt_gradients_match_finite_differences(raw_micro_backbone):
@@ -113,12 +113,12 @@ def test_prompt_gradients_match_finite_differences(raw_micro_backbone):
     ids = [2, 9, 4, 4]
 
     def loss_value():
-        node = bbm.forward_with_prompt(raw_micro_backbone, ag.leaf(pv), ids)
+        node = bbm.forward_batch(raw_micro_backbone, ag.leaf(pv), [ids])
         return ag.softmax_cross_entropy(node, [1]).value
 
     prompt = ag.leaf(pv)
     loss = ag.softmax_cross_entropy(
-        bbm.forward_with_prompt(raw_micro_backbone, prompt, ids), [1])
+        bbm.forward_batch(raw_micro_backbone, prompt, [ids]), [1])
     ag.backward(loss)
     fd = central_diff(loss_value, pv)
     assert max_rel_err(prompt.grad, fd) <= 1e-5
@@ -127,8 +127,8 @@ def test_prompt_gradients_match_finite_differences(raw_micro_backbone):
 def test_pooling_covers_only_input_positions(raw_micro_backbone):
     # an input change must move the logits even when the prompt is frozen junk
     prompt = ag.constant(np.zeros((2, MICRO_CFG.embed_dim)))
-    a = bbm.forward_with_prompt(raw_micro_backbone, prompt, [2, 3, 4])
-    b = bbm.forward_with_prompt(raw_micro_backbone, prompt, [2, 3, 5])
+    a = bbm.forward_batch(raw_micro_backbone, prompt, [[2, 3, 4]])
+    b = bbm.forward_batch(raw_micro_backbone, prompt, [[2, 3, 5]])
     assert not np.array_equal(a.value, b.value)
 
 

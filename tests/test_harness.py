@@ -7,6 +7,8 @@ across rerun, resume, and parallel execution.
 
 import decimal
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -516,15 +518,69 @@ def test_cli_exit_code_3_on_missing_prerequisites(tmp_path):
     assert cli.main(["prune", "--config", cfg]) == 3
 
 
-def test_cli_exit_code_4_on_stage_failure(tmp_path, monkeypatch):
-    out = str(tmp_path / "boom")
+# stage-1 checkpoint of seed 1, relative to the run directory
+STAGE1_MANIFEST = os.path.join("seed1", "stage1", "manifest.txt")
+
+
+@pytest.mark.parametrize("path, pattern, replacement, command", [
+    (STAGE1_MANIFEST, r"^m .*\n", "", "prune"),
+    (STAGE1_MANIFEST, r"^e .*", "e wide", "prune"),
+    (STAGE1_MANIFEST, r"^k .*", "k 5", "prune"),
+    (STAGE1_MANIFEST, r"^stage .*\n", "", "prune"),
+    (STAGE1_MANIFEST, r"^blob p_e .*\n", "", "prune"),
+    (STAGE1_MANIFEST, r"^token_mask 1", "token_mask 7", "prune"),
+    (STAGE1_MANIFEST, r"^token_mask 1 ", "token_mask ", "prune"),
+    (STAGE1_MANIFEST, r"^piece_mask 2 1", "piece_mask 2 0.5", "prune"),
+    (STAGE1_MANIFEST, r"^piece_mask 0 1 ", "piece_mask 0 ", "prune"),
+    (os.path.join("backbone", "manifest.txt"), r"^layers .*\n", "", "prune"),
+    (os.path.join("backbone", "manifest.txt"), r"^heads .*", "heads two", "prune"),
+    (os.path.join("backbone", "manifest.txt"), r"^weight head \S+", "weight head", "prune"),
+    (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
+    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t.*)\t[^\t]*$", r"\1",
+     "report"),
+], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
+        "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
+        "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
+        "records-short-row"])
+def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
+                                                replacement, command):
+    _, out, _ = pipe_run
+    copy = str(tmp_path / "copy")
+    shutil.copytree(out, copy)
+    target = os.path.join(copy, path)
+    text, count = re.subn(pattern, replacement, read(target), count=1, flags=re.M)
+    assert count == 1
+    hz.write_text_atomic(target, text)
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+
+
+@pytest.mark.parametrize("command, target, stage", [
+    ("pipeline", "tune", "stage1"),
+    ("pipeline", "pretrain", "backbone"),
+    ("pipeline", "hierarchical_prune", "prune"),
+    ("baselines", "baseline_negative_masking", "baselines"),
+    ("transfer", "tune", "transfer"),
+])
+def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsys,
+                                          command, target, stage):
+    # baselines and transfer build on the finished run; a failed arm writes nothing
+    out = pipe_run[1] if command != "pipeline" else str(tmp_path / "boom")
     cfg = write_cfg_file(tmp_path, out)
+    extra = {"baselines": ["--which", "negative"],
+             "transfer": ["--source", os.path.join(out, "seed1", "prune"),
+                          "--variants", "transfer_o"]}.get(command, [])
 
     def explode(*args, **kwargs):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setattr(hz, "tune", explode)
-    assert cli.main(["pipeline", "--config", cfg]) == 4
+    monkeypatch.setattr(hz, target, explode)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg, *extra]) == 4
+    assert f"stage {stage} failed" in capsys.readouterr().err
 
 
 def test_cli_respects_log_env(tmp_path, monkeypatch):

@@ -83,7 +83,7 @@ def test_token_scores_match_finite_differences(bank, micro_backbone, fd_batch):
 
 def test_piece_scores_match_finite_differences(bank, micro_backbone, fd_batch):
     eps = 1e-4
-    rep = pr.score_pieces(bank, micro_backbone, fd_batch, batch_size=len(fd_batch))
+    rep = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=len(fd_batch))
     gamma = np.ones(bank.m)
     zeta = np.ones((bank.m, bank.k))
     base = masked_loss_value(bank, micro_backbone, fd_batch, gamma, zeta)
@@ -539,19 +539,3 @@ def test_length_prompt_baseline(bank, micro_backbone, micro_data):
     for bad in (0, bank.m + 1):
         with pytest.raises(ConfigError):
             pr.baseline_length_prompt(bad, bank, *args, epochs=1)
-
-
-# --- report export ------------------------------------------------------------------
-
-
-def test_report_to_text_layout():
-    rep = make_report([0.25, 1.5], [[0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]])
-    text = pr.report_to_text(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "batches_seen\t1"
-    assert lines[1] == "aggregation\tper_batch_abs"
-    assert len(lines) == 2 + 2
-    fields = lines[2].split("\t")
-    assert len(fields) == 2 + 4
-    assert float(fields[1]) == 0.25
-    assert float(fields[5]) == 0.4
