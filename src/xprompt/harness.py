@@ -632,10 +632,20 @@ def _load_best_cell(out: str, seed: int) -> tuple[PromptBank, float, float]:
     bank, _ = checkpoint.load_prompt(stage_dir)
     ratios: dict[str, float] = {}
     with open(best_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             key, _, val = line.partition("=")
-            ratios[key.strip()] = float(val)
-    return bank, ratios["token_ratio"], ratios["piece_ratio"]
+            try:
+                ratio = float(val)
+            except ValueError:
+                ratio = float("nan")  # fails the range check below
+            if not 0.0 <= ratio < 1.0:
+                raise DataError(f"best cell {best_path} line {lineno}: "
+                                f"malformed ratio {line.rstrip()!r}")
+            ratios[key.strip()] = ratio
+    try:
+        return bank, ratios["token_ratio"], ratios["piece_ratio"]
+    except KeyError as missing:
+        raise DataError(f"best cell {best_path}: no {missing.args[0]} line") from None
 
 
 def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[MetricsRecord]:

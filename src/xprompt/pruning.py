@@ -2,9 +2,12 @@
 
 Token scores are means over training batches of |dL/d gamma_i|; piece scores
 are the same statistic for zeta entries, recomputed on the tokens that survive
-token-level pruning. Selection removes floor(ratio * live) structures under a
-documented, deterministic tie-break, and rewinding restores surviving prompt
-entries to the snapshot before retraining.
+token-level pruning. A scoring sweep is a pure function of the prompt and the
+masks, so a prune grid scores tokens once per run and pieces once per token
+ratio, and shares each report, read-only, among the cells that use it.
+Selection removes floor(ratio * live) structures under a documented,
+deterministic tie-break, and rewinding restores surviving prompt entries to
+the snapshot before retraining.
 """
 
 from __future__ import annotations
@@ -238,13 +241,30 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
                        opt_kind: str = "adafactor", learning_rate: float = 0.05,
                        weight_decay: float = 1e-5, batch_size: int = 16,
                        seed: int = 0, agg: str = "per_batch_abs") -> PruneResult:
-    """Grid search over (token ratio, piece ratio) cells.
+    """Grid search over (token ratio, piece ratio) cells, scoring each mask
+    state once.
 
-    Each cell starts from the snapshot with all-ones masks, prunes tokens by
-    importance, rescored pieces by importance, rewinds, and retrains. The
-    returned best cell maximizes dev accuracy; ties prefer fewer kept
+    Token scores are taken once per run, at the snapshot with all-ones masks.
+    Each token ratio selects tokens from that report, and pieces are rescored
+    once per token ratio, at the snapshot with that ratio's token masks. Each
+    cell then selects pieces from its row's piece report, rewinds, and
+    retrains with a fresh optimizer. A sweep depends only on the snapshot and
+    the masks, so every cell sees exactly the scores a per-cell rescoring
+    would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
+
+    All cells share one ``token_report`` object, and the cells of one token
+    ratio share one ``piece_report``; callers must treat reports as
+    read-only.
+
+    The returned best cell maximizes dev accuracy; ties prefer fewer kept
     parameters, then lexicographically smaller ratios. The bank is left in
     the best cell's retrained state.
+
+    ``agg`` defaults to ``per_batch_abs``, the mean over batches of the
+    absolute batch gradient. The statistic of the paper, after Michel et al.
+    (2019), is ``per_example_abs``, the mean over examples of the absolute
+    per-example gradient. The default is kept because switching it changes
+    every pruned record in ``metrics.tsv``.
     """
     sched.validate()
     if bank.snapshot is None:
@@ -257,17 +277,17 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     best: CellResult | None = None
     best_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
+    bank.restore_snapshot()
+    bank.reset_masks()
+    token_report = score_tokens(bank, bb, train, agg, batch_size)
+
     for t_ratio in sched.token_ratios:
+        token_sel = select_tokens(token_report, t_ratio, sched.rule, sched.seed)
+        rewind(bank, token_sel)
+        # the same sweep, rescored over the surviving tokens only
+        piece_report = score_tokens(bank, bb, train, agg, batch_size)
+
         for p_ratio in sched.piece_ratios:
-            bank.restore_snapshot()
-            bank.reset_masks()
-
-            token_report = score_tokens(bank, bb, train, agg, batch_size)
-            token_sel = select_tokens(token_report, t_ratio, sched.rule, sched.seed)
-            apply_selection(bank, token_sel)
-
-            # the same sweep, rescored over the surviving tokens only
-            piece_report = score_tokens(bank, bb, train, agg, batch_size)
             selection = select_pieces(piece_report, p_ratio, sched.rule,
                                       sched.seed, base=token_sel)
 

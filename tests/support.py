@@ -1,12 +1,16 @@
-"""Shared test oracles: central finite differences, gradient comparison, and
-full-row attention as the reference for ``attention_blocks``."""
+"""Shared test oracles: central finite differences, gradient comparison,
+full-row attention as the reference for ``attention_blocks``, and per-cell
+rescoring as the reference for ``hierarchical_prune``."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
+from xprompt.optim import make_optimizer
+from xprompt.prompt import tune
 
 FD_EPS = 1e-5
 
@@ -87,3 +91,44 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
                     k._grad[:, sl] += (ds.T @ q.value[:, sl]) * scale
         out._backprop = backprop
     return out
+
+
+def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
+                       opt_kind="adafactor", learning_rate=0.05, weight_decay=1e-5,
+                       batch_size=16, seed=0, agg="per_batch_abs"):
+    """Grid search that rescores tokens and pieces from scratch in every cell.
+
+    Each cell restores the snapshot, resets the masks, scores tokens, applies
+    the token selection, scores pieces, then rewinds and retrains: two sweeps
+    per cell and no state shared between cells.
+    """
+    piece_width = bank.e // bank.k
+    cells = []
+    best = best_state = None
+    for t_ratio in sched.token_ratios:
+        for p_ratio in sched.piece_ratios:
+            bank.restore_snapshot()
+            bank.reset_masks()
+            token_report = pr.score_tokens(bank, bb, train, agg, batch_size)
+            token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, sched.seed)
+            pr.apply_selection(bank, token_sel)
+            piece_report = pr.score_tokens(bank, bb, train, agg, batch_size)
+            selection = pr.select_pieces(piece_report, p_ratio, sched.rule,
+                                         sched.seed, base=token_sel)
+            opt = make_optimizer(opt_kind, learning_rate, weight_decay)
+            pr.rewind(bank, selection, opt)
+            retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
+                           batch_size=batch_size, seed=seed)
+            cell = pr.CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
+                                 selection.kept_cells() * piece_width,
+                                 retrain.best_epoch, retrain,
+                                 token_report=token_report, piece_report=piece_report)
+            cells.append(cell)
+            rank = (-cell.dev_acc, cell.kept_params, t_ratio, p_ratio)
+            if best is None or rank < (-best.dev_acc, best.kept_params,
+                                       best.token_ratio, best.piece_ratio):
+                best = cell
+                best_state = (bank.p.copy(), bank.token_mask.copy(),
+                              bank.piece_mask.copy())
+    bank.p[:], bank.token_mask[:], bank.piece_mask[:] = best_state
+    return pr.PruneResult(best, cells)

@@ -520,6 +520,7 @@ def test_cli_exit_code_3_on_missing_prerequisites(tmp_path):
 
 # stage-1 checkpoint of seed 1, relative to the run directory
 STAGE1_MANIFEST = os.path.join("seed1", "stage1", "manifest.txt")
+BEST_TXT = os.path.join("seed1", "prune", "best.txt")
 
 
 @pytest.mark.parametrize("path, pattern, replacement, command", [
@@ -538,10 +539,12 @@ STAGE1_MANIFEST = os.path.join("seed1", "stage1", "manifest.txt")
     (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
     (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t.*)\t[^\t]*$", r"\1",
      "report"),
+    (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
+    (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
 ], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
-        "records-short-row"])
+        "records-short-row", "best-txt-bad-ratio", "best-txt-no-piece-ratio"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     _, out, _ = pipe_run
@@ -553,7 +556,7 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
     hz.write_text_atomic(target, text)
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
-    assert cli.main([command, "--config", cfg]) == 3
+    assert cli.main([*command.split(), "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
 

@@ -14,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xprompt import autograd as ag
+from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import forward_batch
 from xprompt.errors import ConfigError, DataError, StateError
 from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, batch_loss, evaluate, init_prompt, tune
 from xprompt.tasks import Example
+
+import support
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -450,6 +453,79 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
 
     assert micro_backbone.weight_hash() == before_hash
     assert np.array_equal(bank.snapshot, snap)
+
+
+MICRO_GRID = ((0.0, 0.34, 0.5), (0.0, 0.25))
+
+
+def report_arrays(report: pr.ImportanceReport) -> tuple[np.ndarray, ...]:
+    return (report.token_scores, report.piece_scores, report.token_live,
+            report.piece_live)
+
+
+@pytest.mark.parametrize("rule", pr.RULES)
+def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, micro_data,
+                                                       rule):
+    """Scoring once per mask state gives exactly what per-cell rescoring gives."""
+    sched = pr.PruneSchedule(*MICRO_GRID, rule, seed=3)
+    args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
+    ref_bank = bank.copy()
+    ref = support.hierarchical_prune(ref_bank, *args, retrain_epochs=2, seed=2)
+    out = pr.hierarchical_prune(bank, *args, retrain_epochs=2, seed=2)
+
+    assert len(out.cells) == len(ref.cells) == 6
+    for got, want in zip(out.cells, ref.cells):
+        assert (got.token_ratio, got.piece_ratio) == (want.token_ratio, want.piece_ratio)
+        assert got.selection == want.selection
+        assert got.dev_acc == want.dev_acc
+        assert got.kept_params == want.kept_params
+        assert got.best_epoch == want.best_epoch
+        assert got.retrain.losses == want.retrain.losses
+        for report, ref_report in ((got.token_report, want.token_report),
+                                   (got.piece_report, want.piece_report)):
+            assert report.batches_seen == ref_report.batches_seen
+            for a, b in zip(report_arrays(report), report_arrays(ref_report)):
+                assert np.array_equal(a, b)
+    assert (out.best.token_ratio, out.best.piece_ratio) == (
+        ref.best.token_ratio, ref.best.piece_ratio)
+    for got, want in ((bank.p, ref_bank.p), (bank.token_mask, ref_bank.token_mask),
+                      (bank.piece_mask, ref_bank.piece_mask)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, micro_data,
+                                                       monkeypatch, tmp_path):
+    """A |T| x |P| grid runs 1 + |T| sweeps; cells share their reports, and
+    the saliency export leaves the shared arrays as they were."""
+    calls = []
+    score = pr.score_tokens
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "score_tokens", counting)
+    t_ratios, p_ratios = MICRO_GRID
+    sched = pr.PruneSchedule(t_ratios, p_ratios, "lowest_score", seed=0)
+    out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
+                                micro_data["dev"], sched, retrain_epochs=1)
+    assert len(calls) == 1 + len(t_ratios)
+
+    token_report = out.cells[0].token_report
+    assert all(c.token_report is token_report for c in out.cells)
+    rows = [out.cells[i:i + len(p_ratios)] for i in range(0, len(out.cells), len(p_ratios))]
+    for row in rows:
+        assert all(c.piece_report is row[0].piece_report for c in row)
+    assert len({id(row[0].piece_report) for row in rows}) == len(t_ratios)
+
+    shared = [token_report] + [row[0].piece_report for row in rows]
+    before = [[a.copy() for a in report_arrays(r)] for r in shared]
+    for i, cell in enumerate(out.cells):
+        hz.export_saliency(hz.merge_saliency_report(cell), cell.selection,
+                           str(tmp_path / f"saliency{i}.txt"))
+    for report, arrays in zip(shared, before):
+        for a, b in zip(report_arrays(report), arrays):
+            assert np.array_equal(a, b)
 
 
 def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
