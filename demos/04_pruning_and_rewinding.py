@@ -49,7 +49,7 @@ print(f"removing the lowest 34% keeps tokens {sorted(selection.kept_tokens)}")
 sched = PruneSchedule(token_ratios=(0.17, 0.34), piece_ratios=(0.25, 0.5),
                       rule="lowest_score", seed=0)
 result = hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs=4,
-                            learning_rate=0.02, seed=1)
+                            opt=make_optimizer("adafactor", 0.02, 1e-5), seed=1)
 for cell in result.cells:
     print(f"  cell ({cell.token_ratio}, {cell.piece_ratio}): "
           f"dev {cell.dev_acc:.3f}, kept params {cell.kept_params}")
@@ -68,9 +68,11 @@ print("".join(f"  {line}" for line in head), end="")
 
 # --- post-hoc masking: does targeted removal beat random removal? --------------------
 
-neg = baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75, rule="lowest_score")
+neg, kept = baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
+                                      rule="lowest_score")
 draws = [baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
-                                   rule="random", seed=s) for s in range(1, 6)]
-print(f"post-hoc masking at 75%: lowest-score {neg:.3f} vs random draws "
+                                   rule="random", seed=s)[0] for s in range(1, 6)]
+print(f"post-hoc masking at 75% keeps tokens {sorted(kept.kept_tokens)}: "
+      f"lowest-score {neg:.3f} vs random draws "
       f"{[f'{d:.3f}' for d in draws]} (median {float(np.median(draws)):.3f})")
 print("targeted masking keeps the high-scoring tokens; random draws scatter below it")

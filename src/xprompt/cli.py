@@ -16,7 +16,7 @@ import sys
 
 from .errors import ConfigError, DataError, ShapeError, StageError, StateError
 from .harness import (BASELINE_ARMS, STAGES, RunConfig, collect_report,
-                      run_baselines, run_pipeline, run_transfer)
+                      run_baselines, run_pipeline, run_transfer, stage_done)
 
 log = logging.getLogger("xprompt.cli")
 
@@ -87,12 +87,11 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.command == "tune":
         run_pipeline(cfg, resume=args.resume, stop_after="stage1", jobs=args.jobs)
     elif args.command == "prune":
-        out = cfg["run.out"]
         for seed in cfg["run.seeds"]:
-            marker = os.path.join(out, f"seed{seed}", "stage1", "manifest.txt")
-            if not os.path.exists(marker):
+            stage_dir = os.path.join(cfg["run.out"], f"seed{seed}", "stage1")
+            if not stage_done(stage_dir):
                 raise DataError(f"stage-1 checkpoint missing for seed {seed}; "
-                                f"run tune first: {marker}")
+                                f"run tune first: {stage_dir}")
         run_pipeline(cfg, resume=True, stop_after="prune", jobs=args.jobs)
     elif args.command == "pipeline":
         run_pipeline(cfg, resume=args.resume, stop_after=args.stop_after,

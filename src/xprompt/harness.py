@@ -25,8 +25,7 @@ from .errors import ConfigError, DataError, StageError
 from .optim import make_optimizer
 from .prompt import InitStrategy, PromptBank, init_prompt, tune
 from .pruning import (CellResult, ImportanceReport, MaskSelection, PruneSchedule,
-                      baseline_length_prompt, baseline_negative_masking,
-                      hierarchical_prune)
+                      baseline_negative_masking, hierarchical_prune)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
 from .util import sha256_hex, stable_seed, write_text_atomic
 
@@ -414,7 +413,7 @@ def _selection_of(bank: PromptBank) -> MaskSelection:
     kept_tokens = frozenset(int(i) for i in np.flatnonzero(bank.token_mask > 0))
     kept_pieces = {i: frozenset(int(q) for q in np.flatnonzero(bank.piece_mask[i] > 0))
                    for i in kept_tokens}
-    return MaskSelection(kept_tokens, kept_pieces, 0.0, 0.0, bank.m, bank.k)
+    return MaskSelection(kept_tokens, kept_pieces, bank.m, bank.k)
 
 
 def _record(stage: str, seed: int, dev_acc: float, selection: MaskSelection,
@@ -424,22 +423,25 @@ def _record(stage: str, seed: int, dev_acc: float, selection: MaskSelection,
                          counted["count"], counted["percentage"])
 
 
+def _tune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data, seed: int):
+    """tune with the run's stage-1 recipe."""
+    return tune(bank, bb, data["train"], data["dev"], cfg["tune.epochs"],
+                cfg.optimizer(), batch_size=cfg["tune.batch_size"], seed=seed)
+
+
 def _prune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data,
            sched: PruneSchedule, seed: int):
     """hierarchical_prune with the run's retraining recipe."""
-    v = cfg.values
-    return hierarchical_prune(
-        bank, bb, data["train"], data["dev"], sched,
-        v["prune.retrain_epochs"], opt_kind=v["optim.kind"],
-        learning_rate=v["optim.lr"], weight_decay=v["optim.weight_decay"],
-        batch_size=v["tune.batch_size"], seed=seed)
+    return hierarchical_prune(bank, bb, data["train"], data["dev"], sched,
+                              cfg["prune.retrain_epochs"], cfg.optimizer(),
+                              batch_size=cfg["tune.batch_size"], seed=seed)
 
 
 def _seed_dir(out: str, seed: int, stage: str) -> str:
     return os.path.join(out, f"seed{seed}", stage)
 
 
-def _stage_done(dirpath: str) -> bool:
+def stage_done(dirpath: str) -> bool:
     return (os.path.exists(os.path.join(dirpath, "manifest.txt"))
             and os.path.exists(os.path.join(dirpath, "records.tsv")))
 
@@ -476,14 +478,13 @@ def ensure_backbone(cfg: RunConfig, out: str, train, resume: bool = True,
 def _run_stage1(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
                 resume: bool) -> tuple[PromptBank, MetricsRecord]:
     stage_dir = _seed_dir(out, seed, "stage1")
-    if resume and _stage_done(stage_dir):
+    if resume and stage_done(stage_dir):
         return _load_stage1(out, seed)
     v = cfg.values
     with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"],
                            cfg.init_strategy(seed), bb)
-        res = tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
-                   cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
+        res = _tune(cfg, bank, bb, data, seed)
         bank.take_snapshot()
         checkpoint.save_prompt(bank, stage_dir, "stage1")
         record = _record("stage1", seed, res.best_dev_acc, _selection_of(bank),
@@ -496,7 +497,7 @@ def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
                bank: PromptBank, resume: bool) -> list[MetricsRecord]:
     stage_dir = _seed_dir(out, seed, "prune")
     records_path = os.path.join(stage_dir, "records.tsv")
-    if resume and _stage_done(stage_dir):
+    if resume and stage_done(stage_dir):
         return _read_records(records_path)
     e = cfg["backbone.embed_dim"]
     with _stage("prune"):
@@ -616,7 +617,7 @@ def _open_run(cfg: RunConfig) -> tuple[str, dict[str, tuple], FrozenBackbone]:
 
 def _load_stage1(out: str, seed: int) -> tuple[PromptBank, MetricsRecord]:
     stage_dir = _seed_dir(out, seed, "stage1")
-    if not _stage_done(stage_dir):
+    if not stage_done(stage_dir):
         raise DataError(f"stage-1 checkpoint missing for seed {seed}; "
                         f"run the pipeline (or tune) first: {stage_dir}")
     bank, _ = checkpoint.load_prompt(stage_dir)
@@ -626,7 +627,7 @@ def _load_stage1(out: str, seed: int) -> tuple[PromptBank, MetricsRecord]:
 def _load_best_cell(out: str, seed: int) -> tuple[PromptBank, float, float]:
     stage_dir = _seed_dir(out, seed, "prune")
     best_path = os.path.join(stage_dir, "best.txt")
-    if not _stage_done(stage_dir) or not os.path.exists(best_path):
+    if not stage_done(stage_dir) or not os.path.exists(best_path):
         raise DataError(f"prune checkpoint missing for seed {seed}; "
                         f"run the pipeline first: {stage_dir}")
     bank, _ = checkpoint.load_prompt(stage_dir)
@@ -651,9 +652,10 @@ def _load_best_cell(out: str, seed: int) -> tuple[PromptBank, float, float]:
 def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[MetricsRecord]:
     """Ablation arms over all configured seeds, with a median per arm.
 
-    vanilla reuses (or builds) stage-1; negative/random-mask need stage-1;
-    random, reversed, and length need the pruned checkpoint because they run
-    at the best cell's ratios or surviving length.
+    vanilla reuses (or builds) stage-1; every other arm needs stage-1, and
+    random, reversed, and length also need the pruned checkpoint because
+    they run at the best cell's ratios or surviving length. Each seed loads
+    each checkpoint at most once.
     """
     for arm in which:
         if arm not in BASELINE_ARMS:
@@ -666,39 +668,35 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
         recs: list[MetricsRecord] = []
         with _stage("baselines"):
             if "vanilla" in which:
-                _, rec = _run_stage1(cfg, out, bb, data, seed, resume=True)
+                stage1, rec = _run_stage1(cfg, out, bb, data, seed, resume=True)
                 recs.append(replace(rec, stage="vanilla"))
+            else:
+                stage1, _ = _load_stage1(out, seed)
             if "negative" in which:
-                bank, _ = _load_stage1(out, seed)
-                ratio = v["prune.negative_ratio"]
-                kept = bank.m - int(np.floor(ratio * bank.m))
                 for stage, rule in (("negative", "lowest_score"),
                                     ("negative_random", "random")):
-                    acc = baseline_negative_masking(
-                        bank, bb, data["train"], data["dev"], ratio, rule=rule,
-                        batch_size=v["tune.batch_size"], seed=seed)
-                    recs.append(MetricsRecord(stage, seed, acc, kept, kept * e,
-                                              exact_percent(kept * e, bank.m * e)))
+                    acc, selection = baseline_negative_masking(
+                        stage1, bb, data["train"], data["dev"], v["prune.negative_ratio"],
+                        rule=rule, batch_size=v["tune.batch_size"], seed=seed)
+                    recs.append(_record(stage, seed, acc, selection, e))
+            if not {"random", "reversed", "length"} & set(which):
+                return recs
+            final, t_ratio, p_ratio = _load_best_cell(out, seed)
             for arm in ("random", "reversed"):
-                if arm not in which:
-                    continue
-                bank, _ = _load_stage1(out, seed)
-                _, t_ratio, p_ratio = _load_best_cell(out, seed)
-                sched = PruneSchedule((t_ratio,), (p_ratio,), arm, seed=seed)
-                best = _prune(cfg, bank, bb, data, sched, seed).best
-                recs.append(_record(arm, seed, best.dev_acc, best.selection, e))
+                if arm in which:
+                    sched = PruneSchedule((t_ratio,), (p_ratio,), arm, seed=seed)
+                    best = _prune(cfg, stage1.copy(), bb, data, sched, seed).best
+                    recs.append(_record(arm, seed, best.dev_acc, best.selection, e))
             if "length" in which:
-                stage1_bank, _ = _load_stage1(out, seed)
-                final_bank, _, _ = _load_best_cell(out, seed)
-                m_kept = int((final_bank.token_mask > 0).sum())
-                acc = baseline_length_prompt(
-                    m_kept, stage1_bank, bb, data["train"], data["dev"],
-                    cfg.init_strategy(seed), v["tune.epochs"],
-                    opt_kind=v["optim.kind"], learning_rate=v["optim.lr"],
-                    weight_decay=v["optim.weight_decay"],
-                    batch_size=v["tune.batch_size"], seed=seed)
+                # excision against masking: a fresh prompt of the surviving length
+                m_kept = int((final.token_mask > 0).sum())
+                if not 1 <= m_kept <= stage1.m:
+                    raise DataError(f"best cell keeps {m_kept} tokens, not 1 to "
+                                    f"{stage1.m}: {_seed_dir(out, seed, 'prune')}")
+                short = init_prompt(m_kept, stage1.e, stage1.k, cfg.init_strategy(seed), bb)
+                acc = _tune(cfg, short, bb, data, seed).best_dev_acc
                 recs.append(MetricsRecord("length", seed, acc, m_kept, m_kept * e,
-                                          exact_percent(m_kept * e, stage1_bank.m * e)))
+                                          exact_percent(m_kept * e, stage1.m * e)))
         return recs
 
     seeds = list(cfg["run.seeds"])
@@ -739,16 +737,12 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     def transfer_for(seed: int) -> list[MetricsRecord]:
         recs = []
         with _stage("transfer"):
+            bank = source.copy()
+            res = _tune(cfg, bank, bb, data, seed)
             if "transfer_o" in variants:
-                bank = source.copy()
-                res = tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
-                           cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
                 recs.append(_record("transfer_o", seed, res.best_dev_acc,
                                     _selection_of(bank), e))
             if "transfer" in variants:
-                bank = source.copy()
-                tune(bank, bb, data["train"], data["dev"], v["tune.epochs"],
-                     cfg.optimizer(), batch_size=v["tune.batch_size"], seed=seed)
                 bank.take_snapshot()
                 best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best
                 recs.append(_record("transfer", seed, best.dev_acc, best.selection, e))

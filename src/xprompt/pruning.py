@@ -6,8 +6,9 @@ token-level pruning. A scoring sweep is a pure function of the prompt and the
 masks, so a prune grid scores tokens once per run and pieces once per token
 ratio, and shares each report, read-only, among the cells that use it.
 Selection removes floor(ratio * live) structures under a documented,
-deterministic tie-break, and rewinding restores surviving prompt entries to
-the snapshot before retraining.
+deterministic tie-break. Rewinding restores surviving prompt entries to the
+snapshot and resets the caller's optimizer, so each cell retrains with the
+caller's recipe from a fresh optimizer state.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from . import autograd as ag
 from .backbone import FrozenBackbone
 from .errors import ConfigError, DataError, StateError
-from .optim import OptimizerState, make_optimizer
-from .prompt import InitStrategy, PromptBank, TuneResult, batch_loss, evaluate, init_prompt, tune
+from .optim import OptimizerState
+from .prompt import PromptBank, TuneResult, batch_loss, evaluate, tune
 from .util import stable_seed
 
 log = logging.getLogger("xprompt.pruning")
@@ -96,12 +97,10 @@ def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
 
 @dataclass(frozen=True)
 class MaskSelection:
-    """Surviving structure, the ratios that produced it, and mask geometry."""
+    """Surviving structure and mask geometry."""
 
     kept_tokens: frozenset[int]
     kept_pieces: dict[int, frozenset[int]]
-    token_ratio: float
-    piece_ratio: float
     m: int
     k: int
 
@@ -154,11 +153,11 @@ def select_tokens(report: ImportanceReport, ratio: float, rule: str,
     pieces = {i: frozenset(int(q) for q in np.flatnonzero(report.piece_live[i]))
               for i in kept}
     m, k = report.piece_scores.shape
-    return MaskSelection(kept, pieces, ratio, 0.0, m, k)
+    return MaskSelection(kept, pieces, m, k)
 
 
 def select_pieces(report: ImportanceReport, ratio: float, rule: str,
-                  seed: int = 0, base: MaskSelection | None = None) -> MaskSelection:
+                  seed: int = 0) -> MaskSelection:
     """Piece-level selection pooled globally across all live cells.
 
     The removal budget is floor(ratio * live cell count) over every
@@ -172,8 +171,7 @@ def select_pieces(report: ImportanceReport, ratio: float, rule: str,
     pieces = {t: frozenset(q for (tt, q) in cells if tt == t and (tt, q) not in removed)
               for t in kept_tokens}
     m, k = report.piece_scores.shape
-    token_ratio = base.token_ratio if base is not None else 0.0
-    return MaskSelection(kept_tokens, pieces, token_ratio, ratio, m, k)
+    return MaskSelection(kept_tokens, pieces, m, k)
 
 
 def apply_selection(bank: PromptBank, selection: MaskSelection) -> None:
@@ -237,10 +235,8 @@ class PruneResult:
 
 
 def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
-                       sched: PruneSchedule, retrain_epochs: int,
-                       opt_kind: str = "adafactor", learning_rate: float = 0.05,
-                       weight_decay: float = 1e-5, batch_size: int = 16,
-                       seed: int = 0, agg: str = "per_batch_abs") -> PruneResult:
+                       sched: PruneSchedule, retrain_epochs: int, opt: OptimizerState,
+                       batch_size: int = 16, seed: int = 0) -> PruneResult:
     """Grid search over (token ratio, piece ratio) cells, scoring each mask
     state once.
 
@@ -248,7 +244,8 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     Each token ratio selects tokens from that report, and pieces are rescored
     once per token ratio, at the snapshot with that ratio's token masks. Each
     cell then selects pieces from its row's piece report, rewinds, and
-    retrains with a fresh optimizer. A sweep depends only on the snapshot and
+    retrains with ``opt``, which the rewind resets, so every cell starts
+    from a fresh optimizer state. A sweep depends only on the snapshot and
     the masks, so every cell sees exactly the scores a per-cell rescoring
     would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
 
@@ -260,11 +257,11 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     parameters, then lexicographically smaller ratios. The bank is left in
     the best cell's retrained state.
 
-    ``agg`` defaults to ``per_batch_abs``, the mean over batches of the
-    absolute batch gradient. The statistic of the paper, after Michel et al.
-    (2019), is ``per_example_abs``, the mean over examples of the absolute
-    per-example gradient. The default is kept because switching it changes
-    every pruned record in ``metrics.tsv``.
+    Scores use ``per_batch_abs``, the mean over batches of the absolute
+    batch gradient. The statistic of the paper, after Michel et al. (2019),
+    is ``per_example_abs``, the mean over examples of the absolute
+    per-example gradient. ``per_batch_abs`` is kept because switching it
+    changes every pruned record in ``metrics.tsv``.
     """
     sched.validate()
     if bank.snapshot is None:
@@ -279,19 +276,16 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 
     bank.restore_snapshot()
     bank.reset_masks()
-    token_report = score_tokens(bank, bb, train, agg, batch_size)
+    token_report = score_tokens(bank, bb, train, batch_size=batch_size)
 
     for t_ratio in sched.token_ratios:
         token_sel = select_tokens(token_report, t_ratio, sched.rule, sched.seed)
         rewind(bank, token_sel)
         # the same sweep, rescored over the surviving tokens only
-        piece_report = score_tokens(bank, bb, train, agg, batch_size)
+        piece_report = score_tokens(bank, bb, train, batch_size=batch_size)
 
         for p_ratio in sched.piece_ratios:
-            selection = select_pieces(piece_report, p_ratio, sched.rule,
-                                      sched.seed, base=token_sel)
-
-            opt = make_optimizer(opt_kind, learning_rate, weight_decay)
+            selection = select_pieces(piece_report, p_ratio, sched.rule, sched.seed)
             rewind(bank, selection, opt)
             retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
                            batch_size=batch_size, seed=seed)
@@ -320,33 +314,16 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 
 def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, train, dev,
                               ratio: float, rule: str = "lowest_score",
-                              agg: str = "per_batch_abs", batch_size: int = SCORE_BATCH,
-                              seed: int = 0) -> float:
+                              batch_size: int = SCORE_BATCH,
+                              seed: int = 0) -> tuple[float, MaskSelection]:
     """Post-hoc token masking: no rewind, no retraining, bank untouched.
 
     rule="lowest_score" masks the suspected negative tokens; rule="random"
-    is the random-masking control at the same ratio.
+    is the random-masking control at the same ratio. Returns the masked
+    prompt's dev accuracy and the token selection that was applied.
     """
     probe = bank.copy()
-    report = score_tokens(probe, bb, train, agg, batch_size)
+    report = score_tokens(probe, bb, train, batch_size=batch_size)
     selection = select_tokens(report, ratio, rule, seed)
     apply_selection(probe, selection)
-    return evaluate(probe, bb, dev)
-
-
-def baseline_length_prompt(m_kept: int, bank: PromptBank, bb: FrozenBackbone,
-                           train, dev, strat: InitStrategy, epochs: int,
-                           opt_kind: str = "adafactor", learning_rate: float = 0.05,
-                           weight_decay: float = 1e-5, batch_size: int = 16,
-                           seed: int = 0) -> float:
-    """Fresh prompt of the surviving length, tuned from scratch.
-
-    Tests excision against masking: the reserved prompt has m_kept rows and
-    no dead structures, trained with the stage-1 recipe.
-    """
-    if not 1 <= m_kept <= bank.m:
-        raise ConfigError(f"m_kept must be in [1, {bank.m}], got {m_kept}")
-    short = init_prompt(m_kept, bank.e, bank.k, strat, bb)
-    opt = make_optimizer(opt_kind, learning_rate, weight_decay)
-    result = tune(short, bb, train, dev, epochs, opt, batch_size=batch_size, seed=seed)
-    return result.best_dev_acc
+    return evaluate(probe, bb, dev), selection

@@ -95,12 +95,13 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
 
 def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
                        opt_kind="adafactor", learning_rate=0.05, weight_decay=1e-5,
-                       batch_size=16, seed=0, agg="per_batch_abs"):
+                       batch_size=16, seed=0):
     """Grid search that rescores tokens and pieces from scratch in every cell.
 
     Each cell restores the snapshot, resets the masks, scores tokens, applies
-    the token selection, scores pieces, then rewinds and retrains: two sweeps
-    per cell and no state shared between cells.
+    the token selection, scores pieces, then rewinds and retrains with an
+    optimizer built for that cell: two sweeps per cell and no state shared
+    between cells.
     """
     piece_width = bank.e // bank.k
     cells = []
@@ -109,12 +110,11 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
         for p_ratio in sched.piece_ratios:
             bank.restore_snapshot()
             bank.reset_masks()
-            token_report = pr.score_tokens(bank, bb, train, agg, batch_size)
+            token_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
             token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, sched.seed)
             pr.apply_selection(bank, token_sel)
-            piece_report = pr.score_tokens(bank, bb, train, agg, batch_size)
-            selection = pr.select_pieces(piece_report, p_ratio, sched.rule,
-                                         sched.seed, base=token_sel)
+            piece_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
+            selection = pr.select_pieces(piece_report, p_ratio, sched.rule, sched.seed)
             opt = make_optimizer(opt_kind, learning_rate, weight_decay)
             pr.rewind(bank, selection, opt)
             retrain = tune(bank, bb, train, dev, retrain_epochs, opt,

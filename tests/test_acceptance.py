@@ -208,7 +208,7 @@ def test_04_selection_oracle():
 
 def keep_cells(m: int, k: int, cells: dict[int, int]) -> pr.MaskSelection:
     kept = {t: frozenset(range(n)) for t, n in cells.items()}
-    return pr.MaskSelection(frozenset(cells), kept, 0.0, 0.0, m, k)
+    return pr.MaskSelection(frozenset(cells), kept, m, k)
 
 
 def test_05_param_count_table():
@@ -305,8 +305,7 @@ def test_08_rewinding_correctness(micro_backbone, micro_data):
                  opt=make_optimizer("adafactor", 0.05, 1e-5), seed=9)
 
     keep_all = pr.MaskSelection(frozenset(range(6)),
-                                {i: frozenset(range(4)) for i in range(6)},
-                                0.0, 0.0, 6, 4)
+                                {i: frozenset(range(4)) for i in range(6)}, 6, 4)
     opt = make_optimizer("adafactor", 0.05, 1e-5)
     pr.rewind(fresh, keep_all, opt)
     second = tune(fresh, micro_backbone, train, dev, epochs=3, opt=opt, seed=9)

@@ -1,13 +1,16 @@
-"""The demos use only names the package still has.
+"""The demos use only names the package still has, and call them with
+arguments their signatures accept.
 
-Each demo is parsed, not run (together they take about half a minute), and
-every ``from xprompt... import name`` and every ``alias.attr`` on an
-imported xprompt module must resolve.
+Each demo is parsed, not run (together they take about half a minute).
+Every ``from xprompt... import name`` and every ``alias.attr`` on an
+imported xprompt module must resolve, and every call to an imported xprompt
+name, or to an attribute of one, must bind to its ``inspect.signature``.
 """
 
 import ast
 import glob
 import importlib
+import inspect
 import os
 
 import pytest
@@ -15,32 +18,72 @@ import pytest
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_names_resolve(path):
+def parse(path):
     with open(path, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    modules = {}  # local alias -> imported xprompt module
-    missing = []
+        return ast.parse(fh.read(), filename=path)
+
+
+def xprompt_imports(tree):
+    """(local name -> xprompt module, local name -> other xprompt object,
+    imported names xprompt lacks)."""
+    modules, objects, missing = {}, {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xprompt"):
             source = importlib.import_module(node.module)
             for alias in node.names:
                 if not hasattr(source, alias.name):
                     missing.append(f"{node.module}.{alias.name}")
-                elif isinstance(getattr(source, alias.name), type(source)):
-                    modules[alias.asname or alias.name] = getattr(source, alias.name)
+                    continue
+                obj = getattr(source, alias.name)
+                kind = modules if isinstance(obj, type(source)) else objects
+                kind[alias.asname or alias.name] = obj
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "xprompt":
                     # "import xprompt.x" binds the package; "import xprompt.x as y" binds x
                     name = alias.name if alias.asname else "xprompt"
                     modules[alias.asname or "xprompt"] = importlib.import_module(name)
+    return modules, objects, missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_names_resolve(path):
+    tree = parse(path)
+    modules, _, missing = xprompt_imports(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules
                 and not hasattr(modules[node.value.id], node.attr)):
             missing.append(f"{node.value.id}.{node.attr}")
     assert not missing, f"{os.path.basename(path)} uses names xprompt lacks: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_calls_bind(path):
+    tree = parse(path)
+    modules, objects, _ = xprompt_imports(tree)
+    owners = {**objects, **modules}
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in objects:
+            target = objects[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and hasattr(owners.get(func.value.id), func.attr)):
+            target = getattr(owners[func.value.id], func.attr)
+        else:
+            continue
+        if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue  # unpacked arguments cannot be counted from the source
+        try:
+            inspect.signature(target).bind(*node.args,
+                                           **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {exc}")
+    assert not unbound, f"{os.path.basename(path)} has calls that do not bind: {unbound}"
 
 
 def test_every_demo_is_checked():

@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from xprompt import cli
+from xprompt import checkpoint, cli
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.checkpoint import load_prompt, save_prompt
@@ -176,7 +176,7 @@ def test_exact_percent_rejects_bad_total():
 def full_selection(m: int, k: int, cells: dict[int, int]) -> pr.MaskSelection:
     """Selection keeping the first cells[t] pieces of each listed token."""
     kept = {t: frozenset(range(n)) for t, n in cells.items()}
-    return pr.MaskSelection(frozenset(cells), kept, 0.0, 0.0, m, k)
+    return pr.MaskSelection(frozenset(cells), kept, m, k)
 
 
 def test_param_count_reference_table():
@@ -195,11 +195,11 @@ def test_param_count_reference_table():
 def test_param_count_rejects_inconsistent_selections():
     with pytest.raises(DataError):
         hz.param_count(4, 2048, full_selection(20, 16, {0: 16}))  # wrong m
-    bad_piece = pr.MaskSelection(frozenset({0}), {0: frozenset({16})}, 0, 0, 20, 16)
+    bad_piece = pr.MaskSelection(frozenset({0}), {0: frozenset({16})}, 20, 16)
     with pytest.raises(DataError):
         hz.param_count(20, 2048, bad_piece)  # piece index out of range
     stray = pr.MaskSelection(frozenset({0}), {0: frozenset({0}), 1: frozenset({0})},
-                             0, 0, 20, 16)
+                             20, 16)
     with pytest.raises(DataError):
         hz.param_count(20, 2048, stray)  # pieces kept for a removed token
     with pytest.raises(DataError):
@@ -244,8 +244,7 @@ def parse_saliency(text: str):
 def test_export_saliency_row_max_is_100(tmp_path):
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.0]])
     sel = pr.MaskSelection(frozenset({0, 1}),
-                           {0: frozenset({0, 1}), 1: frozenset({0, 1})},
-                           0.0, 0.0, 2, 2)
+                           {0: frozenset({0, 1}), 1: frozenset({0, 1})}, 2, 2)
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     text = read(path)
@@ -263,8 +262,7 @@ def test_export_saliency_row_max_is_100(tmp_path):
 def test_export_saliency_flat_rows_normalize_to_100(tmp_path):
     rep = make_report([0.5, 0.5], [[0.3, 0.3], [0.0, 0.0]])
     sel = pr.MaskSelection(frozenset({0, 1}),
-                           {0: frozenset({0, 1}), 1: frozenset({0, 1})},
-                           0.0, 0.0, 2, 2)
+                           {0: frozenset({0, 1}), 1: frozenset({0, 1})}, 2, 2)
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     tokens, pieces = parse_saliency(read(path))
@@ -274,7 +272,7 @@ def test_export_saliency_flat_rows_normalize_to_100(tmp_path):
 
 def test_export_saliency_pruned_flags_keep_raw_scores(tmp_path):
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.4]])
-    sel = pr.MaskSelection(frozenset({1}), {1: frozenset({1})}, 0.5, 0.5, 2, 2)
+    sel = pr.MaskSelection(frozenset({1}), {1: frozenset({1})}, 2, 2)
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     tokens, pieces = parse_saliency(read(path))
@@ -286,7 +284,7 @@ def test_export_saliency_pruned_flags_keep_raw_scores(tmp_path):
 
 def test_export_saliency_geometry_mismatch(tmp_path):
     rep = make_report([0.2], [[0.1, 0.2]])
-    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 0, 0, 3, 2)
+    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 3, 2)
     with pytest.raises(DataError):
         hz.export_saliency(rep, sel, str(tmp_path / "sal.txt"))
 
@@ -297,7 +295,7 @@ def test_merge_saliency_report_mixes_stages():
                                 np.array([True, False]),
                                 np.array([[True, True], [False, False]]),
                                 3, "per_batch_abs")
-    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 0.5, 0.5, 2, 2)
+    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 2, 2)
     cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, 1, None,
                          token_report=tok, piece_report=piece)
     merged = hz.merge_saliency_report(cell)
@@ -420,6 +418,29 @@ def test_baselines_require_prune_checkpoint(tmp_path):
     assert {r.stage for r in recs} == {"vanilla", "negative", "negative_random"}
 
 
+def test_baselines_load_each_checkpoint_once(pipe_run, tmp_path, monkeypatch):
+    """All arms of a seed share one stage-1 load and one best-cell load, and
+    the length arm reruns to the same record."""
+    cfg, out, _ = pipe_run
+    copy = str(tmp_path / "copy")
+    shutil.copytree(out, copy)
+    cfg = cfg.with_overrides(run__out=copy)
+    loaded = []
+    load = checkpoint.load_prompt
+
+    def counting(dirpath):
+        loaded.append(os.path.relpath(dirpath, copy))
+        return load(dirpath)
+
+    monkeypatch.setattr(checkpoint, "load_prompt", counting)
+    brecs = hz.run_baselines(cfg)
+    assert sorted(loaded) == [os.path.join(f"seed{seed}", stage)
+                              for seed in (1, 2) for stage in ("prune", "stage1")]
+    again = hz.run_baselines(cfg, which=("length",))
+    assert again == [r for r in brecs if r.stage == "length"]
+    assert all(0.0 <= r.dev_acc <= 1.0 for r in again)
+
+
 def test_baselines_reject_unknown_arm(pipe_run):
     cfg, _, _ = pipe_run
     with pytest.raises(ConfigError):
@@ -437,6 +458,26 @@ def test_transfer_self_resumes_at_source_accuracy(pipe_run):
     final = next(r for r in records if r.stage == "final" and r.seed == 1)
     assert by["transfer_o"].dev_acc >= final.dev_acc  # epoch-0 eval is the floor
     assert os.path.exists(os.path.join(out, "transfer.tsv"))
+
+
+def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
+    """transfer_o records the tune that transfer then snapshots and prunes."""
+    cfg, out, _ = pipe_run
+    copy = str(tmp_path / "copy")
+    shutil.copytree(out, copy)
+    seeds = []
+    tune = hz.tune
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "tune", counting)
+    trecs = hz.run_transfer(cfg.with_overrides(run__out=copy),
+                            os.path.join(out, "seed1", "prune"))
+    assert seeds == [1, 2]
+    assert [(r.stage, r.seed) for r in trecs] == [
+        ("transfer_o", 1), ("transfer", 1), ("transfer_o", 2), ("transfer", 2)]
 
 
 def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
@@ -512,15 +553,26 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     assert cli.main(["pipeline", "--config", bad]) == 2
 
 
-def test_cli_exit_code_3_on_missing_prerequisites(tmp_path):
+def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     out = str(tmp_path / "empty")
     cfg = write_cfg_file(tmp_path, out)
     assert cli.main(["prune", "--config", cfg]) == 3
+    # a stage-1 checkpoint without its records is not a finished stage 1
+    copy = str(tmp_path / "no_records")
+    shutil.copytree(pipe_run[1], copy)
+    os.remove(os.path.join(copy, "seed1", "stage1", "records.tsv"))
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main(["prune", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: stage-1 checkpoint missing")
+    assert not os.path.exists(os.path.join(copy, "seed1", "stage1", "records.tsv"))
 
 
-# stage-1 checkpoint of seed 1, relative to the run directory
+# checkpoint files of seed 1, relative to the run directory
 STAGE1_MANIFEST = os.path.join("seed1", "stage1", "manifest.txt")
 BEST_TXT = os.path.join("seed1", "prune", "best.txt")
+FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
 
 
 @pytest.mark.parametrize("path, pattern, replacement, command", [
@@ -541,10 +593,12 @@ BEST_TXT = os.path.join("seed1", "prune", "best.txt")
      "report"),
     (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
     (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
+    (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
 ], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
-        "records-short-row", "best-txt-bad-ratio", "best-txt-no-piece-ratio"])
+        "records-short-row", "best-txt-bad-ratio", "best-txt-no-piece-ratio",
+        "final-keeps-no-tokens"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     _, out, _ = pipe_run
