@@ -6,6 +6,9 @@ through the tied embedding head; after this script the weights are
 frozen for good and every later stage trains prompts only.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, predict, pretrain
@@ -31,8 +34,9 @@ print(f"mlm loss: step 0 {losses[0]:.4f} -> final {losses[-1]:.4f} "
 
 # --- the checkpoint round-trips bitwise --------------------------------------------
 
-save_backbone(bb, "/tmp/xprompt_demo_backbone")
-again = load_backbone("/tmp/xprompt_demo_backbone")
+with tempfile.TemporaryDirectory() as tmp:
+    save_backbone(bb, os.path.join(tmp, "backbone"))
+    again = load_backbone(os.path.join(tmp, "backbone"))
 same = all(np.array_equal(bb.weights[k], again.weights[k]) for k in bb.weights)
 print(f"checkpoint round trip bitwise identical: {same}")
 

@@ -6,6 +6,9 @@ tunes for a handful of epochs, and shows the dev-accuracy trajectory and
 the best-epoch checkpointing behavior.
 """
 
+import os
+import tempfile
+
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.checkpoint import load_prompt, save_prompt
 from xprompt.optim import make_optimizer
@@ -40,7 +43,8 @@ print(f"best {result.best_dev_acc:.3f} at epoch {result.best_epoch} "
 
 # --- prompt checkpoints carry values, masks, and the training stage -----------------
 
-save_prompt(bank, "/tmp/xprompt_demo_prompt", stage="stage1")
-again, stage = load_prompt("/tmp/xprompt_demo_prompt")
+with tempfile.TemporaryDirectory() as tmp:
+    save_prompt(bank, os.path.join(tmp, "prompt"), stage="stage1")
+    again, stage = load_prompt(os.path.join(tmp, "prompt"))
 print(f"reloaded stage={stage!r}, dev accuracy {evaluate(again, bb, dev):.3f} "
       "(identical by construction)")

@@ -7,6 +7,9 @@ survivors. Rewinding resets what survives to its snapshotted values
 before retraining, which is the lottery-ticket recipe.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
@@ -42,7 +45,8 @@ order = np.argsort(report.token_scores)
 print("token scores (low to high):",
       [f"{i}:{report.token_scores[i]:.5f}" for i in order])
 selection = select_tokens(report, ratio=0.34, rule="lowest_score", seed=0)
-print(f"removing the lowest 34% keeps tokens {sorted(selection.kept_tokens)}")
+gamma, zeta = selection  # a selection is the (token mask, piece mask) pair
+print(f"removing the lowest 34% keeps tokens {np.flatnonzero(gamma).tolist()}")
 
 # --- the full grid: prune, rewind, retrain per cell ----------------------------------
 
@@ -54,15 +58,17 @@ for cell in result.cells:
     print(f"  cell ({cell.token_ratio}, {cell.piece_ratio}): "
           f"dev {cell.dev_acc:.3f}, kept params {cell.kept_params}")
 best = result.best
-counted = param_count(bank.m, 32, best.selection)
+counted = param_count(32, best.selection)
 print(f"best cell ({best.token_ratio}, {best.piece_ratio}): dev {best.dev_acc:.3f} "
       f"with {counted['count']} params = {counted['percentage']}% of the full prompt")
 
 # --- saliency export for plotting ---------------------------------------------------
 
-export_saliency(result.best.token_report, best.selection, "/tmp/xprompt_demo_saliency.txt")
-with open("/tmp/xprompt_demo_saliency.txt") as fh:
-    head = [next(fh) for _ in range(6)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "saliency.txt")
+    export_saliency(result.best.token_report, best.selection, path)
+    with open(path) as fh:
+        head = [next(fh) for _ in range(6)]
 print("saliency file head:")
 print("".join(f"  {line}" for line in head), end="")
 
@@ -72,7 +78,7 @@ neg, kept = baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
                                       rule="lowest_score")
 draws = [baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
                                    rule="random", seed=s)[0] for s in range(1, 6)]
-print(f"post-hoc masking at 75% keeps tokens {sorted(kept.kept_tokens)}: "
+print(f"post-hoc masking at 75% keeps tokens {np.flatnonzero(kept[0]).tolist()}: "
       f"lowest-score {neg:.3f} vs random draws "
       f"{[f'{d:.3f}' for d in draws]} (median {float(np.median(draws)):.3f})")
 print("targeted masking keeps the high-scoring tokens; random draws scatter below it")

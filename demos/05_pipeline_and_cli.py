@@ -13,7 +13,8 @@ import tempfile
 from xprompt import cli
 from xprompt.harness import RunConfig, write_template
 
-workdir = tempfile.mkdtemp(prefix="xprompt_demo_")
+scratch = tempfile.TemporaryDirectory(prefix="xprompt_demo_")  # removed at the end
+workdir = scratch.name
 out = os.path.join(workdir, "run")
 cfg_path = os.path.join(workdir, "run.cfg")
 
@@ -55,3 +56,4 @@ with open(os.path.join(out, "baseline_medians.tsv")) as fh:
 print(f"artifacts under {out}: config.txt, metrics.tsv, report.txt, "
       "per-seed checkpoints, saliency.txt, baselines.tsv")
 print("rerunning either command reproduces every metrics file byte for byte")
+scratch.cleanup()

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import ConfigError, DataError, StateError
+from .optim import Adam
 from .util import sha256_hex, stable_seed
 
 log = logging.getLogger("xprompt.backbone")
@@ -259,10 +260,9 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
         _check_ids(bb.cfg, seq, 0)
 
     rng = np.random.default_rng(stable_seed(bb.cfg.seed, "pretrain"))
-    # plain Adam over the weight dict; local to pretraining
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m1 = {k: np.zeros_like(v) for k, v in bb.weights.items()}
-    m2 = {k: np.zeros_like(v) for k, v in bb.weights.items()}
+    # unit base rate, so each step's effective_lr is exactly lr_t
+    opts = {name: Adam(1.0) for name in bb.weights if name != "head"}
+    ones = {name: np.ones_like(bb.weights[name]) for name in opts}
     warmup = max(1, steps // 10)
 
     cursor = 0
@@ -283,18 +283,11 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
         ag.backward(loss)
         bb.pretrain_losses.append(loss.value)
 
-        sq = sum(float((w[n].grad * w[n].grad).sum())
-                 for n in bb.weights if n != "head")
+        sq = sum(float((w[n].grad * w[n].grad).sum()) for n in opts)
         clip = min(1.0, 1.0 / max(np.sqrt(sq), 1e-12))
-        for name, arr in bb.weights.items():
-            if name == "head":
-                continue
-            g = w[name].grad * clip
-            m1[name] = beta1 * m1[name] + (1 - beta1) * g
-            m2[name] = beta2 * m2[name] + (1 - beta2) * g * g
-            mh = m1[name] / (1 - beta1 ** step)
-            vh = m2[name] / (1 - beta2 ** step)
-            arr -= lr_t * mh / (np.sqrt(vh) + eps)
+        for name, opt in opts.items():
+            opt.lr_scale = lr_t
+            opt.step(bb.weights[name], w[name].grad * clip, ones[name])
 
     if steps >= 2 and bb.pretrain_losses[-1] >= bb.pretrain_losses[0]:
         log.warning("pretraining loss did not decrease (%.4f -> %.4f)",

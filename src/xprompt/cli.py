@@ -15,8 +15,8 @@ import os
 import sys
 
 from .errors import ConfigError, DataError, ShapeError, StageError, StateError
-from .harness import (BASELINE_ARMS, STAGES, RunConfig, collect_report,
-                      run_baselines, run_pipeline, run_transfer, stage_done)
+from .harness import (BASELINE_ARMS, RunConfig, collect_report, run_baselines,
+                      run_pipeline, run_transfer, stage_done)
 
 log = logging.getLogger("xprompt.cli")
 
@@ -57,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("report", "regenerate metrics.tsv and report.txt from checkpoints")):
         sub = commands.add_parser(name, help=help_text)
         _add_common(sub)
-        if name == "pipeline":
-            sub.add_argument("--stop-after", choices=STAGES,
-                             help="halt after the named stage (for resume testing)")
         if name == "baselines":
             sub.add_argument("--which", default=",".join(BASELINE_ARMS),
                              help="comma list from: " + ", ".join(BASELINE_ARMS))
@@ -94,8 +91,7 @@ def _dispatch(args: argparse.Namespace) -> None:
                                 f"run tune first: {stage_dir}")
         run_pipeline(cfg, resume=True, stop_after="prune", jobs=args.jobs)
     elif args.command == "pipeline":
-        run_pipeline(cfg, resume=args.resume, stop_after=args.stop_after,
-                     jobs=args.jobs)
+        run_pipeline(cfg, resume=args.resume, jobs=args.jobs)
     elif args.command == "baselines":
         which = tuple(w.strip() for w in args.which.split(",") if w.strip())
         run_baselines(cfg, which=which, jobs=args.jobs)

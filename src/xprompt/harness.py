@@ -24,14 +24,14 @@ from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
 from .optim import make_optimizer
 from .prompt import InitStrategy, PromptBank, init_prompt, tune
-from .pruning import (CellResult, ImportanceReport, MaskSelection, PruneSchedule,
-                      baseline_negative_masking, hierarchical_prune)
+from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
+                      baseline_negative_masking, hierarchical_prune, kept_params)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
 from .util import sha256_hex, stable_seed, write_text_atomic
 
 log = logging.getLogger("xprompt.harness")
 
-STAGES = ("backbone", "stage1", "prune", "report")
+STAGES = ("backbone", "stage1", "prune")
 BASELINE_ARMS = ("vanilla", "negative", "random", "reversed", "length")
 
 # --- config schema ----------------------------------------------------------------
@@ -244,19 +244,13 @@ def exact_percent(count: int, total: int) -> str:
     return f"{q // 10_000}.{q % 10_000:04d}"
 
 
-def param_count(m: int, e: int, selection: MaskSelection) -> dict[str, object]:
-    """Kept tunable parameters: kept pieces x piece width, plus the exact
+def param_count(e: int, masks: Masks) -> dict[str, object]:
+    """Kept tunable parameters of the (gamma, zeta) masks, plus the exact
     percentage of the full m*e prompt."""
-    if selection.m != m:
-        raise DataError(f"selection is for m={selection.m}, not m={m}")
-    if selection.k < 1 or e % selection.k != 0:
-        raise DataError(f"piece count k={selection.k} does not divide e={e}")
-    if not set(selection.kept_pieces) <= set(selection.kept_tokens):
-        raise DataError("selection keeps pieces of removed tokens")
-    for t, pieces in selection.kept_pieces.items():
-        if any(q < 0 or q >= selection.k for q in pieces):
-            raise DataError(f"selection keeps out-of-range pieces for token {t}")
-    count = selection.kept_cells() * (e // selection.k)
+    m, k = masks[1].shape
+    if k < 1 or e % k != 0:
+        raise DataError(f"piece count k={k} does not divide e={e}")
+    count = kept_params(masks, e)
     return {"count": count, "percentage": exact_percent(count, m * e)}
 
 
@@ -313,31 +307,32 @@ def _norm(value: float, peak: float) -> float:
     return 100.0 if peak <= 0.0 else 100.0 * value / peak
 
 
-def export_saliency(report: ImportanceReport, selection: MaskSelection,
-                    path: str) -> None:
-    """Plot-ready text: raw and row-max-normalized scores with pruned flags.
+def export_saliency(report: ImportanceReport, masks: Masks, path: str) -> None:
+    """Plot-ready text: raw and row-max-normalized scores with pruned flags
+    read from the (gamma, zeta) masks.
 
     Every token row of piece scores contains a 100.0 after normalization;
     pruned structures keep their pre-prune raw score alongside pruned=1.
     """
+    gamma, zeta = masks
     m, k = report.piece_scores.shape
-    if (selection.m, selection.k) != (m, k):
-        raise DataError(f"selection geometry ({selection.m}, {selection.k}) does "
-                        f"not match report ({m}, {k})")
+    if (gamma.shape, zeta.shape) != ((m,), (m, k)):
+        raise DataError(f"selection masks {gamma.shape} and {zeta.shape} do not "
+                        f"match report ({m}, {k})")
+    live = gamma[:, None] * zeta > 0
     lines = ["format saliency v1",
              f"aggregation {report.aggregation}",
              f"batches_seen {report.batches_seen}"]
     peak = float(report.token_scores.max())
     for i in range(m):
         raw = float(report.token_scores[i])
-        gone = int(i not in selection.kept_tokens)
+        gone = int(not gamma[i] > 0)
         lines.append(f"token {i} raw {raw!r} norm {_norm(raw, peak)!r} pruned {gone}")
     for i in range(m):
         row_peak = float(report.piece_scores[i].max())
-        kept = selection.kept_pieces.get(i, frozenset())
         for q in range(k):
             raw = float(report.piece_scores[i, q])
-            gone = int(i not in selection.kept_tokens or q not in kept)
+            gone = int(not live[i, q])
             lines.append(f"piece {i} {q} raw {raw!r} "
                          f"norm {_norm(raw, row_peak)!r} pruned {gone}")
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -409,17 +404,9 @@ def _stage(name: str):
         raise StageError(f"stage {name} failed: {exc}") from exc
 
 
-def _selection_of(bank: PromptBank) -> MaskSelection:
-    kept_tokens = frozenset(int(i) for i in np.flatnonzero(bank.token_mask > 0))
-    kept_pieces = {i: frozenset(int(q) for q in np.flatnonzero(bank.piece_mask[i] > 0))
-                   for i in kept_tokens}
-    return MaskSelection(kept_tokens, kept_pieces, bank.m, bank.k)
-
-
-def _record(stage: str, seed: int, dev_acc: float, selection: MaskSelection,
-            e: int) -> MetricsRecord:
-    counted = param_count(selection.m, e, selection)
-    return MetricsRecord(stage, seed, dev_acc, len(selection.kept_tokens),
+def _record(stage: str, seed: int, dev_acc: float, masks: Masks, e: int) -> MetricsRecord:
+    counted = param_count(e, masks)
+    return MetricsRecord(stage, seed, dev_acc, int(np.count_nonzero(masks[0] > 0)),
                          counted["count"], counted["percentage"])
 
 
@@ -487,8 +474,8 @@ def _run_stage1(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
         res = _tune(cfg, bank, bb, data, seed)
         bank.take_snapshot()
         checkpoint.save_prompt(bank, stage_dir, "stage1")
-        record = _record("stage1", seed, res.best_dev_acc, _selection_of(bank),
-                         v["backbone.embed_dim"])
+        record = _record("stage1", seed, res.best_dev_acc,
+                         (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
         _write_records(os.path.join(stage_dir, "records.tsv"), [record])
     return bank, record
 
@@ -542,9 +529,9 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
     """pretrain-or-load -> stage-1 tune -> snapshot -> hierarchical prune ->
     final rewound-retrained model, with metrics, checkpoints, and saliency.
 
-    stop_after names a stage from STAGES to halt behind (used to exercise
-    resume); metrics.tsv is written only by the full run or a resumed run
-    that reaches the report stage.
+    stop_after names a stage from STAGES to halt behind (the pretrain, tune
+    and prune subcommands); metrics.tsv and report.txt are written only by a
+    run that goes through every stage.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
@@ -657,6 +644,8 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
     they run at the best cell's ratios or surviving length. Each seed loads
     each checkpoint at most once.
     """
+    if not which:
+        raise ConfigError(f"no baseline arm given; expected some of {BASELINE_ARMS}")
     for arm in which:
         if arm not in BASELINE_ARMS:
             raise ConfigError(f"unknown baseline {arm!r}; expected from {BASELINE_ARMS}")
@@ -695,8 +684,9 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
                                     f"{stage1.m}: {_seed_dir(out, seed, 'prune')}")
                 short = init_prompt(m_kept, stage1.e, stage1.k, cfg.init_strategy(seed), bb)
                 acc = _tune(cfg, short, bb, data, seed).best_dev_acc
-                recs.append(MetricsRecord("length", seed, acc, m_kept, m_kept * e,
-                                          exact_percent(m_kept * e, stage1.m * e)))
+                # counted as the best cell's tokens with every piece kept
+                whole = (final.token_mask, np.ones_like(final.piece_mask))
+                recs.append(_record("length", seed, acc, whole, e))
         return recs
 
     seeds = list(cfg["run.seeds"])
@@ -720,6 +710,8 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
                  jobs: int = 1) -> list[MetricsRecord]:
     """Initialize the target prompt from a source checkpoint and either tune
     (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
+    if not variants:
+        raise ConfigError("no transfer variant given; expected transfer_o or transfer")
     for variant in variants:
         if variant not in ("transfer_o", "transfer"):
             raise ConfigError(f"unknown transfer variant {variant!r}")
@@ -741,7 +733,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
             res = _tune(cfg, bank, bb, data, seed)
             if "transfer_o" in variants:
                 recs.append(_record("transfer_o", seed, res.best_dev_acc,
-                                    _selection_of(bank), e))
+                                    (bank.token_mask, bank.piece_mask), e))
             if "transfer" in variants:
                 bank.take_snapshot()
                 best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best

@@ -1,4 +1,5 @@
-"""Optimizers for the prompt matrix.
+"""Optimizers for the prompt matrix; backbone pretraining steps Adam too,
+with an all-ones mask.
 
 All three step rules update only live entries: the masked-graph gradient is
 already exactly zero on dead cells, and the final step is multiplied by the
@@ -120,8 +121,10 @@ class Adam(OptimizerState):
         self.m2 = self.BETA2 * self.m2 + (1 - self.BETA2) * grad * grad
         mh = self.m1 / (1 - self.BETA1 ** t)
         vh = self.m2 / (1 - self.BETA2 ** t)
-        update = mh / (np.sqrt(vh) + self.EPS) + self.weight_decay * p
-        p -= self.effective_lr * update * (mask > 0)
+        update = self.effective_lr * mh / (np.sqrt(vh) + self.EPS)
+        if self.weight_decay:
+            update += self.effective_lr * self.weight_decay * p
+        p -= update * (mask > 0)
 
 
 class SGD(OptimizerState):

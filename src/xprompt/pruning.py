@@ -5,10 +5,13 @@ are the same statistic for zeta entries, recomputed on the tokens that survive
 token-level pruning. A scoring sweep is a pure function of the prompt and the
 masks, so a prune grid scores tokens once per run and pieces once per token
 ratio, and shares each report, read-only, among the cells that use it.
-Selection removes floor(ratio * live) structures under a documented,
-deterministic tie-break. Rewinding restores surviving prompt entries to the
-snapshot and resets the caller's optimizer, so each cell retrains with the
-caller's recipe from a fresh optimizer state.
+A selection is the pair of 0/1 mask arrays the bank holds, gamma (m,) and
+zeta (m, k): selecting writes floor(ratio * live) removals, under a
+documented deterministic tie-break, into copies of a report's liveness
+flags, and kept_params counts parameters from the same arrays. Rewinding
+restores surviving prompt entries to the snapshot and resets the caller's
+optimizer, so each cell retrains with the caller's recipe from a fresh
+optimizer state.
 """
 
 from __future__ import annotations
@@ -51,15 +54,6 @@ class ImportanceReport:
     batches_seen: int
     aggregation: str
 
-    def validate(self) -> None:
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(
-                f"unknown aggregation {self.aggregation!r}; expected one of {AGGREGATIONS}")
-        if self.batches_seen < 1:
-            raise ConfigError("a report needs at least one scored batch")
-        if (self.token_scores < 0).any() or (self.piece_scores < 0).any():
-            raise ConfigError("importance scores must be nonnegative")
-
 
 def _score_batches(bank: PromptBank, bb: FrozenBackbone, train, agg: str,
                    batch_size: int):
@@ -95,27 +89,14 @@ def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
 # --- selections -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskSelection:
-    """Surviving structure and mask geometry."""
+Masks = tuple[np.ndarray, np.ndarray]  # (gamma (m,), zeta (m, k)), 0/1 floats
 
-    kept_tokens: frozenset[int]
-    kept_pieces: dict[int, frozenset[int]]
-    m: int
-    k: int
 
-    def to_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, zeta) as 0/1 arrays; rows of removed tokens are all zero."""
-        gamma = np.zeros(self.m)
-        zeta = np.zeros((self.m, self.k))
-        for t in self.kept_tokens:
-            gamma[t] = 1.0
-            for q in self.kept_pieces.get(t, ()):
-                zeta[t, q] = 1.0
-        return gamma, zeta
-
-    def kept_cells(self) -> int:
-        return sum(len(q) for q in self.kept_pieces.values())
+def kept_params(masks: Masks, e: int) -> int:
+    """Kept tunable parameters: live (token, piece) cells times the piece
+    width e // k; piece rows of removed tokens count zero."""
+    gamma, zeta = masks
+    return int((gamma[:, None] * zeta).sum()) * (e // zeta.shape[1])
 
 
 def _removal_count(ratio: float, live: int) -> int:
@@ -143,21 +124,20 @@ def _pick(order_key, candidates, p: int, rule: str, seed: int, stream: str):
 
 
 def select_tokens(report: ImportanceReport, ratio: float, rule: str,
-                  seed: int = 0) -> MaskSelection:
+                  seed: int = 0) -> Masks:
     """Token-level selection over live tokens; kept tokens keep all live pieces."""
     live = [int(i) for i in np.flatnonzero(report.token_live)]
     p = _removal_count(ratio, len(live))
-    removed = set(_pick(lambda i: (report.token_scores[i], i), live, p, rule,
-                        seed, "tokens"))
-    kept = frozenset(i for i in live if i not in removed)
-    pieces = {i: frozenset(int(q) for q in np.flatnonzero(report.piece_live[i]))
-              for i in kept}
-    m, k = report.piece_scores.shape
-    return MaskSelection(kept, pieces, m, k)
+    gamma = report.token_live.astype(float)
+    zeta = report.piece_live.astype(float)
+    for i in _pick(lambda i: (report.token_scores[i], i), live, p, rule, seed, "tokens"):
+        gamma[i] = 0.0
+        zeta[i] = 0.0
+    return gamma, zeta
 
 
 def select_pieces(report: ImportanceReport, ratio: float, rule: str,
-                  seed: int = 0) -> MaskSelection:
+                  seed: int = 0) -> Masks:
     """Piece-level selection pooled globally across all live cells.
 
     The removal budget is floor(ratio * live cell count) over every
@@ -165,26 +145,22 @@ def select_pieces(report: ImportanceReport, ratio: float, rule: str,
     """
     cells = [(int(t), int(q)) for t, q in zip(*np.nonzero(report.piece_live))]
     p = _removal_count(ratio, len(cells))
-    removed = set(_pick(lambda c: (report.piece_scores[c], c), cells, p, rule,
-                        seed, "pieces"))
-    kept_tokens = frozenset(int(i) for i in np.flatnonzero(report.token_live))
-    pieces = {t: frozenset(q for (tt, q) in cells if tt == t and (tt, q) not in removed)
-              for t in kept_tokens}
-    m, k = report.piece_scores.shape
-    return MaskSelection(kept_tokens, pieces, m, k)
+    zeta = report.piece_live.astype(float)
+    for c in _pick(lambda c: (report.piece_scores[c], c), cells, p, rule, seed, "pieces"):
+        zeta[c] = 0.0
+    return report.token_live.astype(float), zeta
 
 
-def apply_selection(bank: PromptBank, selection: MaskSelection) -> None:
-    if (selection.m, selection.k) != (bank.m, bank.k):
-        raise ConfigError(
-            f"selection geometry ({selection.m}, {selection.k}) does not match "
-            f"bank ({bank.m}, {bank.k})")
-    gamma, zeta = selection.to_masks()
+def apply_selection(bank: PromptBank, selection: Masks) -> None:
+    gamma, zeta = selection
+    if (gamma.shape, zeta.shape) != ((bank.m,), (bank.m, bank.k)):
+        raise ConfigError(f"selection masks {gamma.shape} and {zeta.shape} do not "
+                          f"match bank ({bank.m}, {bank.k})")
     bank.token_mask[:] = gamma
     bank.piece_mask[:] = zeta
 
 
-def rewind(bank: PromptBank, selection: MaskSelection,
+def rewind(bank: PromptBank, selection: Masks,
            opt: OptimizerState | None = None) -> None:
     """Reset surviving prompt entries to the snapshot and install the masks."""
     if bank.snapshot is None:
@@ -219,7 +195,7 @@ class PruneSchedule:
 class CellResult:
     token_ratio: float
     piece_ratio: float
-    selection: MaskSelection
+    selection: Masks
     dev_acc: float
     kept_params: int
     best_epoch: int
@@ -249,6 +225,9 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     the masks, so every cell sees exactly the scores a per-cell rescoring
     would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
 
+    Each cell's ``selection`` holds the (gamma, zeta) masks it retrained
+    under, and its ``kept_params`` counts them with ``kept_params``.
+
     All cells share one ``token_report`` object, and the cells of one token
     ratio share one ``piece_report``; callers must treat reports as
     read-only.
@@ -269,10 +248,9 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     if retrain_epochs < 0:
         raise ConfigError(f"retrain_epochs must be >= 0, got {retrain_epochs}")
 
-    piece_width = bank.e // bank.k
     cells: list[CellResult] = []
     best: CellResult | None = None
-    best_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    best_p: np.ndarray | None = None
 
     bank.restore_snapshot()
     bank.reset_masks()
@@ -291,7 +269,7 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
                            batch_size=batch_size, seed=seed)
 
             cell = CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
-                              selection.kept_cells() * piece_width,
+                              kept_params(selection, bank.e),
                               retrain.best_epoch, retrain,
                               token_report=token_report, piece_report=piece_report)
             cells.append(cell)
@@ -301,11 +279,10 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
             rank = (-cell.dev_acc, cell.kept_params, cell.token_ratio, cell.piece_ratio)
             if best is None or rank < (-best.dev_acc, best.kept_params,
                                        best.token_ratio, best.piece_ratio):
-                best = cell
-                best_state = (bank.p.copy(), bank.token_mask.copy(),
-                              bank.piece_mask.copy())
+                best, best_p = cell, bank.p.copy()
 
-    bank.p[:], bank.token_mask[:], bank.piece_mask[:] = best_state
+    bank.p[:] = best_p
+    apply_selection(bank, best.selection)
     return PruneResult(best, cells)
 
 
@@ -315,12 +292,12 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, train, dev,
                               ratio: float, rule: str = "lowest_score",
                               batch_size: int = SCORE_BATCH,
-                              seed: int = 0) -> tuple[float, MaskSelection]:
+                              seed: int = 0) -> tuple[float, Masks]:
     """Post-hoc token masking: no rewind, no retraining, bank untouched.
 
     rule="lowest_score" masks the suspected negative tokens; rule="random"
     is the random-masking control at the same ratio. Returns the masked
-    prompt's dev accuracy and the token selection that was applied.
+    prompt's dev accuracy and the token masks that were applied.
     """
     probe = bank.copy()
     report = score_tokens(probe, bb, train, batch_size=batch_size)

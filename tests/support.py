@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, gradient comparison,
-full-row attention as the reference for ``attention_blocks``, and per-cell
-rescoring as the reference for ``hierarchical_prune``."""
+full-row attention as the reference for ``attention_blocks``, per-cell
+rescoring as the reference for ``hierarchical_prune``, and readers of
+(gamma, zeta) selection masks."""
 
 from __future__ import annotations
 
@@ -103,7 +104,6 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
     optimizer built for that cell: two sweeps per cell and no state shared
     between cells.
     """
-    piece_width = bank.e // bank.k
     cells = []
     best = best_state = None
     for t_ratio in sched.token_ratios:
@@ -117,11 +117,11 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
             selection = pr.select_pieces(piece_report, p_ratio, sched.rule, sched.seed)
             opt = make_optimizer(opt_kind, learning_rate, weight_decay)
             pr.rewind(bank, selection, opt)
+            kept_params = int(bank.effective_mask().sum())
             retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
                            batch_size=batch_size, seed=seed)
             cell = pr.CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
-                                 selection.kept_cells() * piece_width,
-                                 retrain.best_epoch, retrain,
+                                 kept_params, retrain.best_epoch, retrain,
                                  token_report=token_report, piece_report=piece_report)
             cells.append(cell)
             rank = (-cell.dev_acc, cell.kept_params, t_ratio, p_ratio)
@@ -132,3 +132,13 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
                               bank.piece_mask.copy())
     bank.p[:], bank.token_mask[:], bank.piece_mask[:] = best_state
     return pr.PruneResult(best, cells)
+
+
+def kept_tokens(masks) -> set[int]:
+    """Indices of the tokens a (gamma, zeta) selection keeps."""
+    return {int(i) for i in np.flatnonzero(masks[0] > 0)}
+
+
+def same_masks(a, b) -> bool:
+    """Two (gamma, zeta) selections hold equal masks."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -196,7 +196,8 @@ def test_04_selection_oracle():
                                   np.ones((5, 2), bool), 1, "per_batch_abs")
         for p in (1, 2):
             sel = pr.select_tokens(rep, ratio=p / 5.0, rule="lowest_score", seed=0)
-            agree += int(sel.kept_tokens == exhaustive_keep(scores, p))
+            kept = frozenset(int(i) for i in np.flatnonzero(sel[0]))
+            agree += int(kept == exhaustive_keep(scores, p))
             trials += 1
     report(4, "selection oracle", agree == trials,
            f"{agree}/{trials} selections equal the exhaustive argmin",
@@ -206,9 +207,12 @@ def test_04_selection_oracle():
 # --- criterion 5: parameter-count table -----------------------------------------------
 
 
-def keep_cells(m: int, k: int, cells: dict[int, int]) -> pr.MaskSelection:
-    kept = {t: frozenset(range(n)) for t, n in cells.items()}
-    return pr.MaskSelection(frozenset(cells), kept, m, k)
+def keep_cells(m: int, k: int, cells: dict[int, int]):
+    gamma, zeta = np.zeros(m), np.zeros((m, k))
+    for t, n in cells.items():
+        gamma[t] = 1.0
+        zeta[t, :n] = 1.0
+    return gamma, zeta
 
 
 def test_05_param_count_table():
@@ -218,7 +222,7 @@ def test_05_param_count_table():
                 ({0: 16, 1: 16, 2: 16}, 6144, "15.0000"),
                 ({0: 16, 1: 4}, 2560, "6.2500"),
                 ({0: 4}, 512, "1.2500")]
-    got = [hz.param_count(m, e, keep_cells(m, k, cells)) for cells, _, _ in expected]
+    got = [hz.param_count(e, keep_cells(m, k, cells)) for cells, _, _ in expected]
     ok = all(g == {"count": c, "percentage": p} for g, (_, c, p) in zip(got, expected))
     report(5, "parameter-count table", ok,
            "param_count reproduces (40960, 100.0000), (6144, 15.0000), "
@@ -304,8 +308,7 @@ def test_08_rewinding_correctness(micro_backbone, micro_data):
     first = tune(fresh, micro_backbone, train, dev, epochs=3,
                  opt=make_optimizer("adafactor", 0.05, 1e-5), seed=9)
 
-    keep_all = pr.MaskSelection(frozenset(range(6)),
-                                {i: frozenset(range(4)) for i in range(6)}, 6, 4)
+    keep_all = np.ones(6), np.ones((6, 4))
     opt = make_optimizer("adafactor", 0.05, 1e-5)
     pr.rewind(fresh, keep_all, opt)
     second = tune(fresh, micro_backbone, train, dev, epochs=3, opt=opt, seed=9)

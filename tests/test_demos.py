@@ -1,5 +1,5 @@
-"""The demos use only names the package still has, and call them with
-arguments their signatures accept.
+"""The demos use only names the package still has, call them with
+arguments their signatures accept, and leave no files behind.
 
 Each demo is parsed, not run (together they take about half a minute).
 Every ``from xprompt... import name`` and every ``alias.attr`` on an
@@ -84,6 +84,22 @@ def test_demo_calls_bind(path):
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {exc}")
     assert not unbound, f"{os.path.basename(path)} has calls that do not bind: {unbound}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_writes_only_temporary_directories(path):
+    """No fixed path under /tmp (concurrent runs would share it) and no
+    tempfile.mkdtemp (nothing removes it); tempfile.TemporaryDirectory is
+    the way to get a scratch directory."""
+    leaks = []
+    for node in ast.walk(parse(path)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith("/tmp/")):
+            leaks.append(f"line {node.lineno}: {node.value!r}")
+        elif ((isinstance(node, ast.Attribute) and node.attr == "mkdtemp")
+              or (isinstance(node, ast.Name) and node.id == "mkdtemp")):
+            leaks.append(f"line {node.lineno}: mkdtemp")
+    assert not leaks, f"{os.path.basename(path)} leaves files behind: {leaks}"
 
 
 def test_every_demo_is_checked():

@@ -173,10 +173,13 @@ def test_exact_percent_rejects_bad_total():
         hz.exact_percent(1, 0)
 
 
-def full_selection(m: int, k: int, cells: dict[int, int]) -> pr.MaskSelection:
-    """Selection keeping the first cells[t] pieces of each listed token."""
-    kept = {t: frozenset(range(n)) for t, n in cells.items()}
-    return pr.MaskSelection(frozenset(cells), kept, m, k)
+def full_selection(m: int, k: int, cells: dict[int, int]):
+    """(gamma, zeta) keeping the first cells[t] pieces of each listed token."""
+    gamma, zeta = np.zeros(m), np.zeros((m, k))
+    for t, n in cells.items():
+        gamma[t] = 1.0
+        zeta[t, :n] = 1.0
+    return gamma, zeta
 
 
 def test_param_count_reference_table():
@@ -188,22 +191,16 @@ def test_param_count_reference_table():
         ({0: 4}, 512, "1.2500"),
     ]
     for cells, count, pct in cases:
-        got = hz.param_count(m, e, full_selection(m, k, cells))
+        got = hz.param_count(e, full_selection(m, k, cells))
         assert got == {"count": count, "percentage": pct}
 
 
 def test_param_count_rejects_inconsistent_selections():
+    gamma, zeta = full_selection(20, 16, {0: 1})
+    zeta[1, 0] = 1.0  # a piece row of removed token 1 counts zero
+    assert hz.param_count(2048, (gamma, zeta)) == {"count": 128, "percentage": "0.3125"}
     with pytest.raises(DataError):
-        hz.param_count(4, 2048, full_selection(20, 16, {0: 16}))  # wrong m
-    bad_piece = pr.MaskSelection(frozenset({0}), {0: frozenset({16})}, 20, 16)
-    with pytest.raises(DataError):
-        hz.param_count(20, 2048, bad_piece)  # piece index out of range
-    stray = pr.MaskSelection(frozenset({0}), {0: frozenset({0}), 1: frozenset({0})},
-                             20, 16)
-    with pytest.raises(DataError):
-        hz.param_count(20, 2048, stray)  # pieces kept for a removed token
-    with pytest.raises(DataError):
-        hz.param_count(20, 100, full_selection(20, 16, {0: 16}))  # k does not divide e
+        hz.param_count(100, full_selection(20, 16, {0: 16}))  # k does not divide e
 
 
 # --- metrics records ---------------------------------------------------------------
@@ -243,8 +240,7 @@ def parse_saliency(text: str):
 
 def test_export_saliency_row_max_is_100(tmp_path):
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.0]])
-    sel = pr.MaskSelection(frozenset({0, 1}),
-                           {0: frozenset({0, 1}), 1: frozenset({0, 1})}, 2, 2)
+    sel = np.ones(2), np.ones((2, 2))
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     text = read(path)
@@ -261,8 +257,7 @@ def test_export_saliency_row_max_is_100(tmp_path):
 
 def test_export_saliency_flat_rows_normalize_to_100(tmp_path):
     rep = make_report([0.5, 0.5], [[0.3, 0.3], [0.0, 0.0]])
-    sel = pr.MaskSelection(frozenset({0, 1}),
-                           {0: frozenset({0, 1}), 1: frozenset({0, 1})}, 2, 2)
+    sel = np.ones(2), np.ones((2, 2))
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     tokens, pieces = parse_saliency(read(path))
@@ -272,7 +267,7 @@ def test_export_saliency_flat_rows_normalize_to_100(tmp_path):
 
 def test_export_saliency_pruned_flags_keep_raw_scores(tmp_path):
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.4]])
-    sel = pr.MaskSelection(frozenset({1}), {1: frozenset({1})}, 2, 2)
+    sel = np.array([0.0, 1.0]), np.array([[0.0, 0.0], [0.0, 1.0]])
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     tokens, pieces = parse_saliency(read(path))
@@ -284,7 +279,7 @@ def test_export_saliency_pruned_flags_keep_raw_scores(tmp_path):
 
 def test_export_saliency_geometry_mismatch(tmp_path):
     rep = make_report([0.2], [[0.1, 0.2]])
-    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 3, 2)
+    sel = np.ones(3), np.ones((3, 2))
     with pytest.raises(DataError):
         hz.export_saliency(rep, sel, str(tmp_path / "sal.txt"))
 
@@ -295,7 +290,7 @@ def test_merge_saliency_report_mixes_stages():
                                 np.array([True, False]),
                                 np.array([[True, True], [False, False]]),
                                 3, "per_batch_abs")
-    sel = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 2, 2)
+    sel = np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])
     cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, 1, None,
                          token_report=tok, piece_report=piece)
     merged = hz.merge_saliency_report(cell)
@@ -372,8 +367,9 @@ def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
 
 
 def test_pipeline_rejects_bad_stop_after(tmp_path):
-    with pytest.raises(ConfigError):
-        hz.run_pipeline(micro_cfg(str(tmp_path / "x")), stop_after="nowhere")
+    for stage in ("nowhere", "report"):
+        with pytest.raises(ConfigError):
+            hz.run_pipeline(micro_cfg(str(tmp_path / "x")), stop_after=stage)
 
 
 def test_fewshot_pipeline_completes_and_reproduces(tmp_path):
@@ -546,11 +542,22 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert all(line.split("\t")[1] == "1" for line in lines)
 
 
-def test_cli_exit_code_2_on_config_errors(tmp_path):
+def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
     assert cli.main(["pipeline", "--config", "/nonexistent.cfg"]) == 2
     bad = str(tmp_path / "bad.cfg")
     hz.write_text_atomic(bad, "nonsense.key = 1\n")
     assert cli.main(["pipeline", "--config", bad]) == 2
+    # an empty arm or variant list is refused before anything is written
+    copy = str(tmp_path / "copy")
+    shutil.copytree(pipe_run[1], copy)
+    earlier = [os.path.join(copy, name) for name in ("baselines.tsv", "transfer.tsv")]
+    for path in earlier:
+        hz.write_text_atomic(path, "earlier records\n")
+    cfg = write_cfg_file(tmp_path, copy)
+    assert cli.main(["baselines", "--config", cfg, "--which", ","]) == 2
+    assert cli.main(["transfer", "--config", cfg, "--variants", ",",
+                     "--source", os.path.join(copy, "seed1", "prune")]) == 2
+    assert all(read(path) == "earlier records\n" for path in earlier)
 
 
 def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):

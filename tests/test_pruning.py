@@ -130,7 +130,8 @@ def test_dead_structures_score_zero_and_are_flagged(bank, micro_backbone, fd_bat
     bank.token_mask[1] = 0.0
     bank.piece_mask[3, 2] = 0.0
     rep = pr.score_tokens(bank, micro_backbone, fd_batch)
-    rep.validate()
+    assert rep.aggregation in pr.AGGREGATIONS and rep.batches_seen >= 1
+    assert (rep.token_scores >= 0).all() and (rep.piece_scores >= 0).all()
     assert rep.token_scores[1] == 0.0
     assert not rep.token_live[1]
     assert not rep.piece_live[1].any()
@@ -141,8 +142,8 @@ def test_dead_structures_score_zero_and_are_flagged(bank, micro_backbone, fd_bat
     assert (rep.token_scores[live] > 0).all()
     # dead tokens never come back through selection
     sel = pr.select_tokens(rep, 0.0, "lowest_score")
-    assert 1 not in sel.kept_tokens
-    assert sel.kept_tokens == frozenset(live)
+    assert 1 not in support.kept_tokens(sel)
+    assert support.kept_tokens(sel) == set(live)
 
 
 def test_zero_prompt_row_scores_exactly_zero(bank, micro_backbone, fd_batch):
@@ -232,7 +233,7 @@ def test_select_tokens_matches_exhaustive_argmin(p, rule):
         scores = np.round(rng.uniform(0, 1, size=5), 1)  # coarse grid forces ties
         rep = make_report(scores, np.tile(scores[:, None], (1, 2)))
         sel = pr.select_tokens(rep, p / 5, rule)
-        removed = set(range(5)) - set(sel.kept_tokens)
+        removed = set(range(5)) - support.kept_tokens(sel)
         assert removed == exhaustive_removal(scores, range(5), p, rule), (
             f"seed {seed}: scores {scores}")
 
@@ -240,13 +241,13 @@ def test_select_tokens_matches_exhaustive_argmin(p, rule):
 def test_select_tokens_tie_breaks():
     rep = make_report([0.5, 0.2, 0.2, 0.2, 0.9], np.zeros((5, 2)))
     sel = pr.select_tokens(rep, 0.4, "lowest_score")
-    assert set(sel.kept_tokens) == {0, 3, 4}  # ties: lower index removed first
+    assert support.kept_tokens(sel) == {0, 3, 4}  # ties: lower index removed first
 
     rep = make_report([0.3, 0.3, 0.3, 0.3], np.zeros((4, 2)))
     low = pr.select_tokens(rep, 0.5, "lowest_score")
     high = pr.select_tokens(rep, 0.5, "reversed")
-    assert set(low.kept_tokens) == {2, 3}
-    assert set(high.kept_tokens) == {0, 1}  # ties: higher index removed first
+    assert support.kept_tokens(low) == {2, 3}
+    assert support.kept_tokens(high) == {0, 1}  # ties: higher index removed first
 
 
 @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5]), min_size=2, max_size=12),
@@ -256,8 +257,10 @@ def test_lowest_and_reversed_remove_disjoint_sets(scores, p):
     m = len(scores)
     p = min(p, m // 2)  # 2p <= live count
     rep = make_report(scores, np.zeros((m, 2)))
-    low = set(range(m)) - set(pr.select_tokens(rep, p / m if m else 0, "lowest_score").kept_tokens)
-    high = set(range(m)) - set(pr.select_tokens(rep, p / m if m else 0, "reversed").kept_tokens)
+    low = set(range(m)) - support.kept_tokens(
+        pr.select_tokens(rep, p / m if m else 0, "lowest_score"))
+    high = set(range(m)) - support.kept_tokens(
+        pr.select_tokens(rep, p / m if m else 0, "reversed"))
     assert not (low & high)
 
 
@@ -275,7 +278,7 @@ def test_monotone_transform_leaves_selection_unchanged(scores, rule):
     for f in (np.exp, lambda x: 3.0 * x + 1.0):
         warped = make_report(f(np.asarray(scores)), f(rep.piece_scores))
         again = pr.select_tokens(warped, 0.5, rule, seed=7)
-        assert again.kept_tokens == base.kept_tokens
+        assert support.same_masks(again, base)
 
 
 def test_random_selection_is_seeded():
@@ -283,18 +286,21 @@ def test_random_selection_is_seeded():
     a = pr.select_tokens(rep, 0.5, "random", seed=3)
     b = pr.select_tokens(rep, 0.5, "random", seed=3)
     c = pr.select_tokens(rep, 0.5, "random", seed=4)
-    assert a.kept_tokens == b.kept_tokens
-    assert len(a.kept_tokens) == 4
-    assert a.kept_tokens != c.kept_tokens
+    assert support.same_masks(a, b)
+    assert len(support.kept_tokens(a)) == 4
+    assert support.kept_tokens(a) != support.kept_tokens(c)
 
 
 def test_removal_counts_use_floor():
     rep = make_report(np.arange(5.0), np.zeros((5, 2)))
-    assert len(pr.select_tokens(rep, 0.5, "lowest_score").kept_tokens) == 3   # floor(2.5)=2
-    assert len(pr.select_tokens(rep, 0.39, "lowest_score").kept_tokens) == 4  # floor(1.95)=1
-    assert len(pr.select_tokens(rep, 0.0, "lowest_score").kept_tokens) == 5
+    def kept(report, ratio):
+        return len(support.kept_tokens(pr.select_tokens(report, ratio, "lowest_score")))
+
+    assert kept(rep, 0.5) == 3   # floor(2.5)=2
+    assert kept(rep, 0.39) == 4  # floor(1.95)=1
+    assert kept(rep, 0.0) == 5
     big = make_report(np.arange(20.0), np.zeros((20, 4)))
-    assert len(pr.select_tokens(big, 0.99, "lowest_score").kept_tokens) == 1
+    assert kept(big, 0.99) == 1
 
 
 def test_selection_rejects_bad_ratios_and_rules():
@@ -312,10 +318,9 @@ def test_select_pieces_pools_globally():
     """The removal budget is global, not a per-token quota: when one token's
     pieces all score lowest, that entire row goes first."""
     rep = make_report([1.0, 1.0], [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]])
-    sel = pr.select_pieces(rep, 0.5, "lowest_score")
-    assert sel.kept_pieces[0] == frozenset()
-    assert sel.kept_pieces[1] == frozenset({0, 1, 2, 3})
-    assert sel.kept_tokens == frozenset({0, 1})
+    gamma, zeta = pr.select_pieces(rep, 0.5, "lowest_score")
+    assert np.array_equal(zeta, [[0, 0, 0, 0], [1, 1, 1, 1]])
+    assert np.array_equal(gamma, [1, 1])
 
 
 @pytest.mark.parametrize("rule", ["lowest_score", "reversed"])
@@ -324,9 +329,8 @@ def test_select_pieces_matches_exhaustive(rule):
         rng = np.random.default_rng(seed)
         ps = np.round(rng.uniform(0, 1, size=(2, 4)), 1)
         rep = make_report(np.ones(2), ps)
-        sel = pr.select_pieces(rep, 0.25, rule)  # floor(0.25 * 8) = 2 cells
-        removed = {(t, q) for t in range(2) for q in range(4)
-                   if q not in sel.kept_pieces[t]}
+        _, zeta = pr.select_pieces(rep, 0.25, rule)  # floor(0.25 * 8) = 2 cells
+        removed = {(t, q) for t in range(2) for q in range(4) if zeta[t, q] == 0}
         cells = [(t, q) for t in range(2) for q in range(4)]
         subsets = itertools.combinations(cells, 2)
         key = lambda s: sorted((ps[c], c) for c in s)
@@ -339,10 +343,9 @@ def test_select_pieces_skips_dead_tokens():
     piece_live = np.array([[False] * 4, [True] * 4])
     rep = make_report([0.0, 1.0], [[0.0] * 4, [0.5, 0.1, 0.9, 0.7]],
                       token_live=[False, True], piece_live=piece_live)
-    sel = pr.select_pieces(rep, 0.25, "lowest_score")  # floor(0.25 * 4 live) = 1
-    assert sel.kept_tokens == frozenset({1})
-    assert set(sel.kept_pieces) == {1}
-    assert sel.kept_pieces[1] == frozenset({0, 2, 3})
+    gamma, zeta = pr.select_pieces(rep, 0.25, "lowest_score")  # floor(0.25 * 4 live) = 1
+    assert np.array_equal(gamma, [0, 1])
+    assert np.array_equal(zeta, [[0, 0, 0, 0], [1, 0, 1, 1]])
 
 
 def test_golden_hand_trace():
@@ -351,7 +354,8 @@ def test_golden_hand_trace():
     rep = make_report([0.40, 0.05, 0.20, 0.10],
                       [[0.5, 0.3], [0.0, 0.0], [0.2, 0.6], [0.1, 0.1]])
     tok = pr.select_tokens(rep, 0.5, "lowest_score")
-    assert tok.kept_tokens == frozenset({0, 2})
+    assert np.array_equal(tok[0], [1, 0, 1, 0])
+    assert np.array_equal(tok[1], [[1, 1], [0, 0], [1, 1], [0, 0]])
 
     survivors = make_report(
         [0.40, 0.0, 0.20, 0.0],
@@ -359,12 +363,10 @@ def test_golden_hand_trace():
         token_live=[True, False, True, False],
         piece_live=[[True] * 2, [False] * 2, [True] * 2, [False] * 2])
     sel = pr.select_pieces(survivors, 0.25, "lowest_score")
-    assert sel.kept_pieces == {0: frozenset({0, 1}), 2: frozenset({1})}
-    assert sel.kept_cells() == 3
-
-    gamma, zeta = sel.to_masks()
+    gamma, zeta = sel
     assert np.array_equal(gamma, [1, 0, 1, 0])
     assert np.array_equal(zeta, [[1, 1], [0, 0], [0, 1], [0, 0]])
+    assert pr.kept_params(sel, 2) == 3  # three cells of width e/k = 1
 
 
 def test_apply_selection_and_geometry_check(bank):
@@ -374,21 +376,20 @@ def test_apply_selection_and_geometry_check(bank):
                               1, "per_batch_abs")
     sel = pr.select_tokens(rep, 0.34, "lowest_score")
     pr.apply_selection(bank, sel)
-    gamma, zeta = sel.to_masks()
+    gamma, zeta = sel
     assert np.array_equal(bank.token_mask, gamma)
     assert np.array_equal(bank.piece_mask, zeta)
-    wrong = pr.MaskSelection(frozenset({0}), {0: frozenset({0})}, 3, 2)
-    with pytest.raises(ConfigError):
-        pr.apply_selection(bank, wrong)
+    for wrong in ((np.ones(3), np.ones((3, 2))),
+                  (np.ones(bank.m + 1), np.ones((bank.m, bank.k)))):
+        with pytest.raises(ConfigError):
+            pr.apply_selection(bank, wrong)
 
 
 # --- rewinding -------------------------------------------------------------------
 
 
-def keep_all_selection(bank) -> pr.MaskSelection:
-    return pr.MaskSelection(frozenset(range(bank.m)),
-                            {i: frozenset(range(bank.k)) for i in range(bank.m)},
-                            bank.m, bank.k)
+def keep_all_selection(bank):
+    return np.ones(bank.m), np.ones((bank.m, bank.k))
 
 
 def test_rewind_restores_snapshot_and_masks(bank):
@@ -446,14 +447,15 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
     assert out.best is min(finalists, key=lambda c: (c.token_ratio, c.piece_ratio))
 
     # bank left in the best retrained configuration
-    gamma, zeta = out.best.selection.to_masks()
+    gamma, zeta = out.best.selection
     assert np.array_equal(bank.token_mask, gamma)
     assert np.array_equal(bank.piece_mask, zeta)
     assert evaluate(bank, micro_backbone, micro_data["dev"]) == out.best.dev_acc
 
     for c in out.cells:
-        assert set(c.selection.kept_pieces) == set(c.selection.kept_tokens)
-        assert c.kept_params == c.selection.kept_cells() * (bank.e // bank.k)
+        gamma, zeta = c.selection
+        assert not zeta[gamma == 0].any()  # removed tokens keep no pieces
+        assert c.kept_params == np.count_nonzero(zeta) * (bank.e // bank.k)
 
     assert micro_backbone.weight_hash() == before_hash
     assert np.array_equal(bank.snapshot, snap)
@@ -494,7 +496,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
     assert len(out.cells) == len(ref.cells) == 6
     for got, want in zip(out.cells, ref.cells):
         assert (got.token_ratio, got.piece_ratio) == (want.token_ratio, want.piece_ratio)
-        assert got.selection == want.selection
+        assert support.same_masks(got.selection, want.selection)
         assert got.dev_acc == want.dev_acc
         assert got.kept_params == want.kept_params
         assert got.best_epoch == want.best_epoch
@@ -552,7 +554,7 @@ def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
     first = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
     second = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
     assert first.best.dev_acc == second.best.dev_acc
-    assert first.best.selection == second.best.selection
+    assert support.same_masks(first.best.selection, second.best.selection)
     assert first.best.retrain.losses == second.best.retrain.losses
 
 
@@ -599,7 +601,7 @@ def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data
     acc, selection = pr.baseline_negative_masking(bank, micro_backbone, micro_data["train"],
                                                   micro_data["dev"], 0.34)
     assert 0.0 <= acc <= 1.0
-    assert len(selection.kept_tokens) == bank.m - int(np.floor(0.34 * bank.m))
+    assert len(support.kept_tokens(selection)) == bank.m - int(np.floor(0.34 * bank.m))
     assert np.array_equal(bank.p, p0)
     assert np.array_equal(bank.token_mask, tm0)
 
@@ -608,11 +610,11 @@ def test_negative_masking_ratio_zero_is_identity(bank, micro_backbone, micro_dat
     acc, selection = pr.baseline_negative_masking(bank, micro_backbone, micro_data["train"],
                                                   micro_data["dev"], 0.0)
     assert acc == evaluate(bank, micro_backbone, micro_data["dev"])
-    assert selection.kept_tokens == frozenset(range(bank.m))
+    assert support.kept_tokens(selection) == set(range(bank.m))
 
 
 def test_negative_masking_random_rule_is_seeded(bank, micro_backbone, micro_data):
     args = (bank, micro_backbone, micro_data["train"], micro_data["dev"], 0.34)
     a = pr.baseline_negative_masking(*args, rule="random", seed=1)
     b = pr.baseline_negative_masking(*args, rule="random", seed=1)
-    assert a == b
+    assert a[0] == b[0] and support.same_masks(a[1], b[1])
