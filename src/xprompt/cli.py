@@ -15,8 +15,8 @@ import os
 import sys
 
 from .errors import ConfigError, DataError, ShapeError, StageError, StateError
-from .harness import (BASELINE_ARMS, RunConfig, collect_report, run_baselines,
-                      run_pipeline, run_transfer, stage_done)
+from .harness import (BASELINE_ARMS, DEFAULT_JOBS, RunConfig, collect_report,
+                      run_baselines, run_pipeline, run_transfer, stage_done)
 
 log = logging.getLogger("xprompt.cli")
 
@@ -35,8 +35,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override run.seeds with a single seed")
     sub.add_argument("--resume", action="store_true",
                      help="reuse completed stage checkpoints in the output directory")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for per-seed stages")
+    sub.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
+                     help="worker processes for per-seed stages; results do not "
+                          f"depend on it (default {DEFAULT_JOBS}, one per usable CPU)")
     sub.add_argument("--out", help="override run.out output directory")
 
 

@@ -6,14 +6,21 @@ checkpoint plus a deterministic metrics fragment, so an interrupted run
 resumes from the last completed stage and reproduces the uninterrupted
 metrics file byte for byte. Wall-clock times appear only in the human
 report, never in metrics.
+
+Per-seed stages (stage 1, prune, the baseline arms and the transfer arms)
+run in forked worker processes, one seed per task, when jobs > 1. Each
+seed's work depends only on the config and that seed, so every metric and
+every file in the run directory is the same for any jobs.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -33,6 +40,8 @@ log = logging.getLogger("xprompt.harness")
 
 STAGES = ("backbone", "stage1", "prune")
 BASELINE_ARMS = ("vanilla", "negative", "random", "reversed", "length")
+# worker processes for per-seed stages: one per CPU this process may run on
+DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 # --- config schema ----------------------------------------------------------------
 
@@ -504,11 +513,43 @@ def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
     return records
 
 
-def _map_seeds(jobs: int, fn, seeds):
-    if jobs <= 1 or len(seeds) <= 1:
+def _check_jobs(jobs: int) -> None:
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(f"jobs = {jobs} needs worker processes started by fork, "
+                          "which this platform lacks; use jobs = 1")
+
+
+# set by the pool initializer in each worker, never in the calling process
+_seed_fn = None
+
+
+def _install_seed_fn(fn) -> None:
+    global _seed_fn
+    _seed_fn = fn
+
+
+def _call_seed_fn(seed: int):
+    return _seed_fn(seed)
+
+
+def _map_seeds(stage: str, jobs: int, fn, seeds: list[int]) -> list:
+    """[fn(seed) for seed in seeds], in min(jobs, len(seeds)) forked worker
+    processes when that is more than one.
+
+    A worker inherits fn, and the backbone, splits and config it closes over,
+    at fork, so a task sends only its seed; only fn's result comes back,
+    pickled. Results merge in seed order, so they, and every file fn writes,
+    do not depend on jobs. A worker that dies fails the stage.
+    """
+    workers = min(jobs, len(seeds))
+    if workers <= 1:
         return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seeds))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install_seed_fn, initargs=(fn,)) as pool:
+            return list(pool.map(_call_seed_fn, seeds))
+    except BrokenProcessPool as exc:
+        raise StageError(f"stage {stage} failed: a worker process died ({exc})") from exc
 
 
 def _write_report(out: str, cfg: RunConfig, records: list[MetricsRecord],
@@ -525,16 +566,18 @@ def _write_report(out: str, cfg: RunConfig, records: list[MetricsRecord],
 
 
 def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = None,
-                 jobs: int = 1) -> list[MetricsRecord]:
+                 jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """pretrain-or-load -> stage-1 tune -> snapshot -> hierarchical prune ->
     final rewound-retrained model, with metrics, checkpoints, and saliency.
 
     stop_after names a stage from STAGES to halt behind (the pretrain, tune
     and prune subcommands); metrics.tsv and report.txt are written only by a
-    run that goes through every stage.
+    run that goes through every stage. jobs is how many seeds run at once
+    (see _map_seeds); it changes no result.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ConfigError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
+    _check_jobs(jobs)
     cfg.validate()
     out = cfg["run.out"]
     os.makedirs(out, exist_ok=True)
@@ -551,7 +594,7 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
 
     seeds = list(cfg["run.seeds"])
     t0 = time.monotonic()
-    stage1 = dict(zip(seeds, _map_seeds(jobs, stage1_for, seeds)))
+    stage1 = dict(zip(seeds, _map_seeds("stage1", jobs, stage1_for, seeds)))
     wall["stage1"] = time.monotonic() - t0
     if stop_after == "stage1":
         return [stage1[s][1] for s in seeds]
@@ -560,7 +603,7 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
         return _run_prune(cfg, out, bb, data, seed, stage1[seed][0], resume)
 
     t0 = time.monotonic()
-    pruned = dict(zip(seeds, _map_seeds(jobs, prune_for, seeds)))
+    pruned = dict(zip(seeds, _map_seeds("prune", jobs, prune_for, seeds)))
     wall["prune"] = time.monotonic() - t0
 
     records: list[MetricsRecord] = []
@@ -649,6 +692,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
     for arm in which:
         if arm not in BASELINE_ARMS:
             raise ConfigError(f"unknown baseline {arm!r}; expected from {BASELINE_ARMS}")
+    _check_jobs(jobs)
     out, data, bb = _open_run(cfg)
     v = cfg.values
     e = v["backbone.embed_dim"]
@@ -690,7 +734,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
         return recs
 
     seeds = list(cfg["run.seeds"])
-    per_seed = _map_seeds(jobs, arm_records, seeds)
+    per_seed = _map_seeds("baselines", jobs, arm_records, seeds)
     records = [r for recs in per_seed for r in recs]
     _write_records(os.path.join(out, "baselines.tsv"), records)
 
@@ -715,6 +759,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     for variant in variants:
         if variant not in ("transfer_o", "transfer"):
             raise ConfigError(f"unknown transfer variant {variant!r}")
+    _check_jobs(jobs)
     source, _ = checkpoint.load_prompt(source_dir)
     v = cfg.values
     if (source.m, source.e, source.k) != (v["prompt.m"], v["backbone.embed_dim"],
@@ -741,7 +786,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
         return recs
 
     seeds = list(cfg["run.seeds"])
-    per_seed = _map_seeds(jobs, transfer_for, seeds)
+    per_seed = _map_seeds("transfer", jobs, transfer_for, seeds)
     records = [r for recs in per_seed for r in recs]
     _write_records(os.path.join(out, "transfer.tsv"), records)
     return records

@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny pretrained backbone and task splits, built once."""
 
+import xprompt  # before numpy, so the suite gets the one-thread BLAS defaults users get
+
 import numpy as np
 import pytest
 

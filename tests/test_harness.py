@@ -9,6 +9,8 @@ import decimal
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +52,15 @@ def pipe_run(tmp_path_factory):
     cfg = micro_cfg(out)
     records = hz.run_pipeline(cfg)
     return cfg, out, records
+
+
+def copy_run(pipe_run, tmp_path) -> tuple[hz.RunConfig, str]:
+    """Config and directory of a private copy of the shared run, for tests
+    that write into it."""
+    cfg, out, _ = pipe_run
+    copy = str(tmp_path / "copy")
+    shutil.copytree(out, copy)
+    return cfg.with_overrides(run__out=copy), copy
 
 
 def read(path: str) -> str:
@@ -348,11 +359,35 @@ def test_pipeline_resume_refuses_config_change(pipe_run):
         hz.run_pipeline(changed, resume=True)
 
 
-def test_pipeline_parallel_jobs_match_serial(pipe_run, tmp_path):
-    _, out, _ = pipe_run
-    par = str(tmp_path / "par")
-    hz.run_pipeline(micro_cfg(par), jobs=2)
-    assert read(os.path.join(par, "metrics.tsv")) == read(os.path.join(out, "metrics.tsv"))
+def run_files(out: str) -> dict[str, bytes]:
+    """Every file under a run directory by relative path, less the two
+    lines allowed to differ between runs: config.txt's run.out and
+    report.txt's wall-clock times."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = fh.read()
+    for name, line in (("config.txt", rb"^run\.out = .*\n"), ("report.txt", rb"^wall\[.*\n")):
+        files[name] = re.sub(line, b"", files[name], flags=re.M)
+    return files
+
+
+def test_pipeline_parallel_jobs_match_serial(tmp_path):
+    """Pipeline, every baseline arm and transfer write the same bytes for
+    any number of worker processes."""
+    runs = []
+    for jobs in (1, 2, 3):
+        cfg = micro_cfg(str(tmp_path / f"jobs{jobs}"), **{"run.seeds": (1, 2, 3)})
+        hz.run_pipeline(cfg, jobs=jobs)
+        hz.run_baselines(cfg, jobs=jobs)
+        hz.run_transfer(cfg, os.path.join(cfg["run.out"], "seed1", "prune"), jobs=jobs)
+        runs.append(run_files(cfg["run.out"]))
+    assert {"metrics.tsv", "baselines.tsv", "transfer.tsv",
+            os.path.join("seed3", "prune", "saliency.txt")} <= set(runs[0])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
@@ -385,8 +420,9 @@ def test_fewshot_pipeline_completes_and_reproduces(tmp_path):
 # --- baselines ---------------------------------------------------------------------
 
 
-def test_baselines_records(pipe_run):
-    cfg, out, records = pipe_run
+def test_baselines_records(pipe_run, tmp_path):
+    records = pipe_run[2]
+    cfg, out = copy_run(pipe_run, tmp_path)
     brecs = hz.run_baselines(cfg)
     by = {(r.stage, r.seed): r for r in brecs}
     stage1 = {r.seed: r for r in records if r.stage == "stage1"}
@@ -417,10 +453,7 @@ def test_baselines_require_prune_checkpoint(tmp_path):
 def test_baselines_load_each_checkpoint_once(pipe_run, tmp_path, monkeypatch):
     """All arms of a seed share one stage-1 load and one best-cell load, and
     the length arm reruns to the same record."""
-    cfg, out, _ = pipe_run
-    copy = str(tmp_path / "copy")
-    shutil.copytree(out, copy)
-    cfg = cfg.with_overrides(run__out=copy)
+    cfg, copy = copy_run(pipe_run, tmp_path)
     loaded = []
     load = checkpoint.load_prompt
 
@@ -446,8 +479,9 @@ def test_baselines_reject_unknown_arm(pipe_run):
 # --- transfer ----------------------------------------------------------------------
 
 
-def test_transfer_self_resumes_at_source_accuracy(pipe_run):
-    cfg, out, records = pipe_run
+def test_transfer_self_resumes_at_source_accuracy(pipe_run, tmp_path):
+    records = pipe_run[2]
+    cfg, out = copy_run(pipe_run, tmp_path)
     source = os.path.join(out, "seed1", "prune")
     trecs = hz.run_transfer(cfg.with_overrides(run__seeds=(1,)), source)
     by = {r.stage: r for r in trecs}
@@ -458,9 +492,7 @@ def test_transfer_self_resumes_at_source_accuracy(pipe_run):
 
 def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
     """transfer_o records the tune that transfer then snapshots and prunes."""
-    cfg, out, _ = pipe_run
-    copy = str(tmp_path / "copy")
-    shutil.copytree(out, copy)
+    cfg, copy = copy_run(pipe_run, tmp_path)
     seeds = []
     tune = hz.tune
 
@@ -469,15 +501,14 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
         return tune(*args, **kwargs)
 
     monkeypatch.setattr(hz, "tune", counting)
-    trecs = hz.run_transfer(cfg.with_overrides(run__out=copy),
-                            os.path.join(out, "seed1", "prune"))
+    trecs = hz.run_transfer(cfg, os.path.join(copy, "seed1", "prune"))
     assert seeds == [1, 2]
     assert [(r.stage, r.seed) for r in trecs] == [
         ("transfer_o", 1), ("transfer", 1), ("transfer_o", 2), ("transfer", 2)]
 
 
 def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
-    cfg, out, _ = pipe_run
+    cfg, out = copy_run(pipe_run, tmp_path)
     src_bank, _ = load_prompt(os.path.join(out, "seed1", "prune"))
     frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0)
     trecs = hz.run_transfer(frozen, os.path.join(out, "seed1", "prune"),
@@ -500,8 +531,8 @@ def test_transfer_shape_mismatch(pipe_run):
 # --- report regeneration --------------------------------------------------------------
 
 
-def test_collect_report_rebuilds_metrics(pipe_run):
-    cfg, out, _ = pipe_run
+def test_collect_report_rebuilds_metrics(pipe_run, tmp_path):
+    cfg, out = copy_run(pipe_run, tmp_path)
     metrics = os.path.join(out, "metrics.tsv")
     original = read(metrics)
     os.remove(metrics)
@@ -548,8 +579,7 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
     hz.write_text_atomic(bad, "nonsense.key = 1\n")
     assert cli.main(["pipeline", "--config", bad]) == 2
     # an empty arm or variant list is refused before anything is written
-    copy = str(tmp_path / "copy")
-    shutil.copytree(pipe_run[1], copy)
+    _, copy = copy_run(pipe_run, tmp_path)
     earlier = [os.path.join(copy, name) for name in ("baselines.tsv", "transfer.tsv")]
     for path in earlier:
         hz.write_text_atomic(path, "earlier records\n")
@@ -565,8 +595,7 @@ def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     cfg = write_cfg_file(tmp_path, out)
     assert cli.main(["prune", "--config", cfg]) == 3
     # a stage-1 checkpoint without its records is not a finished stage 1
-    copy = str(tmp_path / "no_records")
-    shutil.copytree(pipe_run[1], copy)
+    _, copy = copy_run(pipe_run, tmp_path)
     os.remove(os.path.join(copy, "seed1", "stage1", "records.tsv"))
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
@@ -608,9 +637,7 @@ FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
         "final-keeps-no-tokens"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
-    _, out, _ = pipe_run
-    copy = str(tmp_path / "copy")
-    shutil.copytree(out, copy)
+    _, copy = copy_run(pipe_run, tmp_path)
     target = os.path.join(copy, path)
     text, count = re.subn(pattern, replacement, read(target), count=1, flags=re.M)
     assert count == 1
@@ -631,8 +658,8 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
 ])
 def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsys,
                                           command, target, stage):
-    # baselines and transfer build on the finished run; a failed arm writes nothing
-    out = pipe_run[1] if command != "pipeline" else str(tmp_path / "boom")
+    # baselines and transfer build on a copy of the finished run; a failed arm writes nothing
+    out = copy_run(pipe_run, tmp_path)[1] if command != "pipeline" else str(tmp_path / "boom")
     cfg = write_cfg_file(tmp_path, out)
     extra = {"baselines": ["--which", "negative"],
              "transfer": ["--source", os.path.join(out, "seed1", "prune"),
@@ -645,6 +672,41 @@ def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert cli.main([command, "--config", cfg, *extra]) == 4
     assert f"stage {stage} failed" in capsys.readouterr().err
+
+
+def test_cli_exit_code_4_when_a_worker_dies(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg_file(tmp_path, str(tmp_path / "dies"))
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        if os.getpid() == parent:
+            pytest.fail("tune ran in the test process, not in a worker")
+        os._exit(1)
+
+    monkeypatch.setattr(hz, "tune", die)
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg, "--jobs", "2"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("stage failure: stage stage1 failed")
+
+
+def test_cli_exit_code_2_when_workers_cannot_fork(tmp_path, monkeypatch):
+    out = str(tmp_path / "nofork")
+    cfg = write_cfg_file(tmp_path, out)
+    monkeypatch.setattr(hz.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    for command in ("pipeline", "baselines"):
+        assert cli.main([command, "--config", cfg, "--jobs", "2"]) == 2
+    assert not os.path.exists(out)
+
+
+def test_cli_module_runs_without_warnings():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "xprompt.cli",
+                           "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: xprompt" in proc.stdout
 
 
 def test_cli_respects_log_env(tmp_path, monkeypatch):
