@@ -9,6 +9,7 @@ approximated. Single-threaded evaluation is bitwise deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -303,18 +304,42 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
     return out
 
 
+def take_rows(x: Node, spans: list[tuple[int, int]]) -> Node:
+    """Stack the row ranges [a, b) of x, in order; the ranges ascend and do
+    not overlap, so the backward scatter-adds each gradient row once."""
+    cursor = 0
+    for a, b in spans:
+        if a < cursor or b <= a:
+            raise ShapeError(f"row spans must ascend without overlap, got {spans}")
+        cursor = b
+    if cursor > x.rows:
+        raise ShapeError(f"row spans reach row {cursor}, matrix has {x.rows}")
+    idx = np.concatenate([np.arange(a, b) for a, b in spans])
+    out = Node(x.value[idx], (x,), op="take_rows")
+    if out.requires_grad:
+        def backprop(g, x=x, idx=idx):
+            x.grad  # ensure allocation
+            x._grad[idx] += g
+        out._backprop = backprop
+    return out
+
+
 def attention_blocks(q: Node, k: Node, v: Node, heads: int,
-                     bounds: list[tuple[int, int]]) -> Node:
+                     bounds: list[tuple[int, int]],
+                     queries: list[tuple[int, int]] | None = None) -> Node:
     """Multi-head attention restricted to independent row blocks.
 
-    Rows in [a, b) attend only to rows in the same block; blocks must tile
-    the full height exactly. Packing many sequences into one matrix this way
-    keeps every position-wise op a single large operation.
+    Rows of k and v in [a, b) form one block; blocks must tile their full
+    height exactly. queries gives, per block, the rows [qa, qb) inside it
+    that ask for an output (default: every row of the block); q holds
+    exactly those rows, stacked in block order, and so does the result.
+    Packing many sequences into one matrix this way keeps every
+    position-wise op a single large operation.
     """
     if q.cols != k.cols or q.cols != v.cols:
         raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    if q.rows != k.rows or k.rows != v.rows:
-        raise ShapeError("block attention needs q, k, v with identical rows")
+    if k.rows != v.rows:
+        raise ShapeError("block attention needs k and v with identical rows")
     e = q.cols
     if heads < 1 or e % heads != 0:
         raise ShapeError(f"width e={e} does not split into {heads} heads")
@@ -323,8 +348,18 @@ def attention_blocks(q: Node, k: Node, v: Node, heads: int,
         if a != cursor or b <= a:
             raise ShapeError(f"blocks must tile rows contiguously, got {bounds}")
         cursor = b
-    if cursor != q.rows:
-        raise ShapeError(f"blocks cover {cursor} rows, matrix has {q.rows}")
+    if cursor != k.rows:
+        raise ShapeError(f"blocks cover {cursor} rows, matrix has {k.rows}")
+    queries = bounds if queries is None else queries
+    if len(queries) != len(bounds) or any(
+            not a <= qa < qb <= b for (a, b), (qa, qb) in zip(bounds, queries)):
+        raise ShapeError(f"query rows {queries} must be one non-empty range "
+                         f"inside each block of {bounds}")
+    starts = list(accumulate((qb - qa for qa, qb in queries), initial=0))
+    if starts[-1] != q.rows:
+        raise ShapeError(f"query ranges cover {starts[-1]} rows, q has {q.rows}")
+    # (q rows, k/v rows) of each block
+    blocks = [((c, c + qb - qa), ab) for c, (qa, qb), ab in zip(starts, queries, bounds)]
     d = e // heads
     scale = 1.0 / np.sqrt(d)
 
@@ -333,8 +368,8 @@ def attention_blocks(q: Node, k: Node, v: Node, heads: int,
 
     out_val = np.empty((q.rows, e))
     weights = []
-    for a, b in bounds:
-        qh = heads_first(q.value, a, b)
+    for (qa, qb), (a, b) in blocks:
+        qh = heads_first(q.value, qa, qb)
         kh = heads_first(k.value, a, b)
         vh = heads_first(v.value, a, b)
         scores = (qh @ kh.transpose(0, 2, 1)) * scale
@@ -342,32 +377,31 @@ def attention_blocks(q: Node, k: Node, v: Node, heads: int,
         ex = np.exp(scores)
         att = ex / ex.sum(axis=2, keepdims=True)
         weights.append(att)
-        out_val[a:b] = (att @ vh).transpose(1, 0, 2).reshape(b - a, e)
+        out_val[qa:qb] = (att @ vh).transpose(1, 0, 2).reshape(qb - qa, e)
 
     out = Node(out_val, (q, k, v), op="attention_blocks")
     if out.requires_grad:
-        def backprop(g, q=q, k=k, v=v, weights=weights, bounds=bounds,
+        def backprop(g, q=q, k=k, v=v, weights=weights, blocks=blocks,
                      heads=heads, d=d, scale=scale):
-            for (a, b), att in zip(bounds, weights):
-                t = b - a
-                gh = heads_first(g, a, b)
-                qh = heads_first(q.value, a, b)
+            for ((qa, qb), (a, b)), att in zip(blocks, weights):
+                gh = heads_first(g, qa, qb)
+                qh = heads_first(q.value, qa, qb)
                 kh = heads_first(k.value, a, b)
                 vh = heads_first(v.value, a, b)
                 if v.requires_grad:
                     v.grad
                     dv = att.transpose(0, 2, 1) @ gh
-                    v._grad[a:b] += dv.transpose(1, 0, 2).reshape(t, e)
+                    v._grad[a:b] += dv.transpose(1, 0, 2).reshape(b - a, e)
                 da = gh @ vh.transpose(0, 2, 1)
                 ds = att * (da - (da * att).sum(axis=2, keepdims=True))
                 if q.requires_grad:
                     q.grad
                     dq = (ds @ kh) * scale
-                    q._grad[a:b] += dq.transpose(1, 0, 2).reshape(t, e)
+                    q._grad[qa:qb] += dq.transpose(1, 0, 2).reshape(qb - qa, e)
                 if k.requires_grad:
                     k.grad
                     dk = (ds.transpose(0, 2, 1) @ qh) * scale
-                    k._grad[a:b] += dk.transpose(1, 0, 2).reshape(t, e)
+                    k._grad[a:b] += dk.transpose(1, 0, 2).reshape(b - a, e)
         out._backprop = backprop
     return out
 

@@ -8,12 +8,18 @@ treats them as a set), post-LN residual blocks (multi-head attention, GELU
 FFN of width 4e, each residual sum followed by a layer norm), mean pooling
 over the non-prompt positions, and a linear classifier head that stays at
 its seeded init (pretraining never touches it).
+
+A prompted forward pass runs the last block only on the rows the classifier
+pools: prompt rows still serve as keys and values there, but issue no
+queries and carry no residual. This is exact, since nothing reads those
+rows' outputs. Pretraining keeps every row in every block (see _mlm_loss).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +34,9 @@ INIT_STD = 0.02
 MASK_TOKEN = 0
 FFN_MULT = 4
 PRETRAIN_BATCH = 32
+# Sequences per forward pass in predict: the cost per example grows with the
+# packed size, so small packs evaluate faster, with the same logits.
+PREDICT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,8 @@ def _wrap_weights(bb: FrozenBackbone, trainable: bool) -> dict[str, ag.Node]:
 
 
 def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], rows: ag.Node,
-            bounds: list[tuple[int, int]], prompt_lens: list[int] | None = None) -> ag.Node:
+            bounds: list[tuple[int, int]], prompt_lens: list[int] | None = None,
+            pooled: list[tuple[int, int]] | None = None) -> ag.Node:
     """Position add + post-norm residual blocks over packed rows.
 
     bounds lists the (start, stop) row block of each sequence; attention is
@@ -134,6 +144,17 @@ def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], rows: ag.Node,
     so that scaling an input row stays visible to attention; a pre-LN block
     would normalize row scalings away and leave mask variables with no
     first-order effect in shallow stacks.
+
+    pooled lists the (start, stop) rows of each sequence that the caller
+    reads (default: every row). The last block computes only those rows:
+    they alone issue queries and carry the residual stream, while keys and
+    values still come from every row of the block. This is exact, not an
+    approximation: every op but attention is row-wise, and the rows left out
+    would feed nothing but outputs nobody reads, so the gradient they send
+    back is exactly zero. The bytes match the full-row block wherever BLAS
+    uses one kernel for both row counts; packs of a few short sequences can
+    fall on OpenBLAS's small-matrix kernels and differ in the last bits. The
+    result holds the pooled rows, stacked in sequence order.
     """
     if prompt_lens is None:
         prompt_lens = [0] * len(bounds)
@@ -147,14 +168,17 @@ def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], rows: ag.Node,
         pos = ag.rowwise_scale(pos, ag.constant(np.array(live)[:, None]))
     h = ag.add(rows, pos)
     for i in range(cfg.layers):
+        queries = pooled if i == cfg.layers - 1 else None
+        x = h if queries is None else ag.take_rows(h, queries)
         att = ag.attention_blocks(
-            ag.matmul(h, w[f"l{i}.wq"]),
+            ag.matmul(x, w[f"l{i}.wq"]),
             ag.matmul(h, w[f"l{i}.wk"]),
             ag.matmul(h, w[f"l{i}.wv"]),
             cfg.heads,
             bounds,
+            queries,
         )
-        h = ag.layer_norm(ag.add(h, ag.matmul(att, w[f"l{i}.wo"])),
+        h = ag.layer_norm(ag.add(x, ag.matmul(att, w[f"l{i}.wo"])),
                           w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
         f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
         f = ag.bias_add(ag.matmul(ag.gelu(f), w[f"l{i}.w2"]), w[f"l{i}.b2"])
@@ -184,8 +208,10 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
     The batch is packed into one graph: the prompt node is concatenated
     before every sequence, attention is restricted to per-sequence blocks,
     and each row of the output pools that sequence's non-prompt positions.
-    Gradients flow into prompt_rows; frozen weights are graph constants
-    (pass weight_nodes to share the wrappers across calls).
+    Only those positions run through the last block (see _encode), so the
+    pooling takes whole blocks of its output. Gradients flow into
+    prompt_rows; frozen weights are graph constants (pass weight_nodes to
+    share the wrappers across calls).
     """
     if not bb.frozen:
         raise StateError("backbone must be frozen before prompted forward passes")
@@ -209,16 +235,26 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
         bounds.append((offset, offset + m + len(ids)))
         offset += m + len(ids)
 
-    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=[m] * len(bounds))
-    pooled = ag.concat_rows(*[ag.mean_pool(h, a + m, b) for a, b in bounds])
+    tokens = [(a + m, b) for a, b in bounds]
+    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=[m] * len(bounds),
+                pooled=tokens)
+    ends = accumulate(b - a for a, b in tokens)
+    pooled = ag.concat_rows(*[ag.mean_pool(h, end - (b - a), end)
+                              for (a, b), end in zip(tokens, ends)])
     return ag.matmul(pooled, w["head"])
 
 
 def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> list[int]:
-    """Argmax class per example (ties resolve to the lowest index)."""
+    """Argmax class per example (ties resolve to the lowest index), packing
+    at most PREDICT_CHUNK sequences into one forward pass."""
     prompt = None if prompt_values is None else ag.constant(prompt_values)
-    logits = forward_batch(bb, prompt, [ex.tokens for ex in dataset])
-    return [int(np.argmax(row)) for row in logits.value]
+    w = _wrap_weights(bb, trainable=False)
+    preds: list[int] = []
+    for lo in range(0, len(dataset), PREDICT_CHUNK):
+        chunk = [ex.tokens for ex in dataset[lo:lo + PREDICT_CHUNK]]
+        logits = forward_batch(bb, prompt, chunk, weight_nodes=w)
+        preds += [int(np.argmax(row)) for row in logits.value]
+    return preds
 
 
 # --- pretraining ----------------------------------------------------------------
@@ -238,6 +274,9 @@ def _mlm_loss(bb: FrozenBackbone, w: dict[str, ag.Node], batch, positions) -> ag
         parts.append(ag.embedding_lookup(w["tok_emb"], ids))
         bounds.append((offset, offset + len(ids)))
         offset += len(ids)
+    # Every row runs through the last block, though only the masked one is
+    # read: with trainable weights, dropping the rest would change the order
+    # of the weight-gradient sums and so the pretrained bytes.
     h = _encode(bb.cfg, w, ag.concat_rows(*parts), bounds)
     picked = ag.concat_rows(*[ag.mean_pool(h, a + pos, a + pos + 1)
                               for (a, _), pos in zip(bounds, positions)])

@@ -679,7 +679,8 @@ def _load_best_cell(out: str, seed: int) -> tuple[PromptBank, float, float]:
         raise DataError(f"best cell {best_path}: no {missing.args[0]} line") from None
 
 
-def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[MetricsRecord]:
+def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
+                  jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """Ablation arms over all configured seeds, with a median per arm.
 
     vanilla reuses (or builds) stage-1; every other arm needs stage-1, and
@@ -751,7 +752,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS, jobs: int = 1) -> list[Me
 
 
 def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "transfer"),
-                 jobs: int = 1) -> list[MetricsRecord]:
+                 jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """Initialize the target prompt from a source checkpoint and either tune
     (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
     if not variants:

@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, gradient comparison,
-full-row attention as the reference for ``attention_blocks``, per-cell
+full-row attention as the reference for ``attention_blocks``, the full-row
+encoder as the reference for ``forward_batch`` and ``batch_loss``, per-cell
 rescoring as the reference for ``hierarchical_prune``, and readers of
 (gamma, zeta) selection masks."""
 
@@ -7,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from xprompt import autograd as ag
+from xprompt import backbone as bbm
 from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
@@ -92,6 +95,44 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
                     k._grad[:, sl] += (ds.T @ q.value[:, sl]) * scale
         out._backprop = backprop
     return out
+
+
+def forward_batch_full_rows(bb, prompt_rows, sequences):
+    """forward_batch with every block, the last one too, run on every packed
+    row; the logits then pool each sequence's non-prompt rows."""
+    cfg = bb.cfg
+    w = bbm._wrap_weights(bb, trainable=False)
+    m = 0 if prompt_rows is None else prompt_rows.rows
+    parts, bounds, pos_ids, live = [], [], [], []
+    for seq in sequences:
+        if m > 0:
+            parts.append(prompt_rows)
+        parts.append(ag.embedding_lookup(w["tok_emb"], seq))
+        start = bounds[-1][1] if bounds else 0
+        bounds.append((start, start + m + len(seq)))
+        pos_ids += [0] * m + list(range(len(seq)))
+        live += [0.0] * m + [1.0] * len(seq)
+    pos = ag.embedding_lookup(w["pos_emb"], pos_ids)
+    if m > 0:
+        pos = ag.rowwise_scale(pos, ag.constant(np.array(live)[:, None]))
+    h = ag.add(ag.concat_rows(*parts), pos)
+    for i in range(cfg.layers):
+        att = ag.attention_blocks(ag.matmul(h, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
+                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, bounds)
+        h = ag.layer_norm(ag.add(h, ag.matmul(att, w[f"l{i}.wo"])),
+                          w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
+        f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
+        f = ag.bias_add(ag.matmul(ag.gelu(f), w[f"l{i}.w2"]), w[f"l{i}.b2"])
+        h = ag.layer_norm(ag.add(h, f), w[f"l{i}.ln2_g"], w[f"l{i}.ln2_b"])
+    pooled = ag.concat_rows(*[ag.mean_pool(h, a + m, b) for a, b in bounds])
+    return ag.matmul(pooled, w["head"])
+
+
+def batch_loss_full_rows(bank, bb, batch):
+    """batch_loss through forward_batch_full_rows."""
+    g = bank.graph()
+    logits = forward_batch_full_rows(bb, g.output, [ex.tokens for ex in batch])
+    return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]), g
 
 
 def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,

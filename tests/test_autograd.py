@@ -283,6 +283,50 @@ def test_fd_attention_blocks():
         _fd_case(build, [(7, 6), (7, 6), (7, 6)], seed)
 
 
+def test_fd_attention_blocks_query_rows():
+    # queries from rows 1-2 of the first block and rows 5-6 of the second;
+    # keys and values from every row
+    bounds = [(0, 3), (3, 7)]
+    queries = [(1, 3), (5, 7)]
+
+    def build(q, k, v, x):
+        h = ag.attention_blocks(q, k, v, heads=2, bounds=bounds, queries=queries)
+        h = ag.add(h, ag.take_rows(x, queries))
+        return ag.softmax_cross_entropy(ag.mean_pool(h), [3])
+    for seed in range(5):
+        _fd_case(build, [(4, 6), (7, 6), (7, 6), (7, 6)], seed)
+
+
+def test_attention_blocks_query_rows_match_full_rows():
+    # the output rows of a query range are the same rows of full attention
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.normal(size=(7, 8)) for _ in range(3))
+    bounds = [(0, 4), (4, 7)]
+    queries = [(2, 4), (4, 7)]
+    full = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, bounds)
+    rows = ag.take_rows(ag.leaf(q), queries)
+    part = ag.attention_blocks(rows, ag.leaf(k), ag.leaf(v), 2, bounds, queries)
+    assert np.array_equal(part.value, full.value[[2, 3, 4, 5, 6]])
+
+
+def test_attention_blocks_rejects_bad_query_rows():
+    kv = ag.leaf(np.zeros((6, 4)))
+    bounds = [(0, 3), (3, 6)]
+    for bad in ([(1, 3)], [(0, 4), (4, 6)], [(2, 2), (3, 6)], [(1, 3), (2, 6)]):
+        rows = sum(b - a for a, b in bad)
+        with pytest.raises(ShapeError):
+            ag.attention_blocks(ag.leaf(np.zeros((max(rows, 1), 4))), kv, kv, 2, bounds, bad)
+    with pytest.raises(ShapeError, match="cover 4 rows, q has 5"):
+        ag.attention_blocks(ag.leaf(np.zeros((5, 4))), kv, kv, 2, bounds, [(1, 3), (4, 6)])
+
+
+def test_take_rows_rejects_unordered_or_overlapping_spans():
+    x = ag.leaf(np.zeros((6, 2)))
+    for bad in ([(3, 5), (0, 2)], [(0, 3), (2, 4)], [(1, 1)], [(4, 7)]):
+        with pytest.raises(ShapeError):
+            ag.take_rows(x, bad)
+
+
 def test_attention_blocks_match_separate_attention():
     # each block must behave exactly like standalone attention on its slice
     rng = np.random.default_rng(8)

@@ -1,15 +1,20 @@
 """Backbone init, pretraining, freezing, prompted forward, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xprompt import autograd as ag
 from xprompt import backbone as bbm
 from xprompt import checkpoint as ckpt
+from xprompt import tasks
 from xprompt.errors import ConfigError, DataError, StateError
+from xprompt.prompt import InitStrategy, batch_loss, init_prompt
 
 from conftest import MICRO_CFG
-from support import central_diff, max_rel_err
+from support import (batch_loss_full_rows, central_diff, forward_batch_full_rows,
+                     max_rel_err)
 
 
 def test_init_same_config_bitwise_identical():
@@ -130,6 +135,74 @@ def test_pooling_covers_only_input_positions(raw_micro_backbone):
     a = bbm.forward_batch(raw_micro_backbone, prompt, [[2, 3, 4]])
     b = bbm.forward_batch(raw_micro_backbone, prompt, [[2, 3, 5]])
     assert not np.array_equal(a.value, b.value)
+
+
+# --- the last block runs on pooled rows only -----------------------------------------
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["layers1", "layers2"])
+def oracle_case(request, micro_data):
+    """A pretrained 1- or 2-layer micro backbone and a bank with a dead
+    token and a dead piece."""
+    bb = bbm.init_backbone(dataclasses.replace(MICRO_CFG, layers=request.param))
+    bbm.pretrain(bb, tasks.pretrain_corpus(micro_data["train"]), steps=30, lr=1e-2)
+    bank = init_prompt(6, MICRO_CFG.embed_dim, 4, InitStrategy(seed=4), bb)
+    bank.p += np.random.default_rng(4).normal(scale=0.3, size=bank.p.shape)
+    bank.token_mask[1] = 0.0
+    bank.piece_mask[3, 2] = 0.0
+    return bb, bank
+
+
+def _same_loss_and_grads(bank, bb, batch):
+    loss, g = batch_loss(bank, bb, batch)
+    ag.backward(loss)
+    ref, g_ref = batch_loss_full_rows(bank, bb, batch)
+    ag.backward(ref)
+    got = [loss.node.value] + [n.grad for n in (g.prompt, g.token_mask, g.piece_mask)]
+    want = [ref.node.value] + [n.grad for n in (g_ref.prompt, g_ref.token_mask,
+                                                g_ref.piece_mask)]
+    return got, want
+
+
+@pytest.mark.parametrize("size", [16, 1], ids=["mixed_lengths", "one_sequence"])
+def test_restricted_last_block_is_bitwise_the_full_row_encoder(oracle_case, micro_data, size):
+    bb, bank = oracle_case
+    batch = micro_data["train"][:size]
+    seqs = [ex.tokens for ex in batch]
+    assert size == 1 or len({len(s) for s in seqs}) > 1
+    for prompt_rows in (None, ag.constant(bank.effective_values())):
+        got = bbm.forward_batch(bb, prompt_rows, seqs).value
+        assert got.tobytes() == forward_batch_full_rows(bb, prompt_rows, seqs).value.tobytes()
+    got, want = _same_loss_and_grads(bank, bb, batch)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    # the dead token and the dead piece get no prompt gradient, yet gamma does
+    assert not want[1][1].any() and not want[1][3, 8:12].any() and want[2][1].any()
+
+
+def test_restricted_last_block_small_packs_agree_to_rounding(oracle_case, micro_data):
+    """Packs of a few sequences can land on different BLAS kernels at the
+    restricted and the full row count (OpenBLAS has separate small-matrix
+    kernels for products with a transposed operand), which may change the
+    last bits of a gradient; the values still agree to rounding."""
+    bb, bank = oracle_case
+    for size in range(2, 9):
+        got, want = _same_loss_and_grads(bank, bb, micro_data["train"][:size])
+        for a, b in zip(got, want):
+            assert max_rel_err(a, b) <= 1e-12
+
+
+def test_predict_chunks_give_the_logits_of_one_pack(oracle_case, micro_data):
+    bb, bank = oracle_case
+    prompt = ag.constant(bank.effective_values())
+    seqs = [ex.tokens for ex in micro_data["dev"]]
+    n = bbm.PREDICT_CHUNK
+    assert len(seqs) > n
+    one_pack = bbm.forward_batch(bb, prompt, seqs).value
+    chunks = [bbm.forward_batch(bb, prompt, seqs[lo:lo + n]).value
+              for lo in range(0, len(seqs), n)]
+    assert np.concatenate(chunks).tobytes() == one_pack.tobytes()
+    assert bbm.predict(bb, bank.effective_values(), micro_data["dev"]) == [
+        int(np.argmax(row)) for row in one_pack]
 
 
 def test_backbone_checkpoint_round_trip(tmp_path, micro_backbone):

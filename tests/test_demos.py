@@ -12,6 +12,8 @@ import glob
 import importlib
 import inspect
 import os
+import sys
+import types
 
 import pytest
 
@@ -23,19 +25,36 @@ def parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
+MISSING = object()
+
+
+def import_from(module, name):
+    """What ``from module import name`` binds: the attribute, else the
+    submodule module.name, as Python falls back to; MISSING when neither
+    exists."""
+    source = importlib.import_module(module)
+    if hasattr(source, name):
+        return getattr(source, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{module}.{name}":
+            raise
+        return MISSING
+
+
 def xprompt_imports(tree):
     """(local name -> xprompt module, local name -> other xprompt object,
     imported names xprompt lacks)."""
     modules, objects, missing = {}, {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xprompt"):
-            source = importlib.import_module(node.module)
             for alias in node.names:
-                if not hasattr(source, alias.name):
+                obj = import_from(node.module, alias.name)
+                if obj is MISSING:
                     missing.append(f"{node.module}.{alias.name}")
                     continue
-                obj = getattr(source, alias.name)
-                kind = modules if isinstance(obj, type(source)) else objects
+                kind = modules if isinstance(obj, types.ModuleType) else objects
                 kind[alias.asname or alias.name] = obj
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -100,6 +119,19 @@ def test_demo_writes_only_temporary_directories(path):
               or (isinstance(node, ast.Name) and node.id == "mkdtemp")):
             leaks.append(f"line {node.lineno}: mkdtemp")
     assert not leaks, f"{os.path.basename(path)} leaves files behind: {leaks}"
+
+
+def test_from_import_falls_back_to_submodules(monkeypatch):
+    """``from xprompt import cli`` resolves even when nothing imported
+    xprompt.cli before, and a name that is neither attribute nor submodule
+    is still reported."""
+    import xprompt
+    monkeypatch.delitem(sys.modules, "xprompt.cli", raising=False)
+    monkeypatch.delattr(xprompt, "cli", raising=False)
+    modules, _, missing = xprompt_imports(ast.parse(
+        "from xprompt import cli\nfrom xprompt import no_such_name\n"))
+    assert modules["cli"].__name__ == "xprompt.cli"
+    assert missing == ["xprompt.no_such_name"]
 
 
 def test_every_demo_is_checked():

@@ -462,10 +462,10 @@ def test_baselines_load_each_checkpoint_once(pipe_run, tmp_path, monkeypatch):
         return load(dirpath)
 
     monkeypatch.setattr(checkpoint, "load_prompt", counting)
-    brecs = hz.run_baselines(cfg)
+    brecs = hz.run_baselines(cfg, jobs=1)
     assert sorted(loaded) == [os.path.join(f"seed{seed}", stage)
                               for seed in (1, 2) for stage in ("prune", "stage1")]
-    again = hz.run_baselines(cfg, which=("length",))
+    again = hz.run_baselines(cfg, which=("length",), jobs=1)
     assert again == [r for r in brecs if r.stage == "length"]
     assert all(0.0 <= r.dev_acc <= 1.0 for r in again)
 
@@ -501,7 +501,7 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
         return tune(*args, **kwargs)
 
     monkeypatch.setattr(hz, "tune", counting)
-    trecs = hz.run_transfer(cfg, os.path.join(copy, "seed1", "prune"))
+    trecs = hz.run_transfer(cfg, os.path.join(copy, "seed1", "prune"), jobs=1)
     assert seeds == [1, 2]
     assert [(r.stage, r.seed) for r in trecs] == [
         ("transfer_o", 1), ("transfer", 1), ("transfer_o", 2), ("transfer", 2)]
