@@ -37,7 +37,7 @@ cfg = RunConfig.from_file(cfg_path).with_overrides(
 )
 with open(cfg_path, "w") as fh:
     fh.write(cfg.to_text())
-print(f"demo config hash {cfg.config_hash()[:16]} (stable under renames of run.out)")
+print(f"demo config hash {cfg.config_hash()[:16]} (stable under changes of run.out and run.seeds)")
 
 # --- the pipeline: one command, resumable, deterministic -----------------------------
 

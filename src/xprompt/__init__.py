@@ -11,7 +11,9 @@ any submodule imports numpy. ``xprompt.cli`` is not imported eagerly, so
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+from .util import BLAS_THREAD_VARS
+
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

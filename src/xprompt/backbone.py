@@ -26,7 +26,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError, DataError, StateError
 from .optim import Adam
-from .util import sha256_hex, stable_seed
+from .util import stable_seed
 
 log = logging.getLogger("xprompt.backbone")
 
@@ -93,13 +93,6 @@ class FrozenBackbone:
     weights: dict[str, np.ndarray]
     frozen: bool = False
     pretrain_losses: list[float] = field(default_factory=list)
-
-    def weight_hash(self) -> str:
-        h = []
-        for name in sorted(self.weights):
-            h.append(name.encode())
-            h.append(np.ascontiguousarray(self.weights[name], dtype="<f8").tobytes())
-        return sha256_hex(b"".join(h))
 
     def freeze(self) -> None:
         for arr in self.weights.values():

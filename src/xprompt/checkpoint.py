@@ -4,7 +4,8 @@ A checkpoint is a directory holding ``manifest.txt`` (key-value lines,
 human-inspectable; masks stored inline as 0/1 arrays) and one ``.bin`` file
 per matrix (little-endian float64, row-major). Blob hashes live in the
 manifest, so corruption and mixed-up files fail loudly; float64 bytes make
-round trips bitwise exact.
+round trips bitwise exact. The savers append the caller's provenance lines
+(see harness.RunDir) to the manifest; the loaders ignore them.
 """
 
 from __future__ import annotations
@@ -56,18 +57,13 @@ def _read_manifest(dirpath: str, fmt: str) -> list[tuple[str, str]]:
     if not os.path.exists(path):
         raise DataError(f"checkpoint manifest missing: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        entries = [_split_entry(line) for line in fh.read().split("\n")
+        entries = [tuple(line.partition(" ")[::2]) for line in fh.read().split("\n")
                    if line and not line.startswith("#")]
     found = dict(entries).get("format")
     if found != fmt:
         raise DataError(f"unrecognized checkpoint format {found!r} in {path}; "
                         f"wanted {fmt!r}")
     return entries
-
-
-def _split_entry(text: str) -> tuple[str, str]:
-    key, _, val = text.partition(" ")
-    return key, val
 
 
 def _field(dirpath: str, fields: dict[str, str], key: str, parse=str):
@@ -89,7 +85,7 @@ def _mask_row(dirpath: str, what: str, text: str | None, width: int) -> list[flo
 # --- backbone -------------------------------------------------------------------
 
 
-def save_backbone(bb: FrozenBackbone, dirpath: str) -> None:
+def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> None:
     os.makedirs(dirpath, exist_ok=True)
     lines = [f"format {BACKBONE_FORMAT}"]
     cfg = bb.cfg
@@ -100,6 +96,7 @@ def save_backbone(bb: FrozenBackbone, dirpath: str) -> None:
         arr = bb.weights[name]
         digest = _write_blob(dirpath, name, arr)
         lines.append(f"weight {name} {arr.shape[0]} {arr.shape[1]} {digest}")
+    lines.extend(provenance)
     write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
 
 
@@ -125,7 +122,7 @@ def load_backbone(dirpath: str) -> FrozenBackbone:
 # --- prompt bank ------------------------------------------------------------------
 
 
-def save_prompt(bank, dirpath: str, stage: str) -> None:
+def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
     """Persist P_e (and the snapshot, if taken) plus masks as 0/1 text."""
     os.makedirs(dirpath, exist_ok=True)
     m, e = bank.p.shape
@@ -142,6 +139,7 @@ def save_prompt(bank, dirpath: str, stage: str) -> None:
     lines.append(f"blob p_e {_write_blob(dirpath, 'p_e', bank.p)}")
     if bank.snapshot is not None:
         lines.append(f"blob snapshot {_write_blob(dirpath, 'snapshot', bank.snapshot)}")
+    lines.extend(provenance)
     write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
 
 
@@ -153,11 +151,11 @@ def load_prompt(dirpath: str):
     m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))
     if min(m, e, k) < 1 or e % k != 0:
         raise DataError(f"checkpoint manifest in {dirpath}: bad geometry m={m}, e={e}, k={k}")
-    blobs = dict(_split_entry(val) for key, val in entries if key == "blob")
+    blobs = dict(val.partition(" ")[::2] for key, val in entries if key == "blob")
     p = _read_blob(dirpath, "p_e", (m, e), blobs.get("p_e"))
     token_mask = np.array(_mask_row(dirpath, "token_mask",
                                     _field(dirpath, fields, "token_mask"), m))
-    rows = dict(_split_entry(val) for key, val in entries if key == "piece_mask")
+    rows = dict(val.partition(" ")[::2] for key, val in entries if key == "piece_mask")
     piece_mask = np.array([_mask_row(dirpath, f"piece_mask row {i}", rows.get(str(i)), k)
                            for i in range(m)])
     bank = PromptBank(p=p, token_mask=token_mask, piece_mask=piece_mask, k=k)

@@ -3,8 +3,12 @@
 Subcommands compose the pipeline: pretrain and tune stop behind their
 stage, prune requires an existing stage-1 checkpoint, pipeline runs
 everything through the report, and baselines/transfer/report build on a
-finished run. Exit codes: 0 success, 2 config error, 3 data error, 4 stage
-failure. XPROMPT_LOG sets the logging level.
+finished run. Every subcommand checks the run directory before any work
+(see harness.RunDir). Exit codes: 0 success; 2 config error, including a
+run directory whose config.txt holds another config; 3 data error,
+including a missing input and a stale fragment, one whose recorded parent
+no longer matches the run directory's; 4 stage failure. XPROMPT_LOG sets
+the logging level.
 """
 
 from __future__ import annotations
@@ -16,25 +20,25 @@ import sys
 
 from .errors import ConfigError, DataError, ShapeError, StageError, StateError
 from .harness import (BASELINE_ARMS, DEFAULT_JOBS, RunConfig, collect_report,
-                      run_baselines, run_pipeline, run_transfer, stage_done)
-
-log = logging.getLogger("xprompt.cli")
+                      run_baselines, run_pipeline, run_transfer)
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("XPROMPT_LOG", "").upper()
-    level = getattr(logging, level_name, None) if level_name else logging.WARNING
-    if not isinstance(level, int):
-        level = logging.INFO
-    logging.basicConfig(level=level,
+    level = getattr(logging, os.environ.get("XPROMPT_LOG", "").upper() or "WARNING", None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.INFO,
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="run config file (defaults used if omitted)")
-    sub.add_argument("--seed", type=int, help="override run.seeds with a single seed")
+    sub.add_argument("--seed", type=int,
+                     help="override run.seeds with a single seed; the run hash leaves "
+                          "out run.seeds, so a per-seed command works on a multi-seed run "
+                          "and reuses that seed's fragments")
     sub.add_argument("--resume", action="store_true",
-                     help="reuse completed stage checkpoints in the output directory")
+                     help="reuse the finished fragments of the stages this command builds "
+                          "once their provenance checks, rather than rebuild them; prune "
+                          "always reuses stage 1; baselines, transfer, report what they find")
     sub.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
                      help="worker processes for per-seed stages; results do not "
                           f"depend on it (default {DEFAULT_JOBS}, one per usable CPU)")
@@ -78,21 +82,17 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# the pipeline stages each building subcommand runs: (start, stop_after)
+PIPELINE_STAGES = {"pretrain": ("backbone", "backbone"), "tune": ("backbone", "stage1"),
+                   "prune": ("prune", "prune"), "pipeline": ("backbone", None)}
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    if args.command == "pretrain":
-        run_pipeline(cfg, resume=args.resume, stop_after="backbone", jobs=args.jobs)
-    elif args.command == "tune":
-        run_pipeline(cfg, resume=args.resume, stop_after="stage1", jobs=args.jobs)
-    elif args.command == "prune":
-        for seed in cfg["run.seeds"]:
-            stage_dir = os.path.join(cfg["run.out"], f"seed{seed}", "stage1")
-            if not stage_done(stage_dir):
-                raise DataError(f"stage-1 checkpoint missing for seed {seed}; "
-                                f"run tune first: {stage_dir}")
-        run_pipeline(cfg, resume=True, stop_after="prune", jobs=args.jobs)
-    elif args.command == "pipeline":
-        run_pipeline(cfg, resume=args.resume, jobs=args.jobs)
+    if args.command in PIPELINE_STAGES:
+        start, stop_after = PIPELINE_STAGES[args.command]
+        run_pipeline(cfg, resume=args.resume, stop_after=stop_after, jobs=args.jobs,
+                     start=start)
     elif args.command == "baselines":
         which = tuple(w.strip() for w in args.which.split(",") if w.strip())
         run_baselines(cfg, which=which, jobs=args.jobs)

@@ -3,9 +3,30 @@
 A run is described by a flat key-value config file with dotted section
 names. The pipeline stages (backbone, stage1, prune) each persist a
 checkpoint plus a deterministic metrics fragment, so an interrupted run
-resumes from the last completed stage and reproduces the uninterrupted
+resumes from the last finished stage and reproduces the uninterrupted
 metrics file byte for byte. Wall-clock times appear only in the human
 report, never in metrics.
+
+The run directory (run.out) has one owner, RunDir. It holds config.txt,
+backbone/, seed<N>/stage1/ and seed<N>/prune/ (the fragments: a checkpoint
+and, but for the backbone, records.tsv; prune adds best.txt and
+saliency.txt), and the merged metrics.tsv, report.txt, baselines.tsv,
+baseline_medians.tsv and transfer.tsv. Each fragment's manifest.txt ends in
+three provenance lines: ``run_hash``, the config hash, which leaves out
+run.out and run.seeds since neither changes what a fragment holds;
+``parent``, the sha256 of the parent's manifest.txt (the backbone's for
+stage 1, stage 1's for prune, ``none`` for the backbone); and
+``blas_threads``, the BLAS thread variables in effect, recorded, not
+checked. Every command opens the directory before any work and refuses:
+
+- with a ConfigError (exit 2) when config.txt holds another run hash, with
+  or without resume; config.txt is written once and never overwritten;
+- with a DataError (exit 3), naming the fragment as stale, when a fragment
+  it reuses lacks provenance, has another run hash or a parent digest that
+  no longer matches, checked up to the backbone; and with a DataError when
+  a fragment it builds on but cannot build is missing. Fragments it
+  rebuilds are not checked; a rebuild that changes bytes leaves their
+  children stale.
 
 Per-seed stages (stage 1, prune, the baseline arms and the transfer arms)
 run in forked worker processes, one seed per task, when jobs > 1. Each
@@ -15,7 +36,6 @@ every file in the run directory is the same for any jobs.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 import time
@@ -34,9 +54,7 @@ from .prompt import InitStrategy, PromptBank, init_prompt, tune
 from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
                       baseline_negative_masking, hierarchical_prune, kept_params)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
-from .util import sha256_hex, stable_seed, write_text_atomic
-
-log = logging.getLogger("xprompt.harness")
+from .util import BLAS_THREAD_VARS, sha256_hex, stable_seed, write_text_atomic
 
 STAGES = ("backbone", "stage1", "prune")
 BASELINE_ARMS = ("vanilla", "negative", "random", "reversed", "length")
@@ -90,20 +108,16 @@ _TYPES = {key: kind for key, kind, _ in SCHEMA}
 _DEFAULTS = {key: default for key, _, default in SCHEMA}
 
 
+_PARSERS = {"int": int, "float": float, "str": str,
+            "ints": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+            "floats": lambda raw: tuple(float(v) for v in raw.split(",") if v.strip())}
+
+
 def _coerce(key: str, raw: str):
-    kind = _TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        return raw
+        return _PARSERS[_TYPES[key]](raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from exc
+        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {_TYPES[key]}") from exc
 
 
 def _render(key: str, value) -> str:
@@ -165,8 +179,9 @@ class RunConfig:
                          for key, _, _ in SCHEMA) + "\n"
 
     def config_hash(self) -> str:
+        """The run hash: every key but run.out and run.seeds."""
         lines = [f"{key} = {_render(key, self.values[key])}"
-                 for key, _, _ in SCHEMA if key != "run.out"]
+                 for key, _, _ in SCHEMA if key not in ("run.out", "run.seeds")]
         return sha256_hex("\n".join(lines).encode())
 
     # --- composition into module objects ---
@@ -289,14 +304,12 @@ def _write_records(path: str, records: list[MetricsRecord]) -> None:
 
 
 def _read_records(path: str) -> list[MetricsRecord]:
-    if not os.path.exists(path):
-        raise DataError(f"metrics fragment missing: {path}")
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
+        header, *lines = fh.read().splitlines() or [""]
+    if header != METRICS_HEADER:
         raise DataError(f"metrics fragment {path} has a bad header")
-    for lineno, line in enumerate(lines[1:], start=2):
+    records = []
+    for lineno, line in enumerate(lines, start=2):
         try:
             stage, seed, acc, ktok, kpar, pct = line.split("\t")
             float(pct)  # copied verbatim, but must still be a number
@@ -372,11 +385,9 @@ def merge_saliency_report(cell: CellResult) -> ImportanceReport:
 def load_splits(cfg: RunConfig) -> dict[str, tuple]:
     v = cfg.values
     if v["task.train_path"]:
-        train = tasks.load_jsonl(v["task.train_path"], v["backbone.vocab_size"],
-                                 v["backbone.num_classes"])
-        dev = tasks.load_jsonl(v["task.dev_path"], v["backbone.vocab_size"],
-                               v["backbone.num_classes"])
-        data = {"train": tuple(train), "dev": tuple(dev)}
+        data = {split: tasks.load_jsonl(v[f"task.{split}_path"], v["backbone.vocab_size"],
+                                        v["backbone.num_classes"])
+                for split in ("train", "dev")}
     else:
         data = tasks.generate(cfg.task_spec())
     if v["task.shots"]:
@@ -433,84 +444,144 @@ def _prune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data,
                               batch_size=cfg["tune.batch_size"], seed=seed)
 
 
-def _seed_dir(out: str, seed: int, stage: str) -> str:
-    return os.path.join(out, f"seed{seed}", stage)
+# --- run directory --------------------------------------------------------------
+
+PARENT = {"backbone": None, "stage1": "backbone", "prune": "stage1"}
+BUILT_BY = {"backbone": "pretrain", "stage1": "tune", "prune": "prune"}
 
 
-def stage_done(dirpath: str) -> bool:
-    return (os.path.exists(os.path.join(dirpath, "manifest.txt"))
-            and os.path.exists(os.path.join(dirpath, "records.tsv")))
+class RunDir:
+    """cfg's run directory, opened for one command (see the module docstring).
+    The command loads the fragments of the stages in need, which must be
+    finished for every seed, and the finished ones in reuse; it builds the rest."""
+
+    def __init__(self, cfg: RunConfig, need=(), reuse=()):
+        cfg.validate()
+        self.cfg, self.out, self.run_hash = cfg, cfg["run.out"], cfg.config_hash()
+        self.reuse = {*need, *reuse}
+        cfg_path = self.path("config.txt")
+        theirs = (RunConfig.from_file(cfg_path).config_hash()
+                  if os.path.exists(cfg_path) else None)
+        if theirs not in (None, self.run_hash):
+            raise ConfigError(f"{cfg_path} holds another config (run hash {theirs[:12]}, "
+                              f"not {self.run_hash[:12]}); refused, use another run.out")
+        for stage in [*reversed(need), *reuse]:
+            for seed in self.cfg["run.seeds"]:
+                if self.finished(stage, seed):
+                    self._verify(stage, seed)
+                elif stage in need:
+                    raise DataError(f"{stage.replace('stage1', 'stage-1')} checkpoint missing "
+                                    f"for seed {seed}; run {BUILT_BY[stage]} first: "
+                                    f"{os.path.dirname(self._file(stage, seed))}")
+        os.makedirs(self.out, exist_ok=True)
+        if theirs is None:
+            write_text_atomic(cfg_path, cfg.to_text())
+
+    def path(self, *names: str, seed: int | None = None) -> str:
+        """out/names..., or out/seed<seed>/names... for a per-seed stage."""
+        return os.path.join(self.out, *([] if seed is None else [f"seed{seed}"]), *names)
+
+    def _file(self, stage: str, seed: int | None, name: str = "manifest.txt") -> str:
+        """A file of the fragment of stage for seed; the backbone is every seed's."""
+        return self.path(stage, name, seed=None if PARENT[stage] is None else seed)
+
+    def finished(self, stage: str, seed: int | None = None) -> bool:
+        names = ["manifest.txt"] + (["records.tsv"] if PARENT[stage] else [])
+        return all(os.path.exists(self._file(stage, seed, name)) for name in names)
+
+    def _parent_digest(self, stage: str, seed: int | None) -> str:
+        if PARENT[stage] is None:
+            return "none"
+        with open(self._file(PARENT[stage], seed), "rb") as fh:
+            return sha256_hex(fh.read())
+
+    def provenance(self, stage: str, seed: int | None = None) -> list[str]:
+        """The provenance lines of the fragment of stage for seed, as of now."""
+        threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+        return [f"run_hash {self.run_hash}", f"parent {self._parent_digest(stage, seed)}",
+                f"blas_threads {threads}"]
+
+    def _verify(self, stage: str, seed: int | None) -> None:
+        """Raise a DataError naming the finished fragment as stale unless its
+        provenance holds, and its parent's, up to the backbone."""
+        with open(self._file(stage, seed), encoding="utf-8", errors="replace") as fh:
+            fields = dict(line.partition(" ")[::2] for line in fh.read().splitlines())
+        parent = PARENT[stage]
+        if not {"run_hash", "parent", "blas_threads"} <= fields.keys():
+            reason = "its manifest has no provenance lines"
+        elif fields["run_hash"] != self.run_hash:
+            reason = "it was built under another run hash"
+        elif parent is not None and not self.finished(parent, seed):
+            reason = f"its parent {parent} is missing or unfinished"
+        elif fields["parent"] != self._parent_digest(stage, seed):
+            reason = f"its parent {parent} changed after it was built"
+        else:
+            return None if parent is None else self._verify(parent, seed)
+        name = os.path.relpath(os.path.dirname(self._file(stage, seed)), self.out)
+        raise DataError(f"stale fragment {name} in {self.out}: {reason}; remove it or "
+                        "rebuild it without resume")
 
 
-def _check_resume_config(cfg: RunConfig, out: str, resume: bool) -> None:
-    cfg_path = os.path.join(out, "config.txt")
-    if resume and os.path.exists(cfg_path):
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            if RunConfig.from_text(fh.read()).config_hash() != cfg.config_hash():
-                raise ConfigError(
-                    "resume refused: config does not match the one in the run directory")
-    write_text_atomic(cfg_path, cfg.to_text())
-
-
-def ensure_backbone(cfg: RunConfig, out: str, train, resume: bool = True,
-                    wall: dict[str, float] | None = None) -> FrozenBackbone:
+def ensure_backbone(rd: RunDir, train) -> FrozenBackbone:
     """Load the run's backbone checkpoint or pretrain and save it."""
-    bb_dir = os.path.join(out, "backbone")
-    if resume and os.path.exists(os.path.join(bb_dir, "manifest.txt")):
-        bb = checkpoint.load_backbone(bb_dir)
+    cfg = rd.cfg
+    if "backbone" in rd.reuse and rd.finished("backbone"):
+        bb = checkpoint.load_backbone(rd.path("backbone"))
         if bb.cfg != cfg.backbone_config():
             raise ConfigError("backbone checkpoint does not match backbone config")
         return bb
-    t0 = time.monotonic()
     with _stage("backbone"):
         bb = init_backbone(cfg.backbone_config())
         pretrain(bb, build_corpus(cfg, train), cfg["pretrain.steps"], cfg["pretrain.lr"])
-        checkpoint.save_backbone(bb, bb_dir)
-    if wall is not None:
-        wall["backbone"] = time.monotonic() - t0
+        checkpoint.save_backbone(bb, rd.path("backbone"), rd.provenance("backbone"))
     return bb
 
 
-def _run_stage1(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
-                resume: bool) -> tuple[PromptBank, MetricsRecord]:
-    stage_dir = _seed_dir(out, seed, "stage1")
-    if resume and stage_done(stage_dir):
-        return _load_stage1(out, seed)
-    v = cfg.values
+def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
+                seed: int) -> tuple[PromptBank, MetricsRecord]:
+    path = rd.path("stage1", seed=seed)
+    if "stage1" in rd.reuse and rd.finished("stage1", seed):
+        bank, _ = checkpoint.load_prompt(path)
+        return bank, _read_records(rd.path("stage1", "records.tsv", seed=seed))[0]
+    v = rd.cfg.values
     with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"],
-                           cfg.init_strategy(seed), bb)
-        res = _tune(cfg, bank, bb, data, seed)
+                           rd.cfg.init_strategy(seed), bb)
+        res = _tune(rd.cfg, bank, bb, data, seed)
         bank.take_snapshot()
-        checkpoint.save_prompt(bank, stage_dir, "stage1")
+        checkpoint.save_prompt(bank, path, "stage1", rd.provenance("stage1", seed))
         record = _record("stage1", seed, res.best_dev_acc,
                          (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
-        _write_records(os.path.join(stage_dir, "records.tsv"), [record])
+        _write_records(rd.path("stage1", "records.tsv", seed=seed), [record])
     return bank, record
 
 
-def _run_prune(cfg: RunConfig, out: str, bb: FrozenBackbone, data, seed: int,
-               bank: PromptBank, resume: bool) -> list[MetricsRecord]:
-    stage_dir = _seed_dir(out, seed, "prune")
-    records_path = os.path.join(stage_dir, "records.tsv")
-    if resume and stage_done(stage_dir):
-        return _read_records(records_path)
-    e = cfg["backbone.embed_dim"]
+def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
+               bank: PromptBank) -> list[MetricsRecord]:
+    if "prune" in rd.reuse and rd.finished("prune", seed):
+        return _read_records(rd.path("prune", "records.tsv", seed=seed))
+    e = rd.cfg["backbone.embed_dim"]
     with _stage("prune"):
-        result = _prune(cfg, bank, bb, data, cfg.schedule(), seed)
+        result = _prune(rd.cfg, bank, bb, data, rd.cfg.schedule(), seed)
         records = [_record(f"cell[{cell.token_ratio!r},{cell.piece_ratio!r}]", seed,
                            cell.dev_acc, cell.selection, e)
                    for cell in result.cells]
         best = result.best
         records.append(_record("final", seed, best.dev_acc, best.selection, e))
-        checkpoint.save_prompt(bank, stage_dir, "final")
-        write_text_atomic(os.path.join(stage_dir, "best.txt"),
+        checkpoint.save_prompt(bank, rd.path("prune", seed=seed), "final",
+                               rd.provenance("prune", seed))
+        write_text_atomic(rd.path("prune", "best.txt", seed=seed),
                           f"token_ratio = {best.token_ratio!r}\n"
                           f"piece_ratio = {best.piece_ratio!r}\n")
         export_saliency(merge_saliency_report(best), best.selection,
-                        os.path.join(stage_dir, "saliency.txt"))
-        _write_records(records_path, records)
+                        rd.path("prune", "saliency.txt", seed=seed))
+        _write_records(rd.path("prune", "records.tsv", seed=seed), records)
     return records
+
+
+def _check_names(kind: str, given, allowed) -> None:
+    if not given or not set(given) <= set(allowed):
+        raise ConfigError(f"{kind} must be some of {allowed}, got {tuple(given)}")
 
 
 def _check_jobs(jobs: int) -> None:
@@ -552,131 +623,85 @@ def _map_seeds(stage: str, jobs: int, fn, seeds: list[int]) -> list:
         raise StageError(f"stage {stage} failed: a worker process died ({exc})") from exc
 
 
-def _write_report(out: str, cfg: RunConfig, records: list[MetricsRecord],
-                  wall: dict[str, float]) -> None:
-    lines = ["run report", "==========", ""]
-    lines.append(f"config hash: {cfg.config_hash()}")
-    for stage, secs in sorted(wall.items()):
-        lines.append(f"wall[{stage}]: {secs:.1f}s")
-    lines.append("")
-    lines.append(METRICS_HEADER.replace("\t", "  "))
-    for r in records:
-        lines.append(r.tsv_line().replace("\t", "  "))
-    write_text_atomic(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
+def _write_metrics(rd: RunDir, records: list[MetricsRecord], wall: dict[str, float]) -> None:
+    """metrics.tsv, and report.txt with the run hash and wall-clock times."""
+    _write_records(rd.path("metrics.tsv"), records)
+    lines = ["run report", "==========", "", f"config hash: {rd.run_hash}",
+             *(f"wall[{stage}]: {secs:.1f}s" for stage, secs in sorted(wall.items())), "",
+             *(line.replace("\t", "  ") for line in
+               [METRICS_HEADER] + [r.tsv_line() for r in records])]
+    write_text_atomic(rd.path("report.txt"), "\n".join(lines) + "\n")
 
 
 def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = None,
-                 jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
-    """pretrain-or-load -> stage-1 tune -> snapshot -> hierarchical prune ->
-    final rewound-retrained model, with metrics, checkpoints, and saliency.
+                 jobs: int = DEFAULT_JOBS, start: str = "backbone") -> list[MetricsRecord]:
+    """pretrain -> stage-1 tune -> snapshot -> hierarchical prune -> final
+    rewound-retrained model, with metrics, checkpoints, and saliency.
 
-    stop_after names a stage from STAGES to halt behind (the pretrain, tune
-    and prune subcommands); metrics.tsv and report.txt are written only by a
-    run that goes through every stage. jobs is how many seeds run at once
-    (see _map_seeds); it changes no result.
+    The call builds the stages from start through stop_after (the pretrain,
+    tune and prune subcommands) in the directory RunDir opens; metrics.tsv
+    and report.txt are written only by a run that goes through every stage.
+    jobs is how many seeds run at once (see _map_seeds); it changes no result.
     """
-    if stop_after is not None and stop_after not in STAGES:
-        raise ConfigError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
+    stages = STAGES[:STAGES.index(stop_after) + 1] if stop_after in STAGES else STAGES
+    if stop_after not in (None, *STAGES) or start not in stages:
+        raise ConfigError(f"start and stop_after must be stages of {STAGES} in order, "
+                          f"got {start!r} and {stop_after!r}")
     _check_jobs(jobs)
-    cfg.validate()
-    out = cfg["run.out"]
-    os.makedirs(out, exist_ok=True)
-    _check_resume_config(cfg, out, resume)
+    first = stages.index(start)
+    rd = RunDir(cfg, need=stages[:first], reuse=stages[first:] if resume else ())
     data = load_splits(cfg)
-    wall: dict[str, float] = {}
-
-    bb = ensure_backbone(cfg, out, data["train"], resume=resume, wall=wall)
+    t0 = time.monotonic()
+    bb = ensure_backbone(rd, data["train"])
+    wall = {"backbone": time.monotonic() - t0}
     if stop_after == "backbone":
         return []
 
-    def stage1_for(seed: int):
-        return _run_stage1(cfg, out, bb, data, seed, resume)
-
     seeds = list(cfg["run.seeds"])
     t0 = time.monotonic()
-    stage1 = dict(zip(seeds, _map_seeds("stage1", jobs, stage1_for, seeds)))
+    stage1 = _map_seeds("stage1", jobs, lambda seed: _run_stage1(rd, bb, data, seed), seeds)
     wall["stage1"] = time.monotonic() - t0
     if stop_after == "stage1":
-        return [stage1[s][1] for s in seeds]
+        return [record for _, record in stage1]
 
-    def prune_for(seed: int):
-        return _run_prune(cfg, out, bb, data, seed, stage1[seed][0], resume)
-
+    banks = dict(zip(seeds, (bank for bank, _ in stage1)))
     t0 = time.monotonic()
-    pruned = dict(zip(seeds, _map_seeds("prune", jobs, prune_for, seeds)))
+    pruned = _map_seeds("prune", jobs,
+                        lambda seed: _run_prune(rd, bb, data, seed, banks[seed]), seeds)
     wall["prune"] = time.monotonic() - t0
-
-    records: list[MetricsRecord] = []
-    for seed in seeds:
-        records.append(stage1[seed][1])
-        records.extend(pruned[seed])
+    records = [r for (_, record), recs in zip(stage1, pruned) for r in [record, *recs]]
     if stop_after == "prune":
         return records
 
-    _write_records(os.path.join(out, "metrics.tsv"), records)
-    _write_report(out, cfg, records, wall)
+    _write_metrics(rd, records, wall)
     return records
 
 
 def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
     """Regenerate metrics.tsv and report.txt from existing stage fragments."""
-    cfg.validate()
-    out = cfg["run.out"]
-    records: list[MetricsRecord] = []
-    for seed in cfg["run.seeds"]:
-        for stage in ("stage1", "prune"):
-            records.extend(_read_records(os.path.join(_seed_dir(out, seed, stage),
-                                                      "records.tsv")))
-    _write_records(os.path.join(out, "metrics.tsv"), records)
-    _write_report(out, cfg, records, wall={})
+    rd = RunDir(cfg, need=("stage1", "prune"))
+    records = [r for seed in cfg["run.seeds"] for stage in ("stage1", "prune")
+               for r in _read_records(rd.path(stage, "records.tsv", seed=seed))]
+    _write_metrics(rd, records, wall={})
     return records
 
 
 # --- baselines ----------------------------------------------------------------------
 
 
-def _open_run(cfg: RunConfig) -> tuple[str, dict[str, tuple], FrozenBackbone]:
-    """Output directory, splits and backbone of a run that builds on an
-    existing one; the backbone is pretrained if the run has none yet."""
-    cfg.validate()
-    out = cfg["run.out"]
-    os.makedirs(out, exist_ok=True)
-    data = load_splits(cfg)
-    return out, data, ensure_backbone(cfg, out, data["train"], resume=True)
-
-
-def _load_stage1(out: str, seed: int) -> tuple[PromptBank, MetricsRecord]:
-    stage_dir = _seed_dir(out, seed, "stage1")
-    if not stage_done(stage_dir):
-        raise DataError(f"stage-1 checkpoint missing for seed {seed}; "
-                        f"run the pipeline (or tune) first: {stage_dir}")
-    bank, _ = checkpoint.load_prompt(stage_dir)
-    return bank, _read_records(os.path.join(stage_dir, "records.tsv"))[0]
-
-
-def _load_best_cell(out: str, seed: int) -> tuple[PromptBank, float, float]:
-    stage_dir = _seed_dir(out, seed, "prune")
-    best_path = os.path.join(stage_dir, "best.txt")
-    if not stage_done(stage_dir) or not os.path.exists(best_path):
-        raise DataError(f"prune checkpoint missing for seed {seed}; "
-                        f"run the pipeline first: {stage_dir}")
-    bank, _ = checkpoint.load_prompt(stage_dir)
-    ratios: dict[str, float] = {}
-    with open(best_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            key, _, val = line.partition("=")
-            try:
-                ratio = float(val)
-            except ValueError:
-                ratio = float("nan")  # fails the range check below
-            if not 0.0 <= ratio < 1.0:
-                raise DataError(f"best cell {best_path} line {lineno}: "
-                                f"malformed ratio {line.rstrip()!r}")
-            ratios[key.strip()] = ratio
+def _best_cell(rd: RunDir, seed: int) -> tuple[PromptBank, float, float]:
+    bank, _ = checkpoint.load_prompt(rd.path("prune", seed=seed))
+    best_path = rd.path("prune", "best.txt", seed=seed)
     try:
-        return bank, ratios["token_ratio"], ratios["piece_ratio"]
-    except KeyError as missing:
-        raise DataError(f"best cell {best_path}: no {missing.args[0]} line") from None
+        with open(best_path, "r", encoding="utf-8") as fh:
+            ratios = {key.strip(): float(val) for key, _, val in
+                      (line.partition("=") for line in fh.read().splitlines())}
+        ratio = ratios["token_ratio"], ratios["piece_ratio"]
+    except (OSError, ValueError, KeyError) as exc:
+        raise DataError(f"best cell {best_path} is missing or malformed ({exc!r})") from None
+    if not all(0.0 <= r < 1.0 for r in ratio):
+        raise DataError(f"best cell {best_path}: ratios {ratio} are not in [0, 1)")
+    return bank, *ratio
 
 
 def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
@@ -688,24 +713,22 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
     they run at the best cell's ratios or surviving length. Each seed loads
     each checkpoint at most once.
     """
-    if not which:
-        raise ConfigError(f"no baseline arm given; expected some of {BASELINE_ARMS}")
-    for arm in which:
-        if arm not in BASELINE_ARMS:
-            raise ConfigError(f"unknown baseline {arm!r}; expected from {BASELINE_ARMS}")
+    _check_names("baseline arms", which, BASELINE_ARMS)
     _check_jobs(jobs)
-    out, data, bb = _open_run(cfg)
+    pruned_arms = {"random", "reversed", "length"} & set(which)
+    need = ([] if "vanilla" in which else ["stage1"]) + (["prune"] if pruned_arms else [])
+    rd = RunDir(cfg, need=need, reuse=("backbone", "stage1"))
+    data = load_splits(cfg)
+    bb = ensure_backbone(rd, data["train"])
     v = cfg.values
     e = v["backbone.embed_dim"]
 
     def arm_records(seed: int) -> list[MetricsRecord]:
         recs: list[MetricsRecord] = []
         with _stage("baselines"):
+            stage1, rec = _run_stage1(rd, bb, data, seed)
             if "vanilla" in which:
-                stage1, rec = _run_stage1(cfg, out, bb, data, seed, resume=True)
                 recs.append(replace(rec, stage="vanilla"))
-            else:
-                stage1, _ = _load_stage1(out, seed)
             if "negative" in which:
                 for stage, rule in (("negative", "lowest_score"),
                                     ("negative_random", "random")):
@@ -713,9 +736,9 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
                         stage1, bb, data["train"], data["dev"], v["prune.negative_ratio"],
                         rule=rule, batch_size=v["tune.batch_size"], seed=seed)
                     recs.append(_record(stage, seed, acc, selection, e))
-            if not {"random", "reversed", "length"} & set(which):
+            if not pruned_arms:
                 return recs
-            final, t_ratio, p_ratio = _load_best_cell(out, seed)
+            final, t_ratio, p_ratio = _best_cell(rd, seed)
             for arm in ("random", "reversed"):
                 if arm in which:
                     sched = PruneSchedule((t_ratio,), (p_ratio,), arm, seed=seed)
@@ -726,7 +749,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
                 m_kept = int((final.token_mask > 0).sum())
                 if not 1 <= m_kept <= stage1.m:
                     raise DataError(f"best cell keeps {m_kept} tokens, not 1 to "
-                                    f"{stage1.m}: {_seed_dir(out, seed, 'prune')}")
+                                    f"{stage1.m}: {rd.path('prune', seed=seed)}")
                 short = init_prompt(m_kept, stage1.e, stage1.k, cfg.init_strategy(seed), bb)
                 acc = _tune(cfg, short, bb, data, seed).best_dev_acc
                 # counted as the best cell's tokens with every piece kept
@@ -734,17 +757,14 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
                 recs.append(_record("length", seed, acc, whole, e))
         return recs
 
-    seeds = list(cfg["run.seeds"])
-    per_seed = _map_seeds("baselines", jobs, arm_records, seeds)
+    per_seed = _map_seeds("baselines", jobs, arm_records, list(cfg["run.seeds"]))
     records = [r for recs in per_seed for r in recs]
-    _write_records(os.path.join(out, "baselines.tsv"), records)
+    _write_records(rd.path("baselines.tsv"), records)
 
-    stages = sorted({r.stage for r in records})
-    lines = ["arm\tmedian_dev_acc"]
-    for stage in stages:
-        med = float(np.median([r.dev_acc for r in records if r.stage == stage]))
-        lines.append(f"{stage}\t{med!r}")
-    write_text_atomic(os.path.join(out, "baseline_medians.tsv"), "\n".join(lines) + "\n")
+    medians = [f"{arm}\t{float(np.median([r.dev_acc for r in records if r.stage == arm]))!r}"
+               for arm in sorted({r.stage for r in records})]
+    write_text_atomic(rd.path("baseline_medians.tsv"),
+                      "\n".join(["arm\tmedian_dev_acc", *medians]) + "\n")
     return records
 
 
@@ -755,21 +775,17 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
                  jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """Initialize the target prompt from a source checkpoint and either tune
     (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
-    if not variants:
-        raise ConfigError("no transfer variant given; expected transfer_o or transfer")
-    for variant in variants:
-        if variant not in ("transfer_o", "transfer"):
-            raise ConfigError(f"unknown transfer variant {variant!r}")
+    _check_names("transfer variants", variants, ("transfer_o", "transfer"))
     _check_jobs(jobs)
     source, _ = checkpoint.load_prompt(source_dir)
     v = cfg.values
-    if (source.m, source.e, source.k) != (v["prompt.m"], v["backbone.embed_dim"],
-                                          v["prompt.k"]):
-        raise ConfigError(
-            f"source prompt ({source.m}, {source.e}, k={source.k}) does not match "
-            f"target config ({v['prompt.m']}, {v['backbone.embed_dim']}, "
-            f"k={v['prompt.k']})")
-    out, data, bb = _open_run(cfg)
+    want = (v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"])
+    if (source.m, source.e, source.k) != want:
+        raise ConfigError(f"source prompt (m, e, k) = {(source.m, source.e, source.k)} "
+                          f"does not match target config {want}")
+    rd = RunDir(cfg, reuse=("backbone",))
+    data = load_splits(cfg)
+    bb = ensure_backbone(rd, data["train"])
     e = v["backbone.embed_dim"]
 
     def transfer_for(seed: int) -> list[MetricsRecord]:
@@ -786,8 +802,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
                 recs.append(_record("transfer", seed, best.dev_acc, best.selection, e))
         return recs
 
-    seeds = list(cfg["run.seeds"])
-    per_seed = _map_seeds("transfer", jobs, transfer_for, seeds)
+    per_seed = _map_seeds("transfer", jobs, transfer_for, list(cfg["run.seeds"]))
     records = [r for recs in per_seed for r in recs]
-    _write_records(os.path.join(out, "transfer.tsv"), records)
+    _write_records(rd.path("transfer.tsv"), records)
     return records

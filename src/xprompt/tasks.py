@@ -148,12 +148,6 @@ def generate(spec: TaskSpec) -> dict[str, tuple[Example, ...]]:
 # --- serialization ------------------------------------------------------------
 
 
-def save_jsonl(path: str, dataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset:
-            fh.write(json.dumps({"tokens": list(ex.tokens), "label": ex.label}) + "\n")
-
-
 def load_jsonl(path: str, vocab_size: int | None = None,
                num_classes: int | None = None) -> tuple[Example, ...]:
     """Read one example per line; errors carry the offending line number."""
@@ -208,14 +202,6 @@ def accuracy(predictions, labels) -> float:
     if not labs:
         raise DataError("accuracy of an empty set is undefined")
     return sum(1 for p, l in zip(preds, labs) if p == l) / len(labs)
-
-
-def majority_baseline(dataset) -> float:
-    """Accuracy of always predicting the most common label."""
-    counts: dict[int, int] = {}
-    for ex in dataset:
-        counts[ex.label] = counts.get(ex.label, 0) + 1
-    return max(counts.values()) / len(dataset)
 
 
 def pretrain_corpus(dataset) -> list[tuple[int, ...]]:

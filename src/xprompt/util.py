@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import os
 
+# environment variables that set the BLAS thread count (OpenBLAS, OpenMP, MKL)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def stable_seed(*parts: object) -> int:
     """Derive a 63-bit seed from a tuple of labels.

@@ -1,8 +1,8 @@
 """Shared test oracles: central finite differences, gradient comparison,
 full-row attention as the reference for ``attention_blocks``, the full-row
 encoder as the reference for ``forward_batch`` and ``batch_loss``, per-cell
-rescoring as the reference for ``hierarchical_prune``, and readers of
-(gamma, zeta) selection masks."""
+rescoring as the reference for ``hierarchical_prune``, readers of
+(gamma, zeta) selection masks, and a content hash of backbone weights."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from xprompt.autograd import Node
 from xprompt.errors import ShapeError
 from xprompt.optim import make_optimizer
 from xprompt.prompt import tune
+from xprompt.util import sha256_hex
 
 FD_EPS = 1e-5
 
@@ -183,3 +184,10 @@ def kept_tokens(masks) -> set[int]:
 def same_masks(a, b) -> bool:
     """Two (gamma, zeta) selections hold equal masks."""
     return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def weight_hash(bb) -> str:
+    """sha256 over the backbone's weight names and float64 bytes, in name order."""
+    return sha256_hex(b"".join(
+        name.encode() + np.ascontiguousarray(bb.weights[name], dtype="<f8").tobytes()
+        for name in sorted(bb.weights)))

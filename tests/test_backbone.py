@@ -14,13 +14,13 @@ from xprompt.prompt import InitStrategy, batch_loss, init_prompt
 
 from conftest import MICRO_CFG
 from support import (batch_loss_full_rows, central_diff, forward_batch_full_rows,
-                     max_rel_err)
+                     max_rel_err, weight_hash)
 
 
 def test_init_same_config_bitwise_identical():
     a = bbm.init_backbone(MICRO_CFG)
     b = bbm.init_backbone(MICRO_CFG)
-    assert a.weight_hash() == b.weight_hash()
+    assert weight_hash(a) == weight_hash(b)
     for name in a.weights:
         assert np.array_equal(a.weights[name], b.weights[name])
 
@@ -43,10 +43,10 @@ def test_init_weight_mean_statistics():
 
 def test_pretrain_zero_steps_keeps_weights_and_freezes(micro_data):
     bb = bbm.init_backbone(MICRO_CFG)
-    before = bb.weight_hash()
+    before = weight_hash(bb)
     out = bbm.pretrain(bb, [ex.tokens for ex in micro_data["train"]], steps=0, lr=1e-3)
     assert out.frozen
-    assert out.weight_hash() == before
+    assert weight_hash(out) == before
 
 
 def test_pretrain_loss_decreases(micro_backbone):
@@ -61,7 +61,7 @@ def test_pretrain_is_deterministic(micro_data):
     corpus = [ex.tokens for ex in micro_data["train"]]
     a = bbm.pretrain(bbm.init_backbone(MICRO_CFG), corpus, steps=5, lr=1e-3)
     b = bbm.pretrain(bbm.init_backbone(MICRO_CFG), corpus, steps=5, lr=1e-3)
-    assert a.weight_hash() == b.weight_hash()
+    assert weight_hash(a) == weight_hash(b)
     assert a.pretrain_losses == b.pretrain_losses
 
 
@@ -211,7 +211,7 @@ def test_backbone_checkpoint_round_trip(tmp_path, micro_backbone):
     back = ckpt.load_backbone(d)
     assert back.cfg == micro_backbone.cfg
     assert back.frozen
-    assert back.weight_hash() == micro_backbone.weight_hash()
+    assert weight_hash(back) == weight_hash(micro_backbone)
     for name in micro_backbone.weights:
         assert np.array_equal(back.weights[name], micro_backbone.weights[name])
 

@@ -6,6 +6,7 @@ across rerun, resume, and parallel execution.
 """
 
 import decimal
+import hashlib
 import os
 import re
 import shutil
@@ -119,11 +120,12 @@ def test_config_missing_file():
         hz.RunConfig.from_file("/nonexistent/run.cfg")
 
 
-def test_config_hash_ignores_out_dir_only():
+def test_config_hash_ignores_out_dir_and_seeds_only():
     a = hz.RunConfig.from_mapping({"run.out": "x"})
     b = hz.RunConfig.from_mapping({"run.out": "y"})
     c = hz.RunConfig.from_mapping({"run.out": "x", "prompt.m": 21})
-    assert a.config_hash() == b.config_hash()
+    d = hz.RunConfig.from_mapping({"run.out": "x", "run.seeds": (7,)})
+    assert a.config_hash() == b.config_hash() == d.config_hash()
     assert a.config_hash() != c.config_hash()
 
 
@@ -355,20 +357,26 @@ def test_pipeline_resume_matches_uninterrupted(pipe_run, tmp_path):
 def test_pipeline_resume_refuses_config_change(pipe_run):
     cfg, out, _ = pipe_run
     changed = micro_cfg(out, **{"tune.epochs": 4})
-    with pytest.raises(ConfigError, match="resume refused"):
+    with pytest.raises(ConfigError, match="holds another config"):
         hz.run_pipeline(changed, resume=True)
+
+
+def tree_bytes(top: str) -> dict[str, bytes]:
+    """Every file under top by relative path."""
+    files = {}
+    for root, _, names in os.walk(top):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, top)] = fh.read()
+    return files
 
 
 def run_files(out: str) -> dict[str, bytes]:
     """Every file under a run directory by relative path, less the two
     lines allowed to differ between runs: config.txt's run.out and
     report.txt's wall-clock times."""
-    files = {}
-    for root, _, names in os.walk(out):
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                files[os.path.relpath(path, out)] = fh.read()
+    files = tree_bytes(out)
     for name, line in (("config.txt", rb"^run\.out = .*\n"), ("report.txt", rb"^wall\[.*\n")):
         files[name] = re.sub(line, b"", files[name], flags=re.M)
     return files
@@ -510,7 +518,9 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
 def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
     cfg, out = copy_run(pipe_run, tmp_path)
     src_bank, _ = load_prompt(os.path.join(out, "seed1", "prune"))
-    frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0)
+    # tune.epochs = 0 is another config, so it runs in a directory of its own
+    frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0,
+                                run__out=str(tmp_path / "frozen"))
     trecs = hz.run_transfer(frozen, os.path.join(out, "seed1", "prune"),
                             variants=("transfer_o",))
     rec = trecs[0]
@@ -647,6 +657,100 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
     assert cli.main([*command.split(), "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
+
+
+# --- run directory ownership ---------------------------------------------------------
+
+PROVENANCE = ("run_hash", "parent", "blas_threads")
+
+
+def test_cli_refuses_another_config(pipe_run, tmp_path, capsys):
+    """Config b (a with tune.epochs = 1) neither re-tunes a seed of run a nor
+    runs baseline arms on it, and leaves the directory as it was."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    cfg_b = write_cfg_file(tmp_path, copy, **{"tune.epochs": 1})
+    before = tree_bytes(copy)
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg_b, "--seed", "1"]) == 2
+    assert cli.main(["baselines", "--config", cfg_b, "--which", "negative"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("holds another config" in line for line in err)
+    assert tree_bytes(copy) == before
+
+
+def test_cli_report_refuses_stale_prune_fragment(pipe_run, tmp_path, capsys):
+    """A stage 1 rewritten with valid but different values, its own
+    provenance intact, leaves the prune fragment built on the old one stale."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    stage1 = os.path.join(copy, "seed1", "stage1")
+    provenance = [line for line in read(os.path.join(stage1, "manifest.txt")).splitlines()
+                  if line.split(" ")[0] in PROVENANCE]
+    bank, stage = load_prompt(stage1)
+    bank.p = bank.p + 0.5
+    save_prompt(bank, stage1, stage, provenance)
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "stale" in err and "seed1/prune" in err and "changed" in err
+    # the stage-1 fragment itself still checks, so building on it does too
+    assert cli.main(["baselines", "--config", cfg, "--which", "negative"]) == 0
+
+
+@pytest.mark.parametrize("fragment, command", [
+    (os.path.join("seed1", "prune"), "report"),
+    (os.path.join("seed2", "stage1"), "prune"),
+    ("backbone", "baselines --which vanilla"),
+])
+def test_cli_refuses_fragment_without_provenance(pipe_run, tmp_path, capsys, fragment,
+                                                 command):
+    _, copy = copy_run(pipe_run, tmp_path)
+    manifest = os.path.join(copy, fragment, "manifest.txt")
+    lines = read(manifest).splitlines(keepends=True)
+    kept = [line for line in lines if line.split(" ")[0] not in PROVENANCE]
+    assert len(lines) - len(kept) == 3
+    hz.write_text_atomic(manifest, "".join(kept))
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: stale fragment {fragment} ")
+    assert "no provenance" in err[0]
+
+
+def test_cli_prune_one_seed_of_a_two_seed_run(pipe_run, tmp_path):
+    """The run hash leaves out run.seeds, so prune --seed 1 builds on the
+    two-seed run's stage 1 and writes the full run's seed-1 fragment."""
+    _, out, _ = pipe_run
+    _, copy = copy_run(pipe_run, tmp_path)
+    for seed in (1, 2):
+        shutil.rmtree(os.path.join(copy, f"seed{seed}", "prune"))
+    cfg = write_cfg_file(tmp_path, copy)
+    assert cli.main(["prune", "--config", cfg, "--seed", "1"]) == 0
+    fragment = os.path.join("seed1", "prune")
+    assert tree_bytes(os.path.join(copy, fragment)) == tree_bytes(os.path.join(out, fragment))
+    assert not os.path.exists(os.path.join(copy, "seed2", "prune"))
+    assert read(os.path.join(copy, "config.txt")) == read(os.path.join(out, "config.txt"))
+
+
+def test_provenance_lines_name_parent_manifests(pipe_run):
+    cfg, out, _ = pipe_run
+
+    def fields(*parts):
+        return dict(line.split(" ", 1) for line in
+                    read(os.path.join(out, *parts, "manifest.txt")).splitlines())
+
+    def digest(*parts):
+        with open(os.path.join(out, *parts, "manifest.txt"), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    backbone = fields("backbone")
+    stage1, prune = fields("seed2", "stage1"), fields("seed2", "prune")
+    assert {backbone["run_hash"], stage1["run_hash"], prune["run_hash"]} == {cfg.config_hash()}
+    assert backbone["parent"] == "none"
+    assert stage1["parent"] == digest("backbone")
+    assert prune["parent"] == digest("seed2", "stage1")
+    assert prune["blas_threads"].startswith("OPENBLAS_NUM_THREADS=")
 
 
 @pytest.mark.parametrize("command, target, stage", [

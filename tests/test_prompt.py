@@ -9,6 +9,7 @@ from xprompt.backbone import forward_batch
 from xprompt.errors import ConfigError, DataError, StateError
 
 from conftest import MICRO_CFG
+from support import weight_hash
 
 
 # --- initialization -------------------------------------------------------------
@@ -180,11 +181,11 @@ def test_tune_never_moves_masked_entries(micro_backbone, micro_data):
 
 
 def test_tune_leaves_backbone_untouched(micro_backbone, micro_data):
-    before = micro_backbone.weight_hash()
+    before = weight_hash(micro_backbone)
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                 epochs=2, opt=optim.AdafactorLite(0.05), seed=1)
-    assert micro_backbone.weight_hash() == before
+    assert weight_hash(micro_backbone) == before
 
 
 def test_tune_restores_best_checkpoint(micro_backbone, micro_data):

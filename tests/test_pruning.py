@@ -431,7 +431,7 @@ def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
 
 
 def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
-    before_hash = micro_backbone.weight_hash()
+    before_hash = support.weight_hash(micro_backbone)
     snap = bank.snapshot.copy()
     sched = pr.PruneSchedule((0.0, 0.34), (0.0, 0.25), "lowest_score", seed=0)
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
@@ -457,7 +457,7 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
         assert not zeta[gamma == 0].any()  # removed tokens keep no pieces
         assert c.kept_params == np.count_nonzero(zeta) * (bank.e // bank.k)
 
-    assert micro_backbone.weight_hash() == before_hash
+    assert support.weight_hash(micro_backbone) == before_hash
     assert np.array_equal(bank.snapshot, snap)
 
 

@@ -1,5 +1,7 @@
 """Task generators, serialization, few-shot sampling, accuracy."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +92,9 @@ def test_infeasible_spec_rejected():
 def test_jsonl_round_trip(tmp_path):
     data = tasks.generate(spec())["train"]
     path = str(tmp_path / "d.jsonl")
-    tasks.save_jsonl(path, data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"tokens": list(ex.tokens), "label": ex.label}) + "\n"
+                      for ex in data)
     back = tasks.load_jsonl(path, vocab_size=16, num_classes=2)
     assert back == data
 
