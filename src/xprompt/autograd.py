@@ -4,6 +4,13 @@ Every value in the graph is a 2-D double-precision array. A graph is built
 per forward pass and consumed by a single ``backward`` call; prune masks
 enter as ordinary leaves, so their gradients are exact rather than
 approximated. Single-threaded evaluation is bitwise deterministic.
+
+``gelu``'s erf is this module's own: a numpy port of Cephes' ``erf`` (the
+algorithm behind ``scipy.special.erf``) with its coefficients, its Horner
+order and one rounding per step. The ``exp(-x**2)`` of its |x| > 1 branch
+is the C library's ``exp``, reached through numpy's complex ``exp`` at zero
+imaginary part; numpy's real ``np.exp`` has vector code of its own, whose
+results differ in the last bit. Its bytes equal ``scipy.special.erf``'s.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError, StateError
 
@@ -20,6 +26,30 @@ LAYER_NORM_EPS = 1e-6
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# Elements per in-place pass of erf and gelu. Slices this size keep a pass's
+# operands in cache, and malloc reuses their scratch, where whole-matrix
+# temporaries are often page-faulted in afresh on every call.
+_CHUNK = 1 << 14
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; above that
+# erf = 1 - erfc with erfc(x) = exp(-x^2) P(x) / Q(x). U and Q have an
+# implied leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
 
 
 class Node:
@@ -119,6 +149,81 @@ def backward(loss: LossScalar | Node) -> None:
     for n in reversed(order):
         if n._backprop is not None:
             n._backprop(n.grad)
+
+
+# --- erf --------------------------------------------------------------------
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """coef[0] x^N + ... + coef[N] by Horner's rule, into out (Cephes polevl)."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], into out (Cephes p1evl)."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_fit(u: np.ndarray, e: np.ndarray, z: np.ndarray, q: np.ndarray,
+             big: np.ndarray) -> None:
+    """Write Cephes' |u| <= 1 fit u T(u^2) / U(u^2) into e and flag in big
+    the elements with |u| > 1, where it does not hold; z and q are scratch,
+    and q may be u, which is read before q is written. Huge |u| overflow
+    the fit, so run it with over and invalid ignored."""
+    np.multiply(u, u, out=z)
+    np.greater(z, 1.0, out=big)  # u * u > 1 exactly when |u| > 1
+    _polevl(z, _ERF_T, e)
+    e *= u
+    e /= _p1evl(z, _ERF_U, q)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise, as a new float64 array.
+
+    A port of Cephes' erf (see the module docstring): its bytes equal
+    scipy.special.erf's, except that a NaN keeps its sign where scipy's is
+    always positive. The |x| <= 1 fit runs over all of x in slices of
+    _CHUNK elements; the elements with |x| > 1 are then gathered and
+    recomputed once.
+    """
+    flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    big = np.empty(flat.size, dtype=bool)
+    z, q = np.empty(min(flat.size, _CHUNK)), np.empty(min(flat.size, _CHUNK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, _CHUNK):
+            s = slice(lo, lo + _CHUNK)
+            u = flat[s]
+            _erf_fit(u, out[s], z[:u.size], q[:u.size], big[s])
+    idx = np.flatnonzero(big)
+    if idx.size:
+        out[idx] = _erf_big(flat[idx])
+    return out.reshape(np.shape(x))
+
+
+def _erf_big(u: np.ndarray) -> np.ndarray:
+    """erf(u) for 1-D u with every |u| > 1: 1 - erfc(|u|), signed like u.
+
+    From |u| = 6 on, erfc < 2^-55 and 1 - erfc rounds to exactly 1, so
+    clipping |u| at 6 gives Cephes' result there without its fit for
+    |u| >= 8 or its underflow branch, which only erfc itself needs.
+    """
+    a = np.minimum(np.abs(u), 6.0)
+    ez = np.exp((-(a * a)).astype(np.complex128))  # the C library's exp
+    p = _polevl(a, _ERFC_P, np.empty_like(a))
+    p *= ez.real
+    p /= _p1evl(a, _ERFC_Q, np.empty_like(a))
+    np.subtract(1.0, p, out=p)
+    return np.copysign(p, u, out=p)
 
 
 # --- primitives -------------------------------------------------------------
@@ -263,14 +368,62 @@ def mean_pool(x: Node, start: int = 0, stop: int | None = None) -> Node:
 
 
 def gelu(x: Node) -> Node:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    erf is this module's port of Cephes' erf (see the module docstring), so
+    its bytes equal scipy.special.erf's. Forward and backward run as
+    in-place passes over slices of at most _CHUNK elements that round each
+    operation of the plain expressions once, in their order, so every byte
+    is theirs; as in erf, the elements with |x / sqrt(2)| > 1 are gathered
+    and redone once. The backward reuses the forward's 1 + erf.
+    """
     xv = x.value
-    e = erf(xv * _INV_SQRT2)
-    out = Node(0.5 * xv * (1.0 + e), (x,), op="gelu")
+    flat = xv.reshape(-1)
+    y, ope = np.empty_like(flat), np.empty_like(flat)
+    big = np.empty(flat.size, dtype=bool)
+    z = np.empty(min(flat.size, _CHUNK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, _CHUNK):
+            s = slice(lo, lo + _CHUNK)
+            xs, e, o = flat[s], ope[s], y[s]
+            np.multiply(xs, _INV_SQRT2, out=o)  # o serves as u, then as q
+            _erf_fit(o, e, z[:o.size], o, big[s])
+            e += 1.0
+            np.multiply(xs, 0.5, out=o)
+            o *= e
+    idx = np.flatnonzero(big)
+    if idx.size:
+        xt = flat[idx]
+        e = _erf_big(xt * _INV_SQRT2)
+        e += 1.0
+        ope[idx] = e
+        xt *= 0.5
+        xt *= e
+        y[idx] = xt
+    out = Node(y.reshape(xv.shape), (x,), op="gelu")
     if out.requires_grad:
-        def backprop(g, x=x, xv=xv, e=e):
-            local = 0.5 * (1.0 + e) + xv * np.exp(-0.5 * xv * xv) * _INV_SQRT2PI
-            x.accum(g * local)
+        def backprop(g, x=x, flat=flat, ope=ope):
+            # local = (0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi)) * g;
+            # nothing reads ope after this, so it is halved in place
+            local, gf = np.empty_like(flat), g.reshape(-1)
+            fresh = x._grad is None  # then local becomes the grad
+            for lo in range(0, flat.size, _CHUNK):
+                s = slice(lo, lo + _CHUNK)
+                xs, t, h = flat[s], local[s], ope[s]
+                np.multiply(xs, -0.5, out=t)
+                t *= xs
+                np.exp(t, out=t)
+                np.multiply(xs, t, out=t)
+                t *= _INV_SQRT2PI
+                h *= 0.5
+                t += h
+                t *= gf[s]
+                if fresh:
+                    t += 0.0  # as accum's zeros + local: -0.0 + 0.0 = 0.0
+            if fresh:
+                x._grad = local.reshape(x.shape)
+            else:
+                x.accum(local.reshape(x.shape))
         out._backprop = backprop
     return out
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands compose the pipeline: pretrain and tune stop behind their
-stage, prune requires an existing stage-1 checkpoint, pipeline runs
+stage (tune builds the backbone only when none is finished), prune
+requires an existing stage-1 checkpoint, pipeline runs
 everything through the report, and baselines/transfer/report build on a
 finished run. Every subcommand checks the run directory before any work
 (see harness.RunDir). Exit codes: 0 success; 2 config error, including a
@@ -37,8 +38,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "and reuses that seed's fragments")
     sub.add_argument("--resume", action="store_true",
                      help="reuse the finished fragments of the stages this command builds "
-                          "once their provenance checks, rather than rebuild them; prune "
-                          "always reuses stage 1; baselines, transfer, report what they find")
+                          "once their provenance checks, rather than rebuild them; tune and "
+                          "prune always reuse a finished backbone, and prune stage 1; "
+                          "baselines, transfer, report what they find")
     sub.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
                      help="worker processes for per-seed stages; results do not "
                           f"depend on it (default {DEFAULT_JOBS}, one per usable CPU)")
@@ -82,8 +84,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-# the pipeline stages each building subcommand runs: (start, stop_after)
-PIPELINE_STAGES = {"pretrain": ("backbone", "backbone"), "tune": ("backbone", "stage1"),
+# the pipeline stages each building subcommand builds: (start, stop_after)
+PIPELINE_STAGES = {"pretrain": ("backbone", "backbone"), "tune": ("stage1", "stage1"),
                    "prune": ("prune", "prune"), "pipeline": ("backbone", None)}
 
 

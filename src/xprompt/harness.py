@@ -639,9 +639,11 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
     rewound-retrained model, with metrics, checkpoints, and saliency.
 
     The call builds the stages from start through stop_after (the pretrain,
-    tune and prune subcommands) in the directory RunDir opens; metrics.tsv
-    and report.txt are written only by a run that goes through every stage.
-    jobs is how many seeds run at once (see _map_seeds); it changes no result.
+    tune and prune subcommands) in the directory RunDir opens, and reuses
+    the earlier ones, which must be finished; only the backbone is built
+    when it is not. metrics.tsv and report.txt are written only by a run
+    that goes through every stage. jobs is how many seeds run at once (see
+    _map_seeds); it changes no result.
     """
     stages = STAGES[:STAGES.index(stop_after) + 1] if stop_after in STAGES else STAGES
     if stop_after not in (None, *STAGES) or start not in stages:
@@ -649,7 +651,8 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
                           f"got {start!r} and {stop_after!r}")
     _check_jobs(jobs)
     first = stages.index(start)
-    rd = RunDir(cfg, need=stages[:first], reuse=stages[first:] if resume else ())
+    before, built = stages[:first], stages[first:]
+    rd = RunDir(cfg, need=before[1:], reuse=before[:1] + (built if resume else ()))
     data = load_splits(cfg)
     t0 = time.monotonic()
     bb = ensure_backbone(rd, data["train"])

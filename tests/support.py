@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, gradient comparison,
-full-row attention as the reference for ``attention_blocks``, the full-row
+full-row attention as the reference for ``attention_blocks``, a
+scipy-based GELU as the reference for ``gelu``, the full-row
 encoder as the reference for ``forward_batch`` and ``batch_loss``, per-cell
 rescoring as the reference for ``hierarchical_prune``, readers of
 (gamma, zeta) selection masks, and a content hash of backbone weights."""
@@ -7,6 +8,7 @@ rescoring as the reference for ``hierarchical_prune``, readers of
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
 from xprompt import autograd as ag
 from xprompt import backbone as bbm
@@ -94,6 +96,20 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
                 if k.requires_grad:
                     k.grad
                     k._grad[:, sl] += (ds.T @ q.value[:, sl]) * scale
+        out._backprop = backprop
+    return out
+
+
+def gelu(x: Node) -> Node:
+    """Exact-erf GELU over whole matrices with scipy's erf, as the reference
+    for ``autograd.gelu``: the same expressions, so the same bytes."""
+    xv = x.value
+    e = erf(xv * (1.0 / np.sqrt(2.0)))
+    out = Node(0.5 * xv * (1.0 + e), (x,), op="gelu")
+    if out.requires_grad:
+        def backprop(g, x=x, xv=xv, e=e):
+            local = 0.5 * (1.0 + e) + xv * np.exp(-0.5 * xv * xv) * (1.0 / np.sqrt(2.0 * np.pi))
+            x.accum(g * local)
         out._backprop = backprop
     return out
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from xprompt import autograd as ag
 from xprompt.errors import ShapeError, StateError
 
 from support import attention, central_diff, max_rel_err
+from support import gelu as reference_gelu
 
 
 # --- hand-checked values ------------------------------------------------------
@@ -207,6 +209,85 @@ def test_forward_is_deterministic_bitwise():
     v2, o2 = run()
     assert v1 == v2
     assert np.array_equal(o1, o2)
+
+
+# --- erf and gelu, byte for byte against scipy ---------------------------------
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _around(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_erf_matches_scipy_bitwise_on_a_grid():
+    x = np.linspace(-30.0, 30.0, 3_000_001)
+    assert _same_bytes(ag.erf(x), scipy_erf(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [0.1, 0.3, 1.0, 3.0, 10.0])
+def test_erf_matches_scipy_bitwise_on_normal_samples(scale):
+    x = np.random.default_rng(7).normal(scale=scale, size=(500, 400))
+    assert _same_bytes(ag.erf(x), scipy_erf(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_erf_matches_scipy_bitwise_at_edges():
+    # the two fits meet at 1; erf is exactly 1 from about 5.92 on and the
+    # port clips |x| at 6; Cephes switches erfc's fit at 8 and underflows
+    # once -x * x < -MAXLOG
+    cut = np.sqrt(7.09782712893383996843e2)
+    tiny = np.finfo(np.float64).tiny
+    pos = [0.0, *_around(1.0), *_around(6.0), *_around(8.0), *_around(cut),
+           1e300, np.inf, 5e-324, np.nextafter(tiny, 0.0), tiny, 1e-300]
+    x = np.array(pos + [-v for v in pos] + [np.nan])
+    assert _same_bytes(ag.erf(x), scipy_erf(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape,draw", [
+    ((7, 13), lambda rng, n: rng.normal(size=n)),
+    ((257, 128), lambda rng, n: 0.3 * rng.normal(size=n)),
+    ((2 * ag._CHUNK + 5, 1), lambda rng, n: 3.0 * rng.normal(size=n)),
+    ((3, ag._CHUNK // 2 + 1), lambda rng, n: rng.standard_cauchy(size=n)),
+    ((100, 50), lambda rng, n: rng.standard_t(2, size=n) * 10.0),
+])
+def test_gelu_matches_scipy_reference_bitwise(shape, draw):
+    rng = np.random.default_rng(11)
+    xv = draw(rng, shape)
+    a = rng.normal(size=(1, shape[0])) / np.abs(xv).sum()  # keeps the logits small
+    w = rng.normal(size=(shape[1], 3))
+
+    def run(gelu):
+        x = ag.leaf(xv)
+        h = gelu(x)
+        logits = ag.matmul(ag.constant(a), ag.matmul(h, ag.constant(w)))
+        ag.backward(ag.softmax_cross_entropy(logits, [1]))
+        return h.value, x.grad
+
+    (out, grad), (ref_out, ref_grad) = run(ag.gelu), run(reference_gelu)
+    assert _same_bytes(out, ref_out)
+    assert _same_bytes(grad, ref_grad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gelu_grad_shares_its_input_bitwise():
+    # x feeds gelu, a residual add and a matmul, so gelu's backward meets a
+    # grad that other ops have started, or starts one they add to
+    rng = np.random.default_rng(12)
+    xv, v, w = rng.normal(size=(40, 30)), rng.normal(size=(30, 30)), rng.normal(size=(30, 3))
+
+    def run(gelu):
+        x = ag.leaf(xv)
+        h = ag.add(ag.add(gelu(x), x), ag.matmul(x, ag.constant(v)))
+        ag.backward(ag.softmax_cross_entropy(ag.mean_pool(ag.matmul(h, ag.constant(w))), [2]))
+        return x.grad
+
+    assert _same_bytes(run(ag.gelu), run(reference_gelu))
 
 
 # --- finite differences over every primitive ---------------------------------

@@ -733,6 +733,22 @@ def test_cli_prune_one_seed_of_a_two_seed_run(pipe_run, tmp_path):
     assert read(os.path.join(copy, "config.txt")) == read(os.path.join(out, "config.txt"))
 
 
+def test_cli_tune_reuses_a_finished_backbone(pipe_run, tmp_path, monkeypatch):
+    """tune builds the backbone only when none is finished, so a re-tune under
+    other BLAS settings leaves the backbone, and the other seeds built on it,
+    as they were."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    cfg = write_cfg_file(tmp_path, copy)
+    manifest = os.path.join(copy, "backbone", "manifest.txt")
+    before = read(manifest), os.stat(manifest).st_mtime_ns
+    assert cli.main(["tune", "--config", cfg, "--seed", "1"]) == 0
+    assert (read(manifest), os.stat(manifest).st_mtime_ns) == before
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cli.main(["tune", "--config", cfg, "--seed", "1"]) == 0
+    assert (read(manifest), os.stat(manifest).st_mtime_ns) == before
+    assert cli.main(["report", "--config", cfg, "--seed", "2"]) == 0
+
+
 def test_provenance_lines_name_parent_manifests(pipe_run):
     cfg, out, _ = pipe_run
 
@@ -811,6 +827,18 @@ def test_cli_module_runs_without_warnings():
                            "--help"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: xprompt" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, xprompt.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_respects_log_env(tmp_path, monkeypatch):
