@@ -5,6 +5,12 @@ per forward pass and consumed by a single ``backward`` call; prune masks
 enter as ordinary leaves, so their gradients are exact rather than
 approximated. Single-threaded evaluation is bitwise deterministic.
 
+Nodes point only at their parents, so a graph lives exactly as long as a
+reference to its output (the loss or the logits node). Callers that build
+one graph per step keep what they read, the loss value, the leaves'
+gradients or the logits array, and drop the output node before they build
+the next graph; otherwise two graphs are resident at each step's peak.
+
 ``gelu``'s erf is this module's own: a numpy port of Cephes' ``erf`` (the
 algorithm behind ``scipy.special.erf``) with its coefficients, its Horner
 order and one rounding per step. The ``exp(-x**2)`` of its |x| > 1 branch
@@ -55,7 +61,8 @@ _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
 class Node:
     """One vertex of the computation graph: a value plus a gradient slot."""
 
-    __slots__ = ("value", "parents", "requires_grad", "op", "_grad", "_backprop", "_done")
+    __slots__ = ("value", "parents", "requires_grad", "op", "_grad", "_backprop", "_done",
+                 "__weakref__")
 
     def __init__(self, value, parents=(), requires_grad=False, op="leaf"):
         arr = np.asarray(value, dtype=np.float64)

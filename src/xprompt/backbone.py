@@ -245,8 +245,10 @@ def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> li
     preds: list[int] = []
     for lo in range(0, len(dataset), PREDICT_CHUNK):
         chunk = [ex.tokens for ex in dataset[lo:lo + PREDICT_CHUNK]]
-        logits = forward_batch(bb, prompt, chunk, weight_nodes=w)
-        preds += [int(np.argmax(row)) for row in logits.value]
+        # only the logits array outlives the statement, so each pack's graph
+        # is freed before the next is built
+        logits = forward_batch(bb, prompt, chunk, weight_nodes=w).value
+        preds += [int(np.argmax(row)) for row in logits]
     return preds
 
 
@@ -314,6 +316,7 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
         loss = _mlm_loss(bb, w, batch, positions)
         ag.backward(loss)
         bb.pretrain_losses.append(loss.value)
+        del loss  # w's leaves hold the gradients; free the graph before the next step
 
         sq = sum(float((w[n].grad * w[n].grad).sum()) for n in opts)
         clip = min(1.0, 1.0 / max(np.sqrt(sq), 1e-12))

@@ -238,6 +238,9 @@ class RunConfig:
         self.init_strategy(0).validate()
         if v["tune.epochs"] < 0 or v["prune.retrain_epochs"] < 0:
             raise ConfigError("epoch counts must be >= 0")
+        if v["tune.batch_size"] < 1:
+            raise ConfigError(f"tune.batch_size must be >= 1, got {v['tune.batch_size']}")
+        self.optimizer()  # rejects an unknown optim.kind, lr <= 0 or weight_decay < 0
         if not 0.0 <= v["prune.negative_ratio"] < 1.0:
             raise ConfigError("prune.negative_ratio must be in [0, 1)")
 

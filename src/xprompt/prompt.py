@@ -182,8 +182,9 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
             batch = [train[int(i)] for i in order[lo:lo + batch_size]]
             loss, g = batch_loss(bank, bb, batch, weight_nodes=w)
             ag.backward(loss)
-            opt.step(bank.p, g.prompt.grad, mask)
             result.losses.append(loss.value)
+            del loss  # g keeps the prompt leaves; the graph above them goes now
+            opt.step(bank.p, g.prompt.grad, mask)
             result.steps += 1
         acc = evaluate(bank, bb, dev)
         result.dev_history.append(acc)

@@ -66,6 +66,7 @@ def _score_batches(bank: PromptBank, bb: FrozenBackbone, train, agg: str,
     for lo in range(0, len(train), step):
         loss, g = batch_loss(bank, bb, train[lo:lo + step])
         ag.backward(loss)
+        del loss  # the mask leaves hold their gradients; free the graph before the next batch
         yield np.abs(g.token_mask.grad[:, 0]), np.abs(g.piece_mask.grad)
 
 

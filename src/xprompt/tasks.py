@@ -165,10 +165,11 @@ def load_jsonl(path: str, vocab_size: int | None = None,
                 raise DataError(f"line {lineno}: record needs 'tokens' and 'label'")
             toks = rec["tokens"]
             label = rec["label"]
+            # exact type checks: JSON true and false load as bool, an int subclass
             if (not isinstance(toks, list) or not toks
-                    or not all(isinstance(t, int) for t in toks)):
+                    or not all(type(t) is int for t in toks)):
                 raise DataError(f"line {lineno}: 'tokens' must be a non-empty list of ints")
-            if not isinstance(label, int):
+            if type(label) is not int:
                 raise DataError(f"line {lineno}: 'label' must be an int")
             if any(t < 0 for t in toks):
                 raise DataError(f"line {lineno}: negative token id")

@@ -600,6 +600,20 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
     assert all(read(path) == "earlier records\n" for path in earlier)
 
 
+@pytest.mark.parametrize("bad", [{"tune.batch_size": 0}, {"optim.lr": -1.0},
+                                 {"optim.kind": "adagrad"}],
+                         ids=["batch-size-0", "negative-lr", "unknown-optimizer"])
+def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
+    """Caught before pretraining, so nothing is written under the bad run hash
+    and the corrected config can run in the same directory."""
+    out = str(tmp_path / "bad")
+    cfg = write_cfg_file(tmp_path, out, **bad)
+    for command in ("tune", "pipeline"):
+        assert cli.main([command, "--config", cfg]) == 2
+        assert not os.path.exists(os.path.join(out, "config.txt"))
+        assert not os.path.exists(os.path.join(out, "backbone"))
+
+
 def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     out = str(tmp_path / "empty")
     cfg = write_cfg_file(tmp_path, out)
@@ -839,6 +853,52 @@ def test_cli_import_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+FAULT_PROBE = """
+import resource
+import xprompt
+import numpy as np
+
+def step():
+    arrays = [np.ones(45_000) for _ in range(2)]
+    del arrays
+
+for _ in range(20):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+def _is_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the allocator policy is glibc's mallopt")
+def test_import_keeps_freed_memory_unless_the_user_set_malloc():
+    """Arrays the size of a gelu input, freed and allocated again, reuse the
+    process's memory instead of faulting it in afresh; a malloc setting in
+    the environment takes precedence over the package's."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def faults_per_step(**extra) -> float:
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return float(proc.stdout)
+
+    assert faults_per_step() <= 4
+    # glibc's own handling of the user's threshold: each pair is mmapped anew
+    assert faults_per_step(MALLOC_TRIM_THRESHOLD_="131072") >= 50
 
 
 def test_cli_respects_log_env(tmp_path, monkeypatch):

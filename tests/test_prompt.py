@@ -1,10 +1,12 @@
 """Prompt bank construction, masking identities, snapshots, and tuning."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from xprompt import autograd as ag
-from xprompt import optim, prompt, tasks
+from xprompt import backbone, optim, prompt, pruning, tasks
 from xprompt.backbone import forward_batch
 from xprompt.errors import ConfigError, DataError, StateError
 
@@ -215,3 +217,52 @@ def test_tune_errors(micro_backbone, micro_data):
                     epochs=1, opt=optim.AdafactorLite(0.05))
     with pytest.raises(DataError):
         prompt.evaluate(bank, micro_backbone, ())
+
+
+# --- graph lifetime ---------------------------------------------------------------
+
+
+def _track_graphs(monkeypatch, module, name, output_node):
+    """Wrap module.name, keeping a weakref to the output node of each graph it
+    builds; returns the number of earlier graphs still alive at each call."""
+    real = getattr(module, name)
+    refs: list[weakref.ref] = []
+    alive_at_build: list[int] = []
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        out = real(*args, **kwargs)
+        refs.append(weakref.ref(output_node(out)))
+        return out
+
+    monkeypatch.setattr(module, name, tracked)
+    return alive_at_build
+
+
+def _loss_node(out):
+    return (out[0] if isinstance(out, tuple) else out).node
+
+
+@pytest.mark.parametrize("loop", ["tune", "predict", "pretrain", "score_tokens"])
+def test_each_step_frees_its_graph_before_the_next(monkeypatch, micro_backbone, micro_data,
+                                                    loop):
+    """Every loop that builds one graph per step drops it before building the
+    next, so a single graph is resident at a time."""
+    train, dev = micro_data["train"], micro_data["dev"]
+    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    if loop == "tune":
+        alive = _track_graphs(monkeypatch, prompt, "batch_loss", _loss_node)
+        prompt.tune(bank, micro_backbone, train, dev, epochs=2,
+                    opt=optim.AdafactorLite(0.05))
+    elif loop == "predict":
+        alive = _track_graphs(monkeypatch, backbone, "forward_batch", lambda out: out)
+        backbone.predict(micro_backbone, bank.p, dev)
+    elif loop == "pretrain":
+        alive = _track_graphs(monkeypatch, backbone, "_mlm_loss", _loss_node)
+        backbone.pretrain(backbone.init_backbone(MICRO_CFG),
+                          tasks.pretrain_corpus(train), steps=3, lr=1e-2)
+    else:
+        alive = _track_graphs(monkeypatch, pruning, "batch_loss", _loss_node)
+        pruning.score_tokens(bank, micro_backbone, train)
+    assert len(alive) >= 2
+    assert alive == [0] * len(alive)

@@ -107,6 +107,11 @@ def test_jsonl_label_out_of_range_names_line(tmp_path):
     with pytest.raises(DataError) as exc:
         tasks.load_jsonl(path, num_classes=2)
     assert "line 2" in str(exc.value)
+    with open(path, "w") as fh:
+        fh.write('{"tokens": [2, 3], "label": 0}\n')
+        fh.write('{"tokens": [2, 3], "label": false}\n')
+    with pytest.raises(DataError, match="line 2: 'label' must be an int"):
+        tasks.load_jsonl(path, num_classes=2)
 
 
 def test_jsonl_malformed_line_names_line(tmp_path):
@@ -128,6 +133,11 @@ def test_jsonl_rejects_bad_tokens(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"tokens": [99], "label": 0}\n')
     with pytest.raises(DataError):
+        tasks.load_jsonl(path, vocab_size=16)
+    with open(path, "w") as fh:
+        fh.write('{"tokens": [2, 3], "label": 0}\n')
+        fh.write('{"tokens": [true, 3, 4], "label": 1}\n')
+    with pytest.raises(DataError, match="line 2: 'tokens' must be a non-empty list of ints"):
         tasks.load_jsonl(path, vocab_size=16)
 
 
