@@ -2,7 +2,7 @@
 
 Everything the library does by hand in demos 02-04 is packaged behind a
 flat dotted config file and the `xprompt` command line. This script
-writes a template, shrinks it to demo scale, and drives the CLI entry
+writes the default config, shrinks it to demo scale, and drives the CLI entry
 point in-process: pretrain -> stage-1 tune -> hierarchical prune ->
 report, then the ablation baselines.
 """
@@ -11,17 +11,18 @@ import os
 import tempfile
 
 from xprompt import cli
-from xprompt.harness import RunConfig, write_template
+from xprompt.harness import RunConfig
 
 scratch = tempfile.TemporaryDirectory(prefix="xprompt_demo_")  # removed at the end
 workdir = scratch.name
 out = os.path.join(workdir, "run")
 cfg_path = os.path.join(workdir, "run.cfg")
 
-# --- start from the reference template and scale it down ------------------------------
+# --- start from the reference defaults and scale them down ----------------------------
 
-write_template(cfg_path)
-print(f"template written to {cfg_path} (defaults reproduce the reference protocol)")
+with open(cfg_path, "w") as fh:
+    fh.write(RunConfig.from_mapping().to_text())
+print(f"defaults written to {cfg_path} (they reproduce the reference protocol)")
 
 cfg = RunConfig.from_file(cfg_path).with_overrides(
     backbone__vocab_size=16, backbone__embed_dim=32, backbone__layers=2,

@@ -5,8 +5,18 @@ per forward pass and consumed by a single ``backward`` call; prune masks
 enter as ordinary leaves, so their gradients are exact rather than
 approximated. Single-threaded evaluation is bitwise deterministic.
 
-Nodes point only at their parents, so a graph lives exactly as long as a
-reference to its output (the loss or the logits node). Callers that build
+A node is two parts. Its value belongs to the code that builds the graph
+and lives only as long as that code holds the node. Its gradient slot
+(``Slot``: the gradient, the backward closure and the parents' slots)
+exists only where a gradient is needed, and is all the graph links to.
+Each op's closure saves exactly the arrays its backward reads: ``matmul``
+keeps ``b``'s value only when ``a`` needs a gradient, and ``a``'s only when
+``b`` does; ``add``, ``bias_add`` and ``transpose`` keep none; ``gelu``
+keeps its input and its 1 + erf; ``layer_norm`` keeps its normalized input
+and inverse deviations, not its input or output. So a forward value that
+no backward reads is freed as soon as the forward code drops its node, and
+a graph with no gradient holds no values at all. The slots live as long as
+a reference to the output (the loss or the logits node); callers that build
 one graph per step keep what they read, the loss value, the leaves'
 gradients or the logits array, and drop the output node before they build
 the next graph; otherwise two graphs are resident at each step's peak.
@@ -37,6 +47,10 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # operands in cache, and malloc reuses their scratch, where whole-matrix
 # temporaries are often page-faulted in afresh on every call.
 _CHUNK = 1 << 14
+# Elements per pass of gelu's backward. Its scratch buffer adds to the
+# backward's peak memory, so it is half of _CHUNK, at a few percent of the
+# pass's speed.
+_GRAD_CHUNK = 1 << 13
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; above that
 # erf = 1 - erfc with erfc(x) = exp(-x^2) P(x) / Q(x). U and Q have an
@@ -58,23 +72,60 @@ _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 
 
-class Node:
-    """One vertex of the computation graph: a value plus a gradient slot."""
+class Slot:
+    """The part of a node that the graph links to: the gradient, the closure
+    that sends it on to the parents, and the parents' slots (those of the
+    parents that need a gradient, in parent order)."""
 
-    __slots__ = ("value", "parents", "requires_grad", "op", "_grad", "_backprop", "_done",
-                 "__weakref__")
+    __slots__ = ("shape", "parents", "grad", "backprop", "spent")
+
+    def __init__(self, shape: tuple[int, int], parents: tuple["Slot", ...]):
+        self.shape = shape
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+        self.backprop = None
+        self.spent = False  # set once backward has run through this slot
+
+    def buffer(self) -> np.ndarray:
+        """The gradient array, zeros until something accumulates into it."""
+        if self.grad is None:
+            if self.spent:
+                raise StateError("backward consumed this interior gradient; "
+                                 "only leaves keep theirs")
+            self.grad = np.zeros(self.shape)
+        return self.grad
+
+    def accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into the gradient. An owned g is a new array that nothing
+        else holds; the first one becomes the gradient itself, after an
+        in-place g + 0.0, which equals zeros + g bit for bit (-0.0 turns into
+        0.0 either way), so no zeros or second copy are made."""
+        if owned and self.grad is None and not self.spent:
+            g += 0.0
+            self.grad = g
+        else:
+            self.buffer()
+            self.grad += g
+
+
+class Node:
+    """One vertex of the computation graph: a value, plus a gradient slot when
+    a leaf below it requires a gradient (see the module docstring)."""
+
+    __slots__ = ("value", "op", "slot", "__weakref__")
 
     def __init__(self, value, parents=(), requires_grad=False, op="leaf"):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"graph nodes hold 2-D matrices, got shape {arr.shape}")
         self.value = arr
-        self.parents = tuple(parents)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.op = op
-        self._grad = None
-        self._backprop = None
-        self._done = False
+        links = tuple(p.slot for p in parents if p.slot is not None)
+        self.slot = Slot(arr.shape, links) if requires_grad or links else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot is not None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,17 +139,38 @@ class Node:
     def cols(self) -> int:
         return self.value.shape[1]
 
+    def _need_slot(self) -> Slot:
+        if self.slot is None:
+            raise StateError(f"this {self.op} node does not require a gradient")
+        return self.slot
+
     @property
     def grad(self) -> np.ndarray:
-        """Accumulated d(loss)/d(value); zeros until backward reaches this node."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        return self._grad
+        """Accumulated d(loss)/d(value); zeros until backward reaches this node.
+
+        Backward consumes interior gradients, so after it only leaves have one;
+        reading an interior node's raises StateError.
+        """
+        return self._need_slot().buffer()
+
+    @property
+    def _grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @_grad.setter
+    def _grad(self, g: np.ndarray) -> None:
+        self._need_slot().grad = g
+
+    @property
+    def _backprop(self):
+        return None if self.slot is None else self.slot.backprop
+
+    @_backprop.setter
+    def _backprop(self, fn) -> None:
+        self._need_slot().backprop = fn
 
     def accum(self, g: np.ndarray) -> None:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        self._grad += g
+        self._need_slot().accum(g)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node(op={self.op}, shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -117,45 +189,57 @@ def leaf(value, requires_grad: bool = True, op: str = "leaf") -> Node:
 
 
 def constant(value, op: str = "const") -> Node:
-    """A leaf that backward never descends into (frozen weights, mask-free data)."""
+    """A leaf with no gradient slot (frozen weights, mask-free data)."""
     return Node(value, requires_grad=False, op=op)
 
 
 def backward(loss: LossScalar | Node) -> None:
     """Run reverse-mode accumulation from a 1x1 loss node.
 
-    Each graph supports exactly one backward pass; rebuild the forward graph
-    before differentiating again.
+    Only slots take part: each op's closure holds the few arrays it reads
+    (see the module docstring), never the nodes. Backward consumes the
+    graph: right after an interior slot sends its gradient to its parents,
+    it drops that gradient, its closure and its parent links, so the arrays
+    they held are freed as it goes. Leaves keep their gradients; an interior
+    node's ``grad`` raises StateError afterwards. Each graph supports exactly
+    one backward pass; rebuild the forward graph before differentiating
+    again.
     """
     node = loss.node if isinstance(loss, LossScalar) else loss
     if node.shape != (1, 1):
         raise ShapeError(f"backward starts from a 1x1 loss node, got shape {node.shape}")
-    if node._done:
+    root = node.slot
+    if root is None:
+        raise StateError("backward needs a loss that depends on a leaf requiring a gradient")
+    if root.spent:
         raise StateError("backward already ran on this graph; rebuild the forward pass first")
-    node._done = True
 
-    # Iterative post-order over the requires_grad subgraph; reversed, it is a
-    # topological order, so every node's grad is complete before its backprop runs.
-    order: list[Node] = []
+    # Iterative post-order over the slots; reversed, it is a topological
+    # order, so every slot's grad is complete before its backprop runs.
+    order: list[Slot] = []
     visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(node, False)]
+    stack: list[tuple[Slot, bool]] = [(root, False)]
     while stack:
-        n, expanded = stack.pop()
+        s, expanded = stack.pop()
         if expanded:
-            order.append(n)
+            order.append(s)
             continue
-        if id(n) in visited:
+        if id(s) in visited:
             continue
-        visited.add(id(n))
-        stack.append((n, True))
-        for p in n.parents:
-            if p.requires_grad and id(p) not in visited:
+        visited.add(id(s))
+        stack.append((s, True))
+        for p in s.parents:
+            if id(p) not in visited:
                 stack.append((p, False))
 
-    node.accum(np.ones((1, 1)))
-    for n in reversed(order):
-        if n._backprop is not None:
-            n._backprop(n.grad)
+    root.accum(np.ones((1, 1)))
+    root.spent = True
+    for s in reversed(order):
+        if s.backprop is not None:
+            s.backprop(s.buffer())
+            s.grad = s.backprop = None
+            s.parents = ()
+            s.spent = True
 
 
 # --- erf --------------------------------------------------------------------
@@ -241,12 +325,15 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = Node(a.value @ b.value, (a, b), op="matmul")
     if out.requires_grad:
-        def backprop(g, a=a, b=b):
-            if a.requires_grad:
-                a.accum(g @ b.value.T)
-            if b.requires_grad:
-                b.accum(a.value.T @ g)
-        out._backprop = backprop
+        sa, sb = a.slot, b.slot
+        av = a.value if sb is not None else None
+        bv = b.value if sa is not None else None
+        def backprop(g):
+            if sa is not None:
+                sa.accum(g @ bv.T, owned=True)
+            if sb is not None:
+                sb.accum(av.T @ g, owned=True)
+        out.slot.backprop = backprop
     return out
 
 
@@ -255,12 +342,13 @@ def add(a: Node, b: Node) -> Node:
         raise ShapeError(f"add needs equal shapes: {a.shape} vs {b.shape}")
     out = Node(a.value + b.value, (a, b), op="add")
     if out.requires_grad:
-        def backprop(g, a=a, b=b):
-            if a.requires_grad:
-                a.accum(g)
-            if b.requires_grad:
-                b.accum(g)
-        out._backprop = backprop
+        sa, sb = a.slot, b.slot
+        def backprop(g):
+            if sa is not None:
+                sa.accum(g)
+            if sb is not None:
+                sb.accum(g)
+        out.slot.backprop = backprop
     return out
 
 
@@ -270,21 +358,23 @@ def bias_add(x: Node, b: Node) -> Node:
         raise ShapeError(f"bias_add needs a (1,{x.cols}) bias, got {b.shape} for x {x.shape}")
     out = Node(x.value + b.value, (x, b), op="bias_add")
     if out.requires_grad:
-        def backprop(g, x=x, b=b):
-            if x.requires_grad:
-                x.accum(g)
-            if b.requires_grad:
-                b.accum(g.sum(axis=0, keepdims=True))
-        out._backprop = backprop
+        sx, sb = x.slot, b.slot
+        def backprop(g):
+            if sx is not None:
+                sx.accum(g)
+            if sb is not None:
+                sb.accum(g.sum(axis=0, keepdims=True), owned=True)
+        out.slot.backprop = backprop
     return out
 
 
 def transpose(x: Node) -> Node:
     out = Node(x.value.T.copy(), (x,), op="transpose")
     if out.requires_grad:
-        def backprop(g, x=x):
-            x.accum(g.T)
-        out._backprop = backprop
+        sx = x.slot
+        def backprop(g):
+            sx.accum(g.T)
+        out.slot.backprop = backprop
     return out
 
 
@@ -295,12 +385,15 @@ def rowwise_scale(x: Node, s: Node) -> Node:
         raise ShapeError(f"rowwise_scale needs s of shape ({x.rows},1), got {s.shape} for x {x.shape}")
     out = Node(x.value * s.value, (x, s), op="rowwise_scale")
     if out.requires_grad:
-        def backprop(g, x=x, s=s):
-            if x.requires_grad:
-                x.accum(g * s.value)
-            if s.requires_grad:
-                s.accum((g * x.value).sum(axis=1, keepdims=True))
-        out._backprop = backprop
+        sx, ss = x.slot, s.slot
+        xv = x.value if ss is not None else None
+        sv = s.value if sx is not None else None
+        def backprop(g):
+            if sx is not None:
+                sx.accum(g * sv, owned=True)
+            if ss is not None:
+                ss.accum((g * xv).sum(axis=1, keepdims=True), owned=True)
+        out.slot.backprop = backprop
     return out
 
 
@@ -316,12 +409,15 @@ def blockwise_scale(x: Node, z: Node) -> Node:
     expanded = np.repeat(z.value, w, axis=1)
     out = Node(x.value * expanded, (x, z), op="blockwise_scale")
     if out.requires_grad:
-        def backprop(g, x=x, z=z, expanded=expanded, m=m, k=k, w=w):
-            if x.requires_grad:
-                x.accum(g * expanded)
-            if z.requires_grad:
-                z.accum((g * x.value).reshape(m, k, w).sum(axis=2))
-        out._backprop = backprop
+        sx, sz = x.slot, z.slot
+        xv = x.value if sz is not None else None
+        ev = expanded if sx is not None else None
+        def backprop(g):
+            if sx is not None:
+                sx.accum(g * ev, owned=True)
+            if sz is not None:
+                sz.accum((g * xv).reshape(m, k, w).sum(axis=2), owned=True)
+        out.slot.backprop = backprop
     return out
 
 
@@ -336,11 +432,12 @@ def concat_rows(*parts: Node) -> Node:
     out = Node(np.concatenate([p.value for p in parts], axis=0), parts, op="concat_rows")
     if out.requires_grad:
         offsets = np.cumsum([0] + [p.rows for p in parts])
-        def backprop(g, parts=parts, offsets=offsets):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    p.accum(g[lo:hi])
-        out._backprop = backprop
+        spans = [(p.slot, lo, hi) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
+                 if p.slot is not None]
+        def backprop(g):
+            for sp, lo, hi in spans:
+                sp.accum(g[lo:hi])
+        out.slot.backprop = backprop
     return out
 
 
@@ -352,10 +449,10 @@ def embedding_lookup(table: Node, ids) -> Node:
             raise IndexError(f"token id {i} out of range for a {table.rows}-row table")
     out = Node(table.value[idx], (table,), op="embedding_lookup")
     if out.requires_grad:
-        def backprop(g, table=table, idx=idx):
-            table.grad  # ensure allocation
-            np.add.at(table._grad, idx, g)
-        out._backprop = backprop
+        st = table.slot
+        def backprop(g):
+            np.add.at(st.buffer(), idx, g)
+        out.slot.backprop = backprop
     return out
 
 
@@ -367,10 +464,10 @@ def mean_pool(x: Node, start: int = 0, stop: int | None = None) -> Node:
     n = stop - start
     out = Node(x.value[start:stop].mean(axis=0, keepdims=True), (x,), op="mean_pool")
     if out.requires_grad:
-        def backprop(g, x=x, start=start, stop=stop, n=n):
-            x.grad  # ensure allocation
-            x._grad[start:stop] += g / n
-        out._backprop = backprop
+        sx = x.slot
+        def backprop(g):
+            sx.buffer()[start:stop] += g / n
+        out.slot.backprop = backprop
     return out
 
 
@@ -382,7 +479,8 @@ def gelu(x: Node) -> Node:
     in-place passes over slices of at most _CHUNK elements that round each
     operation of the plain expressions once, in their order, so every byte
     is theirs; as in erf, the elements with |x / sqrt(2)| > 1 are gathered
-    and redone once. The backward reuses the forward's 1 + erf.
+    and redone once. The backward reuses the forward's 1 + erf and writes
+    the input's gradient over it.
     """
     xv = x.value
     flat = xv.reshape(-1)
@@ -409,29 +507,25 @@ def gelu(x: Node) -> Node:
         y[idx] = xt
     out = Node(y.reshape(xv.shape), (x,), op="gelu")
     if out.requires_grad:
-        def backprop(g, x=x, flat=flat, ope=ope):
-            # local = (0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi)) * g;
-            # nothing reads ope after this, so it is halved in place
-            local, gf = np.empty_like(flat), g.reshape(-1)
-            fresh = x._grad is None  # then local becomes the grad
-            for lo in range(0, flat.size, _CHUNK):
-                s = slice(lo, lo + _CHUNK)
-                xs, t, h = flat[s], local[s], ope[s]
-                np.multiply(xs, -0.5, out=t)
-                t *= xs
-                np.exp(t, out=t)
-                np.multiply(xs, t, out=t)
-                t *= _INV_SQRT2PI
+        sx = x.slot
+        def backprop(g):
+            # (0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi)) * g, written
+            # over ope, which nothing reads after this; + and * commute exactly
+            gf, t = g.reshape(-1), np.empty(min(flat.size, _GRAD_CHUNK))
+            for lo in range(0, flat.size, _GRAD_CHUNK):
+                s = slice(lo, lo + _GRAD_CHUNK)
+                xs, h = flat[s], ope[s]
+                u = t[:xs.size]
+                np.multiply(xs, -0.5, out=u)
+                u *= xs
+                np.exp(u, out=u)
+                np.multiply(xs, u, out=u)
+                u *= _INV_SQRT2PI
                 h *= 0.5
-                t += h
-                t *= gf[s]
-                if fresh:
-                    t += 0.0  # as accum's zeros + local: -0.0 + 0.0 = 0.0
-            if fresh:
-                x._grad = local.reshape(x.shape)
-            else:
-                x.accum(local.reshape(x.shape))
-        out._backprop = backprop
+                h += u
+                h *= gf[s]
+            sx.accum(ope.reshape(sx.shape), owned=True)
+        out.slot.backprop = backprop
     return out
 
 
@@ -450,17 +544,24 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
     xhat = (xv - mu) * istd
     out = Node(xhat * gain.value + bias.value, (x, gain, bias), op="layer_norm")
     if out.requires_grad:
-        def backprop(g, x=x, gain=gain, bias=bias, xhat=xhat, istd=istd):
-            if bias.requires_grad:
-                bias.accum(g.sum(axis=0, keepdims=True))
-            if gain.requires_grad:
-                gain.accum((g * xhat).sum(axis=0, keepdims=True))
-            if x.requires_grad:
-                dxhat = g * gain.value
+        sx, sg, sb = x.slot, gain.slot, bias.slot
+        gv = gain.value
+        def backprop(g):
+            if sb is not None:
+                sb.accum(g.sum(axis=0, keepdims=True), owned=True)
+            if sg is not None:
+                sg.accum((g * xhat).sum(axis=0, keepdims=True), owned=True)
+            if sx is not None:
+                # istd * (dxhat - m1 - xhat * m2), in place in two buffers
+                dxhat = g * gv
                 m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-                x.accum(istd * (dxhat - m1 - xhat * m2))
-        out._backprop = backprop
+                t = dxhat * xhat
+                m2 = t.mean(axis=1, keepdims=True)
+                dxhat -= m1
+                dxhat -= np.multiply(xhat, m2, out=t)
+                dxhat *= istd
+                sx.accum(dxhat, owned=True)
+        out.slot.backprop = backprop
     return out
 
 
@@ -477,10 +578,10 @@ def take_rows(x: Node, spans: list[tuple[int, int]]) -> Node:
     idx = np.concatenate([np.arange(a, b) for a, b in spans])
     out = Node(x.value[idx], (x,), op="take_rows")
     if out.requires_grad:
-        def backprop(g, x=x, idx=idx):
-            x.grad  # ensure allocation
-            x._grad[idx] += g
-        out._backprop = backprop
+        sx = x.slot
+        def backprop(g):
+            sx.buffer()[idx] += g
+        out.slot.backprop = backprop
     return out
 
 
@@ -541,28 +642,27 @@ def attention_blocks(q: Node, k: Node, v: Node, heads: int,
 
     out = Node(out_val, (q, k, v), op="attention_blocks")
     if out.requires_grad:
-        def backprop(g, q=q, k=k, v=v, weights=weights, blocks=blocks,
-                     heads=heads, d=d, scale=scale):
+        sq, sk, sv = q.slot, k.slot, v.slot
+        qv = q.value if sk is not None else None
+        kv = k.value if sq is not None else None
+        vv = v.value if sq is not None or sk is not None else None
+        def backprop(g):
             for ((qa, qb), (a, b)), att in zip(blocks, weights):
                 gh = heads_first(g, qa, qb)
-                qh = heads_first(q.value, qa, qb)
-                kh = heads_first(k.value, a, b)
-                vh = heads_first(v.value, a, b)
-                if v.requires_grad:
-                    v.grad
+                if sv is not None:
                     dv = att.transpose(0, 2, 1) @ gh
-                    v._grad[a:b] += dv.transpose(1, 0, 2).reshape(b - a, e)
-                da = gh @ vh.transpose(0, 2, 1)
+                    sv.buffer()[a:b] += dv.transpose(1, 0, 2).reshape(b - a, e)
+                if vv is None:
+                    continue
+                da = gh @ heads_first(vv, a, b).transpose(0, 2, 1)
                 ds = att * (da - (da * att).sum(axis=2, keepdims=True))
-                if q.requires_grad:
-                    q.grad
-                    dq = (ds @ kh) * scale
-                    q._grad[qa:qb] += dq.transpose(1, 0, 2).reshape(qb - qa, e)
-                if k.requires_grad:
-                    k.grad
-                    dk = (ds.transpose(0, 2, 1) @ qh) * scale
-                    k._grad[a:b] += dk.transpose(1, 0, 2).reshape(b - a, e)
-        out._backprop = backprop
+                if sq is not None:
+                    dq = (ds @ heads_first(kv, a, b)) * scale
+                    sq.buffer()[qa:qb] += dq.transpose(1, 0, 2).reshape(qb - qa, e)
+                if sk is not None:
+                    dk = (ds.transpose(0, 2, 1) @ heads_first(qv, qa, qb)) * scale
+                    sk.buffer()[a:b] += dk.transpose(1, 0, 2).reshape(b - a, e)
+        out.slot.backprop = backprop
     return out
 
 
@@ -588,7 +688,8 @@ def softmax_cross_entropy(logits: Node, labels) -> LossScalar:
     if node.requires_grad:
         onehot = np.zeros_like(probs)
         onehot[rows, lab] = 1.0
-        def backprop(g, logits=logits, probs=probs, onehot=onehot, b=b):
-            logits.accum(g[0, 0] * (probs - onehot) / b)
-        node._backprop = backprop
+        sl = logits.slot
+        def backprop(g):
+            sl.accum(g[0, 0] * (probs - onehot) / b, owned=True)
+        node.slot.backprop = backprop
     return LossScalar(value, node)

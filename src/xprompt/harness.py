@@ -36,11 +36,8 @@ every file in the run directory is the same for any jobs.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -63,7 +60,7 @@ DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 
 # --- config schema ----------------------------------------------------------------
 
-# (key, type, default); the template lists every key in this order
+# (key, type, default); to_text writes every key in this order
 SCHEMA: tuple[tuple[str, str, object], ...] = (
     ("backbone.vocab_size", "int", 32),
     ("backbone.embed_dim", "int", 32),
@@ -243,17 +240,6 @@ class RunConfig:
         self.optimizer()  # rejects an unknown optim.kind, lr <= 0 or weight_decay < 0
         if not 0.0 <= v["prune.negative_ratio"] < 1.0:
             raise ConfigError("prune.negative_ratio must be in [0, 1)")
-
-
-TEMPLATE_HEADER = """\
-# Run configuration: flat `key = value` lines, # for comments.
-# Protocol defaults: m=20 prompt tokens in k=16 pieces, pruning ratio grids
-# 0.1-0.9 in steps of 0.1, 100 tuning epochs at batch 16, weight decay 1e-5.
-"""
-
-
-def write_template(path: str) -> None:
-    write_text_atomic(path, TEMPLATE_HEADER + RunConfig.from_mapping().to_text())
 
 
 # --- parameter accounting ------------------------------------------------------------
@@ -588,7 +574,10 @@ def _check_names(kind: str, given, allowed) -> None:
 
 
 def _check_jobs(jobs: int) -> None:
-    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+    if jobs <= 1:
+        return
+    import multiprocessing  # the process pool's modules load only when a run uses it
+    if "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(f"jobs = {jobs} needs worker processes started by fork, "
                           "which this platform lacks; use jobs = 1")
 
@@ -618,6 +607,9 @@ def _map_seeds(stage: str, jobs: int, fn, seeds: list[int]) -> list:
     workers = min(jobs, len(seeds))
     if workers <= 1:
         return [fn(s) for s in seeds]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_install_seed_fn, initargs=(fn,)) as pool:

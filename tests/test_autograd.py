@@ -49,12 +49,15 @@ def test_rowwise_scale_zero_mask_annihilates_row_and_value_grad():
     s = ag.leaf(np.array([[1.0], [0.0], [1.0]]))
     out = ag.rowwise_scale(x, s)
     assert np.array_equal(out.value[1], np.zeros(4))
-    total = ag.matmul(ag.mean_pool(out), ag.constant(np.ones((4, 1))))
+    w = np.ones((4, 1))
+    total = ag.matmul(ag.mean_pool(out), ag.constant(w))
     ag.backward(ag.LossScalar(float(total.value[0, 0]), total))
     # grad to the masked row of x is exactly zero...
     assert np.array_equal(x.grad[1], np.zeros(4))
-    # ...while the mask itself still sees the usual inner-product gradient
-    expected = (out.grad[1] * x.value[1]).sum()
+    # ...while the mask itself still sees the usual inner-product gradient;
+    # backward consumed out's gradient, so rebuild it from total = mean_pool(out) @ w
+    out_grad = (np.ones((1, 1)) @ w.T) / 3
+    expected = (out_grad[0] * x.value[1]).sum()
     assert s.grad[1, 0] == expected
 
 
@@ -108,10 +111,15 @@ def test_token_importance_identity():
     x = ag.leaf(rng.normal(size=(5, 6)))
     s = ag.leaf(np.ones((5, 1)))
     masked = ag.rowwise_scale(x, s)
-    logits = ag.matmul(ag.mean_pool(masked), ag.constant(rng.normal(size=(6, 3))))
+    w = rng.normal(size=(6, 3))
+    logits = ag.matmul(ag.mean_pool(masked), ag.constant(w))
     loss = ag.softmax_cross_entropy(logits, [2])
     ag.backward(loss)
-    inner = (masked.grad * x.value).sum(axis=1, keepdims=True)
+    # backward consumed masked's gradient; rebuild it from the loss: softmax
+    # minus one-hot at the logits, through w, spread evenly over the 5 rows
+    probs = np.exp(logits.value) / np.exp(logits.value).sum()
+    masked_grad = np.repeat((probs - np.eye(3)[[2]]) @ w.T / 5, 5, axis=0)
+    inner = (masked_grad * x.value).sum(axis=1, keepdims=True)
     assert max_rel_err(s.grad, inner) <= 1e-12
 
 
@@ -191,6 +199,62 @@ def test_double_backward_rejected():
     ag.backward(loss)
     with pytest.raises(StateError):
         ag.backward(loss)
+
+
+def test_backward_consumes_interior_gradients_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(6)
+    x = ag.leaf(rng.normal(size=(4, 6)))
+    s = ag.leaf(np.ones((4, 1)))
+    h = ag.gelu(ag.rowwise_scale(x, s))
+    loss = ag.softmax_cross_entropy(ag.matmul(ag.mean_pool(h), ag.constant(np.eye(6))), [3])
+    assert np.array_equal(h.grad, np.zeros((4, 6)))  # zeros until backward reaches it
+    ag.backward(loss)
+    for interior in (h, loss.node):
+        with pytest.raises(StateError):
+            interior.grad
+    assert x.grad.shape == (4, 6) and np.abs(x.grad).sum() > 0.0
+    assert s.grad.shape == (4, 1) and np.abs(s.grad).sum() > 0.0
+
+
+def test_constants_have_no_gradient():
+    c = ag.constant(np.ones((2, 2)))
+    y = ag.matmul(c, c)
+    assert not y.requires_grad and y._backprop is None
+    with pytest.raises(StateError):
+        c.grad
+    with pytest.raises(StateError):
+        ag.backward(ag.LossScalar(4.0, ag.mean_pool(ag.matmul(y, ag.constant([[1.0], [1.0]])))))
+
+
+def test_backward_runs_a_replaced_backprop():
+    """A profiler may swap _backprop on the node an op returns, or on a loss's
+    node, for a wrapper: backward must run the wrapper, and the gradients
+    stay the same."""
+    rng = np.random.default_rng(8)
+    xv, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+    def run(wrap):
+        x = ag.leaf(xv)
+        h = ag.matmul(x, ag.constant(w))
+        wrap(h, "matmul")
+        loss = ag.softmax_cross_entropy(ag.mean_pool(h), [1])
+        wrap(loss.node, "softmax_cross_entropy")
+        ag.backward(loss)
+        return x.grad
+
+    calls = []
+
+    def wrap(node, name):
+        inner = node._backprop
+
+        def wrapper(g):
+            calls.append(name)
+            inner(g)
+        node._backprop = wrapper
+
+    wrapped = run(wrap)
+    assert calls == ["softmax_cross_entropy", "matmul"]
+    assert np.array_equal(wrapped, run(lambda node, name: None))
 
 
 def test_forward_is_deterministic_bitwise():

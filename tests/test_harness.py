@@ -7,6 +7,7 @@ across rerun, resume, and parallel execution.
 
 import decimal
 import hashlib
+import multiprocessing
 import os
 import re
 import shutil
@@ -72,18 +73,21 @@ def read(path: str) -> str:
 # --- config files -----------------------------------------------------------------
 
 
-def test_template_round_trips(tmp_path):
+def write_defaults(tmp_path) -> str:
     path = str(tmp_path / "run.cfg")
-    hz.write_template(path)
-    cfg = hz.RunConfig.from_file(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(hz.RunConfig.from_mapping().to_text())
+    return path
+
+
+def test_template_round_trips(tmp_path):
+    cfg = hz.RunConfig.from_file(write_defaults(tmp_path))
     assert cfg.values == hz.RunConfig.from_mapping().values
     assert cfg.config_hash() == hz.RunConfig.from_mapping().config_hash()
 
 
 def test_template_protocol_defaults(tmp_path):
-    path = str(tmp_path / "run.cfg")
-    hz.write_template(path)
-    cfg = hz.RunConfig.from_file(path)
+    cfg = hz.RunConfig.from_file(write_defaults(tmp_path))
     assert cfg["prompt.m"] == 20
     assert cfg["prompt.k"] == 16
     grid = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -827,7 +831,7 @@ def test_cli_exit_code_4_when_a_worker_dies(tmp_path, monkeypatch, capsys):
 def test_cli_exit_code_2_when_workers_cannot_fork(tmp_path, monkeypatch):
     out = str(tmp_path / "nofork")
     cfg = write_cfg_file(tmp_path, out)
-    monkeypatch.setattr(hz.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     for command in ("pipeline", "baselines"):
         assert cli.main([command, "--config", cfg, "--jobs", "2"]) == 2
     assert not os.path.exists(out)

@@ -1,5 +1,6 @@
 """Prompt bank construction, masking identities, snapshots, and tuning."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -266,3 +267,55 @@ def test_each_step_frees_its_graph_before_the_next(monkeypatch, micro_backbone, 
         pruning.score_tokens(bank, micro_backbone, train)
     assert len(alive) >= 2
     assert alive == [0] * len(alive)
+
+
+# --- memory of one step -------------------------------------------------------------
+
+
+def _step_memory(monkeypatch):
+    """(bytes of every node value built, bytes held after the forward, peak
+    bytes during backward) of one prompted 16-sequence training step, from
+    tracemalloc, on a frozen backbone at the default run config's scale."""
+    cfg = backbone.BackboneConfig(vocab_size=32, embed_dim=32, layers=2, heads=4,
+                                  max_seq_len=40, num_classes=2, seed=3)
+    spec = tasks.TaskSpec(name="mem", kind="majority_class", vocab_size=32, num_classes=2,
+                          seq_len_min=8, seq_len_max=16, train_size=16, dev_size=4, seed=11)
+    bb = backbone.init_backbone(cfg)
+    bb.freeze()
+    bank = prompt.init_prompt(20, 32, 16, prompt.InitStrategy(seed=8), bb)
+    batch = tasks.generate(spec)["train"]
+    w = backbone._wrap_weights(bb, trainable=False)
+    built = []
+    real_init = ag.Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.value.nbytes)
+
+    monkeypatch.setattr(ag.Node, "__init__", counting_init)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, g = prompt.batch_loss(bank, bb, batch, weight_nodes=w)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        ag.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.abs(g.prompt.grad).sum() > 0.0
+    return sum(built), held, peak
+
+
+def test_forward_keeps_only_what_backward_reads(monkeypatch):
+    """Values no backward reads (matmul outputs into bias_add, gelu outputs,
+    residual sums, layer-norm outputs) are freed during the forward."""
+    built, held, _ = _step_memory(monkeypatch)
+    assert held <= 0.75 * built, f"held {held} of {built} bytes built"
+
+
+def test_backward_frees_as_it_goes(monkeypatch):
+    """Backward drops each interior gradient and closure once it has run, so
+    its peak stays near what the forward left held."""
+    _, held, peak = _step_memory(monkeypatch)
+    assert peak <= 1.1 * held, f"backward peak {peak}, {held} held after the forward"
