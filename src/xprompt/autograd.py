@@ -154,23 +154,12 @@ class Node:
         return self._need_slot().buffer()
 
     @property
-    def _grad(self) -> np.ndarray | None:
-        return None if self.slot is None else self.slot.grad
-
-    @_grad.setter
-    def _grad(self, g: np.ndarray) -> None:
-        self._need_slot().grad = g
-
-    @property
     def _backprop(self):
         return None if self.slot is None else self.slot.backprop
 
     @_backprop.setter
     def _backprop(self, fn) -> None:
         self._need_slot().backprop = fn
-
-    def accum(self, g: np.ndarray) -> None:
-        self._need_slot().accum(g)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node(op={self.op}, shape={self.value.shape}, requires_grad={self.requires_grad})"

@@ -206,31 +206,38 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
     prompt_rows; frozen weights are graph constants (pass weight_nodes to
     share the wrappers across calls).
     """
+    return _forward_packed(bb, [prompt_rows] * len(sequences), sequences, weight_nodes)
+
+
+def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences,
+                    weight_nodes: dict[str, ag.Node] | None = None) -> ag.Node:
+    """forward_batch with prompts[i] prepended to sequences[i]. Given one
+    leaf per sequence, each leaf's gradient is its own sequence's share."""
     if not bb.frozen:
         raise StateError("backbone must be frozen before prompted forward passes")
     cfg = bb.cfg
-    if prompt_rows is not None and prompt_rows.cols != cfg.embed_dim:
-        raise ConfigError(
-            f"prompt width {prompt_rows.cols} != backbone embed_dim {cfg.embed_dim}")
+    for prompt in prompts:
+        if prompt is not None and prompt.cols != cfg.embed_dim:
+            raise ConfigError(
+                f"prompt width {prompt.cols} != backbone embed_dim {cfg.embed_dim}")
     if not sequences:
         raise DataError("forward_batch needs at least one sequence")
-    m = 0 if prompt_rows is None else prompt_rows.rows
 
     w = weight_nodes if weight_nodes is not None else _wrap_weights(bb, trainable=False)
+    lens = [0 if prompt is None else prompt.rows for prompt in prompts]
     parts: list[ag.Node] = []
     bounds: list[tuple[int, int]] = []
     offset = 0
-    for seq in sequences:
+    for prompt, m, seq in zip(prompts, lens, sequences):
         ids = _check_ids(cfg, seq, m)
         if m > 0:
-            parts.append(prompt_rows)
+            parts.append(prompt)
         parts.append(ag.embedding_lookup(w["tok_emb"], ids))
         bounds.append((offset, offset + m + len(ids)))
         offset += m + len(ids)
 
-    tokens = [(a + m, b) for a, b in bounds]
-    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=[m] * len(bounds),
-                pooled=tokens)
+    tokens = [(a + m, b) for (a, b), m in zip(bounds, lens)]
+    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=lens, pooled=tokens)
     ends = accumulate(b - a for a, b in tokens)
     pooled = ag.concat_rows(*[ag.mean_pool(h, end - (b - a), end)
                               for (a, b), end in zip(tokens, ends)])

@@ -10,10 +10,11 @@ report, never in metrics.
 The run directory (run.out) has one owner, RunDir. It holds config.txt,
 backbone/, seed<N>/stage1/ and seed<N>/prune/ (the fragments: a checkpoint
 and, but for the backbone, records.tsv; prune adds best.txt and
-saliency.txt), and the merged metrics.tsv, report.txt, baselines.tsv,
-baseline_medians.tsv and transfer.tsv. Each fragment's manifest.txt ends in
-three provenance lines: ``run_hash``, the config hash, which leaves out
-run.out and run.seeds since neither changes what a fragment holds;
+saliency.txt, in format saliency v2, see export_saliency), and the merged
+metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
+transfer.tsv. Each fragment's manifest.txt ends in three provenance lines:
+``run_hash``, the config hash, which leaves out run.out and run.seeds
+since neither changes what a fragment holds;
 ``parent``, the sha256 of the parent's manifest.txt (the backbone's for
 stage 1, stage 1's for prune, ``none`` for the backbone); and
 ``blas_threads``, the BLAS thread variables in effect, recorded, not
@@ -221,6 +222,9 @@ class RunConfig:
             raise ConfigError(f"prompt.m must be >= 1, got {v['prompt.m']}")
         if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
+        for key in ("run.seeds", "backbone.seed", "task.shots_seed"):
+            if min(v[key] if key == "run.seeds" else (v[key],)) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {_render(key, v[key])}")
         for key in ("task.train_path", "task.dev_path"):
             if v[key] and not os.path.exists(v[key]):
                 raise ConfigError(f"{key} does not exist: {v[key]}")
@@ -319,8 +323,10 @@ def _norm(value: float, peak: float) -> float:
 
 
 def export_saliency(report: ImportanceReport, masks: Masks, path: str) -> None:
-    """Plot-ready text: raw and row-max-normalized scores with pruned flags
-    read from the (gamma, zeta) masks.
+    """Plot-ready text, format saliency v2: the number of examples the
+    scores average over (each score is the mean over training examples of
+    |dL(x)/d mask|, see pruning.score_tokens), then raw and row-max-normalized
+    scores with pruned flags read from the (gamma, zeta) masks.
 
     Every token row of piece scores contains a 100.0 after normalization;
     pruned structures keep their pre-prune raw score alongside pruned=1.
@@ -331,9 +337,7 @@ def export_saliency(report: ImportanceReport, masks: Masks, path: str) -> None:
         raise DataError(f"selection masks {gamma.shape} and {zeta.shape} do not "
                         f"match report ({m}, {k})")
     live = gamma[:, None] * zeta > 0
-    lines = ["format saliency v1",
-             f"aggregation {report.aggregation}",
-             f"batches_seen {report.batches_seen}"]
+    lines = ["format saliency v2", f"examples_seen {report.examples_seen}"]
     peak = float(report.token_scores.max())
     for i in range(m):
         raw = float(report.token_scores[i])
@@ -364,8 +368,7 @@ def merge_saliency_report(cell: CellResult) -> ImportanceReport:
         piece_scores=np.where(alive, pc.piece_scores, tok.piece_scores),
         token_live=tok.token_live.copy(),
         piece_live=tok.piece_live.copy(),
-        batches_seen=pc.batches_seen,
-        aggregation=pc.aggregation)
+        examples_seen=pc.examples_seen)
 
 
 # --- datasets and corpus --------------------------------------------------------------
@@ -574,7 +577,9 @@ def _check_names(kind: str, given, allowed) -> None:
 
 
 def _check_jobs(jobs: int) -> None:
-    if jobs <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return
     import multiprocessing  # the process pool's modules load only when a run uses it
     if "fork" not in multiprocessing.get_all_start_methods():

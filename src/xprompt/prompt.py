@@ -2,8 +2,7 @@
 
 The masked prompt fed to the backbone is blockwise(rowwise(P, gamma), zeta).
 Both masks enter the graph as leaves, never baked into the values, so their
-gradients are exact; that is what the importance scores read. The snapshot
-holds the values rewinding restores.
+gradients are exact. The snapshot holds the values rewinding restores.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Importance scoring, structured mask selection, and hierarchical pruning.
 
-Token scores are means over training batches of |dL/d gamma_i|; piece scores
-are the same statistic for zeta entries, recomputed on the tokens that survive
-token-level pruning. A scoring sweep is a pure function of the prompt and the
-masks, so a prune grid scores tokens once per run and pieces once per token
-ratio, and shares each report, read-only, among the cells that use it.
+Token scores are means over training examples of |dL(x)/d gamma_i|, the
+statistic of Michel et al. (2019); piece scores are the same statistic for
+zeta entries, recomputed on the tokens that survive token-level pruning. A
+scoring sweep is a pure function of the prompt and the masks, so a prune
+grid scores tokens once per run and pieces once per token ratio, and shares
+each report, read-only, among the cells that use it.
 A selection is the pair of 0/1 mask arrays the bank holds, gamma (m,) and
 zeta (m, k): selecting writes floor(ratio * live) removals, under a
 documented deterministic tie-break, into copies of a report's liveness
@@ -22,15 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .backbone import FrozenBackbone
+from .backbone import FrozenBackbone, _forward_packed, _wrap_weights
 from .errors import ConfigError, DataError, StateError
 from .optim import OptimizerState
-from .prompt import PromptBank, TuneResult, batch_loss, evaluate, tune
+from .prompt import PromptBank, TuneResult, evaluate, tune
 from .util import stable_seed
 
 log = logging.getLogger("xprompt.pruning")
 
-AGGREGATIONS = ("per_batch_abs", "per_example_abs")
 RULES = ("lowest_score", "random", "reversed")
 
 SCORE_BATCH = 16
@@ -51,40 +51,43 @@ class ImportanceReport:
     piece_scores: np.ndarray       # (m, k)
     token_live: np.ndarray         # (m,) bool
     piece_live: np.ndarray         # (m, k) bool
-    batches_seen: int
-    aggregation: str
-
-
-def _score_batches(bank: PromptBank, bb: FrozenBackbone, train, agg: str,
-                   batch_size: int):
-    """Yield (token |grad|, piece |grad|) per batch, in dataset order."""
-    if agg not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
-    if not train:
-        raise DataError("cannot score importance on an empty dataset")
-    step = 1 if agg == "per_example_abs" else batch_size
-    for lo in range(0, len(train), step):
-        loss, g = batch_loss(bank, bb, train[lo:lo + step])
-        ag.backward(loss)
-        del loss  # the mask leaves hold their gradients; free the graph before the next batch
-        yield np.abs(g.token_mask.grad[:, 0]), np.abs(g.piece_mask.grad)
+    examples_seen: int
 
 
 def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
-                 agg: str = "per_batch_abs", batch_size: int = SCORE_BATCH) -> ImportanceReport:
-    """Token importance: mean over batches of |dL/d gamma_i| at the current masks."""
-    tok = np.zeros(bank.m)
-    pc = np.zeros((bank.m, bank.k))
-    n = 0
-    for t, p in _score_batches(bank, bb, train, agg, batch_size):
-        tok += t
-        pc += p
-        n += 1
+                 batch_size: int = SCORE_BATCH) -> ImportanceReport:
+    """Token and piece importance at the current masks: the means over
+    examples of |dL(x)/d gamma_i| and |dL(x)/d zeta_ic|.
+
+    Each batch of B examples runs one packed forward and backward, with one
+    leaf per sequence holding the masked prompt values, so leaf x's gradient
+    is G_x / B, with G_x = dL(x)/d(masked prompt). The masked prompt
+    blockwise(rowwise(P, gamma), zeta) is linear in each mask, so with
+    S_x[i, c] the sum over the columns j of piece c of G_x[i, j] P[i, j],
+    dL(x)/d zeta_ic = gamma_i S_x[i, c] and dL(x)/d gamma_i =
+    sum_c zeta_ic S_x[i, c]. batch_size sets the packing, not the statistic.
+    """
+    if not train:
+        raise DataError("cannot score importance on an empty dataset")
+    m, k = bank.piece_mask.shape
+    tok, pc = np.zeros(m), np.zeros((m, k))
+    values = bank.effective_values()
+    w = _wrap_weights(bb, trainable=False)
+    for lo in range(0, len(train), batch_size):
+        batch = train[lo:lo + batch_size]
+        leaves = [ag.leaf(values, op="prompt") for _ in batch]
+        logits = _forward_packed(bb, leaves, [ex.tokens for ex in batch], w)
+        ag.backward(ag.softmax_cross_entropy(logits, [ex.label for ex in batch]))
+        del logits  # the leaves hold their gradients; free the graph before the next batch
+        gp = np.stack([leaf.grad for leaf in leaves]) * (len(batch) * bank.p)
+        s = gp.reshape(len(batch), m, k, -1).sum(axis=3)
+        tok += np.abs((s * bank.piece_mask).sum(axis=2)).sum(axis=0)
+        pc += np.abs(s * bank.token_mask[:, None]).sum(axis=0)
     token_live = bank.token_mask > 0
     piece_live = token_live[:, None] & (bank.piece_mask > 0)
-    tok = np.where(token_live, tok / n, 0.0)
-    pc = np.where(piece_live, pc / n, 0.0)
-    return ImportanceReport(tok, pc, token_live, piece_live, n, agg)
+    tok = np.where(token_live, tok / len(train), 0.0)
+    pc = np.where(piece_live, pc / len(train), 0.0)
+    return ImportanceReport(tok, pc, token_live, piece_live, len(train))
 
 
 # --- selections -----------------------------------------------------------------
@@ -236,12 +239,6 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     The returned best cell maximizes dev accuracy; ties prefer fewer kept
     parameters, then lexicographically smaller ratios. The bank is left in
     the best cell's retrained state.
-
-    Scores use ``per_batch_abs``, the mean over batches of the absolute
-    batch gradient. The statistic of the paper, after Michel et al. (2019),
-    is ``per_example_abs``, the mean over examples of the absolute
-    per-example gradient. ``per_batch_abs`` is kept because switching it
-    changes every pruned record in ``metrics.tsv``.
     """
     sched.validate()
     if bank.snapshot is None:

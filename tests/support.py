@@ -1,7 +1,8 @@
 """Shared test oracles: central finite differences, gradient comparison,
 full-row attention as the reference for ``attention_blocks``, a
 scipy-based GELU as the reference for ``gelu``, the full-row
-encoder as the reference for ``forward_batch`` and ``batch_loss``, per-cell
+encoder as the reference for ``forward_batch`` and ``batch_loss``, one
+pass per example as the reference for ``score_tokens``, per-cell
 rescoring as the reference for ``hierarchical_prune``, readers of
 (gamma, zeta) selection masks, and a content hash of backbone weights."""
 
@@ -16,7 +17,7 @@ from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
 from xprompt.optim import make_optimizer
-from xprompt.prompt import tune
+from xprompt.prompt import batch_loss, tune
 from xprompt.util import sha256_hex
 
 FD_EPS = 1e-5
@@ -86,16 +87,13 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
                 a = weights[h]
                 gh = g[:, sl]
                 if v.requires_grad:
-                    v.grad  # ensure allocation
-                    v._grad[:, sl] += a.T @ gh
+                    v.slot.buffer()[:, sl] += a.T @ gh
                 da = gh @ v.value[:, sl].T
                 ds = a * (da - (da * a).sum(axis=1, keepdims=True))
                 if q.requires_grad:
-                    q.grad
-                    q._grad[:, sl] += (ds @ k.value[:, sl]) * scale
+                    q.slot.buffer()[:, sl] += (ds @ k.value[:, sl]) * scale
                 if k.requires_grad:
-                    k.grad
-                    k._grad[:, sl] += (ds.T @ q.value[:, sl]) * scale
+                    k.slot.buffer()[:, sl] += (ds.T @ q.value[:, sl]) * scale
         out._backprop = backprop
     return out
 
@@ -109,7 +107,7 @@ def gelu(x: Node) -> Node:
     if out.requires_grad:
         def backprop(g, x=x, xv=xv, e=e):
             local = 0.5 * (1.0 + e) + xv * np.exp(-0.5 * xv * xv) * (1.0 / np.sqrt(2.0 * np.pi))
-            x.accum(g * local)
+            x.slot.accum(g * local)
         out._backprop = backprop
     return out
 
@@ -150,6 +148,22 @@ def batch_loss_full_rows(bank, bb, batch):
     g = bank.graph()
     logits = forward_batch_full_rows(bb, g.output, [ex.tokens for ex in batch])
     return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]), g
+
+
+def score_per_example(bank, bb, train) -> pr.ImportanceReport:
+    """score_tokens one example at a time: a batch_loss and backward per
+    example, then the means of the absolute mask gradients."""
+    tok, pc = np.zeros(bank.m), np.zeros((bank.m, bank.k))
+    for ex in train:
+        loss, g = batch_loss(bank, bb, [ex])
+        ag.backward(loss)
+        tok += np.abs(g.token_mask.grad[:, 0])
+        pc += np.abs(g.piece_mask.grad)
+    token_live = bank.token_mask > 0
+    piece_live = token_live[:, None] & (bank.piece_mask > 0)
+    return pr.ImportanceReport(np.where(token_live, tok / len(train), 0.0),
+                               np.where(piece_live, pc / len(train), 0.0),
+                               token_live, piece_live, len(train))
 
 
 def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,

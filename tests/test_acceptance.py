@@ -193,7 +193,7 @@ def test_04_selection_oracle():
         scores = rng.uniform(0.0, 1.0, size=5)
         live = np.ones(5, bool)
         rep = pr.ImportanceReport(scores, np.ones((5, 2)), live,
-                                  np.ones((5, 2), bool), 1, "per_batch_abs")
+                                  np.ones((5, 2), bool), 1)
         for p in (1, 2):
             sel = pr.select_tokens(rep, ratio=p / 5.0, rule="lowest_score", seed=0)
             kept = frozenset(int(i) for i in np.flatnonzero(sel[0]))

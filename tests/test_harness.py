@@ -239,8 +239,7 @@ def test_metrics_records_round_trip(tmp_path):
 def make_report(token_scores, piece_scores):
     ts = np.asarray(token_scores, dtype=float)
     ps = np.asarray(piece_scores, dtype=float)
-    return pr.ImportanceReport(ts, ps, np.ones(ts.shape, bool),
-                               np.ones(ps.shape, bool), 1, "per_batch_abs")
+    return pr.ImportanceReport(ts, ps, np.ones(ts.shape, bool), np.ones(ps.shape, bool), 1)
 
 
 def parse_saliency(text: str):
@@ -261,7 +260,7 @@ def test_export_saliency_row_max_is_100(tmp_path):
     path = str(tmp_path / "sal.txt")
     hz.export_saliency(rep, sel, path)
     text = read(path)
-    assert text.startswith("format saliency v1\n")
+    assert text.startswith("format saliency v2\nexamples_seen 1\n")
     tokens, pieces = parse_saliency(text)
     assert tokens[0] == (0.2, 50.0, 0)
     assert tokens[1] == (0.4, 100.0, 0)
@@ -305,8 +304,7 @@ def test_merge_saliency_report_mixes_stages():
     tok = make_report([0.4, 0.1], [[0.5, 0.6], [0.7, 0.8]])
     piece = pr.ImportanceReport(np.array([0.9, 0.0]), np.array([[1.5, 1.6], [0.0, 0.0]]),
                                 np.array([True, False]),
-                                np.array([[True, True], [False, False]]),
-                                3, "per_batch_abs")
+                                np.array([[True, True], [False, False]]), 3)
     sel = np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])
     cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, 1, None,
                          token_report=tok, piece_report=piece)
@@ -314,7 +312,7 @@ def test_merge_saliency_report_mixes_stages():
     assert np.array_equal(merged.token_scores, [0.4, 0.1])      # token-stage scores
     assert np.array_equal(merged.piece_scores[0], [1.5, 1.6])   # survivor: piece stage
     assert np.array_equal(merged.piece_scores[1], [0.7, 0.8])   # removed: token stage
-    assert merged.batches_seen == 3
+    assert merged.examples_seen == 3
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -601,6 +599,9 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
     assert cli.main(["baselines", "--config", cfg, "--which", ","]) == 2
     assert cli.main(["transfer", "--config", cfg, "--variants", ",",
                      "--source", os.path.join(copy, "seed1", "prune")]) == 2
+    # and so are fewer than one worker
+    for command in ("pretrain", "baselines"):
+        assert cli.main([command, "--config", cfg, "--jobs", "0"]) == 2
     assert all(read(path) == "earlier records\n" for path in earlier)
 
 
@@ -616,6 +617,17 @@ def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
         assert cli.main([command, "--config", cfg]) == 2
         assert not os.path.exists(os.path.join(out, "config.txt"))
         assert not os.path.exists(os.path.join(out, "backbone"))
+
+
+@pytest.mark.parametrize("bad, args", [({}, ["--seed", "-1"]),
+                                       ({"backbone.seed": -2}, []),
+                                       ({"task.shots": 4, "task.shots_seed": -1}, [])],
+                         ids=["run-seeds", "backbone-seed", "shots-seed"])
+def test_cli_negative_seeds_exit_before_any_work(tmp_path, bad, args):
+    out = str(tmp_path / "bad")
+    cfg = write_cfg_file(tmp_path, out, **bad)
+    assert cli.main(["tune", "--config", cfg, *args]) == 2
+    assert not os.path.exists(os.path.join(out, "config.txt"))
 
 
 def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):

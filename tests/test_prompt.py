@@ -263,7 +263,7 @@ def test_each_step_frees_its_graph_before_the_next(monkeypatch, micro_backbone, 
         backbone.pretrain(backbone.init_backbone(MICRO_CFG),
                           tasks.pretrain_corpus(train), steps=3, lr=1e-2)
     else:
-        alive = _track_graphs(monkeypatch, pruning, "batch_loss", _loss_node)
+        alive = _track_graphs(monkeypatch, pruning, "_forward_packed", lambda out: out)
         pruning.score_tokens(bank, micro_backbone, train)
     assert len(alive) >= 2
     assert alive == [0] * len(alive)

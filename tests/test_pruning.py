@@ -1,8 +1,9 @@
 """Importance scoring, selection, rewinding, and hierarchical pruning.
 
-The scoring oracle is a finite-difference probe of the batch loss with masks
-baked into a constant prompt, so no autograd path is shared with the scores
-under test. Selection oracles enumerate every removal subset and rank them
+The scoring oracles are finite-difference probes of each example's loss with
+masks baked into a constant prompt, so no autograd path is shared with the
+scores under test, and one backward pass per example through the mask
+leaves (support.score_per_example). Selection oracles enumerate every removal subset and rank them
 with explicitly spelled-out tie-break keys.
 """
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from xprompt import autograd as ag
 from xprompt import harness as hz
 from xprompt import pruning as pr
-from xprompt.backbone import forward_batch
+from xprompt.backbone import forward_batch, init_backbone, pretrain
 from xprompt.errors import ConfigError, DataError, StateError
 from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, batch_loss, evaluate, init_prompt, tune
@@ -62,44 +63,49 @@ def masked_loss_value(bank, bb, batch, gamma, zeta) -> float:
     return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]).value
 
 
-def make_report(token_scores, piece_scores, token_live=None, piece_live=None,
-                agg="per_batch_abs"):
+def mean_abs_fd(bank, bb, batch, bumped, eps) -> float:
+    """Mean over examples of |L_x(all-ones masks) - L_x(bumped masks)| / eps:
+    a forward difference of each example's own loss, in absolute value."""
+    ones = np.ones(bank.m), np.ones((bank.m, bank.k))
+    return float(np.mean([abs(masked_loss_value(bank, bb, [ex], *ones)
+                              - masked_loss_value(bank, bb, [ex], *bumped))
+                          for ex in batch])) / eps
+
+
+def make_report(token_scores, piece_scores, token_live=None, piece_live=None):
     ts = np.asarray(token_scores, dtype=float)
     ps = np.asarray(piece_scores, dtype=float)
     tl = np.ones(ts.shape, dtype=bool) if token_live is None else np.asarray(token_live)
     pl = np.ones(ps.shape, dtype=bool) if piece_live is None else np.asarray(piece_live)
-    return pr.ImportanceReport(ts, ps, tl, pl, 1, agg)
+    return pr.ImportanceReport(ts, ps, tl, pl, 1)
 
 
 # --- finite-difference oracles ------------------------------------------------
 
 
 def test_token_scores_match_finite_differences(bank, micro_backbone, fd_batch):
-    """Forward difference at eps=1e-4 agrees with every token score within 2%."""
+    """Per-example forward differences at eps=1e-4, averaged in absolute
+    value, agree with every token score within 2%."""
     eps = 1e-4
-    rep = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=len(fd_batch))
-    gamma = np.ones(bank.m)
+    rep = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=5)
     zeta = np.ones((bank.m, bank.k))
-    base = masked_loss_value(bank, micro_backbone, fd_batch, gamma, zeta)
     for i in range(bank.m):
-        bumped = gamma.copy()
-        bumped[i] = 1.0 - eps
-        fd = abs(base - masked_loss_value(bank, micro_backbone, fd_batch, bumped, zeta)) / eps
+        gamma = np.ones(bank.m)
+        gamma[i] = 1.0 - eps
+        fd = mean_abs_fd(bank, micro_backbone, fd_batch, (gamma, zeta), eps)
         assert abs(fd - rep.token_scores[i]) <= 0.02 * max(fd, 1e-12), (
             f"token {i}: fd {fd} vs score {rep.token_scores[i]}")
 
 
 def test_piece_scores_match_finite_differences(bank, micro_backbone, fd_batch):
     eps = 1e-4
-    rep = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=len(fd_batch))
+    rep = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=5)
     gamma = np.ones(bank.m)
-    zeta = np.ones((bank.m, bank.k))
-    base = masked_loss_value(bank, micro_backbone, fd_batch, gamma, zeta)
     for t in range(bank.m):
         for q in range(bank.k):
-            bumped = zeta.copy()
-            bumped[t, q] = 1.0 - eps
-            fd = abs(base - masked_loss_value(bank, micro_backbone, fd_batch, gamma, bumped)) / eps
+            zeta = np.ones((bank.m, bank.k))
+            zeta[t, q] = 1.0 - eps
+            fd = mean_abs_fd(bank, micro_backbone, fd_batch, (gamma, zeta), eps)
             assert abs(fd - rep.piece_scores[t, q]) <= 0.02 * max(fd, 1e-12)
 
 
@@ -130,7 +136,7 @@ def test_dead_structures_score_zero_and_are_flagged(bank, micro_backbone, fd_bat
     bank.token_mask[1] = 0.0
     bank.piece_mask[3, 2] = 0.0
     rep = pr.score_tokens(bank, micro_backbone, fd_batch)
-    assert rep.aggregation in pr.AGGREGATIONS and rep.batches_seen >= 1
+    assert rep.examples_seen == len(fd_batch)
     assert (rep.token_scores >= 0).all() and (rep.piece_scores >= 0).all()
     assert rep.token_scores[1] == 0.0
     assert not rep.token_live[1]
@@ -157,28 +163,79 @@ def test_zero_prompt_row_scores_exactly_zero(bank, micro_backbone, fd_batch):
 def test_duplicated_batches_leave_scores_unchanged(bank, micro_backbone, fd_batch):
     once = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=6)
     twice = pr.score_tokens(bank, micro_backbone, list(fd_batch) * 2, batch_size=6)
-    assert twice.batches_seen == 2 * once.batches_seen
+    assert twice.examples_seen == 2 * once.examples_seen
     np.testing.assert_allclose(twice.token_scores, once.token_scores, rtol=1e-12)
     np.testing.assert_allclose(twice.piece_scores, once.piece_scores, rtol=1e-12)
 
 
-def test_per_example_equals_batch_size_one(bank, micro_backbone, fd_batch):
-    per_ex = pr.score_tokens(bank, micro_backbone, fd_batch, agg="per_example_abs",
-                             batch_size=99)
-    singles = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=1)
-    assert per_ex.batches_seen == len(fd_batch)
-    assert np.array_equal(per_ex.token_scores, singles.token_scores)
-    assert np.array_equal(per_ex.piece_scores, singles.piece_scores)
-
-
 def test_aggregations_differ_generically(bank, micro_backbone, fd_batch):
-    """mean over batches of |grad| is not |grad of mean|, so the two
-    aggregations disagree whenever per-example gradients have mixed signs."""
-    per_batch = pr.score_tokens(bank, micro_backbone, fd_batch, batch_size=len(fd_batch))
-    per_ex = pr.score_tokens(bank, micro_backbone, fd_batch, agg="per_example_abs")
-    assert not np.allclose(per_batch.token_scores, per_ex.token_scores)
-    # Jensen: the batch-gradient magnitude never exceeds the mean of magnitudes
-    assert (per_batch.token_scores <= per_ex.token_scores + 1e-12).all()
+    """The mean over examples of |grad| is not |grad of the batch mean|: the
+    two disagree whenever per-example gradients have mixed signs, and by
+    Jensen the second never exceeds the first."""
+    rep = pr.score_tokens(bank, micro_backbone, fd_batch)
+    loss, g = batch_loss(bank, micro_backbone, fd_batch)
+    ag.backward(loss)
+    for batch_grad, scores in ((g.token_mask.grad[:, 0], rep.token_scores),
+                               (g.piece_mask.grad, rep.piece_scores)):
+        assert not np.allclose(np.abs(batch_grad), scores)
+        assert (np.abs(batch_grad) <= scores + 1e-12).all()
+
+
+def assert_same_scores(got: pr.ImportanceReport, want: pr.ImportanceReport) -> None:
+    """Equal liveness, and scores within 1e-12 of each report's largest."""
+    assert got.examples_seen == want.examples_seen
+    assert np.array_equal(got.token_live, want.token_live)
+    assert np.array_equal(got.piece_live, want.piece_live)
+    for a, b in ((got.token_scores, want.token_scores),
+                 (got.piece_scores, want.piece_scores)):
+        assert np.abs(a - b).max() <= 1e-12 * b.max(), np.abs(a - b).max() / b.max()
+
+
+@pytest.mark.parametrize("dead", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 5, 16])
+def test_scores_equal_per_example_oracle(bank, micro_backbone, micro_data, batch_size,
+                                         dead):
+    """Per-example gradients read off one packed batch equal one backward
+    pass per example; 48 examples in batches of 5 leave a ragged last one."""
+    if dead:
+        bank.token_mask[1] = 0.0
+        bank.piece_mask[3, 2] = 0.0
+    train = micro_data["train"]
+    got = pr.score_tokens(bank, micro_backbone, train, batch_size=batch_size)
+    assert_same_scores(got, support.score_per_example(bank, micro_backbone, train))
+
+
+@pytest.fixture(scope="module")
+def calibration_bank():
+    """A bank at the default run config's scale (m=20, e=32, k=16) on a
+    briefly pretrained default backbone, with the default 192 examples."""
+    cfg = hz.RunConfig.from_mapping({"pretrain.steps": 40})
+    data = hz.load_splits(cfg)
+    bb = pretrain(init_backbone(cfg.backbone_config()), hz.build_corpus(cfg, data["train"]),
+                  cfg["pretrain.steps"], cfg["pretrain.lr"])
+    bank = init_prompt(cfg["prompt.m"], cfg["backbone.embed_dim"], cfg["prompt.k"],
+                       cfg.init_strategy(1), bb)
+    return bank, bb, data["train"]
+
+
+@pytest.mark.parametrize("scale", ["micro", "calibration"])
+def test_selections_equal_per_example_oracle(bank, micro_backbone, micro_data, request,
+                                             scale):
+    """Token selections at the full masks, then piece selections rescored on
+    the surviving tokens, are the oracle's under every rule."""
+    if scale == "micro":
+        bb, train = micro_backbone, micro_data["train"]
+    else:
+        bank, bb, train = request.getfixturevalue("calibration_bank")
+        bank = bank.copy()
+    for rule in pr.RULES:
+        bank.reset_masks()
+        reports = [pr.score_tokens(bank, bb, train), support.score_per_example(bank, bb, train)]
+        tokens = [pr.select_tokens(r, 0.3, rule, seed=1) for r in reports]
+        assert support.same_masks(*tokens)
+        pr.apply_selection(bank, tokens[0])
+        reports = [pr.score_tokens(bank, bb, train), support.score_per_example(bank, bb, train)]
+        assert support.same_masks(*(pr.select_pieces(r, 0.5, rule, seed=1) for r in reports))
 
 
 def test_k1_piece_scores_equal_token_scores(micro_backbone, micro_data):
@@ -202,11 +259,9 @@ def test_scores_are_permutation_equivariant(bank, micro_backbone, fd_batch):
                                rtol=1e-9, atol=1e-15)
 
 
-def test_scoring_errors(bank, micro_backbone, fd_batch):
+def test_scoring_errors(bank, micro_backbone):
     with pytest.raises(DataError):
         pr.score_tokens(bank, micro_backbone, [])
-    with pytest.raises(ConfigError):
-        pr.score_tokens(bank, micro_backbone, fd_batch, agg="sum_of_squares")
 
 
 # --- selection vs exhaustive enumeration ------------------------------------------
@@ -372,8 +427,7 @@ def test_golden_hand_trace():
 def test_apply_selection_and_geometry_check(bank):
     rep = pr.ImportanceReport(np.arange(float(bank.m)),
                               np.arange(float(bank.m * bank.k)).reshape(bank.m, bank.k),
-                              np.ones(bank.m, bool), np.ones((bank.m, bank.k), bool),
-                              1, "per_batch_abs")
+                              np.ones(bank.m, bool), np.ones((bank.m, bank.k), bool), 1)
     sel = pr.select_tokens(rep, 0.34, "lowest_score")
     pr.apply_selection(bank, sel)
     gamma, zeta = sel
@@ -503,7 +557,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
         assert got.retrain.losses == want.retrain.losses
         for report, ref_report in ((got.token_report, want.token_report),
                                    (got.piece_report, want.piece_report)):
-            assert report.batches_seen == ref_report.batches_seen
+            assert report.examples_seen == ref_report.examples_seen
             for a, b in zip(report_arrays(report), report_arrays(ref_report)):
                 assert np.array_equal(a, b)
     assert (out.best.token_ratio, out.best.piece_ratio) == (
