@@ -21,12 +21,17 @@ one graph per step keep what they read, the loss value, the leaves'
 gradients or the logits array, and drop the output node before they build
 the next graph; otherwise two graphs are resident at each step's peak.
 
-``gelu``'s erf is this module's own: a numpy port of Cephes' ``erf`` (the
-algorithm behind ``scipy.special.erf``) with its coefficients, its Horner
-order and one rounding per step. The ``exp(-x**2)`` of its |x| > 1 branch
-is the C library's ``exp``, reached through numpy's complex ``exp`` at zero
-imaginary part; numpy's real ``np.exp`` has vector code of its own, whose
-results differ in the last bit. Its bytes equal ``scipy.special.erf``'s.
+``erf`` is this module's own, and ``gelu`` takes its erf from it: a numpy
+port of Cephes' ``erf`` (the algorithm behind ``scipy.special.erf``) with
+its coefficients, its Horner order and one rounding per step. The
+``exp(-x**2)`` of its |x| > 1 branch is the C library's ``exp``, reached
+through numpy's complex ``exp`` at zero imaginary part; numpy's real
+``np.exp`` has vector code of its own, whose results differ in the last
+bit. Its bytes equal ``scipy.special.erf``'s.
+
+Packed passes use whole-pack ops, so a graph does not grow with its number
+of sequences: ``embedding_lookup`` is the one row gather, of token ids or
+of any rows, and ``mean_pool`` gives one row mean per block of rows.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ LAYER_NORM_EPS = 1e-6
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Elements per in-place pass of erf and gelu. Slices this size keep a pass's
+# Elements per in-place pass of erf. Slices this size keep a pass's
 # operands in cache, and malloc reuses their scratch, where whole-matrix
 # temporaries are often page-faulted in afresh on every call.
 _CHUNK = 1 << 14
@@ -253,26 +258,14 @@ def _p1evl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erf_fit(u: np.ndarray, e: np.ndarray, z: np.ndarray, q: np.ndarray,
-             big: np.ndarray) -> None:
-    """Write Cephes' |u| <= 1 fit u T(u^2) / U(u^2) into e and flag in big
-    the elements with |u| > 1, where it does not hold; z and q are scratch,
-    and q may be u, which is read before q is written. Huge |u| overflow
-    the fit, so run it with over and invalid ignored."""
-    np.multiply(u, u, out=z)
-    np.greater(z, 1.0, out=big)  # u * u > 1 exactly when |u| > 1
-    _polevl(z, _ERF_T, e)
-    e *= u
-    e /= _p1evl(z, _ERF_U, q)
-
-
 def erf(x: np.ndarray) -> np.ndarray:
     """The error function, elementwise, as a new float64 array.
 
     A port of Cephes' erf (see the module docstring): its bytes equal
     scipy.special.erf's, except that a NaN keeps its sign where scipy's is
-    always positive. The |x| <= 1 fit runs over all of x in slices of
-    _CHUNK elements; the elements with |x| > 1 are then gathered and
+    always positive. The |x| <= 1 fit x T(x^2) / U(x^2) runs over all of x
+    in slices of _CHUNK elements, with over and invalid ignored, since huge
+    |x| overflow it; the elements with |x| > 1 are then gathered and
     recomputed once.
     """
     flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
@@ -282,8 +275,13 @@ def erf(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, flat.size, _CHUNK):
             s = slice(lo, lo + _CHUNK)
-            u = flat[s]
-            _erf_fit(u, out[s], z[:u.size], q[:u.size], big[s])
+            u, e = flat[s], out[s]
+            zs = z[:u.size]
+            np.multiply(u, u, out=zs)
+            np.greater(zs, 1.0, out=big[s])  # u * u > 1 exactly when |u| > 1
+            _polevl(zs, _ERF_T, e)
+            e *= u
+            e /= _p1evl(zs, _ERF_U, q[:u.size])
     idx = np.flatnonzero(big)
     if idx.size:
         out[idx] = _erf_big(flat[idx])
@@ -333,10 +331,11 @@ def add(a: Node, b: Node) -> Node:
     if out.requires_grad:
         sa, sb = a.slot, b.slot
         def backprop(g):
+            # g is this node's own gradient, so one parent may adopt it
             if sa is not None:
-                sa.accum(g)
+                sa.accum(g, owned=True)
             if sb is not None:
-                sb.accum(g)
+                sb.accum(g, owned=sa is None)
         out.slot.backprop = backprop
     return out
 
@@ -349,10 +348,10 @@ def bias_add(x: Node, b: Node) -> Node:
     if out.requires_grad:
         sx, sb = x.slot, b.slot
         def backprop(g):
-            if sx is not None:
-                sx.accum(g)
             if sb is not None:
                 sb.accum(g.sum(axis=0, keepdims=True), owned=True)
+            if sx is not None:
+                sx.accum(g, owned=True)
         out.slot.backprop = backprop
     return out
 
@@ -431,11 +430,13 @@ def concat_rows(*parts: Node) -> Node:
 
 
 def embedding_lookup(table: Node, ids) -> Node:
-    """Gather rows of table by integer id. Duplicate ids accumulate gradient."""
-    idx = [int(i) for i in ids]
-    for i in idx:
-        if i < 0 or i >= table.rows:
-            raise IndexError(f"token id {i} out of range for a {table.rows}-row table")
+    """Gather rows of table by integer id, in the order given: token ids, or
+    any rows of a matrix. Duplicate ids accumulate gradient."""
+    idx = np.asarray(ids, dtype=np.intp).reshape(-1)
+    bad = (idx < 0) | (idx >= table.rows)
+    if bad.any():
+        raise IndexError(f"token id {idx[bad.argmax()]} out of range for a "
+                         f"{table.rows}-row table")
     out = Node(table.value[idx], (table,), op="embedding_lookup")
     if out.requires_grad:
         st = table.slot
@@ -445,17 +446,21 @@ def embedding_lookup(table: Node, ids) -> Node:
     return out
 
 
-def mean_pool(x: Node, start: int = 0, stop: int | None = None) -> Node:
-    """Mean of a contiguous row slice -> a single (1, cols) row."""
-    stop = x.rows if stop is None else stop
-    if not (0 <= start < stop <= x.rows):
-        raise ShapeError(f"mean_pool rows [{start}:{stop}] invalid for {x.rows} rows")
-    n = stop - start
-    out = Node(x.value[start:stop].mean(axis=0, keepdims=True), (x,), op="mean_pool")
+def mean_pool(x: Node, sizes=None) -> Node:
+    """One row mean per block, for consecutive blocks of sizes[i] rows that
+    tile x (default: one block of every row). Each block is summed by
+    np.add.reduce, as ndarray.mean sums, so the bytes are those of
+    x[a:b].mean(axis=0); np.add.reduceat sums in another order."""
+    sizes = [x.rows] if sizes is None else [int(n) for n in sizes]
+    if not sizes or min(sizes) < 1 or sum(sizes) != x.rows:
+        raise ShapeError(f"mean_pool blocks {sizes} must be non-empty and tile {x.rows} rows")
+    n = np.array(sizes)[:, None]
+    sums = [np.add.reduce(x.value[b - k:b], axis=0) for k, b in zip(sizes, accumulate(sizes))]
+    out = Node(np.stack(sums) / n, (x,), op="mean_pool")
     if out.requires_grad:
         sx = x.slot
         def backprop(g):
-            sx.buffer()[start:stop] += g / n
+            sx.accum(np.repeat(g / n, sizes, axis=0), owned=True)
         out.slot.backprop = backprop
     return out
 
@@ -464,46 +469,28 @@ def gelu(x: Node) -> Node:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
     erf is this module's port of Cephes' erf (see the module docstring), so
-    its bytes equal scipy.special.erf's. Forward and backward run as
-    in-place passes over slices of at most _CHUNK elements that round each
-    operation of the plain expressions once, in their order, so every byte
-    is theirs; as in erf, the elements with |x / sqrt(2)| > 1 are gathered
-    and redone once. The backward reuses the forward's 1 + erf and writes
-    the input's gradient over it.
+    its bytes equal scipy.special.erf's. The forward rounds each operation
+    of the plain expression once, in its order, so every byte is its. The
+    backward runs as in-place passes over slices of at most _GRAD_CHUNK
+    elements; it reuses the forward's 1 + erf and writes the input's
+    gradient over it.
     """
     xv = x.value
-    flat = xv.reshape(-1)
-    y, ope = np.empty_like(flat), np.empty_like(flat)
-    big = np.empty(flat.size, dtype=bool)
-    z = np.empty(min(flat.size, _CHUNK))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, _CHUNK):
-            s = slice(lo, lo + _CHUNK)
-            xs, e, o = flat[s], ope[s], y[s]
-            np.multiply(xs, _INV_SQRT2, out=o)  # o serves as u, then as q
-            _erf_fit(o, e, z[:o.size], o, big[s])
-            e += 1.0
-            np.multiply(xs, 0.5, out=o)
-            o *= e
-    idx = np.flatnonzero(big)
-    if idx.size:
-        xt = flat[idx]
-        e = _erf_big(xt * _INV_SQRT2)
-        e += 1.0
-        ope[idx] = e
-        xt *= 0.5
-        xt *= e
-        y[idx] = xt
-    out = Node(y.reshape(xv.shape), (x,), op="gelu")
+    ope = erf(xv * _INV_SQRT2)
+    ope += 1.0
+    y = xv * 0.5
+    y *= ope
+    out = Node(y, (x,), op="gelu")
     if out.requires_grad:
         sx = x.slot
+        flat, hf = xv.reshape(-1), ope.reshape(-1)
         def backprop(g):
             # (0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi)) * g, written
             # over ope, which nothing reads after this; + and * commute exactly
             gf, t = g.reshape(-1), np.empty(min(flat.size, _GRAD_CHUNK))
             for lo in range(0, flat.size, _GRAD_CHUNK):
                 s = slice(lo, lo + _GRAD_CHUNK)
-                xs, h = flat[s], ope[s]
+                xs, h = flat[s], hf[s]
                 u = t[:xs.size]
                 np.multiply(xs, -0.5, out=u)
                 u *= xs
@@ -513,7 +500,7 @@ def gelu(x: Node) -> Node:
                 h *= 0.5
                 h += u
                 h *= gf[s]
-            sx.accum(ope.reshape(sx.shape), owned=True)
+            sx.accum(ope, owned=True)
         out.slot.backprop = backprop
     return out
 
@@ -550,26 +537,6 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
                 dxhat -= np.multiply(xhat, m2, out=t)
                 dxhat *= istd
                 sx.accum(dxhat, owned=True)
-        out.slot.backprop = backprop
-    return out
-
-
-def take_rows(x: Node, spans: list[tuple[int, int]]) -> Node:
-    """Stack the row ranges [a, b) of x, in order; the ranges ascend and do
-    not overlap, so the backward scatter-adds each gradient row once."""
-    cursor = 0
-    for a, b in spans:
-        if a < cursor or b <= a:
-            raise ShapeError(f"row spans must ascend without overlap, got {spans}")
-        cursor = b
-    if cursor > x.rows:
-        raise ShapeError(f"row spans reach row {cursor}, matrix has {x.rows}")
-    idx = np.concatenate([np.arange(a, b) for a, b in spans])
-    out = Node(x.value[idx], (x,), op="take_rows")
-    if out.requires_grad:
-        sx = x.slot
-        def backprop(g):
-            sx.buffer()[idx] += g
         out.slot.backprop = backprop
     return out
 

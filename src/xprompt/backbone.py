@@ -9,10 +9,13 @@ FFN of width 4e, each residual sum followed by a layer norm), mean pooling
 over the non-prompt positions, and a linear classifier head that stays at
 its seeded init (pretraining never touches it).
 
-A prompted forward pass runs the last block only on the rows the classifier
-pools: prompt rows still serve as keys and values there, but issue no
-queries and carry no residual. This is exact, since nothing reads those
-rows' outputs. Pretraining keeps every row in every block (see _mlm_loss).
+Every pass packs its sequences into one matrix and is built from whole-pack
+ops, so its graph does not grow with the number of sequences. A prompted
+forward pass runs the last block only on the rows the classifier pools,
+gathered in one embedding_lookup: prompt rows still serve as keys and
+values there, but issue no queries and carry no residual. This is exact,
+since nothing reads those rows' outputs. Pretraining keeps every row in
+every block (see _mlm_loss).
 """
 
 from __future__ import annotations
@@ -126,50 +129,50 @@ def _wrap_weights(bb: FrozenBackbone, trainable: bool) -> dict[str, ag.Node]:
 
 def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], rows: ag.Node,
             bounds: list[tuple[int, int]], prompt_lens: list[int] | None = None,
-            pooled: list[tuple[int, int]] | None = None) -> ag.Node:
+            restrict: bool = False) -> ag.Node:
     """Position add + post-norm residual blocks over packed rows.
 
-    bounds lists the (start, stop) row block of each sequence; attention is
+    bounds lists the (start, stop) row block of each sequence, whose first
+    prompt_lens rows are prompt rows (default: none); attention is
     block-diagonal, every other op is position-wise, so any number of
-    sequences share one graph. Prompt rows receive no positional embedding:
-    they behave as a set, and real tokens count positions from 0 exactly as
-    during pretraining. Normalization comes after each residual sum (post-LN)
-    so that scaling an input row stays visible to attention; a pre-LN block
-    would normalize row scalings away and leave mask variables with no
-    first-order effect in shallow stacks.
+    sequences share one graph. Prompt rows receive no positional embedding
+    (their position-0 row is scaled by 0): they behave as a set, and real
+    tokens count positions from 0 exactly as during pretraining.
+    Normalization comes after each residual sum (post-LN) so that scaling an
+    input row stays visible to attention; a pre-LN block would normalize row
+    scalings away and leave mask variables with no first-order effect in
+    shallow stacks.
 
-    pooled lists the (start, stop) rows of each sequence that the caller
-    reads (default: every row). The last block computes only those rows:
-    they alone issue queries and carry the residual stream, while keys and
-    values still come from every row of the block. This is exact, not an
-    approximation: every op but attention is row-wise, and the rows left out
-    would feed nothing but outputs nobody reads, so the gradient they send
-    back is exactly zero. The bytes match the full-row block wherever BLAS
-    uses one kernel for both row counts; packs of a few short sequences can
-    fall on OpenBLAS's small-matrix kernels and differ in the last bits. The
-    result holds the pooled rows, stacked in sequence order.
+    With restrict, the last block computes only the token rows, gathered by
+    one embedding_lookup: they alone issue queries and carry the residual
+    stream, while keys and values still come from every row of the block.
+    This is exact, not an approximation: every op but attention is row-wise,
+    and the rows left out would feed nothing but outputs nobody reads, so
+    the gradient they send back is exactly zero. The bytes match the
+    full-row block wherever BLAS uses one kernel for both row counts; packs
+    of a few short sequences can fall on OpenBLAS's small-matrix kernels and
+    differ in the last bits. The result holds the token rows, stacked in
+    sequence order.
     """
-    if prompt_lens is None:
-        prompt_lens = [0] * len(bounds)
-    pos_ids: list[int] = []
-    live: list[float] = []
-    for (a, b), m in zip(bounds, prompt_lens):
-        pos_ids += [0] * m + list(range(b - a - m))
-        live += [0.0] * m + [1.0] * (b - a - m)
-    pos = ag.embedding_lookup(w["pos_emb"], pos_ids)
-    if any(prompt_lens):
-        pos = ag.rowwise_scale(pos, ag.constant(np.array(live)[:, None]))
+    lens = np.array(prompt_lens or [0] * len(bounds))
+    starts, stops = np.array(bounds).T
+    pos_ids = np.arange(stops[-1]) - np.repeat(starts + lens, stops - starts)
+    live = pos_ids >= 0
+    pos = ag.embedding_lookup(w["pos_emb"], np.maximum(pos_ids, 0))
+    if lens.any():
+        pos = ag.rowwise_scale(pos, ag.constant(live[:, None]))
     h = ag.add(rows, pos)
+    queries = [(a + m, b) for (a, b), m in zip(bounds, lens.tolist())]
     for i in range(cfg.layers):
-        queries = pooled if i == cfg.layers - 1 else None
-        x = h if queries is None else ag.take_rows(h, queries)
+        last = restrict and i == cfg.layers - 1
+        x = ag.embedding_lookup(h, np.flatnonzero(live)) if last else h
         att = ag.attention_blocks(
             ag.matmul(x, w[f"l{i}.wq"]),
             ag.matmul(h, w[f"l{i}.wk"]),
             ag.matmul(h, w[f"l{i}.wv"]),
             cfg.heads,
             bounds,
-            queries,
+            queries if last else None,
         )
         h = ag.layer_norm(ag.add(x, ag.matmul(att, w[f"l{i}.wo"])),
                           w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
@@ -201,10 +204,10 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
     The batch is packed into one graph: the prompt node is concatenated
     before every sequence, attention is restricted to per-sequence blocks,
     and each row of the output pools that sequence's non-prompt positions.
-    Only those positions run through the last block (see _encode), so the
-    pooling takes whole blocks of its output. Gradients flow into
-    prompt_rows; frozen weights are graph constants (pass weight_nodes to
-    share the wrappers across calls).
+    Only those positions run through the last block (see _encode), so one
+    block mean pools its whole output. Gradients flow into prompt_rows;
+    frozen weights are graph constants (pass weight_nodes to share the
+    wrappers across calls).
     """
     return _forward_packed(bb, [prompt_rows] * len(sequences), sequences, weight_nodes)
 
@@ -212,7 +215,11 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
 def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences,
                     weight_nodes: dict[str, ag.Node] | None = None) -> ag.Node:
     """forward_batch with prompts[i] prepended to sequences[i]. Given one
-    leaf per sequence, each leaf's gradient is its own sequence's share."""
+    leaf per sequence, each leaf's gradient is its own sequence's share.
+
+    The token rows of the whole pack come from one index into tok_emb's
+    value and enter the concat as constants, which needs the frozen
+    weights that forward_batch promises; only the prompts get gradients."""
     if not bb.frozen:
         raise StateError("backbone must be frozen before prompted forward passes")
     cfg = bb.cfg
@@ -224,24 +231,20 @@ def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences
         raise DataError("forward_batch needs at least one sequence")
 
     w = weight_nodes if weight_nodes is not None else _wrap_weights(bb, trainable=False)
+    if w["tok_emb"].requires_grad:
+        raise StateError("prompted forward passes need the weights as constants")
     lens = [0 if prompt is None else prompt.rows for prompt in prompts]
+    seqs = [_check_ids(cfg, seq, m) for seq, m in zip(sequences, lens)]
+    counts = [len(ids) for ids in seqs]
+    tokens = np.split(w["tok_emb"].value[np.concatenate(seqs)], np.cumsum(counts)[:-1])
     parts: list[ag.Node] = []
-    bounds: list[tuple[int, int]] = []
-    offset = 0
-    for prompt, m, seq in zip(prompts, lens, sequences):
-        ids = _check_ids(cfg, seq, m)
-        if m > 0:
-            parts.append(prompt)
-        parts.append(ag.embedding_lookup(w["tok_emb"], ids))
-        bounds.append((offset, offset + m + len(ids)))
-        offset += m + len(ids)
+    for prompt, m, rows in zip(prompts, lens, tokens):
+        parts += [prompt, ag.constant(rows)] if m > 0 else [ag.constant(rows)]
+    sizes = [m + n for m, n in zip(lens, counts)]
+    bounds = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
 
-    tokens = [(a + m, b) for (a, b), m in zip(bounds, lens)]
-    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=lens, pooled=tokens)
-    ends = accumulate(b - a for a, b in tokens)
-    pooled = ag.concat_rows(*[ag.mean_pool(h, end - (b - a), end)
-                              for (a, b), end in zip(tokens, ends)])
-    return ag.matmul(pooled, w["head"])
+    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=lens, restrict=True)
+    return ag.matmul(ag.mean_pool(h, counts), w["head"])
 
 
 def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> list[int]:
@@ -265,23 +268,17 @@ def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> li
 def _mlm_loss(bb: FrozenBackbone, w: dict[str, ag.Node], batch, positions) -> ag.LossScalar:
     """Masked-token prediction: replace one position per sequence with the
     mask symbol and predict the original id through the tied embedding."""
-    parts = []
-    targets = []
-    bounds = []
-    offset = 0
-    for seq, pos in zip(batch, positions):
-        ids = list(seq)
-        targets.append(ids[pos])
-        ids[pos] = MASK_TOKEN
-        parts.append(ag.embedding_lookup(w["tok_emb"], ids))
-        bounds.append((offset, offset + len(ids)))
-        offset += len(ids)
+    ids = np.concatenate(batch)
+    starts = np.cumsum([0] + [len(seq) for seq in batch])
+    masked = starts[:-1] + positions
+    targets = ids[masked]
+    ids[masked] = MASK_TOKEN
+    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     # Every row runs through the last block, though only the masked one is
     # read: with trainable weights, dropping the rest would change the order
     # of the weight-gradient sums and so the pretrained bytes.
-    h = _encode(bb.cfg, w, ag.concat_rows(*parts), bounds)
-    picked = ag.concat_rows(*[ag.mean_pool(h, a + pos, a + pos + 1)
-                              for (a, _), pos in zip(bounds, positions)])
+    h = _encode(bb.cfg, w, ag.embedding_lookup(w["tok_emb"], ids), bounds)
+    picked = ag.embedding_lookup(h, masked)
     logits = ag.matmul(picked, ag.transpose(w["tok_emb"]))
     return ag.softmax_cross_entropy(logits, targets)
 

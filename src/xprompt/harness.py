@@ -235,6 +235,10 @@ class RunConfig:
         self.backbone_config().validate()
         if not v["task.train_path"]:
             self.task_spec().validate()
+            if v["prompt.m"] + v["task.seq_len_max"] > v["backbone.max_seq_len"]:
+                raise ConfigError(
+                    f"prompt.m + task.seq_len_max = {v['prompt.m']}+{v['task.seq_len_max']} "
+                    f"exceeds backbone.max_seq_len {v['backbone.max_seq_len']}")
         self.schedule().validate()
         self.init_strategy(0).validate()
         if v["tune.epochs"] < 0 or v["prune.retrain_epochs"] < 0:
@@ -375,11 +379,20 @@ def merge_saliency_report(cell: CellResult) -> ImportanceReport:
 
 
 def load_splits(cfg: RunConfig) -> dict[str, tuple]:
+    """The train and dev splits; file data must fit the encoder with the
+    prompt prepended, which RunConfig.validate checks for generated tasks."""
     v = cfg.values
     if v["task.train_path"]:
         data = {split: tasks.load_jsonl(v[f"task.{split}_path"], v["backbone.vocab_size"],
                                         v["backbone.num_classes"])
                 for split in ("train", "dev")}
+        m, cap = v["prompt.m"], v["backbone.max_seq_len"]
+        for split, examples in data.items():
+            for i, ex in enumerate(examples, 1):
+                if m + len(ex.tokens) > cap:
+                    raise DataError(f"{split} example {i}: sequence length "
+                                    f"{m}+{len(ex.tokens)}={m + len(ex.tokens)} "
+                                    f"exceeds max_seq_len {cap}")
     else:
         data = tasks.generate(cfg.task_spec())
     if v["task.shots"]:

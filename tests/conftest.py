@@ -17,6 +17,13 @@ MICRO_SPEC = tasks.TaskSpec(name="micro-majority", kind="majority_class",
                             seq_len_max=9, train_size=48, dev_size=32, seed=11)
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance criteria's lines, which output capture would hide."""
+    from support import CRITERIA
+    for line in CRITERIA:
+        terminalreporter.write_line(line)
+
+
 @pytest.fixture(scope="session")
 def micro_data():
     return tasks.generate(MICRO_SPEC)

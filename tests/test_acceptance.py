@@ -1,8 +1,9 @@
 """Acceptance checks: one test per release criterion, one printed line each.
 
 Every check prints `criterion N (name): PASS/FAIL ...` with the measured
-value, its tolerance, and the wall-clock time, then asserts. Lines are
-written straight to the terminal so they appear in any pytest run.
+value, its tolerance, and the wall-clock time, then asserts. The lines are
+kept in support.CRITERIA, and conftest prints them in pytest's terminal
+summary, so they appear in any pytest run, -q included.
 
 Criteria 1-5 and 8-10 run at micro scale. Criteria 6 and 7 run the real
 pipeline and baseline arms at the calibration defaults shipped in the
@@ -11,7 +12,6 @@ fits its time budget) and compare 5-seed median dev accuracies.
 """
 
 import os
-import sys
 import time
 
 import numpy as np
@@ -25,15 +25,16 @@ from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, PromptBank, batch_loss, init_prompt, tune
 from xprompt.tasks import Example, TaskSpec, fewshot_subsample, generate, pretrain_corpus
 
+from support import CRITERIA
+
 # --- reporting --------------------------------------------------------------------
 
 
 def report(num: int, name: str, ok: bool, detail: str, t0: float, budget: float) -> None:
     took = time.monotonic() - t0
     verdict = "PASS" if ok and took < budget else "FAIL"
-    sys.__stdout__.write(f"criterion {num:2d} ({name}): {verdict} "
-                         f"[{detail}; {took:.1f}s of {budget:.0f}s budget]\n")
-    sys.__stdout__.flush()
+    CRITERIA.append(f"criterion {num:2d} ({name}): {verdict} "
+                    f"[{detail}; {took:.1f}s of {budget:.0f}s budget]")
     assert ok, f"criterion {num}: {detail}"
     assert took < budget, f"criterion {num}: took {took:.1f}s, budget {budget:.0f}s"
 

@@ -1,5 +1,7 @@
 """Gradient-engine checks against hand values and central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf
@@ -175,8 +177,45 @@ def test_embedding_lookup_duplicate_ids_accumulate():
 
 def test_embedding_lookup_rejects_bad_id():
     t = ag.leaf(np.zeros((4, 2)))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="token id 4 out of range for a 4-row table"):
         ag.embedding_lookup(t, [4])
+    with pytest.raises(IndexError, match="token id -1 "):
+        ag.embedding_lookup(t, [2, -1, 7])
+
+
+def test_mean_pool_blocks_equal_slice_means_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        sizes = rng.integers(1, 40, size=rng.integers(1, 12))
+        x = rng.normal(size=(int(sizes.sum()), 7)) * rng.uniform(0.1, 1e3)
+        pooled = ag.mean_pool(ag.constant(x), sizes).value
+        ends = np.cumsum(sizes)
+        for row, a, b in zip(pooled, ends - sizes, ends):
+            assert row.tobytes() == x[a:b].mean(axis=0).tobytes()
+
+
+def test_mean_pool_rejects_blocks_that_do_not_tile():
+    x = ag.leaf(np.zeros((5, 2)))
+    for bad in ([2, 2], [2, 4], [5, 0], []):
+        with pytest.raises(ShapeError):
+            ag.mean_pool(x, bad)
+
+
+@pytest.mark.parametrize("op, bound", [("add", 2.2), ("bias_add", 1.2)])
+def test_add_backward_hands_its_gradient_to_a_parent(op, bound):
+    # peak memory of one backward step, in gradients of the output's size:
+    # the incoming gradient itself plus one copy for add's second parent
+    rng = np.random.default_rng(5)
+    x = ag.leaf(rng.normal(size=(1000, 100)))
+    b = ag.leaf(rng.normal(size=(1000, 100) if op == "add" else (1, 100)))
+    out = getattr(ag, op)(x, b)
+    tracemalloc.start()
+    g = np.full(out.shape, 0.5)
+    out._backprop(g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= bound * g.nbytes
+    assert np.all(x.grad == 0.5) and np.all(b.grad == (0.5 if op == "add" else 500.0))
 
 
 def test_backward_on_single_leaf():
@@ -436,7 +475,7 @@ def test_fd_attention_blocks_query_rows():
 
     def build(q, k, v, x):
         h = ag.attention_blocks(q, k, v, heads=2, bounds=bounds, queries=queries)
-        h = ag.add(h, ag.take_rows(x, queries))
+        h = ag.add(h, ag.embedding_lookup(x, [1, 2, 5, 6]))
         return ag.softmax_cross_entropy(ag.mean_pool(h), [3])
     for seed in range(5):
         _fd_case(build, [(4, 6), (7, 6), (7, 6), (7, 6)], seed)
@@ -449,7 +488,7 @@ def test_attention_blocks_query_rows_match_full_rows():
     bounds = [(0, 4), (4, 7)]
     queries = [(2, 4), (4, 7)]
     full = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, bounds)
-    rows = ag.take_rows(ag.leaf(q), queries)
+    rows = ag.embedding_lookup(ag.leaf(q), [2, 3, 4, 5, 6])
     part = ag.attention_blocks(rows, ag.leaf(k), ag.leaf(v), 2, bounds, queries)
     assert np.array_equal(part.value, full.value[[2, 3, 4, 5, 6]])
 
@@ -463,13 +502,6 @@ def test_attention_blocks_rejects_bad_query_rows():
             ag.attention_blocks(ag.leaf(np.zeros((max(rows, 1), 4))), kv, kv, 2, bounds, bad)
     with pytest.raises(ShapeError, match="cover 4 rows, q has 5"):
         ag.attention_blocks(ag.leaf(np.zeros((5, 4))), kv, kv, 2, bounds, [(1, 3), (4, 6)])
-
-
-def test_take_rows_rejects_unordered_or_overlapping_spans():
-    x = ag.leaf(np.zeros((6, 2)))
-    for bad in ([(3, 5), (0, 2)], [(0, 3), (2, 4)], [(1, 1)], [(4, 7)]):
-        with pytest.raises(ShapeError):
-            ag.take_rows(x, bad)
 
 
 def test_attention_blocks_match_separate_attention():
@@ -494,9 +526,9 @@ def test_fd_transpose_embedding_mean_pool():
     table = np.random.default_rng(11).normal(size=(6, 4))
 
     def build(t, w):
-        h = ag.embedding_lookup(t, [0, 2, 2, 5])
-        h = ag.matmul(ag.mean_pool(h, 1, 4), ag.transpose(w))
-        return ag.softmax_cross_entropy(h, [1])
+        h = ag.embedding_lookup(t, [0, 2, 2, 5, 1, 3])
+        h = ag.matmul(ag.mean_pool(h, [1, 3, 2]), ag.transpose(w))
+        return ag.softmax_cross_entropy(h, [1, 4, 0])
     for seed in range(5):
         _fd_case(build, [(6, 4), (5, 4)], seed)
 
@@ -513,7 +545,8 @@ def test_fd_composite_transformer_block():
         f = ag.bias_add(ag.matmul(ag.gelu(f), w2), bb2)
         h = ag.add(h, f)
         h = ag.layer_norm(h, g3, b3)
-        return ag.softmax_cross_entropy(ag.matmul(ag.mean_pool(h, 2), head), [1])
+        pooled = ag.mean_pool(ag.embedding_lookup(h, [2, 3, 4]))
+        return ag.softmax_cross_entropy(ag.matmul(pooled, head), [1])
 
     e, f = 6, 8
     shapes = [(5, e), (e, e), (e, e), (e, e), (e, e), (1, e), (1, e),

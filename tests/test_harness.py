@@ -630,6 +630,29 @@ def test_cli_negative_seeds_exit_before_any_work(tmp_path, bad, args):
     assert not os.path.exists(os.path.join(out, "config.txt"))
 
 
+def test_cli_prompt_that_cannot_fit_exits_before_any_work(tmp_path, capsys):
+    # generated tasks: 16 prompt rows + up to 9 tokens > max_seq_len 24
+    out = str(tmp_path / "generated")
+    cfg = write_cfg_file(tmp_path, out, **{"prompt.m": 16, "backbone.max_seq_len": 24})
+    for command in ("tune", "pipeline"):
+        assert cli.main([command, "--config", cfg]) == 2
+        assert not os.path.exists(os.path.join(out, "config.txt"))
+        assert not os.path.exists(os.path.join(out, "backbone"))
+    # file data: 6 prompt rows + the 27 tokens of the second train example
+    paths = {}
+    for split, lengths in (("train", (5, 27, 8)), ("dev", (5, 6))):
+        paths[f"task.{split}_path"] = str(tmp_path / f"{split}.jsonl")
+        hz.write_text_atomic(paths[f"task.{split}_path"], "".join(
+            f'{{"tokens": {[2] * n}, "label": {i % 2}}}\n' for i, n in enumerate(lengths)))
+    out = str(tmp_path / "files")
+    cfg = write_cfg_file(tmp_path, out, **paths)
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--config", cfg]) == 3
+    assert "train example 2: sequence length 6+27=33 exceeds max_seq_len 32" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, "backbone"))
+
+
 def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     out = str(tmp_path / "empty")
     cfg = write_cfg_file(tmp_path, out)
