@@ -15,7 +15,7 @@ import numpy as np
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.harness import export_saliency, param_count
 from xprompt.optim import make_optimizer
-from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
+from xprompt.prompt import InitStrategy, init_prompt, tune
 from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
                              hierarchical_prune, score_tokens, select_tokens)
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus

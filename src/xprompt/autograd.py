@@ -1,9 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every value in the graph is a 2-D double-precision array. A graph is built
-per forward pass and consumed by a single ``backward`` call; prune masks
-enter as ordinary leaves, so their gradients are exact rather than
-approximated. Single-threaded evaluation is bitwise deterministic.
+per forward pass and consumed by a single ``backward`` call. Single-threaded
+evaluation is bitwise deterministic.
 
 A node is two parts. Its value belongs to the code that builds the graph
 and lives only as long as that code holds the node. Its gradient slot
@@ -367,8 +366,9 @@ def transpose(x: Node) -> Node:
 
 
 def rowwise_scale(x: Node, s: Node) -> Node:
-    """Scale row i of x by s[i, 0]. The backward into s is the token-importance
-    integrand: s.grad[i] += sum_j out.grad[i, j] * x[i, j]."""
+    """Scale row i of x by s[i, 0]; s.grad[i] += sum_j out.grad[i, j] * x[i, j].
+    The token-importance gradient has this form; pruning.mask_gradients
+    computes it from the masked prompt's gradient."""
     if s.cols != 1 or s.rows != x.rows:
         raise ShapeError(f"rowwise_scale needs s of shape ({x.rows},1), got {s.shape} for x {x.shape}")
     out = Node(x.value * s.value, (x, s), op="rowwise_scale")

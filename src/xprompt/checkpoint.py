@@ -16,6 +16,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, FrozenBackbone
 from .errors import DataError
+from .prompt import PromptBank
 from .util import sha256_hex, write_bytes_atomic, write_text_atomic
 
 BACKBONE_FORMAT = "backbone-checkpoint v1"
@@ -144,8 +145,6 @@ def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
 
 
 def load_prompt(dirpath: str):
-    from .prompt import PromptBank  # local import to avoid a cycle
-
     entries = _read_manifest(dirpath, PROMPT_FORMAT)
     fields = dict(entries)
     m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))

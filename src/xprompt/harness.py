@@ -218,11 +218,17 @@ class RunConfig:
 
     def validate(self) -> None:
         v = self.values
+        for key, kind, _ in SCHEMA:
+            if kind in ("float", "floats") and not np.isfinite(v[key]).all():
+                raise ConfigError(f"{key} must be finite, got {_render(key, v[key])}")
+        if v["pretrain.lr"] <= 0:
+            raise ConfigError(f"pretrain.lr must be positive, got {v['pretrain.lr']!r}")
         if v["prompt.m"] < 1:
             raise ConfigError(f"prompt.m must be >= 1, got {v['prompt.m']}")
         if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
-        for key in ("run.seeds", "backbone.seed", "task.shots_seed"):
+        for key in ("run.seeds", "backbone.seed", "task.shots_seed", "task.shots",
+                    "pretrain.steps", "pretrain.extra_sequences"):
             if min(v[key] if key == "run.seeds" else (v[key],)) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {_render(key, v[key])}")
         for key in ("task.train_path", "task.dev_path"):
@@ -230,8 +236,6 @@ class RunConfig:
                 raise ConfigError(f"{key} does not exist: {v[key]}")
         if bool(v["task.train_path"]) != bool(v["task.dev_path"]):
             raise ConfigError("task.train_path and task.dev_path come as a pair")
-        if v["task.shots"] < 0:
-            raise ConfigError("task.shots must be >= 0")
         self.backbone_config().validate()
         if not v["task.train_path"]:
             self.task_spec().validate()
@@ -245,7 +249,7 @@ class RunConfig:
             raise ConfigError("epoch counts must be >= 0")
         if v["tune.batch_size"] < 1:
             raise ConfigError(f"tune.batch_size must be >= 1, got {v['tune.batch_size']}")
-        self.optimizer()  # rejects an unknown optim.kind, lr <= 0 or weight_decay < 0
+        self.optimizer()  # rejects an unknown optim.kind and a bad lr or weight_decay
         if not 0.0 <= v["prune.negative_ratio"] < 1.0:
             raise ConfigError("prune.negative_ratio must be in [0, 1)")
 
@@ -388,6 +392,8 @@ def load_splits(cfg: RunConfig) -> dict[str, tuple]:
                 for split in ("train", "dev")}
         m, cap = v["prompt.m"], v["backbone.max_seq_len"]
         for split, examples in data.items():
+            if not examples:
+                raise DataError(f"the {split} split is empty: {v[f'task.{split}_path']}")
             for i, ex in enumerate(examples, 1):
                 if m + len(ex.tokens) > cap:
                     raise DataError(f"{split} example {i}: sequence length "

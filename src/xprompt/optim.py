@@ -1,10 +1,9 @@
 """Optimizers for the prompt matrix; backbone pretraining steps Adam too,
 with an all-ones mask.
 
-All three step rules update only live entries: the masked-graph gradient is
-already exactly zero on dead cells, and the final step is multiplied by the
-effective mask besides, so a masked entry is bitwise untouched (no decay
-either).
+All three step rules update only live entries: the final step is
+multiplied by the effective mask, whatever gradient a dead cell carries, so
+a masked entry is bitwise untouched (no decay either).
 
 AdafactorLite keeps factored second moments (one row vector, one column
 vector) like the full optimizer, but no first moment, a constant learning
@@ -31,10 +30,10 @@ class OptimizerState:
     """Base: holds hyperparameters and the step counter; subclasses own slots."""
 
     def __init__(self, learning_rate: float, weight_decay: float = 0.0):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not 0 < learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
+        if not 0 <= weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.lr_scale = 1.0  # stage engines may anneal this between epochs

@@ -1,8 +1,10 @@
 """Trainable soft prompt: an (m, e) matrix with token and piece masks.
 
-The masked prompt fed to the backbone is blockwise(rowwise(P, gamma), zeta).
-Both masks enter the graph as leaves, never baked into the values, so their
-gradients are exact. The snapshot holds the values rewinding restores.
+The masks meet the prompt in one place, in numpy: effective_values gives
+P * gamma * zeta, the masked prompt that every prompted pass starts from.
+Tuning trains one leaf over it, and the optimizer steps only live entries;
+the signed mask gradients come from pruning.mask_gradients. The snapshot
+holds the values rewinding restores.
 """
 
 from __future__ import annotations
@@ -40,16 +42,6 @@ class InitStrategy:
 
 
 @dataclass
-class PromptGraph:
-    """Leaves and output of one effective-prompt construction."""
-
-    prompt: ag.Node      # (m, e) leaf over P_e
-    token_mask: ag.Node  # (m, 1) leaf, gamma
-    piece_mask: ag.Node  # (m, k) leaf, zeta
-    output: ag.Node      # (m, e) masked prompt
-
-
-@dataclass
 class PromptBank:
     p: np.ndarray                 # (m, e)
     token_mask: np.ndarray        # (m,) of 0/1
@@ -72,13 +64,6 @@ class PromptBank:
 
     def effective_values(self) -> np.ndarray:
         return self.p * self.effective_mask()
-
-    def graph(self) -> PromptGraph:
-        prompt = ag.leaf(self.p, op="prompt")
-        gamma = ag.leaf(self.token_mask[:, None].copy(), op="token_mask")
-        zeta = ag.leaf(self.piece_mask.copy(), op="piece_mask")
-        out = ag.blockwise_scale(ag.rowwise_scale(prompt, gamma), zeta)
-        return PromptGraph(prompt, gamma, zeta, out)
 
     def reset_masks(self) -> None:
         self.token_mask[:] = 1.0
@@ -131,13 +116,12 @@ def evaluate(bank: PromptBank, bb: FrozenBackbone, dataset) -> float:
 
 
 def batch_loss(bank: PromptBank, bb: FrozenBackbone, batch,
-               weight_nodes=None) -> tuple[ag.LossScalar, PromptGraph]:
-    """One shared graph over a batch: stacked per-example logits -> mean CE."""
-    g = bank.graph()
-    logits = forward_batch(bb, g.output, [ex.tokens for ex in batch],
-                           weight_nodes=weight_nodes)
-    loss = ag.softmax_cross_entropy(logits, [ex.label for ex in batch])
-    return loss, g
+               weight_nodes=None) -> tuple[ag.LossScalar, ag.Node]:
+    """One shared graph over a batch: stacked per-example logits -> mean CE.
+    Returns the loss and its one leaf, over the masked prompt values."""
+    leaf = ag.leaf(bank.effective_values(), op="prompt")
+    logits = forward_batch(bb, leaf, [ex.tokens for ex in batch], weight_nodes=weight_nodes)
+    return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]), leaf
 
 
 @dataclass
@@ -155,8 +139,8 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
 
     The dev set is scored before any update and after every epoch; the best
     checkpoint (ties to the earliest) is restored into the bank at the end.
-    Only the prompt moves: backbone weights are graph constants, and dead
-    prompt entries are bitwise unchanged.
+    Only the prompt moves: backbone weights are graph constants, and the
+    optimizer steps only live entries, so dead ones are bitwise unchanged.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -179,11 +163,11 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
         w = _wrap_weights(bb, trainable=False)
         for lo in range(0, n, batch_size):
             batch = [train[int(i)] for i in order[lo:lo + batch_size]]
-            loss, g = batch_loss(bank, bb, batch, weight_nodes=w)
+            loss, leaf = batch_loss(bank, bb, batch, weight_nodes=w)
             ag.backward(loss)
             result.losses.append(loss.value)
-            del loss  # g keeps the prompt leaves; the graph above them goes now
-            opt.step(bank.p, g.prompt.grad, mask)
+            del loss  # the leaf keeps its gradient; the graph above it goes now
+            opt.step(bank.p, leaf.grad, mask)
             result.steps += 1
         acc = evaluate(bank, bb, dev)
         result.dev_history.append(acc)

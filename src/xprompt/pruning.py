@@ -54,35 +54,42 @@ class ImportanceReport:
     examples_seen: int
 
 
+def mask_gradients(bank: PromptBank, bb: FrozenBackbone, batch,
+                   weight_nodes=None) -> tuple[np.ndarray, np.ndarray]:
+    """The signed per-example mask gradients at the current masks: the
+    (B, m) dL(x)/d gamma and the (B, m, k) dL(x)/d zeta of each example x.
+
+    The batch runs one packed forward and backward, with one leaf per
+    sequence holding the masked prompt values, so leaf x's gradient is
+    G_x / B, with G_x = dL(x)/d(masked prompt). The masked prompt
+    P * gamma * zeta is linear in each mask, so with S_x[i, c] the sum over
+    the columns j of piece c of G_x[i, j] P[i, j], dL(x)/d zeta_ic =
+    gamma_i S_x[i, c] and dL(x)/d gamma_i = sum_c zeta_ic S_x[i, c].
+    """
+    w = _wrap_weights(bb, trainable=False) if weight_nodes is None else weight_nodes
+    leaves = [ag.leaf(bank.effective_values(), op="prompt") for _ in batch]
+    logits = _forward_packed(bb, leaves, [ex.tokens for ex in batch], w)
+    ag.backward(ag.softmax_cross_entropy(logits, [ex.label for ex in batch]))
+    del logits  # the leaves hold their gradients; free the graph now
+    gp = np.stack([leaf.grad for leaf in leaves]) * (len(batch) * bank.p)
+    s = gp.reshape(len(batch), bank.m, bank.k, -1).sum(axis=3)
+    return (s * bank.piece_mask).sum(axis=2), s * bank.token_mask[:, None]
+
+
 def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
                  batch_size: int = SCORE_BATCH) -> ImportanceReport:
     """Token and piece importance at the current masks: the means over
-    examples of |dL(x)/d gamma_i| and |dL(x)/d zeta_ic|.
-
-    Each batch of B examples runs one packed forward and backward, with one
-    leaf per sequence holding the masked prompt values, so leaf x's gradient
-    is G_x / B, with G_x = dL(x)/d(masked prompt). The masked prompt
-    blockwise(rowwise(P, gamma), zeta) is linear in each mask, so with
-    S_x[i, c] the sum over the columns j of piece c of G_x[i, j] P[i, j],
-    dL(x)/d zeta_ic = gamma_i S_x[i, c] and dL(x)/d gamma_i =
-    sum_c zeta_ic S_x[i, c]. batch_size sets the packing, not the statistic.
+    examples of |dL(x)/d gamma_i| and |dL(x)/d zeta_ic|, from mask_gradients
+    over batches of batch_size, which sets the packing, not the statistic.
     """
     if not train:
         raise DataError("cannot score importance on an empty dataset")
-    m, k = bank.piece_mask.shape
-    tok, pc = np.zeros(m), np.zeros((m, k))
-    values = bank.effective_values()
+    tok, pc = np.zeros(bank.m), np.zeros((bank.m, bank.k))
     w = _wrap_weights(bb, trainable=False)
     for lo in range(0, len(train), batch_size):
-        batch = train[lo:lo + batch_size]
-        leaves = [ag.leaf(values, op="prompt") for _ in batch]
-        logits = _forward_packed(bb, leaves, [ex.tokens for ex in batch], w)
-        ag.backward(ag.softmax_cross_entropy(logits, [ex.label for ex in batch]))
-        del logits  # the leaves hold their gradients; free the graph before the next batch
-        gp = np.stack([leaf.grad for leaf in leaves]) * (len(batch) * bank.p)
-        s = gp.reshape(len(batch), m, k, -1).sum(axis=3)
-        tok += np.abs((s * bank.piece_mask).sum(axis=2)).sum(axis=0)
-        pc += np.abs(s * bank.token_mask[:, None]).sum(axis=0)
+        g_tok, g_pc = mask_gradients(bank, bb, train[lo:lo + batch_size], w)
+        tok += np.abs(g_tok).sum(axis=0)
+        pc += np.abs(g_pc).sum(axis=0)
     token_live = bank.token_mask > 0
     piece_live = token_live[:, None] & (bank.piece_mask > 0)
     tok = np.where(token_live, tok / len(train), 0.0)

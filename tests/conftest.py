@@ -2,7 +2,6 @@
 
 import xprompt  # before numpy, so the suite gets the one-thread BLAS defaults users get
 
-import numpy as np
 import pytest
 
 from xprompt import backbone as bbm

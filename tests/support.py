@@ -1,13 +1,17 @@
 """Shared test oracles: central finite differences, gradient comparison,
 full-row attention as the reference for ``attention_blocks``, a
-scipy-based GELU as the reference for ``gelu``, the full-row
-encoder as the reference for ``forward_batch`` and ``batch_loss``, one
-pass per example as the reference for ``score_tokens``, per-cell
+scipy-based GELU as the reference for ``gelu``, the masked prompt as a
+graph with gamma and zeta leaves as the reference for ``effective_values``
+and ``mask_gradients``, the full-row encoder as the reference for
+``forward_batch`` and ``batch_loss``, one pass per example through the
+mask leaves as the reference for ``score_tokens``, per-cell
 rescoring as the reference for ``hierarchical_prune``, readers of
 (gamma, zeta) selection masks, a content hash of backbone weights, and the
 acceptance criteria's report lines."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -18,7 +22,7 @@ from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
 from xprompt.optim import make_optimizer
-from xprompt.prompt import batch_loss, tune
+from xprompt.prompt import tune
 from xprompt.util import sha256_hex
 
 FD_EPS = 1e-5
@@ -148,19 +152,44 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     return ag.matmul(pooled, w["head"])
 
 
-def batch_loss_full_rows(bank, bb, batch):
-    """batch_loss through forward_batch_full_rows."""
-    g = bank.graph()
-    logits = forward_batch_full_rows(bb, g.output, [ex.tokens for ex in batch])
+class MaskedGraph(NamedTuple):
+    """Leaves and output of the masked prompt built as a graph."""
+
+    prompt: Node      # (m, e) leaf over P
+    token_mask: Node  # (m, 1) leaf, gamma
+    piece_mask: Node  # (m, k) leaf, zeta
+    output: Node      # (m, e) blockwise(rowwise(P, gamma), zeta)
+
+
+def masked_graph(bank) -> MaskedGraph:
+    """The masked prompt with both masks as leaves, so backward gives the
+    batch's mask gradients through ``rowwise_scale`` and ``blockwise_scale``,
+    a path ``mask_gradients`` does not share."""
+    prompt = ag.leaf(bank.p, op="prompt")
+    gamma = ag.leaf(bank.token_mask[:, None].copy(), op="token_mask")
+    zeta = ag.leaf(bank.piece_mask.copy(), op="piece_mask")
+    return MaskedGraph(prompt, gamma, zeta,
+                       ag.blockwise_scale(ag.rowwise_scale(prompt, gamma), zeta))
+
+
+def masked_batch_loss(bank, bb, batch, forward=bbm.forward_batch):
+    """The mean batch loss through masked_graph, and the graph."""
+    g = masked_graph(bank)
+    logits = forward(bb, g.output, [ex.tokens for ex in batch])
     return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]), g
 
 
+def batch_loss_full_rows(bank, bb, batch):
+    """masked_batch_loss through forward_batch_full_rows."""
+    return masked_batch_loss(bank, bb, batch, forward=forward_batch_full_rows)
+
+
 def score_per_example(bank, bb, train) -> pr.ImportanceReport:
-    """score_tokens one example at a time: a batch_loss and backward per
-    example, then the means of the absolute mask gradients."""
+    """score_tokens one example at a time: a masked_batch_loss and backward
+    per example, then the means of the absolute mask gradients."""
     tok, pc = np.zeros(bank.m), np.zeros((bank.m, bank.k))
     for ex in train:
-        loss, g = batch_loss(bank, bb, [ex])
+        loss, g = masked_batch_loss(bank, bb, [ex])
         ag.backward(loss)
         tok += np.abs(g.token_mask.grad[:, 0])
         pc += np.abs(g.piece_mask.grad)

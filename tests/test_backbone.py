@@ -8,6 +8,7 @@ import pytest
 from xprompt import autograd as ag
 from xprompt import backbone as bbm
 from xprompt import checkpoint as ckpt
+from xprompt import pruning as pr
 from xprompt import tasks
 from xprompt.errors import ConfigError, DataError, StateError
 from xprompt.prompt import InitStrategy, batch_loss, init_prompt
@@ -160,14 +161,25 @@ def oracle_case(request, micro_data):
 
 
 def _same_loss_and_grads(bank, bb, batch):
-    loss, g = batch_loss(bank, bb, batch)
+    """The loss and the prompt gradient of batch_loss and of the full-row
+    reference graph, and the batch's mask gradients from mask_gradients and
+    from the reference graph's gamma and zeta leaves."""
+    loss, leaf = batch_loss(bank, bb, batch)
     ag.backward(loss)
     ref, g_ref = batch_loss_full_rows(bank, bb, batch)
     ag.backward(ref)
-    got = [loss.node.value] + [n.grad for n in (g.prompt, g.token_mask, g.piece_mask)]
-    want = [ref.node.value] + [n.grad for n in (g_ref.prompt, g_ref.token_mask,
-                                                g_ref.piece_mask)]
-    return got, want
+    # the reference's prompt gradient is zero on dead entries, which the
+    # optimizer never steps
+    got = [loss.node.value, np.where(bank.effective_mask() > 0, leaf.grad, 0.0)]
+    want = [ref.node.value, g_ref.prompt.grad]
+    got_masks = [g.mean(axis=0) for g in pr.mask_gradients(bank, bb, batch)]
+    want_masks = [g_ref.token_mask.grad[:, 0], g_ref.piece_mask.grad]
+    return got, want, got_masks, want_masks
+
+
+def _assert_near(got, want):
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("size", [16, 1], ids=["mixed_lengths", "one_sequence"])
@@ -179,10 +191,12 @@ def test_restricted_last_block_is_bitwise_the_full_row_encoder(oracle_case, micr
     for prompt_rows in (None, ag.constant(bank.effective_values())):
         got = bbm.forward_batch(bb, prompt_rows, seqs).value
         assert got.tobytes() == forward_batch_full_rows(bb, prompt_rows, seqs).value.tobytes()
-    got, want = _same_loss_and_grads(bank, bb, batch)
+    got, want, got_masks, want_masks = _same_loss_and_grads(bank, bb, batch)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    _assert_near(got_masks, want_masks)
     # the dead token and the dead piece get no prompt gradient, yet gamma does
-    assert not want[1][1].any() and not want[1][3, 8:12].any() and want[2][1].any()
+    assert not want[1][1].any() and not want[1][3, 8:12].any()
+    assert want_masks[0][1] != 0.0
 
 
 def test_restricted_last_block_small_packs_agree_to_rounding(oracle_case, micro_data):
@@ -192,9 +206,11 @@ def test_restricted_last_block_small_packs_agree_to_rounding(oracle_case, micro_
     last bits of a gradient; the values still agree to rounding."""
     bb, bank = oracle_case
     for size in range(2, 9):
-        got, want = _same_loss_and_grads(bank, bb, micro_data["train"][:size])
+        got, want, got_masks, want_masks = _same_loss_and_grads(
+            bank, bb, micro_data["train"][:size])
         for a, b in zip(got, want):
             assert max_rel_err(a, b) <= 1e-12
+        _assert_near(got_masks, want_masks)
 
 
 def _count_ops(monkeypatch, names):

@@ -22,7 +22,6 @@ from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.checkpoint import load_prompt, save_prompt
 from xprompt.errors import ConfigError, DataError
-from xprompt.prompt import InitStrategy, init_prompt
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -606,8 +605,15 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"tune.batch_size": 0}, {"optim.lr": -1.0},
-                                 {"optim.kind": "adagrad"}],
-                         ids=["batch-size-0", "negative-lr", "unknown-optimizer"])
+                                 {"optim.kind": "adagrad"}, {"optim.lr": float("nan")},
+                                 {"optim.weight_decay": float("inf")},
+                                 {"pretrain.lr": float("nan")}, {"pretrain.lr": 0.0},
+                                 {"prompt.uniform_bound": float("nan")},
+                                 {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1}],
+                         ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
+                              "inf-weight-decay", "nan-pretrain-lr", "zero-pretrain-lr",
+                              "nan-uniform-bound", "negative-pretrain-steps",
+                              "negative-extra-sequences"])
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory."""
@@ -650,6 +656,21 @@ def test_cli_prompt_that_cannot_fit_exits_before_any_work(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", cfg]) == 3
     assert "train example 2: sequence length 6+27=33 exceeds max_seq_len 32" in (
         capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, "backbone"))
+
+
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_cli_empty_split_exits_before_any_work(tmp_path, capsys, empty):
+    paths = {}
+    for split in ("train", "dev"):
+        paths[f"task.{split}_path"] = str(tmp_path / f"{split}.jsonl")
+        hz.write_text_atomic(paths[f"task.{split}_path"], "" if split == empty else "".join(
+            f'{{"tokens": [2, 3, 4], "label": {i % 2}}}\n' for i in range(4)))
+    out = str(tmp_path / "run")
+    cfg = write_cfg_file(tmp_path, out, **paths)
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--config", cfg]) == 3
+    assert f"the {empty} split is empty" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "backbone"))
 
 

@@ -105,16 +105,23 @@ def test_adafactor_update_clipping_bounds_first_step():
 
 @pytest.mark.parametrize("kind", ["adafactor", "adam", "sgd"])
 def test_masked_entries_never_move(kind):
+    """Dead entries stay bitwise unchanged whatever gradient they carry, and
+    live entries move exactly as under the masked gradient."""
     rng = np.random.default_rng(3)
     p = rng.normal(size=(4, 8))
     mask = (rng.uniform(size=(4, 8)) > 0.4).astype(float)
+    mask[2] = 0.0  # a whole dead row too
     frozen = p[mask == 0].copy()
+    p_raw = p.copy()
     opt = optim.make_optimizer(kind, 0.05, weight_decay=1e-2)
+    raw = optim.make_optimizer(kind, 0.05, weight_decay=1e-2)
     for _ in range(6):
-        g = rng.normal(size=(4, 8)) * mask
-        opt.step(p, g, mask)
+        g = rng.normal(size=(4, 8))
+        opt.step(p, g * mask, mask)
+        raw.step(p_raw, g, mask)
     assert np.array_equal(p[mask == 0], frozen)
     assert not np.array_equal(p[mask == 1], np.zeros_like(p[mask == 1]))
+    assert p_raw.tobytes() == p.tobytes()
 
 
 def test_reset_clears_state():
@@ -157,3 +164,9 @@ def test_factory_rejects_unknown_kind_and_bad_rates():
         optim.make_optimizer("adam", -0.1)
     with pytest.raises(ConfigError):
         optim.make_optimizer("adam", 0.1, weight_decay=-1.0)
+    for kind in optim.KINDS:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                optim.make_optimizer(kind, bad)
+            with pytest.raises(ConfigError):
+                optim.make_optimizer(kind, 0.1, weight_decay=bad)

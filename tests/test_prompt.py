@@ -12,7 +12,7 @@ from xprompt.backbone import forward_batch
 from xprompt.errors import ConfigError, DataError, StateError
 
 from conftest import MICRO_CFG
-from support import weight_hash
+from support import masked_graph, weight_hash
 
 
 # --- initialization -------------------------------------------------------------
@@ -70,15 +70,14 @@ def test_effective_values_identity_bitwise(micro_backbone):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=2), micro_backbone)
     bank.token_mask[1] = 0.0
     bank.piece_mask[2, 3] = 0.0
-    g = bank.graph()
     want = bank.p * bank.effective_mask()
-    assert np.array_equal(g.output.value, want)
+    assert np.array_equal(masked_graph(bank).output.value, want)
     assert np.array_equal(bank.effective_values(), want)
 
 
 def test_all_ones_masks_leave_prompt_bitwise(micro_backbone):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=2), micro_backbone)
-    assert np.array_equal(bank.graph().output.value, bank.p)
+    assert np.array_equal(masked_graph(bank).output.value, bank.p)
 
 
 def test_masked_forward_equals_literally_zeroed_prompt(micro_backbone, micro_data):
@@ -98,13 +97,44 @@ def test_masked_forward_equals_literally_zeroed_prompt(micro_backbone, micro_dat
 
 def test_mask_gradients_flow_to_leaves(micro_backbone, micro_data):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
-    loss, g = prompt.batch_loss(bank, micro_backbone, micro_data["train"][:6])
+    batch = micro_data["train"][:6]
+    loss, leaf = prompt.batch_loss(bank, micro_backbone, batch)
     ag.backward(loss)
-    assert g.prompt.grad.shape == (4, 16)
-    assert g.token_mask.grad.shape == (4, 1)
-    assert g.piece_mask.grad.shape == (4, 4)
-    assert np.isfinite(g.token_mask.grad).all()
-    assert np.any(g.token_mask.grad != 0)
+    assert leaf.grad.shape == (4, 16)
+    g_tok, g_pc = pruning.mask_gradients(bank, micro_backbone, batch)
+    assert g_tok.shape == (6, 4)
+    assert g_pc.shape == (6, 4, 4)
+    assert np.isfinite(g_tok).all()
+    assert np.any(g_tok != 0)
+
+
+def test_tune_step_graph_has_one_gradient_leaf(monkeypatch, micro_backbone, micro_data):
+    """Every tune step's graph reaches exactly one slot without parents, the
+    masked-prompt leaf batch_loss returns: no mask leaves, no weights."""
+    real = prompt.batch_loss
+    leaves_per_step = []
+
+    def tracked(*args, **kwargs):
+        loss, leaf = real(*args, **kwargs)
+        stack, seen, leaves = [loss.node.slot], set(), []
+        while stack:
+            s = stack.pop()
+            if id(s) in seen:
+                continue
+            seen.add(id(s))
+            stack.extend(s.parents)
+            if not s.parents:
+                leaves.append(s)
+        leaves_per_step.append(leaves == [leaf.slot])
+        return loss, leaf
+
+    monkeypatch.setattr(prompt, "batch_loss", tracked)
+    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
+    bank.token_mask[1] = 0.0
+    bank.piece_mask[2, 3] = 0.0
+    prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], epochs=1,
+                opt=optim.AdafactorLite(0.05))
+    assert len(leaves_per_step) >= 2 and all(leaves_per_step)
 
 
 def test_batch_loss_matches_mean_of_single_losses(micro_backbone, micro_data):
@@ -296,14 +326,14 @@ def _step_memory(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss, g = prompt.batch_loss(bank, bb, batch, weight_nodes=w)
+        loss, leaf = prompt.batch_loss(bank, bb, batch, weight_nodes=w)
         held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         ag.backward(loss)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert np.abs(g.prompt.grad).sum() > 0.0
+    assert np.abs(leaf.grad).sum() > 0.0
     return sum(built), held, peak
 
 

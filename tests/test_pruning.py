@@ -20,8 +20,7 @@ from xprompt import pruning as pr
 from xprompt.backbone import forward_batch, init_backbone, pretrain
 from xprompt.errors import ConfigError, DataError, StateError
 from xprompt.optim import make_optimizer
-from xprompt.prompt import InitStrategy, batch_loss, evaluate, init_prompt, tune
-from xprompt.tasks import Example
+from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
 
 import support
 
@@ -111,7 +110,7 @@ def test_piece_scores_match_finite_differences(bank, micro_backbone, fd_batch):
 
 def test_second_order_remainder_bounded(bank, micro_backbone, fd_batch):
     """|L(1-eps) - L(1) + eps * dL/dgamma_i| shrinks like eps^2."""
-    loss, g = batch_loss(bank, micro_backbone, fd_batch)
+    loss, g = support.masked_batch_loss(bank, micro_backbone, fd_batch)
     ag.backward(loss)
     grad = g.token_mask.grad[:, 0]
     i = int(np.argmax(np.abs(grad)))
@@ -173,7 +172,7 @@ def test_aggregations_differ_generically(bank, micro_backbone, fd_batch):
     two disagree whenever per-example gradients have mixed signs, and by
     Jensen the second never exceeds the first."""
     rep = pr.score_tokens(bank, micro_backbone, fd_batch)
-    loss, g = batch_loss(bank, micro_backbone, fd_batch)
+    loss, g = support.masked_batch_loss(bank, micro_backbone, fd_batch)
     ag.backward(loss)
     for batch_grad, scores in ((g.token_mask.grad[:, 0], rep.token_scores),
                                (g.piece_mask.grad, rep.piece_scores)):
