@@ -367,8 +367,9 @@ def transpose(x: Node) -> Node:
 
 def rowwise_scale(x: Node, s: Node) -> Node:
     """Scale row i of x by s[i, 0]; s.grad[i] += sum_j out.grad[i, j] * x[i, j].
-    The token-importance gradient has this form; pruning.mask_gradients
-    computes it from the masked prompt's gradient."""
+    The token-importance gradient has this form. No src/ code calls this op
+    or blockwise_scale: the tests' reference graph, demos/01_autograd_basics.py
+    and the benchmark's tracer keep them until the benchmark stops tracing them."""
     if s.cols != 1 or s.rows != x.rows:
         raise ShapeError(f"rowwise_scale needs s of shape ({x.rows},1), got {s.shape} for x {x.shape}")
     out = Node(x.value * s.value, (x, s), op="rowwise_scale")
@@ -386,7 +387,8 @@ def rowwise_scale(x: Node, s: Node) -> Node:
 
 
 def blockwise_scale(x: Node, z: Node) -> Node:
-    """Scale piece c of row i (a contiguous block of e/k columns) by z[i, c]."""
+    """Scale piece c of row i (a contiguous block of e/k columns) by z[i, c];
+    no src/ code calls it (see rowwise_scale)."""
     m, e = x.shape
     if z.rows != m:
         raise ShapeError(f"blockwise_scale needs z with {m} rows, got {z.shape}")

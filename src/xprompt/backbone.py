@@ -11,8 +11,10 @@ its seeded init (pretraining never touches it).
 
 Every pass packs its sequences into one matrix and is built from whole-pack
 ops, so its graph does not grow with the number of sequences. A prompted
-forward pass runs the last block only on the rows the classifier pools,
-gathered in one embedding_lookup: prompt rows still serve as keys and
+pass differentiates only the prompt: it reads the weights as bb.nodes, the
+graph constants freeze() builds once, and adds the position rows to the
+token rows in numpy. It runs the last block only on the rows the classifier
+pools, gathered in one embedding_lookup: prompt rows still serve as keys and
 values there, but issue no queries and carry no residual. This is exact,
 since nothing reads those rows' outputs. Pretraining keeps every row in
 every block (see _mlm_loss).
@@ -96,10 +98,13 @@ class FrozenBackbone:
     weights: dict[str, np.ndarray]
     frozen: bool = False
     pretrain_losses: list[float] = field(default_factory=list)
+    nodes: dict[str, ag.Node] = field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     def freeze(self) -> None:
         for arr in self.weights.values():
             arr.flags.writeable = False
+        self.nodes = {name: ag.constant(arr) for name, arr in self.weights.items()}
         self.frozen = True
 
 
@@ -122,50 +127,33 @@ def init_backbone(cfg: BackboneConfig) -> FrozenBackbone:
 # --- forward ------------------------------------------------------------------
 
 
-def _wrap_weights(bb: FrozenBackbone, trainable: bool) -> dict[str, ag.Node]:
-    make = ag.leaf if trainable else ag.constant
-    return {name: make(arr) for name, arr in bb.weights.items()}
+def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], h: ag.Node,
+            bounds: list[tuple[int, int]],
+            queries: list[tuple[int, int]] | None = None) -> ag.Node:
+    """Post-LN residual blocks over packed rows that already hold their positions.
 
-
-def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], rows: ag.Node,
-            bounds: list[tuple[int, int]], prompt_lens: list[int] | None = None,
-            restrict: bool = False) -> ag.Node:
-    """Position add + post-norm residual blocks over packed rows.
-
-    bounds lists the (start, stop) row block of each sequence, whose first
-    prompt_lens rows are prompt rows (default: none); attention is
+    bounds lists the (start, stop) row block of each sequence; attention is
     block-diagonal, every other op is position-wise, so any number of
-    sequences share one graph. Prompt rows receive no positional embedding
-    (their position-0 row is scaled by 0): they behave as a set, and real
-    tokens count positions from 0 exactly as during pretraining.
-    Normalization comes after each residual sum (post-LN) so that scaling an
-    input row stays visible to attention; a pre-LN block would normalize row
-    scalings away and leave mask variables with no first-order effect in
-    shallow stacks.
+    sequences share one graph. Normalization comes after each residual sum
+    (post-LN) so that scaling an input row stays visible to attention; a
+    pre-LN block would normalize row scalings away and leave mask variables
+    with no first-order effect in shallow stacks.
 
-    With restrict, the last block computes only the token rows, gathered by
-    one embedding_lookup: they alone issue queries and carry the residual
-    stream, while keys and values still come from every row of the block.
-    This is exact, not an approximation: every op but attention is row-wise,
-    and the rows left out would feed nothing but outputs nobody reads, so
-    the gradient they send back is exactly zero. The bytes match the
-    full-row block wherever BLAS uses one kernel for both row counts; packs
-    of a few short sequences can fall on OpenBLAS's small-matrix kernels and
-    differ in the last bits. The result holds the token rows, stacked in
-    sequence order.
+    Given queries, one (start, stop) row range per sequence, the last block
+    computes only those rows, gathered by one embedding_lookup: they alone
+    issue queries and carry the residual stream, while keys and values
+    still come from every row of the block. This is exact, not an
+    approximation: every op but attention is row-wise, and the rows left
+    out would feed nothing but outputs nobody reads, so the gradient they
+    send back is exactly zero. The bytes match the full-row block wherever
+    BLAS uses one kernel for both row counts; packs of a few short sequences
+    can fall on OpenBLAS's small-matrix kernels and differ in the last bits.
+    The result then holds the query rows, stacked in sequence order.
     """
-    lens = np.array(prompt_lens or [0] * len(bounds))
-    starts, stops = np.array(bounds).T
-    pos_ids = np.arange(stops[-1]) - np.repeat(starts + lens, stops - starts)
-    live = pos_ids >= 0
-    pos = ag.embedding_lookup(w["pos_emb"], np.maximum(pos_ids, 0))
-    if lens.any():
-        pos = ag.rowwise_scale(pos, ag.constant(live[:, None]))
-    h = ag.add(rows, pos)
-    queries = [(a + m, b) for (a, b), m in zip(bounds, lens.tolist())]
     for i in range(cfg.layers):
-        last = restrict and i == cfg.layers - 1
-        x = ag.embedding_lookup(h, np.flatnonzero(live)) if last else h
+        last = queries is not None and i == cfg.layers - 1
+        x = ag.embedding_lookup(h, np.concatenate(
+            [np.arange(a, b) for a, b in queries])) if last else h
         att = ag.attention_blocks(
             ag.matmul(x, w[f"l{i}.wq"]),
             ag.matmul(h, w[f"l{i}.wk"]),
@@ -197,8 +185,7 @@ def _check_ids(cfg: BackboneConfig, input_ids, prompt_rows_count: int) -> list[i
     return ids
 
 
-def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
-                  weight_nodes: dict[str, ag.Node] | None = None) -> ag.Node:
+def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences) -> ag.Node:
     """Logits (B, C) for sequences, each with prompt rows prepended.
 
     The batch is packed into one graph: the prompt node is concatenated
@@ -206,20 +193,18 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences,
     and each row of the output pools that sequence's non-prompt positions.
     Only those positions run through the last block (see _encode), so one
     block mean pools its whole output. Gradients flow into prompt_rows;
-    frozen weights are graph constants (pass weight_nodes to share the
-    wrappers across calls).
+    the frozen weights are the graph constants of bb.nodes.
     """
-    return _forward_packed(bb, [prompt_rows] * len(sequences), sequences, weight_nodes)
+    return _forward_packed(bb, [prompt_rows] * len(sequences), sequences)
 
 
-def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences,
-                    weight_nodes: dict[str, ag.Node] | None = None) -> ag.Node:
+def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences) -> ag.Node:
     """forward_batch with prompts[i] prepended to sequences[i]. Given one
     leaf per sequence, each leaf's gradient is its own sequence's share.
 
-    The token rows of the whole pack come from one index into tok_emb's
-    value and enter the concat as constants, which needs the frozen
-    weights that forward_batch promises; only the prompts get gradients."""
+    The token rows of the pack, token plus position embedding, enter it as
+    numpy constants; prompt rows get no position row (see the module
+    docstring)."""
     if not bb.frozen:
         raise StateError("backbone must be frozen before prompted forward passes")
     cfg = bb.cfg
@@ -230,34 +215,32 @@ def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences
     if not sequences:
         raise DataError("forward_batch needs at least one sequence")
 
-    w = weight_nodes if weight_nodes is not None else _wrap_weights(bb, trainable=False)
-    if w["tok_emb"].requires_grad:
-        raise StateError("prompted forward passes need the weights as constants")
     lens = [0 if prompt is None else prompt.rows for prompt in prompts]
     seqs = [_check_ids(cfg, seq, m) for seq, m in zip(sequences, lens)]
     counts = [len(ids) for ids in seqs]
-    tokens = np.split(w["tok_emb"].value[np.concatenate(seqs)], np.cumsum(counts)[:-1])
+    positions = np.concatenate([np.arange(n) for n in counts])
+    rows = bb.weights["tok_emb"][np.concatenate(seqs)] + bb.weights["pos_emb"][positions]
     parts: list[ag.Node] = []
-    for prompt, m, rows in zip(prompts, lens, tokens):
-        parts += [prompt, ag.constant(rows)] if m > 0 else [ag.constant(rows)]
+    for prompt, m, tokens in zip(prompts, lens, np.split(rows, np.cumsum(counts)[:-1])):
+        parts += [prompt, ag.constant(tokens)] if m > 0 else [ag.constant(tokens)]
     sizes = [m + n for m, n in zip(lens, counts)]
     bounds = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
+    queries = [(a + m, b) for (a, b), m in zip(bounds, lens)]
 
-    h = _encode(cfg, w, ag.concat_rows(*parts), bounds, prompt_lens=lens, restrict=True)
-    return ag.matmul(ag.mean_pool(h, counts), w["head"])
+    h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), bounds, queries)
+    return ag.matmul(ag.mean_pool(h, counts), bb.nodes["head"])
 
 
 def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> list[int]:
     """Argmax class per example (ties resolve to the lowest index), packing
     at most PREDICT_CHUNK sequences into one forward pass."""
     prompt = None if prompt_values is None else ag.constant(prompt_values)
-    w = _wrap_weights(bb, trainable=False)
     preds: list[int] = []
     for lo in range(0, len(dataset), PREDICT_CHUNK):
         chunk = [ex.tokens for ex in dataset[lo:lo + PREDICT_CHUNK]]
         # only the logits array outlives the statement, so each pack's graph
         # is freed before the next is built
-        logits = forward_batch(bb, prompt, chunk, weight_nodes=w).value
+        logits = forward_batch(bb, prompt, chunk).value
         preds += [int(np.argmax(row)) for row in logits]
     return preds
 
@@ -274,10 +257,12 @@ def _mlm_loss(bb: FrozenBackbone, w: dict[str, ag.Node], batch, positions) -> ag
     targets = ids[masked]
     ids[masked] = MASK_TOKEN
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    pos = np.arange(len(ids)) - np.repeat(starts[:-1], np.diff(starts))
     # Every row runs through the last block, though only the masked one is
     # read: with trainable weights, dropping the rest would change the order
     # of the weight-gradient sums and so the pretrained bytes.
-    h = _encode(bb.cfg, w, ag.embedding_lookup(w["tok_emb"], ids), bounds)
+    h = _encode(bb.cfg, w, ag.add(ag.embedding_lookup(w["tok_emb"], ids),
+                                  ag.embedding_lookup(w["pos_emb"], pos)), bounds)
     picked = ag.embedding_lookup(h, masked)
     logits = ag.matmul(picked, ag.transpose(w["tok_emb"]))
     return ag.softmax_cross_entropy(logits, targets)
@@ -316,7 +301,7 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
             cursor += 1
         positions = [int(rng.integers(0, len(seq))) for seq in batch]
 
-        w = _wrap_weights(bb, trainable=True)
+        w = {name: ag.leaf(arr) for name, arr in bb.weights.items()}
         loss = _mlm_loss(bb, w, batch, positions)
         ag.backward(loss)
         bb.pretrain_losses.append(loss.value)

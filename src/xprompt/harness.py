@@ -161,8 +161,11 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_text(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -227,6 +230,10 @@ class RunConfig:
             raise ConfigError(f"prompt.m must be >= 1, got {v['prompt.m']}")
         if not v["run.seeds"]:
             raise ConfigError("run.seeds must list at least one seed")
+        if len(set(v["run.seeds"])) < len(v["run.seeds"]):
+            raise ConfigError("run.seeds must not list a seed twice")
+        if not v["run.out"] or os.path.isfile(v["run.out"]):
+            raise ConfigError(f"run.out must name a directory, got {v['run.out']!r}")
         for key in ("run.seeds", "backbone.seed", "task.shots_seed", "task.shots",
                     "pretrain.steps", "pretrain.extra_sequences"):
             if min(v[key] if key == "run.seeds" else (v[key],)) < 0:
@@ -245,6 +252,10 @@ class RunConfig:
                     f"exceeds backbone.max_seq_len {v['backbone.max_seq_len']}")
         self.schedule().validate()
         self.init_strategy(0).validate()
+        if v["prompt.k"] < 1 or v["backbone.embed_dim"] % v["prompt.k"]:
+            raise ConfigError(f"prompt.k must divide backbone.embed_dim, got {v['prompt.k']}")
+        if v["prompt.init"] == "sampled_vocab" and v["prompt.m"] > v["backbone.vocab_size"]:
+            raise ConfigError("sampled_vocab needs prompt.m <= backbone.vocab_size")
         if v["tune.epochs"] < 0 or v["prune.retrain_epochs"] < 0:
             raise ConfigError("epoch counts must be >= 0")
         if v["tune.batch_size"] < 1:
@@ -313,7 +324,8 @@ def _read_records(path: str) -> list[MetricsRecord]:
     for lineno, line in enumerate(lines, start=2):
         try:
             stage, seed, acc, ktok, kpar, pct = line.split("\t")
-            float(pct)  # copied verbatim, but must still be a number
+            if not np.isfinite(float(pct)):  # copied verbatim, but must be a number
+                raise ValueError
             records.append(MetricsRecord(stage, int(seed), float(acc), int(ktok),
                                          int(kpar), pct))
         except ValueError:

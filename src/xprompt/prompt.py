@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .backbone import FrozenBackbone, forward_batch, predict, _wrap_weights
+from .backbone import FrozenBackbone, forward_batch, predict
 from .errors import ConfigError, DataError, ShapeError, StateError
 from .optim import OptimizerState
 from .tasks import accuracy
@@ -115,12 +115,11 @@ def evaluate(bank: PromptBank, bb: FrozenBackbone, dataset) -> float:
     return accuracy(preds, [ex.label for ex in dataset])
 
 
-def batch_loss(bank: PromptBank, bb: FrozenBackbone, batch,
-               weight_nodes=None) -> tuple[ag.LossScalar, ag.Node]:
+def batch_loss(bank: PromptBank, bb: FrozenBackbone, batch) -> tuple[ag.LossScalar, ag.Node]:
     """One shared graph over a batch: stacked per-example logits -> mean CE.
     Returns the loss and its one leaf, over the masked prompt values."""
     leaf = ag.leaf(bank.effective_values(), op="prompt")
-    logits = forward_batch(bb, leaf, [ex.tokens for ex in batch], weight_nodes=weight_nodes)
+    logits = forward_batch(bb, leaf, [ex.tokens for ex in batch])
     return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]), leaf
 
 
@@ -160,10 +159,9 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
         # cosine anneal from 1 to 0.1 over the stage; damps late oscillation
         opt.lr_scale = 0.1 + 0.45 * (1.0 + np.cos(np.pi * (epoch - 1) / max(1, epochs - 1)))
         order = np.random.default_rng(stable_seed(seed, "shuffle", epoch)).permutation(n)
-        w = _wrap_weights(bb, trainable=False)
         for lo in range(0, n, batch_size):
             batch = [train[int(i)] for i in order[lo:lo + batch_size]]
-            loss, leaf = batch_loss(bank, bb, batch, weight_nodes=w)
+            loss, leaf = batch_loss(bank, bb, batch)
             ag.backward(loss)
             result.losses.append(loss.value)
             del loss  # the leaf keeps its gradient; the graph above it goes now

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .backbone import FrozenBackbone, _forward_packed, _wrap_weights
+from .backbone import FrozenBackbone, _forward_packed
 from .errors import ConfigError, DataError, StateError
 from .optim import OptimizerState
 from .prompt import PromptBank, TuneResult, evaluate, tune
@@ -54,8 +54,7 @@ class ImportanceReport:
     examples_seen: int
 
 
-def mask_gradients(bank: PromptBank, bb: FrozenBackbone, batch,
-                   weight_nodes=None) -> tuple[np.ndarray, np.ndarray]:
+def mask_gradients(bank: PromptBank, bb: FrozenBackbone, batch) -> tuple[np.ndarray, np.ndarray]:
     """The signed per-example mask gradients at the current masks: the
     (B, m) dL(x)/d gamma and the (B, m, k) dL(x)/d zeta of each example x.
 
@@ -66,9 +65,8 @@ def mask_gradients(bank: PromptBank, bb: FrozenBackbone, batch,
     the columns j of piece c of G_x[i, j] P[i, j], dL(x)/d zeta_ic =
     gamma_i S_x[i, c] and dL(x)/d gamma_i = sum_c zeta_ic S_x[i, c].
     """
-    w = _wrap_weights(bb, trainable=False) if weight_nodes is None else weight_nodes
     leaves = [ag.leaf(bank.effective_values(), op="prompt") for _ in batch]
-    logits = _forward_packed(bb, leaves, [ex.tokens for ex in batch], w)
+    logits = _forward_packed(bb, leaves, [ex.tokens for ex in batch])
     ag.backward(ag.softmax_cross_entropy(logits, [ex.label for ex in batch]))
     del logits  # the leaves hold their gradients; free the graph now
     gp = np.stack([leaf.grad for leaf in leaves]) * (len(batch) * bank.p)
@@ -85,9 +83,8 @@ def score_tokens(bank: PromptBank, bb: FrozenBackbone, train,
     if not train:
         raise DataError("cannot score importance on an empty dataset")
     tok, pc = np.zeros(bank.m), np.zeros((bank.m, bank.k))
-    w = _wrap_weights(bb, trainable=False)
     for lo in range(0, len(train), batch_size):
-        g_tok, g_pc = mask_gradients(bank, bb, train[lo:lo + batch_size], w)
+        g_tok, g_pc = mask_gradients(bank, bb, train[lo:lo + batch_size])
         tok += np.abs(g_tok).sum(axis=0)
         pc += np.abs(g_pc).sum(axis=0)
     token_live = bank.token_mask > 0

@@ -153,7 +153,11 @@ def load_jsonl(path: str, vocab_size: int | None = None,
     """Read one example per line; errors carry the offending line number."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path} is not UTF-8 ({err.reason} at byte {err.start})") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

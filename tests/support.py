@@ -124,7 +124,7 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     """forward_batch with every block, the last one too, run on every packed
     row; the logits then pool each sequence's non-prompt rows."""
     cfg = bb.cfg
-    w = bbm._wrap_weights(bb, trainable=False)
+    w = bb.nodes
     m = 0 if prompt_rows is None else prompt_rows.rows
     parts, bounds, pos_ids, live = [], [], [], []
     for seq in sequences:

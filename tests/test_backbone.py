@@ -77,12 +77,6 @@ def test_forward_requires_frozen():
         bbm.forward_batch(bb, None, [[2, 3, 4]])
 
 
-def test_forward_refuses_trainable_weights(raw_micro_backbone):
-    w = bbm._wrap_weights(raw_micro_backbone, trainable=True)
-    with pytest.raises(StateError, match="constants"):
-        bbm.forward_batch(raw_micro_backbone, None, [[2, 3, 4]], weight_nodes=w)
-
-
 def test_frozen_weights_are_immutable(raw_micro_backbone):
     with pytest.raises(ValueError):
         raw_micro_backbone.weights["tok_emb"][0, 0] = 1.0
@@ -225,24 +219,28 @@ def _count_ops(monkeypatch, names):
 
 def test_pass_graph_does_not_grow_with_the_pack(oracle_case, micro_data, monkeypatch):
     bb, bank = oracle_case
-    counts = _count_ops(monkeypatch, ("embedding_lookup", "mean_pool", "concat_rows"))
+    counts = _count_ops(monkeypatch, ("embedding_lookup", "mean_pool", "concat_rows",
+                                      "add", "rowwise_scale"))
     prompt = ag.constant(bank.effective_values())
-    w = bbm._wrap_weights(bb, trainable=True)
     seen = {}
     for n in (1, 16):
         seqs = [ex.tokens for ex in micro_data["train"][:n]]
         bbm.forward_batch(bb, prompt, seqs)
         seen["forward", n] = dict(counts)
         counts.update(dict.fromkeys(counts, 0))
-        bbm._mlm_loss(bb, w, seqs, [0] * n)
+        bbm._mlm_loss(bb, bb.nodes, seqs, [0] * n)
         seen["mlm", n] = dict(counts)
         counts.update(dict.fromkeys(counts, 0))
-    # a pass gathers positions and then query rows, or token, position and
-    # masked rows
+    # a prompted pass gathers only its query rows, and its token rows come
+    # with their positions; pretraining gathers token, position and masked
+    # rows and adds the first two; each block adds two residuals
+    blocks = 2 * bb.cfg.layers
     assert seen["forward", 1] == seen["forward", 16] == {
-        "embedding_lookup": 2, "mean_pool": 1, "concat_rows": 1}
+        "embedding_lookup": 1, "mean_pool": 1, "concat_rows": 1,
+        "add": blocks, "rowwise_scale": 0}
     assert seen["mlm", 1] == seen["mlm", 16] == {
-        "embedding_lookup": 3, "mean_pool": 0, "concat_rows": 0}
+        "embedding_lookup": 3, "mean_pool": 0, "concat_rows": 0,
+        "add": 1 + blocks, "rowwise_scale": 0}
 
 
 def test_predict_chunks_give_the_logits_of_one_pack(oracle_case, micro_data):

@@ -609,11 +609,13 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"optim.weight_decay": float("inf")},
                                  {"pretrain.lr": float("nan")}, {"pretrain.lr": 0.0},
                                  {"prompt.uniform_bound": float("nan")},
-                                 {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1}],
+                                 {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1},
+                                 {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)}],
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
                               "inf-weight-decay", "nan-pretrain-lr", "zero-pretrain-lr",
                               "nan-uniform-bound", "negative-pretrain-steps",
-                              "negative-extra-sequences"])
+                              "negative-extra-sequences", "k-not-dividing-e",
+                              "m-over-sampled-vocab", "duplicate-seed"])
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory."""
@@ -674,6 +676,50 @@ def test_cli_empty_split_exits_before_any_work(tmp_path, capsys, empty):
     assert not os.path.exists(os.path.join(out, "backbone"))
 
 
+def _unreadable_config(tmp_path, kind: str) -> list[str]:
+    """CLI arguments whose config cannot be read or names no usable run.out."""
+    if kind == "not-utf8":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"prompt.m = 6\n# caf\xe9\n")
+        return ["--config", str(path)]
+    if kind == "directory":
+        (tmp_path / "cfg.d").mkdir()
+        return ["--config", str(tmp_path / "cfg.d")]
+    if kind == "taken-out":
+        (tmp_path / "taken").write_text("a file, not a run directory\n")
+        return ["--config", write_cfg_file(tmp_path, str(tmp_path / "taken"))]
+    return ["--config", write_cfg_file(tmp_path, "")]
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "empty-out", "taken-out"])
+def test_cli_unreadable_config_exits_2_before_any_write(tmp_path, monkeypatch, capsys, kind):
+    args = _unreadable_config(tmp_path, kind)
+    monkeypatch.chdir(tmp_path)
+    before = tree_bytes(str(tmp_path))
+    capsys.readouterr()
+    assert cli.main(["tune", *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert tree_bytes(str(tmp_path)) == before
+
+
+def test_cli_data_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    paths = {}
+    for split in ("train", "dev"):
+        paths[f"task.{split}_path"] = str(tmp_path / f"{split}.jsonl")
+        hz.write_text_atomic(paths[f"task.{split}_path"], "".join(
+            f'{{"tokens": [2, 3, 4], "label": {i % 2}}}\n' for i in range(4)))
+    with open(paths["task.dev_path"], "ab") as fh:
+        fh.write(b'{"tokens": [2], "label": 0, "note": "\xff"}\n')
+    out = str(tmp_path / "run")
+    cfg = write_cfg_file(tmp_path, out, **paths)
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and "not UTF-8" in err[0]
+    assert not os.path.exists(os.path.join(out, "backbone"))
+
+
 def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     out = str(tmp_path / "empty")
     cfg = write_cfg_file(tmp_path, out)
@@ -711,14 +757,16 @@ FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
     (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
     (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t.*)\t[^\t]*$", r"\1",
      "report"),
+    (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t.*\t)[^\t]*$", r"\1inf",
+     "report"),
     (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
     (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
     (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
 ], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
-        "records-short-row", "best-txt-bad-ratio", "best-txt-no-piece-ratio",
-        "final-keeps-no-tokens"])
+        "records-short-row", "records-percent-inf", "best-txt-bad-ratio",
+        "best-txt-no-piece-ratio", "final-keeps-no-tokens"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     _, copy = copy_run(pipe_run, tmp_path)
