@@ -3,8 +3,8 @@
 Importance of a prompt structure is the mean absolute gradient of the
 loss with respect to its mask variable. Token-level pruning removes
 whole rows; piece-level pruning removes width-e/k slices of the
-survivors. Rewinding resets what survives to its snapshotted values
-before retraining, which is the lottery-ticket recipe.
+survivors. Each cell rewinds what survives to the stage-1 prompt it was
+given before retraining, which is the lottery-ticket recipe.
 """
 
 import os
@@ -34,7 +34,6 @@ pretrain(bb, pretrain_corpus(train), steps=400, lr=1e-2)
 bank = init_prompt(m=8, e=32, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
 tuned = tune(bank, bb, train, dev, epochs=15,
              opt=make_optimizer("adafactor", 0.02, 1e-5), seed=1)
-bank.take_snapshot()
 stage1_bank = bank.copy()
 print(f"stage-1 dev accuracy {tuned.best_dev_acc:.3f}")
 
@@ -51,7 +50,7 @@ print(f"removing the lowest 34% keeps tokens {np.flatnonzero(gamma).tolist()}")
 # --- the full grid: prune, rewind, retrain per cell ----------------------------------
 
 sched = PruneSchedule(token_ratios=(0.17, 0.34), piece_ratios=(0.25, 0.5),
-                      rule="lowest_score", seed=0)
+                      rule="lowest_score")
 result = hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs=4,
                             opt=make_optimizer("adafactor", 0.02, 1e-5), seed=1)
 for cell in result.cells:

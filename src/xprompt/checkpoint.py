@@ -57,9 +57,13 @@ def _read_manifest(dirpath: str, fmt: str) -> list[tuple[str, str]]:
     path = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(path):
         raise DataError(f"checkpoint manifest missing: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = [tuple(line.partition(" ")[::2]) for line in fh.read().split("\n")
-                   if line and not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint manifest {path} is not UTF-8 ({exc})") from None
+    entries = [tuple(line.partition(" ")[::2]) for line in text.split("\n")
+               if line and not line.startswith("#")]
     found = dict(entries).get("format")
     if found != fmt:
         raise DataError(f"unrecognized checkpoint format {found!r} in {path}; "
@@ -124,7 +128,7 @@ def load_backbone(dirpath: str) -> FrozenBackbone:
 
 
 def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
-    """Persist P_e (and the snapshot, if taken) plus masks as 0/1 text."""
+    """Persist P_e as a blob plus the masks as 0/1 text."""
     os.makedirs(dirpath, exist_ok=True)
     m, e = bank.p.shape
     lines = [
@@ -138,8 +142,6 @@ def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
     for i in range(m):
         lines.append(f"piece_mask {i} " + " ".join(str(int(v)) for v in bank.piece_mask[i]))
     lines.append(f"blob p_e {_write_blob(dirpath, 'p_e', bank.p)}")
-    if bank.snapshot is not None:
-        lines.append(f"blob snapshot {_write_blob(dirpath, 'snapshot', bank.snapshot)}")
     lines.extend(provenance)
     write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
 
@@ -158,6 +160,4 @@ def load_prompt(dirpath: str):
     piece_mask = np.array([_mask_row(dirpath, f"piece_mask row {i}", rows.get(str(i)), k)
                            for i in range(m)])
     bank = PromptBank(p=p, token_mask=token_mask, piece_mask=piece_mask, k=k)
-    if "snapshot" in blobs:
-        bank.snapshot = _read_blob(dirpath, "snapshot", (m, e), blobs["snapshot"])
     return bank, _field(dirpath, fields, "stage")

@@ -207,8 +207,7 @@ class RunConfig:
     def schedule(self) -> PruneSchedule:
         v = self.values
         return PruneSchedule(tuple(v["prune.token_ratios"]),
-                             tuple(v["prune.piece_ratios"]),
-                             v["prune.rule"], seed=0)
+                             tuple(v["prune.piece_ratios"]), v["prune.rule"])
 
     def init_strategy(self, seed: int) -> InitStrategy:
         return InitStrategy(kind=self.values["prompt.init"],
@@ -316,8 +315,11 @@ def _write_records(path: str, records: list[MetricsRecord]) -> None:
 
 
 def _read_records(path: str) -> list[MetricsRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header, *lines = fh.read().splitlines() or [""]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"metrics fragment {path} is not UTF-8 ({exc})") from None
     if header != METRICS_HEADER:
         raise DataError(f"metrics fragment {path} has a bad header")
     records = []
@@ -325,6 +327,8 @@ def _read_records(path: str) -> list[MetricsRecord]:
         try:
             stage, seed, acc, ktok, kpar, pct = line.split("\t")
             if not np.isfinite(float(pct)):  # copied verbatim, but must be a number
+                raise ValueError
+            if not 0.0 <= float(acc) <= 1.0:  # also refuses nan
                 raise ValueError
             records.append(MetricsRecord(stage, int(seed), float(acc), int(ktok),
                                          int(kpar), pct))
@@ -571,7 +575,6 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"],
                            rd.cfg.init_strategy(seed), bb)
         res = _tune(rd.cfg, bank, bb, data, seed)
-        bank.take_snapshot()
         checkpoint.save_prompt(bank, path, "stage1", rd.provenance("stage1", seed))
         record = _record("stage1", seed, res.best_dev_acc,
                          (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
@@ -666,8 +669,9 @@ def _write_metrics(rd: RunDir, records: list[MetricsRecord], wall: dict[str, flo
 
 def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = None,
                  jobs: int = DEFAULT_JOBS, start: str = "backbone") -> list[MetricsRecord]:
-    """pretrain -> stage-1 tune -> snapshot -> hierarchical prune -> final
-    rewound-retrained model, with metrics, checkpoints, and saliency.
+    """pretrain -> stage-1 tune -> hierarchical prune, rewinding to the
+    stage-1 prompt -> final retrained model, with metrics, checkpoints, and
+    saliency.
 
     The call builds the stages from start through stop_after (the pretrain,
     tune and prune subcommands) in the directory RunDir opens, and reuses
@@ -775,7 +779,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
             final, t_ratio, p_ratio = _best_cell(rd, seed)
             for arm in ("random", "reversed"):
                 if arm in which:
-                    sched = PruneSchedule((t_ratio,), (p_ratio,), arm, seed=seed)
+                    sched = PruneSchedule((t_ratio,), (p_ratio,), arm)
                     best = _prune(cfg, stage1.copy(), bb, data, sched, seed).best
                     recs.append(_record(arm, seed, best.dev_acc, best.selection, e))
             if "length" in which:
@@ -831,7 +835,6 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
                 recs.append(_record("transfer_o", seed, res.best_dev_acc,
                                     (bank.token_mask, bank.piece_mask), e))
             if "transfer" in variants:
-                bank.take_snapshot()
                 best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best
                 recs.append(_record("transfer", seed, best.dev_acc, best.selection, e))
         return recs

@@ -3,8 +3,7 @@
 The masks meet the prompt in one place, in numpy: effective_values gives
 P * gamma * zeta, the masked prompt that every prompted pass starts from.
 Tuning trains one leaf over it, and the optimizer steps only live entries;
-the signed mask gradients come from pruning.mask_gradients. The snapshot
-holds the values rewinding restores.
+the signed mask gradients come from pruning.mask_gradients.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .backbone import FrozenBackbone, forward_batch, predict
-from .errors import ConfigError, DataError, ShapeError, StateError
+from .errors import ConfigError, DataError, ShapeError
 from .optim import OptimizerState
 from .tasks import accuracy
 from .util import stable_seed
@@ -47,7 +46,6 @@ class PromptBank:
     token_mask: np.ndarray        # (m,) of 0/1
     piece_mask: np.ndarray        # (m, k) of 0/1
     k: int
-    snapshot: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -69,23 +67,14 @@ class PromptBank:
         self.token_mask[:] = 1.0
         self.piece_mask[:] = 1.0
 
-    def take_snapshot(self) -> None:
-        self.snapshot = self.p.copy()
-
-    def restore_snapshot(self) -> None:
-        if self.snapshot is None:
-            raise StateError("no snapshot taken; nothing to restore")
-        self.p[:] = self.snapshot
-
     def copy(self) -> "PromptBank":
         return PromptBank(
             p=self.p.copy(), token_mask=self.token_mask.copy(),
-            piece_mask=self.piece_mask.copy(), k=self.k,
-            snapshot=None if self.snapshot is None else self.snapshot.copy())
+            piece_mask=self.piece_mask.copy(), k=self.k)
 
 
 def init_prompt(m: int, e: int, k: int, strat: InitStrategy, bb: FrozenBackbone) -> PromptBank:
-    """Fresh bank with all-ones masks and no snapshot."""
+    """Fresh bank with all-ones masks."""
     strat.validate()
     if m < 1:
         raise ConfigError(f"prompt length m must be >= 1, got {m}")

@@ -10,9 +10,9 @@ A selection is the pair of 0/1 mask arrays the bank holds, gamma (m,) and
 zeta (m, k): selecting writes floor(ratio * live) removals, under a
 documented deterministic tie-break, into copies of a report's liveness
 flags, and kept_params counts parameters from the same arrays. Rewinding
-restores surviving prompt entries to the snapshot and resets the caller's
-optimizer, so each cell retrains with the caller's recipe from a fresh
-optimizer state.
+sets the prompt back to the values it is given, the prompt hierarchical
+pruning was called with, and resets the caller's optimizer, so each cell
+retrains with the caller's recipe from a fresh optimizer state.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .backbone import FrozenBackbone, _forward_packed
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, DataError
 from .optim import OptimizerState
 from .prompt import PromptBank, TuneResult, evaluate, tune
 from .util import stable_seed
@@ -168,12 +168,10 @@ def apply_selection(bank: PromptBank, selection: Masks) -> None:
     bank.piece_mask[:] = zeta
 
 
-def rewind(bank: PromptBank, selection: Masks,
+def rewind(bank: PromptBank, values: np.ndarray, selection: Masks,
            opt: OptimizerState | None = None) -> None:
-    """Reset surviving prompt entries to the snapshot and install the masks."""
-    if bank.snapshot is None:
-        raise StateError("rewinding requires a snapshot")
-    bank.restore_snapshot()
+    """Set the prompt to values, install the masks and reset opt."""
+    bank.p[:] = values
     apply_selection(bank, selection)
     if opt is not None:
         opt.reset()
@@ -187,11 +185,13 @@ class PruneSchedule:
     token_ratios: tuple[float, ...]
     piece_ratios: tuple[float, ...]
     rule: str = "lowest_score"
-    seed: int = 0
 
     def validate(self) -> None:
-        if not self.token_ratios or not self.piece_ratios:
-            raise ConfigError("ratio grids must be non-empty")
+        for grid in (self.token_ratios, self.piece_ratios):
+            if not grid:
+                raise ConfigError("ratio grids must be non-empty")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"ratio grid {tuple(grid)} lists a ratio twice")
         for r in tuple(self.token_ratios) + tuple(self.piece_ratios):
             if not 0.0 <= r < 1.0:
                 raise ConfigError(f"pruning ratio must be in [0, 1), got {r}")
@@ -224,14 +224,18 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     """Grid search over (token ratio, piece ratio) cells, scoring each mask
     state once.
 
-    Token scores are taken once per run, at the snapshot with all-ones masks.
-    Each token ratio selects tokens from that report, and pieces are rescored
-    once per token ratio, at the snapshot with that ratio's token masks. Each
-    cell then selects pieces from its row's piece report, rewinds, and
-    retrains with ``opt``, which the rewind resets, so every cell starts
-    from a fresh optimizer state. A sweep depends only on the snapshot and
-    the masks, so every cell sees exactly the scores a per-cell rescoring
-    would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
+    The rewind point is the prompt bank.p holds when the call starts; every
+    command passes stage 1's trained prompt, as the paper's lottery-ticket
+    rewinding asks. Token scores are taken once per run, at that prompt with
+    all-ones masks. Each token ratio selects tokens from that report, and
+    pieces are rescored once per token ratio, at that prompt with that
+    ratio's token masks. Each cell then selects pieces from its row's piece
+    report, rewinds to that prompt, and retrains with ``opt``, which the
+    rewind resets, so every cell starts from a fresh optimizer state. A sweep
+    depends only on the prompt and the masks, so every cell sees exactly the
+    scores a per-cell rescoring would give, for 1 + |T| sweeps instead of
+    2 * |T| * |P|. ``seed`` seeds the random rule's selections and the
+    retraining shuffles.
 
     Each cell's ``selection`` holds the (gamma, zeta) masks it retrained
     under, and its ``kept_params`` counts them with ``kept_params``.
@@ -245,8 +249,6 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     the best cell's retrained state.
     """
     sched.validate()
-    if bank.snapshot is None:
-        raise StateError("hierarchical pruning requires a snapshotted bank")
     if retrain_epochs < 0:
         raise ConfigError(f"retrain_epochs must be >= 0, got {retrain_epochs}")
 
@@ -254,19 +256,19 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     best: CellResult | None = None
     best_p: np.ndarray | None = None
 
-    bank.restore_snapshot()
+    start = bank.p.copy()
     bank.reset_masks()
     token_report = score_tokens(bank, bb, train, batch_size=batch_size)
 
     for t_ratio in sched.token_ratios:
-        token_sel = select_tokens(token_report, t_ratio, sched.rule, sched.seed)
-        rewind(bank, token_sel)
+        token_sel = select_tokens(token_report, t_ratio, sched.rule, seed)
+        rewind(bank, start, token_sel)
         # the same sweep, rescored over the surviving tokens only
         piece_report = score_tokens(bank, bb, train, batch_size=batch_size)
 
         for p_ratio in sched.piece_ratios:
-            selection = select_pieces(piece_report, p_ratio, sched.rule, sched.seed)
-            rewind(bank, selection, opt)
+            selection = select_pieces(piece_report, p_ratio, sched.rule, seed)
+            rewind(bank, start, selection, opt)
             retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
                            batch_size=batch_size, seed=seed)
 

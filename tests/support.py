@@ -205,24 +205,26 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
                        batch_size=16, seed=0):
     """Grid search that rescores tokens and pieces from scratch in every cell.
 
-    Each cell restores the snapshot, resets the masks, scores tokens, applies
-    the token selection, scores pieces, then rewinds and retrains with an
-    optimizer built for that cell: two sweeps per cell and no state shared
-    between cells.
+    Each cell sets the bank back to the prompt the call was given, resets the
+    masks, scores tokens, applies the token selection, scores pieces, then
+    rewinds and retrains with an optimizer built for that cell: two sweeps
+    per cell and no state shared between cells. seed seeds the selections
+    and the retraining.
     """
     cells = []
     best = best_state = None
+    start = bank.p.copy()
     for t_ratio in sched.token_ratios:
         for p_ratio in sched.piece_ratios:
-            bank.restore_snapshot()
+            bank.p[:] = start
             bank.reset_masks()
             token_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
-            token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, sched.seed)
+            token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, seed)
             pr.apply_selection(bank, token_sel)
             piece_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
-            selection = pr.select_pieces(piece_report, p_ratio, sched.rule, sched.seed)
+            selection = pr.select_pieces(piece_report, p_ratio, sched.rule, seed)
             opt = make_optimizer(opt_kind, learning_rate, weight_decay)
-            pr.rewind(bank, selection, opt)
+            pr.rewind(bank, start, selection, opt)
             kept_params = int(bank.effective_mask().sum())
             retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
                            batch_size=batch_size, seed=seed)

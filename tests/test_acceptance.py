@@ -306,13 +306,13 @@ def test_08_rewinding_correctness(micro_backbone, micro_data):
     strat = InitStrategy("sampled_vocab", seed=5)
 
     fresh = init_prompt(m=6, e=16, k=4, strat=strat, bb=micro_backbone)
-    fresh.take_snapshot()
+    start = fresh.p.copy()
     first = tune(fresh, micro_backbone, train, dev, epochs=3,
                  opt=make_optimizer("adafactor", 0.05, 1e-5), seed=9)
 
     keep_all = np.ones(6), np.ones((6, 4))
     opt = make_optimizer("adafactor", 0.05, 1e-5)
-    pr.rewind(fresh, keep_all, opt)
+    pr.rewind(fresh, start, keep_all, opt)
     second = tune(fresh, micro_backbone, train, dev, epochs=3, opt=opt, seed=9)
 
     gap = max(abs(a - b) for a, b in zip(first.losses, second.losses))

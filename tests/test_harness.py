@@ -500,7 +500,7 @@ def test_transfer_self_resumes_at_source_accuracy(pipe_run, tmp_path):
 
 
 def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
-    """transfer_o records the tune that transfer then snapshots and prunes."""
+    """transfer_o records the tune that transfer then prunes."""
     cfg, copy = copy_run(pipe_run, tmp_path)
     seeds = []
     tune = hz.tune
@@ -610,12 +610,15 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"pretrain.lr": float("nan")}, {"pretrain.lr": 0.0},
                                  {"prompt.uniform_bound": float("nan")},
                                  {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1},
-                                 {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)}],
+                                 {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)},
+                                 {"prune.token_ratios": (0.34, 0.34)},
+                                 {"prune.piece_ratios": (0.25, 0.0, 0.25)}],
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
                               "inf-weight-decay", "nan-pretrain-lr", "zero-pretrain-lr",
                               "nan-uniform-bound", "negative-pretrain-steps",
                               "negative-extra-sequences", "k-not-dividing-e",
-                              "m-over-sampled-vocab", "duplicate-seed"])
+                              "m-over-sampled-vocab", "duplicate-seed",
+                              "duplicate-token-ratio", "duplicate-piece-ratio"])
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory."""
@@ -759,13 +762,18 @@ FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
      "report"),
     (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t.*\t)[^\t]*$", r"\1inf",
      "report"),
+    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t1\t)[^\t]*", r"\1nan",
+     "report"),
+    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t1\t)[^\t]*", r"\g<1>2.5",
+     "report"),
     (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
     (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
     (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
 ], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
-        "records-short-row", "records-percent-inf", "best-txt-bad-ratio",
+        "records-short-row", "records-percent-inf", "records-dev-acc-nan",
+        "records-dev-acc-above-1", "best-txt-bad-ratio",
         "best-txt-no-piece-ratio", "final-keeps-no-tokens"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
@@ -779,6 +787,23 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
     assert cli.main([*command.split(), "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
+
+
+@pytest.mark.parametrize("path, command", [
+    (os.path.join("seed1", "stage1", "records.tsv"), "report"),
+    (STAGE1_MANIFEST, "prune"),
+    (os.path.join("backbone", "manifest.txt"), "tune"),
+    (FINAL_MANIFEST, "transfer --source {copy}/seed1/prune"),
+], ids=["records", "stage1-manifest", "backbone-manifest", "transfer-source-manifest"])
+def test_cli_fragment_that_is_not_utf8_exits_3(pipe_run, tmp_path, capsys, path, command):
+    _, copy = copy_run(pipe_run, tmp_path)
+    with open(os.path.join(copy, path), "ab") as fh:
+        fh.write(b"\xff\n" if path.endswith(".tsv") else b"# \xff\n")
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.format(copy=copy).split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and "not UTF-8" in err[0]
 
 
 # --- run directory ownership ---------------------------------------------------------
@@ -889,6 +914,49 @@ def test_provenance_lines_name_parent_manifests(pipe_run):
     assert stage1["parent"] == digest("backbone")
     assert prune["parent"] == digest("seed2", "stage1")
     assert prune["blas_threads"].startswith("OPENBLAS_NUM_THREADS=")
+
+
+def test_prompt_checkpoints_hold_one_blob(pipe_run):
+    """Stage 1 and prune each store the prompt once: one blob line, one .bin."""
+    _, out, _ = pipe_run
+    for stage in ("stage1", "prune"):
+        path = os.path.join(out, "seed1", stage)
+        blobs = [line for line in read(os.path.join(path, "manifest.txt")).splitlines()
+                 if line.startswith("blob ")]
+        assert len(blobs) == 1 and blobs[0].startswith("blob p_e ")
+        assert [name for name in os.listdir(path) if name.endswith(".bin")] == ["p_e.bin"]
+
+
+def test_prompt_manifest_with_a_snapshot_blob_still_loads(pipe_run, tmp_path):
+    """Earlier prompt checkpoints also list a ``blob snapshot`` line and blob;
+    the loader ignores both."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    path = os.path.join(copy, "seed1", "prune")
+    want, want_stage = load_prompt(path)
+    snapshot = os.path.join(path, "snapshot.bin")
+    shutil.copy(os.path.join(copy, "seed1", "stage1", "p_e.bin"), snapshot)
+    with open(snapshot, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    manifest = os.path.join(path, "manifest.txt")
+    hz.write_text_atomic(manifest, re.sub(r"^(blob p_e .*)$", rf"\1\nblob snapshot {digest}",
+                                          read(manifest), count=1, flags=re.M))
+    assert f"blob snapshot {digest}" in read(manifest)
+    got, got_stage = load_prompt(path)
+    assert got_stage == want_stage
+    for a, b in ((got.p, want.p), (got.token_mask, want.token_mask),
+                 (got.piece_mask, want.piece_mask)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_random_rule_selects_with_each_run_seed(tmp_path):
+    """prune.rule = random draws each seed's masks from that seed, as the
+    random baseline arm does."""
+    cfg = micro_cfg(str(tmp_path / "random"), **{"prune.rule": "random"})
+    hz.run_pipeline(cfg, jobs=1)
+    masks = [[line for line in read(os.path.join(cfg["run.out"], f"seed{seed}", "prune",
+                                                 "manifest.txt")).splitlines()
+              if line.startswith(("token_mask", "piece_mask"))] for seed in (1, 2)]
+    assert masks[0] != masks[1]
 
 
 @pytest.mark.parametrize("command, target, stage", [

@@ -1,4 +1,4 @@
-"""Prompt bank construction, masking identities, snapshots, and tuning."""
+"""Prompt bank construction, masking identities, and tuning."""
 
 import tracemalloc
 import weakref
@@ -9,7 +9,7 @@ import pytest
 from xprompt import autograd as ag
 from xprompt import backbone, optim, prompt, pruning, tasks
 from xprompt.backbone import forward_batch
-from xprompt.errors import ConfigError, DataError, StateError
+from xprompt.errors import ConfigError, DataError
 
 from conftest import MICRO_CFG
 from support import masked_graph, weight_hash
@@ -29,7 +29,6 @@ def test_sampled_vocab_rows_come_from_embedding_table(micro_backbone):
     assert len(set(hits)) == 6
     assert bank.token_mask.shape == (6,)
     assert bank.piece_mask.shape == (6, 4)
-    assert bank.snapshot is None
     assert np.all(bank.token_mask == 1.0) and np.all(bank.piece_mask == 1.0)
 
 
@@ -145,27 +144,11 @@ def test_batch_loss_matches_mean_of_single_losses(micro_backbone, micro_data):
     assert abs(loss.value - np.mean(singles)) <= 1e-12
 
 
-# --- snapshots ------------------------------------------------------------------
-
-
-def test_snapshot_round_trip(micro_backbone):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=4), micro_backbone)
-    orig = bank.p.copy()
-    bank.take_snapshot()
-    bank.p += 1.5
-    bank.restore_snapshot()
-    assert np.array_equal(bank.p, orig)
-
-
-def test_restore_without_snapshot_raises(micro_backbone):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=4), micro_backbone)
-    with pytest.raises(StateError):
-        bank.restore_snapshot()
+# --- copies ---------------------------------------------------------------------
 
 
 def test_copy_is_deep(micro_backbone):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=4), micro_backbone)
-    bank.take_snapshot()
     dup = bank.copy()
     dup.p += 1.0
     dup.token_mask[0] = 0.0

@@ -18,7 +18,7 @@ from xprompt import autograd as ag
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import forward_batch, init_backbone, pretrain
-from xprompt.errors import ConfigError, DataError, StateError
+from xprompt.errors import ConfigError, DataError
 from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
 
@@ -30,12 +30,11 @@ import support
 
 @pytest.fixture(scope="module")
 def tuned(micro_backbone, micro_data):
-    """A lightly tuned 6x16 bank (k=4) with a post-tune snapshot."""
+    """A lightly tuned 6x16 bank (k=4)."""
     bank = init_prompt(6, 16, 4, InitStrategy(seed=1), micro_backbone)
     opt = make_optimizer("adafactor", 0.05, 1e-5)
     tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3, opt,
          batch_size=16, seed=2)
-    bank.take_snapshot()
     return bank
 
 
@@ -446,33 +445,27 @@ def keep_all_selection(bank):
 
 
 def test_rewind_restores_snapshot_and_masks(bank):
-    snap = bank.snapshot.copy()
+    snap = bank.p.copy()
     bank.p += 1.0
     bank.token_mask[:] = 0.0
     opt = make_optimizer("adafactor", 0.05)
     opt.step(bank.p, np.ones_like(bank.p), np.ones_like(bank.p))
     sel = keep_all_selection(bank)
-    pr.rewind(bank, sel, opt)
+    pr.rewind(bank, snap, sel, opt)
     assert np.array_equal(bank.p, snap)
     assert (bank.token_mask == 1.0).all() and (bank.piece_mask == 1.0).all()
     assert opt.step_count == 0 and opt.row_accum is None
 
 
-def test_rewind_without_snapshot_raises(micro_backbone):
-    fresh = init_prompt(4, 16, 4, InitStrategy(seed=0), micro_backbone)
-    with pytest.raises(StateError):
-        pr.rewind(fresh, keep_all_selection(fresh))
-
-
 def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
     """Keep-all rewind plus retraining walks the stage-1 loss path exactly."""
     bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
-    bank.take_snapshot()
+    start = bank.p.copy()
     opt = make_optimizer("adafactor", 0.05, 1e-5)
     first = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
                  opt, batch_size=16, seed=5)
     fresh_opt = make_optimizer("adafactor", 0.05, 1e-5)
-    pr.rewind(bank, keep_all_selection(bank), fresh_opt)
+    pr.rewind(bank, start, keep_all_selection(bank), fresh_opt)
     second = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
                   fresh_opt, batch_size=16, seed=5)
     assert len(first.losses) == len(second.losses)
@@ -485,8 +478,8 @@ def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
 
 def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
     before_hash = support.weight_hash(micro_backbone)
-    snap = bank.snapshot.copy()
-    sched = pr.PruneSchedule((0.0, 0.34), (0.0, 0.25), "lowest_score", seed=0)
+    start = bank.p.copy()
+    sched = pr.PruneSchedule((0.0, 0.34), (0.0, 0.25), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
                                 micro_data["dev"], sched, 2, recipe(),
                                 batch_size=16, seed=2)
@@ -511,7 +504,9 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
         assert c.kept_params == np.count_nonzero(zeta) * (bank.e // bank.k)
 
     assert support.weight_hash(micro_backbone) == before_hash
-    assert np.array_equal(bank.snapshot, snap)
+    # the best cell rewound to the prompt it was given; retraining moved only live entries
+    dead = bank.effective_mask() == 0
+    assert dead.any() and np.array_equal(bank.p[dead], start[dead])
 
 
 MICRO_GRID = ((0.0, 0.34, 0.5), (0.0, 0.25))
@@ -530,7 +525,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
     gives.
 
     The micro task barely learns, so retraining alone may leave the prompt
-    at the snapshot; every retrain here also shifts the live entries, so a
+    at the rewind point; every retrain here also shifts the live entries, so a
     missing rewind before piece scoring changes the scores.
     """
     def shifting_tune(bank, *args, **kwargs):
@@ -540,7 +535,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
 
     monkeypatch.setattr(pr, "tune", shifting_tune)
     monkeypatch.setattr(support, "tune", shifting_tune)
-    sched = pr.PruneSchedule(*MICRO_GRID, rule, seed=3)
+    sched = pr.PruneSchedule(*MICRO_GRID, rule)
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
     ref_bank = bank.copy()
     ref = support.hierarchical_prune(ref_bank, *args, retrain_epochs=2, seed=2)
@@ -579,7 +574,7 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
 
     monkeypatch.setattr(pr, "score_tokens", counting)
     t_ratios, p_ratios = MICRO_GRID
-    sched = pr.PruneSchedule(t_ratios, p_ratios, "lowest_score", seed=0)
+    sched = pr.PruneSchedule(t_ratios, p_ratios, "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
                                 micro_data["dev"], sched, 1, recipe())
     assert len(calls) == 1 + len(t_ratios)
@@ -602,7 +597,7 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
 
 
 def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
-    sched = pr.PruneSchedule((0.34,), (0.25,), "lowest_score", seed=0)
+    sched = pr.PruneSchedule((0.34,), (0.25,), "lowest_score")
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
     first = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
     second = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
@@ -612,35 +607,29 @@ def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
 
 
 def test_degenerate_grid_repeats_stage_one(micro_backbone, micro_data):
-    """Grid {(0,0)} with the stage-1 snapshot, seed, and epoch count lands on
-    the stage-1 result exactly."""
+    """Grid {(0,0)} with stage 1's seed and epoch count, pruning the untuned
+    bank, lands exactly on a stage-1 tune of a copy of it."""
     bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
-    bank.take_snapshot()
-    opt = make_optimizer("adafactor", 0.05, 1e-5)
-    stage1 = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                  opt, batch_size=16, seed=5)
-    stage1_p = bank.p.copy()
-    sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score", seed=0)
+    twin = bank.copy()
+    stage1 = tune(twin, micro_backbone, micro_data["train"], micro_data["dev"], 3,
+                  make_optimizer("adafactor", 0.05, 1e-5), batch_size=16, seed=5)
+    sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
                                 micro_data["dev"], sched, 3, recipe(),
                                 batch_size=16, seed=5)
     assert out.best.dev_acc == stage1.best_dev_acc
-    assert np.array_equal(bank.p, stage1_p)
+    assert bank.p.tobytes() == twin.p.tobytes()
     assert (bank.token_mask == 1.0).all() and (bank.piece_mask == 1.0).all()
 
 
 def test_hierarchical_prune_guards(bank, micro_backbone, micro_data):
-    nosnap = init_prompt(4, 16, 4, InitStrategy(seed=0), micro_backbone)
-    sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score", seed=0)
-    with pytest.raises(StateError):
-        pr.hierarchical_prune(nosnap, micro_backbone, micro_data["train"],
-                              micro_data["dev"], sched, 1, recipe())
+    sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score")
     with pytest.raises(ConfigError):
         pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
                               micro_data["dev"], sched, -1, recipe())
-    for bad in (pr.PruneSchedule((), (0.0,), "lowest_score", 0),
-                pr.PruneSchedule((0.5,), (1.0,), "lowest_score", 0),
-                pr.PruneSchedule((0.5,), (0.0,), "top_k", 0)):
+    for bad in (pr.PruneSchedule((), (0.0,), "lowest_score"),
+                pr.PruneSchedule((0.5,), (1.0,), "lowest_score"),
+                pr.PruneSchedule((0.5,), (0.0,), "top_k")):
         with pytest.raises(ConfigError):
             bad.validate()
 
