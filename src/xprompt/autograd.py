@@ -12,13 +12,14 @@ Each op's closure saves exactly the arrays its backward reads: ``matmul``
 keeps ``b``'s value only when ``a`` needs a gradient, and ``a``'s only when
 ``b`` does; ``add``, ``bias_add`` and ``transpose`` keep none; ``gelu``
 keeps its input and its 1 + erf; ``layer_norm`` keeps its normalized input
-and inverse deviations, not its input or output. So a forward value that
-no backward reads is freed as soon as the forward code drops its node, and
-a graph with no gradient holds no values at all. The slots live as long as
-a reference to the output (the loss or the logits node); callers that build
-one graph per step keep what they read, the loss value, the leaves'
-gradients or the logits array, and drop the output node before they build
-the next graph; otherwise two graphs are resident at each step's peak.
+and inverse deviations, not its input or output; ``attention_blocks`` keeps
+its weights, and head-major copies in place of q, k and v. So a forward
+value that no backward reads is freed as soon as the forward code drops its
+node, and a graph with no gradient holds no values at all. The slots live
+as long as a reference to the output (the loss or the logits node); callers
+that build one graph per step keep what they read, the loss value, the
+leaves' gradients or the logits array, and drop the output node before they
+build the next graph; otherwise two graphs are resident at each step's peak.
 
 ``erf`` is this module's own, and ``gelu`` takes its erf from it: a numpy
 port of Cephes' ``erf`` (the algorithm behind ``scipy.special.erf``) with
@@ -30,7 +31,8 @@ bit. Its bytes equal ``scipy.special.erf``'s.
 
 Packed passes use whole-pack ops, so a graph does not grow with its number
 of sequences: ``embedding_lookup`` is the one row gather, of token ids or
-of any rows, and ``mean_pool`` gives one row mean per block of rows.
+of any rows, and a pack is its block sizes, by which ``mean_pool`` gives one
+row mean per block and ``attention_blocks`` attends within each block.
 """
 
 from __future__ import annotations
@@ -543,18 +545,14 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
     return out
 
 
-def attention_blocks(q: Node, k: Node, v: Node, heads: int,
-                     bounds: list[tuple[int, int]],
-                     queries: list[tuple[int, int]] | None = None) -> Node:
-    """Multi-head attention restricted to independent row blocks.
-
-    Rows of k and v in [a, b) form one block; blocks must tile their full
-    height exactly. queries gives, per block, the rows [qa, qb) inside it
-    that ask for an output (default: every row of the block); q holds
-    exactly those rows, stacked in block order, and so does the result.
-    Packing many sequences into one matrix this way keeps every
-    position-wise op a single large operation.
-    """
+def attention_blocks(q: Node, k: Node, v: Node, heads: int, sizes, skip=None) -> Node:
+    """Multi-head attention restricted to independent row blocks, which
+    packs many sequences into one matrix. Block i is the next sizes[i] rows
+    of k and v, which the blocks tile; its first skip[i] rows (default none)
+    ask no query. q holds the other rows of every block, in block order,
+    and so does the result. q, k, v and the gradient are laid out head-major
+    once per call; a block's views of them have the inner strides of a
+    per-block copy, so every product gets a copy's arguments and bytes."""
     if q.cols != k.cols or q.cols != v.cols:
         raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if k.rows != v.rows:
@@ -562,64 +560,62 @@ def attention_blocks(q: Node, k: Node, v: Node, heads: int,
     e = q.cols
     if heads < 1 or e % heads != 0:
         raise ShapeError(f"width e={e} does not split into {heads} heads")
-    cursor = 0
-    for a, b in bounds:
-        if a != cursor or b <= a:
-            raise ShapeError(f"blocks must tile rows contiguously, got {bounds}")
-        cursor = b
-    if cursor != k.rows:
-        raise ShapeError(f"blocks cover {cursor} rows, matrix has {k.rows}")
-    queries = bounds if queries is None else queries
-    if len(queries) != len(bounds) or any(
-            not a <= qa < qb <= b for (a, b), (qa, qb) in zip(bounds, queries)):
-        raise ShapeError(f"query rows {queries} must be one non-empty range "
-                         f"inside each block of {bounds}")
-    starts = list(accumulate((qb - qa for qa, qb in queries), initial=0))
-    if starts[-1] != q.rows:
-        raise ShapeError(f"query ranges cover {starts[-1]} rows, q has {q.rows}")
+    sizes = [int(n) for n in sizes]
+    skip = [0] * len(sizes) if skip is None else [int(s) for s in skip]
+    if not sizes or len(skip) != len(sizes) or any(not 0 <= s < n for n, s in zip(sizes, skip)):
+        raise ShapeError(f"blocks {sizes} must be non-empty, each with a skip in "
+                         f"[0, size), got skips {skip}")
+    kept = list(accumulate(n - s for n, s in zip(sizes, skip)))
+    if sum(sizes) != k.rows or kept[-1] != q.rows:
+        raise ShapeError(f"blocks cover {sum(sizes)} rows and keep {kept[-1]} query rows; "
+                         f"k has {k.rows}, q has {q.rows}")
     # (q rows, k/v rows) of each block
-    blocks = [((c, c + qb - qa), ab) for c, (qa, qb), ab in zip(starts, queries, bounds)]
+    blocks = [(qb - n + s, qb, b - n, b)
+              for n, s, qb, b in zip(sizes, skip, kept, accumulate(sizes))]
     d = e // heads
     scale = 1.0 / np.sqrt(d)
 
-    def heads_first(arr, a, b):
-        return np.ascontiguousarray(arr[a:b].reshape(b - a, heads, d).transpose(1, 0, 2))
+    def by_head(arr):
+        return arr.reshape(len(arr), heads, d).transpose(1, 0, 2)
 
+    qh, kh, vh = (np.ascontiguousarray(by_head(x.value)) for x in (q, k, v))
     out_val = np.empty((q.rows, e))
     weights = []
-    for (qa, qb), (a, b) in blocks:
-        qh = heads_first(q.value, qa, qb)
-        kh = heads_first(k.value, a, b)
-        vh = heads_first(v.value, a, b)
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    for qa, qb, a, b in blocks:
+        scores = (qh[:, qa:qb] @ kh[:, a:b].transpose(0, 2, 1)) * scale
         scores -= scores.max(axis=2, keepdims=True)
         ex = np.exp(scores)
         att = ex / ex.sum(axis=2, keepdims=True)
         weights.append(att)
-        out_val[qa:qb] = (att @ vh).transpose(1, 0, 2).reshape(qb - qa, e)
+        by_head(out_val)[:, qa:qb] = att @ vh[:, a:b]
 
     out = Node(out_val, (q, k, v), op="attention_blocks")
     if out.requires_grad:
         sq, sk, sv = q.slot, k.slot, v.slot
-        qv = q.value if sk is not None else None
-        kv = k.value if sq is not None else None
-        vv = v.value if sq is not None or sk is not None else None
+        qh = qh if sk is not None else None
+        kh = kh if sq is not None else None
+        vh = vh if sq is not None or sk is not None else None
+        nq, nk = q.rows, k.rows
         def backprop(g):
-            for ((qa, qb), (a, b)), att in zip(blocks, weights):
-                gh = heads_first(g, qa, qb)
+            gh = np.ascontiguousarray(by_head(g))
+            # the blocks tile each gradient's rows, so every row gets written
+            dv, dq, dk = (None if s is None else np.empty((n, e))
+                          for s, n in ((sv, nk), (sq, nq), (sk, nk)))
+            for (qa, qb, a, b), att in zip(blocks, weights):
+                gb = gh[:, qa:qb]
                 if sv is not None:
-                    dv = att.transpose(0, 2, 1) @ gh
-                    sv.buffer()[a:b] += dv.transpose(1, 0, 2).reshape(b - a, e)
-                if vv is None:
+                    by_head(dv)[:, a:b] = att.transpose(0, 2, 1) @ gb
+                if vh is None:
                     continue
-                da = gh @ heads_first(vv, a, b).transpose(0, 2, 1)
+                da = gb @ vh[:, a:b].transpose(0, 2, 1)
                 ds = att * (da - (da * att).sum(axis=2, keepdims=True))
                 if sq is not None:
-                    dq = (ds @ heads_first(kv, a, b)) * scale
-                    sq.buffer()[qa:qb] += dq.transpose(1, 0, 2).reshape(qb - qa, e)
+                    by_head(dq)[:, qa:qb] = (ds @ kh[:, a:b]) * scale
                 if sk is not None:
-                    dk = (ds.transpose(0, 2, 1) @ heads_first(qv, qa, qb)) * scale
-                    sk.buffer()[a:b] += dk.transpose(1, 0, 2).reshape(b - a, e)
+                    by_head(dk)[:, a:b] = (ds.transpose(0, 2, 1) @ qh[:, qa:qb]) * scale
+            for s, grad in ((sv, dv), (sq, dq), (sk, dk)):
+                if s is not None:
+                    s.accum(grad, owned=True)
         out.slot.backprop = backprop
     return out
 

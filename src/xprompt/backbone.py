@@ -128,19 +128,18 @@ def init_backbone(cfg: BackboneConfig) -> FrozenBackbone:
 
 
 def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], h: ag.Node,
-            bounds: list[tuple[int, int]],
-            queries: list[tuple[int, int]] | None = None) -> ag.Node:
+            sizes: list[int], skip: list[int] | None = None) -> ag.Node:
     """Post-LN residual blocks over packed rows that already hold their positions.
 
-    bounds lists the (start, stop) row block of each sequence; attention is
-    block-diagonal, every other op is position-wise, so any number of
-    sequences share one graph. Normalization comes after each residual sum
-    (post-LN) so that scaling an input row stays visible to attention; a
-    pre-LN block would normalize row scalings away and leave mask variables
-    with no first-order effect in shallow stacks.
+    Each sequence is the next sizes[i] rows; attention is block-diagonal,
+    every other op is position-wise, so any number of sequences share one
+    graph. Normalization comes after each residual sum (post-LN) so that
+    scaling an input row stays visible to attention; a pre-LN block would
+    normalize row scalings away and leave mask variables with no first-order
+    effect in shallow stacks.
 
-    Given queries, one (start, stop) row range per sequence, the last block
-    computes only those rows, gathered by one embedding_lookup: they alone
+    Given skip, the last block computes only the rows after the first
+    skip[i] of each sequence, gathered by one embedding_lookup: they alone
     issue queries and carry the residual stream, while keys and values
     still come from every row of the block. This is exact, not an
     approximation: every op but attention is row-wise, and the rows left
@@ -150,18 +149,14 @@ def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], h: ag.Node,
     can fall on OpenBLAS's small-matrix kernels and differ in the last bits.
     The result then holds the query rows, stacked in sequence order.
     """
+    rows = None if skip is None else np.concatenate(
+        [np.arange(b - n + s, b) for n, s, b in zip(sizes, skip, accumulate(sizes))])
     for i in range(cfg.layers):
-        last = queries is not None and i == cfg.layers - 1
-        x = ag.embedding_lookup(h, np.concatenate(
-            [np.arange(a, b) for a, b in queries])) if last else h
-        att = ag.attention_blocks(
-            ag.matmul(x, w[f"l{i}.wq"]),
-            ag.matmul(h, w[f"l{i}.wk"]),
-            ag.matmul(h, w[f"l{i}.wv"]),
-            cfg.heads,
-            bounds,
-            queries if last else None,
-        )
+        last = rows is not None and i == cfg.layers - 1
+        x = ag.embedding_lookup(h, rows) if last else h
+        att = ag.attention_blocks(ag.matmul(x, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
+                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, sizes,
+                                  skip if last else None)
         h = ag.layer_norm(ag.add(x, ag.matmul(att, w[f"l{i}.wo"])),
                           w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
         f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
@@ -224,10 +219,7 @@ def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences
     for prompt, m, tokens in zip(prompts, lens, np.split(rows, np.cumsum(counts)[:-1])):
         parts += [prompt, ag.constant(tokens)] if m > 0 else [ag.constant(tokens)]
     sizes = [m + n for m, n in zip(lens, counts)]
-    bounds = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-    queries = [(a + m, b) for (a, b), m in zip(bounds, lens)]
-
-    h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), bounds, queries)
+    h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), sizes, lens)
     return ag.matmul(ag.mean_pool(h, counts), bb.nodes["head"])
 
 
@@ -252,17 +244,17 @@ def _mlm_loss(bb: FrozenBackbone, w: dict[str, ag.Node], batch, positions) -> ag
     """Masked-token prediction: replace one position per sequence with the
     mask symbol and predict the original id through the tied embedding."""
     ids = np.concatenate(batch)
-    starts = np.cumsum([0] + [len(seq) for seq in batch])
-    masked = starts[:-1] + positions
+    sizes = [len(seq) for seq in batch]
+    starts = np.cumsum([0] + sizes[:-1])
+    masked = starts + positions
     targets = ids[masked]
     ids[masked] = MASK_TOKEN
-    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    pos = np.arange(len(ids)) - np.repeat(starts[:-1], np.diff(starts))
+    pos = np.arange(len(ids)) - np.repeat(starts, sizes)
     # Every row runs through the last block, though only the masked one is
     # read: with trainable weights, dropping the rest would change the order
     # of the weight-gradient sums and so the pretrained bytes.
     h = _encode(bb.cfg, w, ag.add(ag.embedding_lookup(w["tok_emb"], ids),
-                                  ag.embedding_lookup(w["pos_emb"], pos)), bounds)
+                                  ag.embedding_lookup(w["pos_emb"], pos)), sizes)
     picked = ag.embedding_lookup(h, masked)
     logits = ag.matmul(picked, ag.transpose(w["tok_emb"]))
     return ag.softmax_cross_entropy(logits, targets)

@@ -399,8 +399,10 @@ def merge_saliency_report(cell: CellResult) -> ImportanceReport:
 
 
 def load_splits(cfg: RunConfig) -> dict[str, tuple]:
-    """The train and dev splits; file data must fit the encoder with the
-    prompt prepended, which RunConfig.validate checks for generated tasks."""
+    """The train and dev splits, from a validated cfg and before RunDir writes;
+    file data must fit the encoder with the prompt prepended, which
+    RunConfig.validate checks for generated tasks."""
+    cfg.validate()
     v = cfg.values
     if v["task.train_path"]:
         data = {split: tasks.load_jsonl(v[f"task.{split}_path"], v["backbone.vocab_size"],
@@ -687,8 +689,8 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
     _check_jobs(jobs)
     first = stages.index(start)
     before, built = stages[:first], stages[first:]
-    rd = RunDir(cfg, need=before[1:], reuse=before[:1] + (built if resume else ()))
     data = load_splits(cfg)
+    rd = RunDir(cfg, need=before[1:], reuse=before[:1] + (built if resume else ()))
     t0 = time.monotonic()
     bb = ensure_backbone(rd, data["train"])
     wall = {"backbone": time.monotonic() - t0}
@@ -755,8 +757,8 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
     _check_jobs(jobs)
     pruned_arms = {"random", "reversed", "length"} & set(which)
     need = ([] if "vanilla" in which else ["stage1"]) + (["prune"] if pruned_arms else [])
-    rd = RunDir(cfg, need=need, reuse=("backbone", "stage1"))
     data = load_splits(cfg)
+    rd = RunDir(cfg, need=need, reuse=("backbone", "stage1"))
     bb = ensure_backbone(rd, data["train"])
     v = cfg.values
     e = v["backbone.embed_dim"]
@@ -821,8 +823,8 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     if (source.m, source.e, source.k) != want:
         raise ConfigError(f"source prompt (m, e, k) = {(source.m, source.e, source.k)} "
                           f"does not match target config {want}")
-    rd = RunDir(cfg, reuse=("backbone",))
     data = load_splits(cfg)
+    rd = RunDir(cfg, reuse=("backbone",))
     bb = ensure_backbone(rd, data["train"])
     e = v["backbone.embed_dim"]
 

@@ -24,6 +24,8 @@ PATTERN_BIGRAM = (2, 3)
 PARITY_MARKER = 2
 
 KINDS = ("pattern_detect", "majority_class", "parity_of_markers")
+# draws per example, in _draw_example and in dev's redraws, before a spec is refused
+DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class TaskSpec:
             raise ConfigError("train_size and dev_size must be positive")
         if self.kind == "pattern_detect" and self.seq_len_min < 2:
             raise ConfigError("pattern_detect needs seq_len_min >= 2 to fit the bigram")
-        if self.kind == "parity_of_markers" and self.num_classes != 2:
-            raise ConfigError("parity_of_markers is a binary task")
+        if self.kind in ("pattern_detect", "parity_of_markers") and self.num_classes != 2:
+            raise ConfigError(f"{self.kind} is a binary task")
         if self.kind == "majority_class":
             groups = self.vocab_size - RESERVED_SYMBOLS
             if groups < 2 * self.num_classes:
@@ -97,7 +99,7 @@ def label_of(spec: TaskSpec, tokens: tuple[int, ...]) -> int | None:
 def _draw_example(spec: TaskSpec, rng: np.random.Generator, target: int) -> Example:
     """Rejection-sample one sequence whose ground truth equals target."""
     lo, hi = spec.seq_len_min, spec.seq_len_max
-    for _ in range(10_000):
+    for _ in range(DRAWS):
         n = int(rng.integers(lo, hi + 1))
         toks = rng.integers(RESERVED_SYMBOLS, spec.vocab_size, size=n)
         if spec.kind == "pattern_detect" and target == 1:
@@ -125,7 +127,8 @@ def generate(spec: TaskSpec) -> dict[str, tuple[Example, ...]]:
     """Deterministic {train, dev} splits, exactly class-balanced, disjoint.
 
     Train and dev draw from independent seed streams; dev additionally
-    rejects any sequence that already appears in train.
+    rejects any sequence that already appears in train, and a spec whose dev
+    split cannot find one in DRAWS draws is refused.
     """
     spec.validate()
     splits: dict[str, tuple[Example, ...]] = {}
@@ -135,9 +138,13 @@ def generate(spec: TaskSpec) -> dict[str, tuple[Example, ...]]:
         out = []
         for i in range(size):
             target = i % spec.num_classes
-            ex = _draw_example(spec, rng, target)
-            while split == "dev" and ex.tokens in train_seqs:
+            for _ in range(DRAWS):
                 ex = _draw_example(spec, rng, target)
+                if ex.tokens not in train_seqs:  # empty while train is drawn
+                    break
+            else:
+                raise ConfigError(f"the {split} split found no label-{target} sequence outside "
+                                  f"the train split in {DRAWS} draws under spec {spec.name!r}")
             out.append(ex)
         splits[split] = tuple(out)
         if split == "train":

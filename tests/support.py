@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, gradient comparison,
-full-row attention as the reference for ``attention_blocks``, a
+full-row attention and block-at-a-time attention over (start, stop) row
+ranges as the references for ``attention_blocks``, a
 scipy-based GELU as the reference for ``gelu``, the masked prompt as a
 graph with gamma and zeta leaves as the reference for ``effective_values``
 and ``mask_gradients``, the full-row encoder as the reference for
@@ -106,6 +107,58 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
     return out
 
 
+def per_block_attention(q: Node, k: Node, v: Node, heads: int,
+                        bounds: list[tuple[int, int]],
+                        queries: list[tuple[int, int]] | None = None) -> Node:
+    """Block-diagonal multi-head attention, one block at a time, as the byte
+    reference for ``attention_blocks``: rows [a, b) of k and v form a block,
+    and queries gives the rows [qa, qb) inside each block that q holds
+    (default: every row). Each block is copied head-major on its own, in the
+    forward and again in the backward, and its gradients are added into
+    zeroed buffers."""
+    e = q.cols
+    d = e // heads
+    scale = 1.0 / np.sqrt(d)
+    queries = bounds if queries is None else queries
+    starts = np.cumsum([0] + [qb - qa for qa, qb in queries])
+    blocks = [((c, c + qb - qa), ab) for c, (qa, qb), ab in zip(starts, queries, bounds)]
+
+    def heads_first(arr, a, b):
+        return np.ascontiguousarray(arr[a:b].reshape(b - a, heads, d).transpose(1, 0, 2))
+
+    out_val = np.empty((q.rows, e))
+    weights = []
+    for (qa, qb), (a, b) in blocks:
+        qh = heads_first(q.value, qa, qb)
+        kh = heads_first(k.value, a, b)
+        vh = heads_first(v.value, a, b)
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale
+        scores -= scores.max(axis=2, keepdims=True)
+        ex = np.exp(scores)
+        att = ex / ex.sum(axis=2, keepdims=True)
+        weights.append(att)
+        out_val[qa:qb] = (att @ vh).transpose(1, 0, 2).reshape(qb - qa, e)
+
+    out = Node(out_val, (q, k, v), op="per_block_attention")
+    if out.requires_grad:
+        def backprop(g, q=q, k=k, v=v):
+            for ((qa, qb), (a, b)), att in zip(blocks, weights):
+                gh = heads_first(g, qa, qb)
+                if v.requires_grad:
+                    dv = att.transpose(0, 2, 1) @ gh
+                    v.slot.buffer()[a:b] += dv.transpose(1, 0, 2).reshape(b - a, e)
+                da = gh @ heads_first(v.value, a, b).transpose(0, 2, 1)
+                ds = att * (da - (da * att).sum(axis=2, keepdims=True))
+                if q.requires_grad:
+                    dq = (ds @ heads_first(k.value, a, b)) * scale
+                    q.slot.buffer()[qa:qb] += dq.transpose(1, 0, 2).reshape(qb - qa, e)
+                if k.requires_grad:
+                    dk = (ds.transpose(0, 2, 1) @ heads_first(q.value, qa, qb)) * scale
+                    k.slot.buffer()[a:b] += dk.transpose(1, 0, 2).reshape(b - a, e)
+        out._backprop = backprop
+    return out
+
+
 def gelu(x: Node) -> Node:
     """Exact-erf GELU over whole matrices with scipy's erf, as the reference
     for ``autograd.gelu``: the same expressions, so the same bytes."""
@@ -126,13 +179,12 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     cfg = bb.cfg
     w = bb.nodes
     m = 0 if prompt_rows is None else prompt_rows.rows
-    parts, bounds, pos_ids, live = [], [], [], []
+    parts, pos_ids, live = [], [], []
+    sizes = [m + len(seq) for seq in sequences]
     for seq in sequences:
         if m > 0:
             parts.append(prompt_rows)
         parts.append(ag.embedding_lookup(w["tok_emb"], seq))
-        start = bounds[-1][1] if bounds else 0
-        bounds.append((start, start + m + len(seq)))
         pos_ids += [0] * m + list(range(len(seq)))
         live += [0.0] * m + [1.0] * len(seq)
     pos = ag.embedding_lookup(w["pos_emb"], pos_ids)
@@ -141,13 +193,13 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     h = ag.add(ag.concat_rows(*parts), pos)
     for i in range(cfg.layers):
         att = ag.attention_blocks(ag.matmul(h, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
-                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, bounds)
+                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, sizes)
         h = ag.layer_norm(ag.add(h, ag.matmul(att, w[f"l{i}.wo"])),
                           w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
         f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
         f = ag.bias_add(ag.matmul(ag.gelu(f), w[f"l{i}.w2"]), w[f"l{i}.b2"])
         h = ag.layer_norm(ag.add(h, f), w[f"l{i}.ln2_g"], w[f"l{i}.ln2_b"])
-    tokens = np.concatenate([np.arange(a + m, b) for a, b in bounds])
+    tokens = np.flatnonzero(live)
     pooled = ag.mean_pool(ag.embedding_lookup(h, tokens), [len(seq) for seq in sequences])
     return ag.matmul(pooled, w["head"])
 

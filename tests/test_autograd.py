@@ -9,7 +9,7 @@ from scipy.special import erf as scipy_erf
 from xprompt import autograd as ag
 from xprompt.errors import ShapeError, StateError
 
-from support import attention, central_diff, max_rel_err
+from support import attention, central_diff, max_rel_err, per_block_attention
 from support import gelu as reference_gelu
 
 
@@ -458,10 +458,8 @@ def test_fd_attention():
 
 
 def test_fd_attention_blocks():
-    bounds = [(0, 3), (3, 7)]
-
     def build(q, k, v):
-        h = ag.attention_blocks(q, k, v, heads=2, bounds=bounds)
+        h = ag.attention_blocks(q, k, v, heads=2, sizes=[3, 4])
         return ag.softmax_cross_entropy(ag.mean_pool(h), [3])
     for seed in range(5):
         _fd_case(build, [(7, 6), (7, 6), (7, 6)], seed)
@@ -470,11 +468,8 @@ def test_fd_attention_blocks():
 def test_fd_attention_blocks_query_rows():
     # queries from rows 1-2 of the first block and rows 5-6 of the second;
     # keys and values from every row
-    bounds = [(0, 3), (3, 7)]
-    queries = [(1, 3), (5, 7)]
-
     def build(q, k, v, x):
-        h = ag.attention_blocks(q, k, v, heads=2, bounds=bounds, queries=queries)
+        h = ag.attention_blocks(q, k, v, heads=2, sizes=[3, 4], skip=[1, 2])
         h = ag.add(h, ag.embedding_lookup(x, [1, 2, 5, 6]))
         return ag.softmax_cross_entropy(ag.mean_pool(h), [3])
     for seed in range(5):
@@ -482,44 +477,68 @@ def test_fd_attention_blocks_query_rows():
 
 
 def test_attention_blocks_query_rows_match_full_rows():
-    # the output rows of a query range are the same rows of full attention
+    # the output rows left after a skip are the same rows of full attention
     rng = np.random.default_rng(9)
     q, k, v = (rng.normal(size=(7, 8)) for _ in range(3))
-    bounds = [(0, 4), (4, 7)]
-    queries = [(2, 4), (4, 7)]
-    full = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, bounds)
+    full = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, [4, 3])
     rows = ag.embedding_lookup(ag.leaf(q), [2, 3, 4, 5, 6])
-    part = ag.attention_blocks(rows, ag.leaf(k), ag.leaf(v), 2, bounds, queries)
+    part = ag.attention_blocks(rows, ag.leaf(k), ag.leaf(v), 2, [4, 3], [2, 0])
     assert np.array_equal(part.value, full.value[[2, 3, 4, 5, 6]])
 
 
 def test_attention_blocks_rejects_bad_query_rows():
     kv = ag.leaf(np.zeros((6, 4)))
-    bounds = [(0, 3), (3, 6)]
-    for bad in ([(1, 3)], [(0, 4), (4, 6)], [(2, 2), (3, 6)], [(1, 3), (2, 6)]):
-        rows = sum(b - a for a, b in bad)
+    # a skip list of the wrong length, a skip equal to its block's size, a negative skip
+    for bad in ([1], [3, 0], [-1, 0]):
+        rows = sum(n - s for n, s in zip([3, 3], bad))
         with pytest.raises(ShapeError):
-            ag.attention_blocks(ag.leaf(np.zeros((max(rows, 1), 4))), kv, kv, 2, bounds, bad)
-    with pytest.raises(ShapeError, match="cover 4 rows, q has 5"):
-        ag.attention_blocks(ag.leaf(np.zeros((5, 4))), kv, kv, 2, bounds, [(1, 3), (4, 6)])
+            ag.attention_blocks(ag.leaf(np.zeros((max(rows, 1), 4))), kv, kv, 2, [3, 3], bad)
+    with pytest.raises(ShapeError, match="keep 4 query rows; k has 6, q has 5"):
+        ag.attention_blocks(ag.leaf(np.zeros((5, 4))), kv, kv, 2, [3, 3], [1, 1])
 
 
 def test_attention_blocks_match_separate_attention():
     # each block must behave exactly like standalone attention on its slice
     rng = np.random.default_rng(8)
     q, k, v = (rng.normal(size=(7, 8)) for _ in range(3))
-    bounds = [(0, 4), (4, 7)]
-    packed = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, bounds)
-    for a, b in bounds:
+    packed = ag.attention_blocks(ag.leaf(q), ag.leaf(k), ag.leaf(v), 2, [4, 3])
+    for a, b in ((0, 4), (4, 7)):
         alone = attention(ag.leaf(q[a:b]), ag.leaf(k[a:b]), ag.leaf(v[a:b]), 2)
         assert np.allclose(packed.value[a:b], alone.value, atol=1e-14)
 
 
 def test_attention_blocks_rejects_bad_tiling():
     q = ag.leaf(np.zeros((4, 4)))
-    for bad in ([(0, 2), (3, 4)], [(0, 2)], [(0, 2), (2, 2), (2, 4)]):
+    for bad in ([2], [2, 0, 2], []):
         with pytest.raises(ShapeError):
             ag.attention_blocks(q, q, q, 2, bad)
+
+
+@pytest.mark.parametrize("skips", ["none", "prompt", "one-query-row"])
+@pytest.mark.parametrize("count", [1, 2, 16, 32])
+def test_attention_blocks_bytes_equal_per_block_reference(count, skips):
+    # ragged packs at the encoder's width and heads: the output and all three
+    # gradients equal those of one head-major copy per block, byte for byte
+    rng = np.random.default_rng(count)
+    m, e = 4, 32
+    sizes = rng.integers(m + 1, m + 13, size=count).tolist()
+    skip = {"none": None, "prompt": [m] * count,
+            "one-query-row": [n - 1 for n in sizes]}[skips]
+    bounds = list(zip(np.cumsum([0] + sizes[:-1]).tolist(), np.cumsum(sizes).tolist()))
+    queries = None if skip is None else [(a + s, b) for (a, b), s in zip(bounds, skip)]
+    kept = sum(sizes) - sum(skip or [])
+    values = [rng.normal(size=(n, e)) for n in (kept, sum(sizes), sum(sizes))]
+    head, labels = rng.normal(size=(e, 3)), rng.integers(0, 3, size=kept)
+
+    def run(attend):
+        leaves = [ag.leaf(x) for x in values]
+        out = attend(*leaves)
+        ag.backward(ag.softmax_cross_entropy(ag.matmul(out, ag.constant(head)), labels))
+        return [out.value] + [x.grad for x in leaves]
+
+    new = run(lambda q, k, v: ag.attention_blocks(q, k, v, 4, sizes, skip))
+    ref = run(lambda q, k, v: per_block_attention(q, k, v, 4, bounds, queries))
+    assert [x.tobytes() for x in new] == [x.tobytes() for x in ref]
 
 
 def test_fd_transpose_embedding_mean_pool():

@@ -612,13 +612,15 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1},
                                  {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)},
                                  {"prune.token_ratios": (0.34, 0.34)},
-                                 {"prune.piece_ratios": (0.25, 0.0, 0.25)}],
+                                 {"prune.piece_ratios": (0.25, 0.0, 0.25)},
+                                 {"task.kind": "pattern_detect", "backbone.num_classes": 3}],
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
                               "inf-weight-decay", "nan-pretrain-lr", "zero-pretrain-lr",
                               "nan-uniform-bound", "negative-pretrain-steps",
                               "negative-extra-sequences", "k-not-dividing-e",
                               "m-over-sampled-vocab", "duplicate-seed",
-                              "duplicate-token-ratio", "duplicate-piece-ratio"])
+                              "duplicate-token-ratio", "duplicate-piece-ratio",
+                              "pattern-detect-3-classes"])
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory."""
@@ -626,6 +628,31 @@ def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
     cfg = write_cfg_file(tmp_path, out, **bad)
     for command in ("tune", "pipeline"):
         assert cli.main([command, "--config", cfg]) == 2
+        assert not os.path.exists(os.path.join(out, "config.txt"))
+        assert not os.path.exists(os.path.join(out, "backbone"))
+
+
+@pytest.mark.parametrize("bad", [{"task.kind": "pattern_detect", "task.seq_len_min": 2,
+                                  "task.seq_len_max": 2, "backbone.vocab_size": 8,
+                                  "task.train_size": 8},
+                                 {"task.seq_len_min": 1, "task.seq_len_max": 1,
+                                  "backbone.vocab_size": 8, "task.train_size": 200}],
+                         ids=["pattern-detect-one-positive", "majority-one-token"])
+def test_cli_dev_split_that_cannot_avoid_train_exits_before_any_work(tmp_path, bad):
+    """Only generation can find these: every dev draw of some label is a
+    train sequence. A subprocess with a timeout turns a redraw that never
+    ends into a failure."""
+    out = str(tmp_path / "bad")
+    cfg = write_cfg_file(tmp_path, out, **bad)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("pipeline", "baselines"):
+        proc = subprocess.run([sys.executable, "-m", "xprompt.cli", command, "--config", cfg],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"config error: the dev split found no label-\d sequence "
+                            r"outside the train split .*\n", proc.stderr)
         assert not os.path.exists(os.path.join(out, "config.txt"))
         assert not os.path.exists(os.path.join(out, "backbone"))
 

@@ -1,10 +1,12 @@
 """Task generators, serialization, few-shot sampling, accuracy."""
 
 import json
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xprompt import tasks
@@ -82,8 +84,58 @@ def test_infeasible_spec_rejected():
         tasks.generate(spec(vocab_size=7))
     with pytest.raises(ConfigError):
         tasks.generate(spec(kind="parity_of_markers", num_classes=3))
+    with pytest.raises(ConfigError, match="pattern_detect is a binary task"):
+        tasks.generate(spec(kind="pattern_detect", num_classes=3))
     with pytest.raises(ConfigError):
         tasks.generate(spec(kind="no_such_kind"))
+
+
+@contextmanager
+def alarm(seconds: int):
+    """Fail, instead of hanging, when the body runs past seconds."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SMALL_SPECS = st.builds(
+    lambda kind, classes, vocab, lo, extra, train, dev, seed: spec(
+        kind=kind, num_classes=classes, vocab_size=vocab, seq_len_min=lo,
+        seq_len_max=min(lo + extra, 3), train_size=train, dev_size=dev, seed=seed),
+    st.sampled_from(tasks.KINDS), st.sampled_from((2, 3)), st.integers(8, 12),
+    st.integers(1, 3), st.integers(0, 2), st.integers(1, 300), st.integers(1, 300),
+    st.integers(0, 3))
+
+
+# the two specs whose dev split cannot avoid the train split, and a
+# pattern_detect task asked for a label it has no rule for
+@example(spec(kind="pattern_detect", seq_len_min=2, seq_len_max=2, vocab_size=8,
+              train_size=8))
+@example(spec(seq_len_min=1, seq_len_max=1, vocab_size=8, train_size=200, dev_size=128))
+@example(spec(kind="pattern_detect", num_classes=3, seq_len_min=2, seq_len_max=3))
+@given(SMALL_SPECS)
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+def test_generate_balances_or_refuses_small_specs(sp):
+    """Splits come back exactly class-balanced, disjoint and within the
+    length range, or generation raises ConfigError; never a hang."""
+    try:
+        with alarm(5):
+            data = tasks.generate(sp)
+    except ConfigError:
+        return
+    for split, size in (("train", sp.train_size), ("dev", sp.dev_size)):
+        labels = [ex.label for ex in data[split]]
+        assert labels == [i % sp.num_classes for i in range(size)]
+        for ex in data[split]:
+            assert sp.seq_len_min <= len(ex.tokens) <= sp.seq_len_max
+            assert tasks.label_of(sp, ex.tokens) == ex.label
+    assert not {ex.tokens for ex in data["dev"]} & {ex.tokens for ex in data["train"]}
 
 
 # --- jsonl ---------------------------------------------------------------------
