@@ -12,7 +12,6 @@ from collections import Counter
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.checkpoint import load_prompt, save_prompt
-from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus
 
@@ -35,8 +34,8 @@ print(f"task: {spec.kind}, {len(train)} train / {len(dev)} dev, "
 bank = init_prompt(m=8, e=cfg.embed_dim, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
 print(f"untuned dev accuracy {evaluate(bank, bb, dev):.3f}")
 
-opt = make_optimizer("adafactor", learning_rate=0.02, weight_decay=1e-5)
-result = tune(bank, bb, train, dev, epochs=15, opt=opt, batch_size=16, seed=1)
+result = tune(bank, bb, train, dev, epochs=15, lr=0.02, weight_decay=1e-5,
+              batch_size=16, seed=1)
 
 print(f"dev accuracy per epoch: {[round(a, 3) for a in result.dev_history]}")
 print(f"best {result.best_dev_acc:.3f} at epoch {result.best_epoch} "

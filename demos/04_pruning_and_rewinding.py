@@ -14,7 +14,6 @@ import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.harness import export_saliency, param_count
-from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, init_prompt, tune
 from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
                              hierarchical_prune, score_tokens, select_tokens)
@@ -32,8 +31,7 @@ train, dev = data["train"], data["dev"]
 pretrain(bb, pretrain_corpus(train), steps=400, lr=1e-2)
 
 bank = init_prompt(m=8, e=32, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
-tuned = tune(bank, bb, train, dev, epochs=15,
-             opt=make_optimizer("adafactor", 0.02, 1e-5), seed=1)
+tuned = tune(bank, bb, train, dev, epochs=15, lr=0.02, weight_decay=1e-5, seed=1)
 stage1_bank = bank.copy()
 print(f"stage-1 dev accuracy {tuned.best_dev_acc:.3f}")
 
@@ -52,7 +50,7 @@ print(f"removing the lowest 34% keeps tokens {np.flatnonzero(gamma).tolist()}")
 sched = PruneSchedule(token_ratios=(0.17, 0.34), piece_ratios=(0.25, 0.5),
                       rule="lowest_score")
 result = hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs=4,
-                            opt=make_optimizer("adafactor", 0.02, 1e-5), seed=1)
+                            lr=0.02, weight_decay=1e-5, seed=1)
 for cell in result.cells:
     print(f"  cell ({cell.token_ratio}, {cell.piece_ratio}): "
           f"dev {cell.dev_acc:.3f}, kept params {cell.kept_params}")

@@ -275,9 +275,7 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
         _check_ids(bb.cfg, seq, 0)
 
     rng = np.random.default_rng(stable_seed(bb.cfg.seed, "pretrain"))
-    # unit base rate, so each step's effective_lr is exactly lr_t
-    opts = {name: Adam(1.0) for name in bb.weights if name != "head"}
-    ones = {name: np.ones_like(bb.weights[name]) for name in opts}
+    opts = {name: Adam() for name in bb.weights if name != "head"}
     warmup = max(1, steps // 10)
 
     cursor = 0
@@ -302,8 +300,7 @@ def pretrain(bb: FrozenBackbone, corpus, steps: int, lr: float) -> FrozenBackbon
         sq = sum(float((w[n].grad * w[n].grad).sum()) for n in opts)
         clip = min(1.0, 1.0 / max(np.sqrt(sq), 1e-12))
         for name, opt in opts.items():
-            opt.lr_scale = lr_t
-            opt.step(bb.weights[name], w[name].grad * clip, ones[name])
+            opt.step(bb.weights[name], w[name].grad * clip, lr_t)
 
     if steps >= 2 and bb.pretrain_losses[-1] >= bb.pretrain_losses[0]:
         log.warning("pretraining loss did not decrease (%.4f -> %.4f)",

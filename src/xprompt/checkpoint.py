@@ -17,7 +17,7 @@ import numpy as np
 from .backbone import BackboneConfig, FrozenBackbone
 from .errors import DataError
 from .prompt import PromptBank
-from .util import sha256_hex, write_bytes_atomic, write_text_atomic
+from .util import read_fragment, sha256_hex, write_bytes_atomic, write_text_atomic
 
 BACKBONE_FORMAT = "backbone-checkpoint v1"
 PROMPT_FORMAT = "prompt-checkpoint v1"
@@ -42,8 +42,7 @@ def _read_blob(dirpath: str, name: str, shape: tuple[int, int],
     path = os.path.join(dirpath, name + ".bin")
     if not os.path.exists(path):
         raise DataError(f"checkpoint blob missing: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_fragment(path, "checkpoint blob", binary=True)
     if sha256_hex(data) != want_hash:
         raise DataError(f"checkpoint blob corrupt (hash mismatch): {path}")
     arr = np.frombuffer(data, dtype="<f8").astype(np.float64)
@@ -57,11 +56,7 @@ def _read_manifest(dirpath: str, fmt: str) -> list[tuple[str, str]]:
     path = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(path):
         raise DataError(f"checkpoint manifest missing: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"checkpoint manifest {path} is not UTF-8 ({exc})") from None
+    text = read_fragment(path, "checkpoint manifest")
     entries = [tuple(line.partition(" ")[::2]) for line in text.split("\n")
                if line and not line.startswith("#")]
     found = dict(entries).get("format")

@@ -47,12 +47,12 @@ import numpy as np
 from . import checkpoint, tasks
 from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
-from .optim import make_optimizer
 from .prompt import InitStrategy, PromptBank, init_prompt, tune
 from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
                       baseline_negative_masking, hierarchical_prune, kept_params)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
-from .util import BLAS_THREAD_VARS, sha256_hex, stable_seed, write_text_atomic
+from .util import (BLAS_THREAD_VARS, read_fragment, sha256_hex, stable_seed,
+                   write_text_atomic)
 
 STAGES = ("backbone", "stage1", "prune")
 BASELINE_ARMS = ("vanilla", "negative", "random", "reversed", "length")
@@ -88,7 +88,6 @@ SCHEMA: tuple[tuple[str, str, object], ...] = (
     ("prompt.k", "int", 16),
     ("prompt.init", "str", "sampled_vocab"),
     ("prompt.uniform_bound", "float", 0.5),
-    ("optim.kind", "str", "adafactor"),
     ("optim.lr", "float", 0.02),
     ("optim.weight_decay", "float", 1e-5),
     ("tune.epochs", "int", 100),
@@ -166,6 +165,8 @@ class RunConfig:
                 return cls.from_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        except ConfigError as exc:  # a parse error, named with the file it is in
+            raise ConfigError(f"config file {path}: {exc}") from None
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -214,17 +215,14 @@ class RunConfig:
                             uniform_bound=self.values["prompt.uniform_bound"],
                             seed=seed)
 
-    def optimizer(self):
-        v = self.values
-        return make_optimizer(v["optim.kind"], v["optim.lr"], v["optim.weight_decay"])
-
     def validate(self) -> None:
         v = self.values
         for key, kind, _ in SCHEMA:
             if kind in ("float", "floats") and not np.isfinite(v[key]).all():
                 raise ConfigError(f"{key} must be finite, got {_render(key, v[key])}")
-        if v["pretrain.lr"] <= 0:
-            raise ConfigError(f"pretrain.lr must be positive, got {v['pretrain.lr']!r}")
+        for key in ("pretrain.lr", "optim.lr"):
+            if v[key] <= 0:
+                raise ConfigError(f"{key} must be positive, got {v[key]!r}")
         if v["prompt.m"] < 1:
             raise ConfigError(f"prompt.m must be >= 1, got {v['prompt.m']}")
         if not v["run.seeds"]:
@@ -234,7 +232,7 @@ class RunConfig:
         if not v["run.out"] or os.path.isfile(v["run.out"]):
             raise ConfigError(f"run.out must name a directory, got {v['run.out']!r}")
         for key in ("run.seeds", "backbone.seed", "task.shots_seed", "task.shots",
-                    "pretrain.steps", "pretrain.extra_sequences"):
+                    "pretrain.steps", "pretrain.extra_sequences", "optim.weight_decay"):
             if min(v[key] if key == "run.seeds" else (v[key],)) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {_render(key, v[key])}")
         for key in ("task.train_path", "task.dev_path"):
@@ -259,7 +257,6 @@ class RunConfig:
             raise ConfigError("epoch counts must be >= 0")
         if v["tune.batch_size"] < 1:
             raise ConfigError(f"tune.batch_size must be >= 1, got {v['tune.batch_size']}")
-        self.optimizer()  # rejects an unknown optim.kind and a bad lr or weight_decay
         if not 0.0 <= v["prune.negative_ratio"] < 1.0:
             raise ConfigError("prune.negative_ratio must be in [0, 1)")
 
@@ -315,11 +312,7 @@ def _write_records(path: str, records: list[MetricsRecord]) -> None:
 
 
 def _read_records(path: str) -> list[MetricsRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header, *lines = fh.read().splitlines() or [""]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"metrics fragment {path} is not UTF-8 ({exc})") from None
+    header, *lines = read_fragment(path, "metrics fragment").splitlines() or [""]
     if header != METRICS_HEADER:
         raise DataError(f"metrics fragment {path} has a bad header")
     records = []
@@ -461,16 +454,17 @@ def _record(stage: str, seed: int, dev_acc: float, masks: Masks, e: int) -> Metr
 
 def _tune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data, seed: int):
     """tune with the run's stage-1 recipe."""
-    return tune(bank, bb, data["train"], data["dev"], cfg["tune.epochs"],
-                cfg.optimizer(), batch_size=cfg["tune.batch_size"], seed=seed)
+    return tune(bank, bb, data["train"], data["dev"], cfg["tune.epochs"], cfg["optim.lr"],
+                cfg["optim.weight_decay"], batch_size=cfg["tune.batch_size"], seed=seed)
 
 
 def _prune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data,
            sched: PruneSchedule, seed: int):
     """hierarchical_prune with the run's retraining recipe."""
     return hierarchical_prune(bank, bb, data["train"], data["dev"], sched,
-                              cfg["prune.retrain_epochs"], cfg.optimizer(),
-                              batch_size=cfg["tune.batch_size"], seed=seed)
+                              cfg["prune.retrain_epochs"], cfg["optim.lr"],
+                              cfg["optim.weight_decay"], batch_size=cfg["tune.batch_size"],
+                              seed=seed)
 
 
 # --- run directory --------------------------------------------------------------
@@ -521,8 +515,8 @@ class RunDir:
     def _parent_digest(self, stage: str, seed: int | None) -> str:
         if PARENT[stage] is None:
             return "none"
-        with open(self._file(PARENT[stage], seed), "rb") as fh:
-            return sha256_hex(fh.read())
+        return sha256_hex(read_fragment(self._file(PARENT[stage], seed), "manifest",
+                                        binary=True))
 
     def provenance(self, stage: str, seed: int | None = None) -> list[str]:
         """The provenance lines of the fragment of stage for seed, as of now."""
@@ -533,8 +527,8 @@ class RunDir:
     def _verify(self, stage: str, seed: int | None) -> None:
         """Raise a DataError naming the finished fragment as stale unless its
         provenance holds, and its parent's, up to the backbone."""
-        with open(self._file(stage, seed), encoding="utf-8", errors="replace") as fh:
-            fields = dict(line.partition(" ")[::2] for line in fh.read().splitlines())
+        text = read_fragment(self._file(stage, seed), "manifest")
+        fields = dict(line.partition(" ")[::2] for line in text.splitlines())
         parent = PARENT[stage]
         if not {"run_hash", "parent", "blas_threads"} <= fields.keys():
             reason = "its manifest has no provenance lines"

@@ -2,8 +2,9 @@
 
 The masks meet the prompt in one place, in numpy: effective_values gives
 P * gamma * zeta, the masked prompt that every prompted pass starts from.
-Tuning trains one leaf over it, and the optimizer steps only live entries;
-the signed mask gradients come from pruning.mask_gradients.
+Tuning trains one leaf over it, and every tune call builds its own
+optimizer, which steps only live entries; the signed mask gradients come
+from pruning.mask_gradients.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .backbone import FrozenBackbone, forward_batch, predict
 from .errors import ConfigError, DataError, ShapeError
-from .optim import OptimizerState
+from .optim import AdafactorLite
 from .tasks import accuracy
 from .util import stable_seed
 
@@ -121,15 +122,19 @@ class TuneResult:
     dev_history: list[float] = field(default_factory=list)
 
 
-def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
-         opt: OptimizerState, batch_size: int = DEFAULT_BATCH, seed: int = 0) -> TuneResult:
-    """Stage-style prompt tuning with best-dev checkpointing.
+def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int, lr: float,
+         weight_decay: float = 0.0, batch_size: int = DEFAULT_BATCH,
+         seed: int = 0) -> TuneResult:
+    """Stage-style prompt tuning with best-dev checkpointing, by a fresh
+    AdafactorLite(weight_decay) that each call builds for itself.
 
     The dev set is scored before any update and after every epoch; the best
     checkpoint (ties to the earliest) is restored into the bank at the end.
     Only the prompt moves: backbone weights are graph constants, and the
     optimizer steps only live entries, so dead ones are bitwise unchanged.
     """
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
@@ -137,6 +142,7 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
     if not train:
         raise DataError("cannot tune on an empty training set")
 
+    opt = AdafactorLite(weight_decay)
     mask = bank.effective_mask()
     best_acc = evaluate(bank, bb, dev)
     best_epoch = 0
@@ -145,8 +151,8 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
 
     n = len(train)
     for epoch in range(1, epochs + 1):
-        # cosine anneal from 1 to 0.1 over the stage; damps late oscillation
-        opt.lr_scale = 0.1 + 0.45 * (1.0 + np.cos(np.pi * (epoch - 1) / max(1, epochs - 1)))
+        # cosine anneal from lr to 0.1 * lr over the stage; damps late oscillation
+        lr_t = lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * (epoch - 1) / max(1, epochs - 1))))
         order = np.random.default_rng(stable_seed(seed, "shuffle", epoch)).permutation(n)
         for lo in range(0, n, batch_size):
             batch = [train[int(i)] for i in order[lo:lo + batch_size]]
@@ -154,7 +160,7 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
             ag.backward(loss)
             result.losses.append(loss.value)
             del loss  # the leaf keeps its gradient; the graph above it goes now
-            opt.step(bank.p, leaf.grad, mask)
+            opt.step(bank.p, leaf.grad, mask, lr_t)
             result.steps += 1
         acc = evaluate(bank, bb, dev)
         result.dev_history.append(acc)
@@ -162,7 +168,6 @@ def tune(bank: PromptBank, bb: FrozenBackbone, train, dev, epochs: int,
         if acc > best_acc:
             best_acc, best_epoch, best_p = acc, epoch, bank.p.copy()
 
-    opt.lr_scale = 1.0
     bank.p[:] = best_p
     result.best_dev_acc = best_acc
     result.best_epoch = best_epoch

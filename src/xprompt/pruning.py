@@ -11,8 +11,9 @@ zeta (m, k): selecting writes floor(ratio * live) removals, under a
 documented deterministic tie-break, into copies of a report's liveness
 flags, and kept_params counts parameters from the same arrays. Rewinding
 sets the prompt back to the values it is given, the prompt hierarchical
-pruning was called with, and resets the caller's optimizer, so each cell
-retrains with the caller's recipe from a fresh optimizer state.
+pruning was called with, and installs the masks; each cell then retrains
+through tune, which builds its own optimizer on every call, so every cell
+starts from a fresh optimizer state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from . import autograd as ag
 from .backbone import FrozenBackbone, _forward_packed
 from .errors import ConfigError, DataError
-from .optim import OptimizerState
 from .prompt import PromptBank, TuneResult, evaluate, tune
 from .util import stable_seed
 
@@ -168,13 +168,10 @@ def apply_selection(bank: PromptBank, selection: Masks) -> None:
     bank.piece_mask[:] = zeta
 
 
-def rewind(bank: PromptBank, values: np.ndarray, selection: Masks,
-           opt: OptimizerState | None = None) -> None:
-    """Set the prompt to values, install the masks and reset opt."""
+def rewind(bank: PromptBank, values: np.ndarray, selection: Masks) -> None:
+    """Set the prompt to values and install the masks."""
     bank.p[:] = values
     apply_selection(bank, selection)
-    if opt is not None:
-        opt.reset()
 
 
 # --- hierarchical pruning -------------------------------------------------------
@@ -219,8 +216,9 @@ class PruneResult:
 
 
 def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
-                       sched: PruneSchedule, retrain_epochs: int, opt: OptimizerState,
-                       batch_size: int = 16, seed: int = 0) -> PruneResult:
+                       sched: PruneSchedule, retrain_epochs: int, lr: float,
+                       weight_decay: float = 0.0, batch_size: int = 16,
+                       seed: int = 0) -> PruneResult:
     """Grid search over (token ratio, piece ratio) cells, scoring each mask
     state once.
 
@@ -230,12 +228,12 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
     all-ones masks. Each token ratio selects tokens from that report, and
     pieces are rescored once per token ratio, at that prompt with that
     ratio's token masks. Each cell then selects pieces from its row's piece
-    report, rewinds to that prompt, and retrains with ``opt``, which the
-    rewind resets, so every cell starts from a fresh optimizer state. A sweep
-    depends only on the prompt and the masks, so every cell sees exactly the
-    scores a per-cell rescoring would give, for 1 + |T| sweeps instead of
-    2 * |T| * |P|. ``seed`` seeds the random rule's selections and the
-    retraining shuffles.
+    report, rewinds to that prompt, and retrains with tune at ``lr`` and
+    ``weight_decay``; every tune call builds its own optimizer, so every
+    cell starts from a fresh optimizer state. A sweep depends only on the
+    prompt and the masks, so every cell sees exactly the scores a per-cell
+    rescoring would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
+    ``seed`` seeds the random rule's selections and the retraining shuffles.
 
     Each cell's ``selection`` holds the (gamma, zeta) masks it retrained
     under, and its ``kept_params`` counts them with ``kept_params``.
@@ -268,8 +266,8 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 
         for p_ratio in sched.piece_ratios:
             selection = select_pieces(piece_report, p_ratio, sched.rule, seed)
-            rewind(bank, start, selection, opt)
-            retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
+            rewind(bank, start, selection)
+            retrain = tune(bank, bb, train, dev, retrain_epochs, lr, weight_decay,
                            batch_size=batch_size, seed=seed)
 
             cell = CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,

@@ -1,9 +1,12 @@
-"""Small deterministic helpers: seed derivation, hashing, atomic file writes."""
+"""Small deterministic helpers: seed derivation, hashing, file reads and
+atomic file writes."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+
+from .errors import DataError
 
 # environment variables that set the BLAS thread count (OpenBLAS, OpenMP, MKL)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -23,6 +26,18 @@ def stable_seed(*parts: object) -> int:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def read_fragment(path: str, what: str, binary: bool = False):
+    """The UTF-8 text, or the bytes, of a file the program wrote earlier; one
+    that cannot be read or decoded is a DataError naming it as what."""
+    try:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 ({exc})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -22,7 +22,6 @@ from xprompt import backbone as bbm
 from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
-from xprompt.optim import make_optimizer
 from xprompt.prompt import tune
 from xprompt.util import sha256_hex
 
@@ -253,15 +252,13 @@ def score_per_example(bank, bb, train) -> pr.ImportanceReport:
 
 
 def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
-                       opt_kind="adafactor", learning_rate=0.05, weight_decay=1e-5,
-                       batch_size=16, seed=0):
+                       learning_rate=0.05, weight_decay=1e-5, batch_size=16, seed=0):
     """Grid search that rescores tokens and pieces from scratch in every cell.
 
     Each cell sets the bank back to the prompt the call was given, resets the
     masks, scores tokens, applies the token selection, scores pieces, then
-    rewinds and retrains with an optimizer built for that cell: two sweeps
-    per cell and no state shared between cells. seed seeds the selections
-    and the retraining.
+    rewinds and retrains: two sweeps per cell and no state shared between
+    cells. seed seeds the selections and the retraining.
     """
     cells = []
     best = best_state = None
@@ -275,10 +272,9 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
             pr.apply_selection(bank, token_sel)
             piece_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
             selection = pr.select_pieces(piece_report, p_ratio, sched.rule, seed)
-            opt = make_optimizer(opt_kind, learning_rate, weight_decay)
-            pr.rewind(bank, start, selection, opt)
+            pr.rewind(bank, start, selection)
             kept_params = int(bank.effective_mask().sum())
-            retrain = tune(bank, bb, train, dev, retrain_epochs, opt,
+            retrain = tune(bank, bb, train, dev, retrain_epochs, learning_rate, weight_decay,
                            batch_size=batch_size, seed=seed)
             cell = pr.CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
                                  kept_params, retrain.best_epoch, retrain,

@@ -21,7 +21,6 @@ from xprompt import autograd as ag
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import BackboneConfig, forward_batch, init_backbone, pretrain
-from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, PromptBank, init_prompt, tune
 from xprompt.tasks import Example, TaskSpec, fewshot_subsample, generate, pretrain_corpus
 
@@ -160,7 +159,7 @@ def test_03_first_order_prediction():
     pretrain(bb, pretrain_corpus(data["train"]), steps=400, lr=1e-2)
     bank = init_prompt(m=8, e=32, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
     tune(bank, bb, data["train"], data["dev"], epochs=15,
-         opt=make_optimizer("adafactor", 0.02, 1e-5), batch_size=16, seed=1)
+         lr=0.02, weight_decay=1e-5, batch_size=16, seed=1)
 
     batch = data["train"][:16]
     base = masked_loss(bank, bb, batch, np.ones(bank.m), bank.piece_mask)
@@ -308,12 +307,12 @@ def test_08_rewinding_correctness(micro_backbone, micro_data):
     fresh = init_prompt(m=6, e=16, k=4, strat=strat, bb=micro_backbone)
     start = fresh.p.copy()
     first = tune(fresh, micro_backbone, train, dev, epochs=3,
-                 opt=make_optimizer("adafactor", 0.05, 1e-5), seed=9)
+                 lr=0.05, weight_decay=1e-5, seed=9)
 
     keep_all = np.ones(6), np.ones((6, 4))
-    opt = make_optimizer("adafactor", 0.05, 1e-5)
-    pr.rewind(fresh, start, keep_all, opt)
-    second = tune(fresh, micro_backbone, train, dev, epochs=3, opt=opt, seed=9)
+    pr.rewind(fresh, start, keep_all)
+    second = tune(fresh, micro_backbone, train, dev, epochs=3,
+                  lr=0.05, weight_decay=1e-5, seed=9)
 
     gap = max(abs(a - b) for a, b in zip(first.losses, second.losses))
     ok = len(first.losses) == len(second.losses) and gap <= 1e-10

@@ -31,6 +31,7 @@ sys.path.insert(0, "perfbench")
 import xprompt
 import tracer
 from xprompt import harness
+from xprompt.backbone import init_backbone
 t = tracer.Tracer()
 t.install()
 cfg = harness.RunConfig.from_mapping({{
@@ -47,7 +48,8 @@ path = os.path.join(sys.argv[1], "spans.json")
 t.dump(path, setup_done, time.monotonic())
 with open(path, encoding="utf-8") as fh:
     metrics = tracer.summarize(json.load(fh))
-print(json.dumps({{"missing": t.missing, "metrics": metrics,
+trained = sum(name != "head" for name in init_backbone(cfg.backbone_config()).weights)
+print(json.dumps({{"missing": t.missing, "metrics": metrics, "trained_weights": trained,
                   "names": [name for name, _ in tracer.METRICS]}}))
 """
 
@@ -72,3 +74,8 @@ def test_traced_pipeline_reports_every_metric(probe):
     assert sorted(want - metrics.keys()) == []
     assert [name for name in sorted(want) if not math.isfinite(metrics[name])] == []
     assert metrics["pruning.cells"] == len(TOKEN_RATIOS) * len(PIECE_RATIOS) * len(SEEDS)
+    # every optimizer step is timed: one per trained weight per pretraining
+    # step, and one per prompt tuning step
+    assert metrics["optim.step.calls"] == (probe["trained_weights"]
+                                           * metrics["backbone.pretrain.steps"]
+                                           + metrics["prompt.tune.steps"])

@@ -555,8 +555,13 @@ def test_collect_report_rebuilds_metrics(pipe_run, tmp_path):
 
 
 def write_cfg_file(tmp_path, out: str, **extra) -> str:
+    """The micro config with extra's keys set; keys the schema lacks are
+    written as they are, for the command to refuse."""
+    known = {key for key, _, _ in hz.SCHEMA}
+    text = micro_cfg(out, **{k: v for k, v in extra.items() if k in known}).to_text()
+    text += "".join(f"{k} = {v}\n" for k, v in extra.items() if k not in known)
     path = str(tmp_path / "run.cfg")
-    hz.write_text_atomic(path, micro_cfg(out, **extra).to_text())
+    hz.write_text_atomic(path, text)
     return path
 
 
@@ -606,7 +611,8 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
 
 @pytest.mark.parametrize("bad", [{"tune.batch_size": 0}, {"optim.lr": -1.0},
                                  {"optim.kind": "adagrad"}, {"optim.lr": float("nan")},
-                                 {"optim.weight_decay": float("inf")},
+                                 {"optim.weight_decay": float("inf")}, {"optim.lr": 0.0},
+                                 {"optim.weight_decay": -1e-5},
                                  {"pretrain.lr": float("nan")}, {"pretrain.lr": 0.0},
                                  {"prompt.uniform_bound": float("nan")},
                                  {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1},
@@ -615,7 +621,8 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"prune.piece_ratios": (0.25, 0.0, 0.25)},
                                  {"task.kind": "pattern_detect", "backbone.num_classes": 3}],
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
-                              "inf-weight-decay", "nan-pretrain-lr", "zero-pretrain-lr",
+                              "inf-weight-decay", "zero-lr", "negative-weight-decay",
+                              "nan-pretrain-lr", "zero-pretrain-lr",
                               "nan-uniform-bound", "negative-pretrain-steps",
                               "negative-extra-sequences", "k-not-dividing-e",
                               "m-over-sampled-vocab", "duplicate-seed",
@@ -831,6 +838,44 @@ def test_cli_fragment_that_is_not_utf8_exits_3(pipe_run, tmp_path, capsys, path,
     assert cli.main([*command.format(copy=copy).split(), "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ") and "not UTF-8" in err[0]
+
+
+@pytest.mark.parametrize("path, command", [
+    (os.path.join("seed1", "stage1", "records.tsv"), "report"),
+    (FINAL_MANIFEST, "report"),
+    (STAGE1_MANIFEST, "report"),
+    (STAGE1_MANIFEST, "prune"),
+    (STAGE1_MANIFEST, "transfer --source {copy}/seed1/stage1"),
+    (os.path.join("seed1", "prune", "p_e.bin"), "baselines --which random"),
+], ids=["records", "prune-manifest", "stage1-manifest-as-parent", "stage1-manifest",
+        "transfer-source-manifest", "p_e-blob"])
+def test_cli_fragment_that_cannot_be_read_exits_3(pipe_run, tmp_path, capsys, path, command):
+    """A fragment file replaced by a directory is a data error, not a crash
+    or a stage failure."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    os.remove(os.path.join(copy, path))
+    os.mkdir(os.path.join(copy, path))
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.format(copy=copy).split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: cannot read ")
+
+
+def test_cli_names_the_run_config_it_cannot_parse(pipe_run, tmp_path, capsys):
+    """A fault in the run directory's own config.txt names that file, not the
+    --config file."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    run_cfg = os.path.join(copy, "config.txt")
+    hz.write_text_atomic(run_cfg, read(run_cfg) + "optim.kind = adafactor\n")
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert run_cfg in err[0] and "unknown key 'optim.kind'" in err[0]
 
 
 # --- run directory ownership ---------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xprompt import autograd as ag
-from xprompt import backbone, optim, prompt, pruning, tasks
+from xprompt import backbone, prompt, pruning, tasks
 from xprompt.backbone import forward_batch
 from xprompt.errors import ConfigError, DataError
 
@@ -132,7 +132,7 @@ def test_tune_step_graph_has_one_gradient_leaf(monkeypatch, micro_backbone, micr
     bank.token_mask[1] = 0.0
     bank.piece_mask[2, 3] = 0.0
     prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], epochs=1,
-                opt=optim.AdafactorLite(0.05))
+                lr=0.05)
     assert len(leaves_per_step) >= 2 and all(leaves_per_step)
 
 
@@ -163,7 +163,7 @@ def test_tune_zero_epochs_is_a_no_op(micro_backbone, micro_data):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     before = bank.p.copy()
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                      epochs=0, opt=optim.AdafactorLite(0.05))
+                      epochs=0, lr=0.05)
     assert np.array_equal(bank.p, before)
     assert res.best_epoch == 0
     assert res.steps == 0
@@ -175,7 +175,7 @@ def test_tune_deterministic(micro_backbone, micro_data):
     for _ in range(2):
         bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
         res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                          epochs=3, opt=optim.AdafactorLite(0.02), seed=11)
+                          epochs=3, lr=0.02, seed=11)
         results.append((bank.p.copy(), tuple(res.losses), tuple(res.dev_history)))
     assert np.array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1]
@@ -191,7 +191,7 @@ def test_tune_never_moves_masked_entries(micro_backbone, micro_data):
     dead = bank.effective_mask() == 0
     frozen = bank.p[dead].copy()
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                      epochs=3, opt=optim.AdafactorLite(0.05, weight_decay=1e-2), seed=1)
+                      epochs=3, lr=0.05, weight_decay=1e-2, seed=1)
     assert np.array_equal(bank.p[dead], frozen)
     assert res.steps == 3 * len(range(0, len(micro_data["train"]), 16))
 
@@ -200,14 +200,14 @@ def test_tune_leaves_backbone_untouched(micro_backbone, micro_data):
     before = weight_hash(micro_backbone)
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                epochs=2, opt=optim.AdafactorLite(0.05), seed=1)
+                epochs=2, lr=0.05, seed=1)
     assert weight_hash(micro_backbone) == before
 
 
 def test_tune_restores_best_checkpoint(micro_backbone, micro_data):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                      epochs=4, opt=optim.AdafactorLite(0.02), seed=3)
+                      epochs=4, lr=0.02, seed=3)
     assert res.best_dev_acc == max(res.dev_history)
     assert res.best_epoch == int(np.argmax(res.dev_history))
     assert prompt.evaluate(bank, micro_backbone, micro_data["dev"]) == res.best_dev_acc
@@ -216,7 +216,7 @@ def test_tune_restores_best_checkpoint(micro_backbone, micro_data):
 def test_tune_reduces_training_loss(micro_backbone, micro_data):
     bank = prompt.init_prompt(8, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                      epochs=30, opt=optim.AdafactorLite(0.02, weight_decay=1e-5),
+                      epochs=30, lr=0.02, weight_decay=1e-5,
                       batch_size=len(micro_data["train"]), seed=3)
     assert min(res.losses) < res.losses[0] - 2e-3
 
@@ -225,10 +225,16 @@ def test_tune_errors(micro_backbone, micro_data):
     bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
     with pytest.raises(ConfigError):
         prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
-                    epochs=-1, opt=optim.AdafactorLite(0.05))
+                    epochs=-1, lr=0.05)
     with pytest.raises(DataError):
         prompt.tune(bank, micro_backbone, (), micro_data["dev"],
-                    epochs=1, opt=optim.AdafactorLite(0.05))
+                    epochs=1, lr=0.05)
+    for bad in ({"lr": 0.0}, {"lr": -0.1}, {"lr": float("nan")}, {"lr": float("inf")},
+                {"lr": 0.05, "weight_decay": -1.0},
+                {"lr": 0.05, "weight_decay": float("nan")}):
+        with pytest.raises(ConfigError):
+            prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
+                        epochs=1, **bad)
     with pytest.raises(DataError):
         prompt.evaluate(bank, micro_backbone, ())
 
@@ -267,7 +273,7 @@ def test_each_step_frees_its_graph_before_the_next(monkeypatch, micro_backbone, 
     if loop == "tune":
         alive = _track_graphs(monkeypatch, prompt, "batch_loss", _loss_node)
         prompt.tune(bank, micro_backbone, train, dev, epochs=2,
-                    opt=optim.AdafactorLite(0.05))
+                    lr=0.05)
     elif loop == "predict":
         alive = _track_graphs(monkeypatch, backbone, "forward_batch", lambda out: out)
         backbone.predict(micro_backbone, bank.p, dev)

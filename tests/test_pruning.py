@@ -19,7 +19,6 @@ from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import forward_batch, init_backbone, pretrain
 from xprompt.errors import ConfigError, DataError
-from xprompt.optim import make_optimizer
 from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
 
 import support
@@ -32,8 +31,7 @@ import support
 def tuned(micro_backbone, micro_data):
     """A lightly tuned 6x16 bank (k=4)."""
     bank = init_prompt(6, 16, 4, InitStrategy(seed=1), micro_backbone)
-    opt = make_optimizer("adafactor", 0.05, 1e-5)
-    tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3, opt,
+    tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3, *RECIPE,
          batch_size=16, seed=2)
     return bank
 
@@ -43,9 +41,8 @@ def bank(tuned):
     return tuned.copy()
 
 
-def recipe():
-    """The optimizer the tests tune and retrain with."""
-    return make_optimizer("adafactor", 0.05, 1e-5)
+# the (lr, weight_decay) the tests tune and retrain with
+RECIPE = (0.05, 1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -448,26 +445,20 @@ def test_rewind_restores_snapshot_and_masks(bank):
     snap = bank.p.copy()
     bank.p += 1.0
     bank.token_mask[:] = 0.0
-    opt = make_optimizer("adafactor", 0.05)
-    opt.step(bank.p, np.ones_like(bank.p), np.ones_like(bank.p))
-    sel = keep_all_selection(bank)
-    pr.rewind(bank, snap, sel, opt)
+    pr.rewind(bank, snap, keep_all_selection(bank))
     assert np.array_equal(bank.p, snap)
     assert (bank.token_mask == 1.0).all() and (bank.piece_mask == 1.0).all()
-    assert opt.step_count == 0 and opt.row_accum is None
 
 
 def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
     """Keep-all rewind plus retraining walks the stage-1 loss path exactly."""
     bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
     start = bank.p.copy()
-    opt = make_optimizer("adafactor", 0.05, 1e-5)
     first = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                 opt, batch_size=16, seed=5)
-    fresh_opt = make_optimizer("adafactor", 0.05, 1e-5)
-    pr.rewind(bank, start, keep_all_selection(bank), fresh_opt)
+                 *RECIPE, batch_size=16, seed=5)
+    pr.rewind(bank, start, keep_all_selection(bank))
     second = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                  fresh_opt, batch_size=16, seed=5)
+                  *RECIPE, batch_size=16, seed=5)
     assert len(first.losses) == len(second.losses)
     diff = max(abs(a - b) for a, b in zip(first.losses, second.losses))
     assert diff <= 1e-10
@@ -481,7 +472,7 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
     start = bank.p.copy()
     sched = pr.PruneSchedule((0.0, 0.34), (0.0, 0.25), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
-                                micro_data["dev"], sched, 2, recipe(),
+                                micro_data["dev"], sched, 2, *RECIPE,
                                 batch_size=16, seed=2)
     assert [(c.token_ratio, c.piece_ratio) for c in out.cells] == [
         (0.0, 0.0), (0.0, 0.25), (0.34, 0.0), (0.34, 0.25)]
@@ -520,8 +511,7 @@ def report_arrays(report: pr.ImportanceReport) -> tuple[np.ndarray, ...]:
 @pytest.mark.parametrize("rule", pr.RULES)
 def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, micro_data,
                                                        monkeypatch, rule):
-    """Scoring once per mask state, with one optimizer that each cell's rewind
-    resets, gives exactly what per-cell rescoring with a fresh optimizer
+    """Scoring once per mask state gives exactly what per-cell rescoring
     gives.
 
     The micro task barely learns, so retraining alone may leave the prompt
@@ -539,7 +529,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
     ref_bank = bank.copy()
     ref = support.hierarchical_prune(ref_bank, *args, retrain_epochs=2, seed=2)
-    out = pr.hierarchical_prune(bank, *args, 2, recipe(), seed=2)
+    out = pr.hierarchical_prune(bank, *args, 2, *RECIPE, seed=2)
 
     assert len(out.cells) == len(ref.cells) == 6
     for got, want in zip(out.cells, ref.cells):
@@ -576,7 +566,7 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
     t_ratios, p_ratios = MICRO_GRID
     sched = pr.PruneSchedule(t_ratios, p_ratios, "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
-                                micro_data["dev"], sched, 1, recipe())
+                                micro_data["dev"], sched, 1, *RECIPE)
     assert len(calls) == 1 + len(t_ratios)
 
     token_report = out.cells[0].token_report
@@ -599,8 +589,8 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
 def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
     sched = pr.PruneSchedule((0.34,), (0.25,), "lowest_score")
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
-    first = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
-    second = pr.hierarchical_prune(bank.copy(), *args, 2, recipe(), batch_size=16, seed=2)
+    first = pr.hierarchical_prune(bank.copy(), *args, 2, *RECIPE, batch_size=16, seed=2)
+    second = pr.hierarchical_prune(bank.copy(), *args, 2, *RECIPE, batch_size=16, seed=2)
     assert first.best.dev_acc == second.best.dev_acc
     assert support.same_masks(first.best.selection, second.best.selection)
     assert first.best.retrain.losses == second.best.retrain.losses
@@ -612,10 +602,10 @@ def test_degenerate_grid_repeats_stage_one(micro_backbone, micro_data):
     bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
     twin = bank.copy()
     stage1 = tune(twin, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                  make_optimizer("adafactor", 0.05, 1e-5), batch_size=16, seed=5)
+                  *RECIPE, batch_size=16, seed=5)
     sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
-                                micro_data["dev"], sched, 3, recipe(),
+                                micro_data["dev"], sched, 3, *RECIPE,
                                 batch_size=16, seed=5)
     assert out.best.dev_acc == stage1.best_dev_acc
     assert bank.p.tobytes() == twin.p.tobytes()
@@ -626,7 +616,7 @@ def test_hierarchical_prune_guards(bank, micro_backbone, micro_data):
     sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score")
     with pytest.raises(ConfigError):
         pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
-                              micro_data["dev"], sched, -1, recipe())
+                              micro_data["dev"], sched, -1, *RECIPE)
     for bad in (pr.PruneSchedule((), (0.0,), "lowest_score"),
                 pr.PruneSchedule((0.5,), (1.0,), "lowest_score"),
                 pr.PruneSchedule((0.5,), (0.0,), "top_k")):
