@@ -12,7 +12,7 @@ from collections import Counter
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.checkpoint import load_prompt, save_prompt
-from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
+from xprompt.prompt import evaluate, init_prompt, tune
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus
 
 # --- a small pretrained backbone and a synthetic task -------------------------------
@@ -31,7 +31,7 @@ print(f"task: {spec.kind}, {len(train)} train / {len(dev)} dev, "
 
 # --- tune m=6 prompt rows, k=4 pieces each -----------------------------------------
 
-bank = init_prompt(m=8, e=cfg.embed_dim, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
+bank = init_prompt(m=8, e=cfg.embed_dim, k=4, seed=1, bb=bb)
 print(f"untuned dev accuracy {evaluate(bank, bb, dev):.3f}")
 
 result = tune(bank, bb, train, dev, epochs=15, lr=0.02, weight_decay=1e-5,

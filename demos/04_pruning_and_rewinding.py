@@ -14,7 +14,7 @@ import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.harness import export_saliency, param_count
-from xprompt.prompt import InitStrategy, init_prompt, tune
+from xprompt.prompt import init_prompt, tune
 from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
                              hierarchical_prune, score_tokens, select_tokens)
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus
@@ -30,7 +30,7 @@ data = generate(spec)
 train, dev = data["train"], data["dev"]
 pretrain(bb, pretrain_corpus(train), steps=400, lr=1e-2)
 
-bank = init_prompt(m=8, e=32, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
+bank = init_prompt(m=8, e=32, k=4, seed=1, bb=bb)
 tuned = tune(bank, bb, train, dev, epochs=15, lr=0.02, weight_decay=1e-5, seed=1)
 stage1_bank = bank.copy()
 print(f"stage-1 dev accuracy {tuned.best_dev_acc:.3f}")

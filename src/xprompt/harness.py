@@ -47,7 +47,7 @@ import numpy as np
 from . import checkpoint, tasks
 from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
-from .prompt import InitStrategy, PromptBank, init_prompt, tune
+from .prompt import PromptBank, init_prompt, tune
 from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
                       baseline_negative_masking, hierarchical_prune, kept_params)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
@@ -86,15 +86,12 @@ SCHEMA: tuple[tuple[str, str, object], ...] = (
     ("task.shots_seed", "int", 7),
     ("prompt.m", "int", 20),
     ("prompt.k", "int", 16),
-    ("prompt.init", "str", "sampled_vocab"),
-    ("prompt.uniform_bound", "float", 0.5),
     ("optim.lr", "float", 0.02),
     ("optim.weight_decay", "float", 1e-5),
     ("tune.epochs", "int", 100),
     ("tune.batch_size", "int", 16),
     ("prune.token_ratios", "floats", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
     ("prune.piece_ratios", "floats", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-    ("prune.rule", "str", "lowest_score"),
     ("prune.retrain_epochs", "int", 30),
     ("prune.negative_ratio", "float", 0.3),
     ("run.seeds", "ints", (1, 2, 3, 4, 5)),
@@ -207,13 +204,7 @@ class RunConfig:
 
     def schedule(self) -> PruneSchedule:
         v = self.values
-        return PruneSchedule(tuple(v["prune.token_ratios"]),
-                             tuple(v["prune.piece_ratios"]), v["prune.rule"])
-
-    def init_strategy(self, seed: int) -> InitStrategy:
-        return InitStrategy(kind=self.values["prompt.init"],
-                            uniform_bound=self.values["prompt.uniform_bound"],
-                            seed=seed)
+        return PruneSchedule(tuple(v["prune.token_ratios"]), tuple(v["prune.piece_ratios"]))
 
     def validate(self) -> None:
         v = self.values
@@ -248,11 +239,11 @@ class RunConfig:
                     f"prompt.m + task.seq_len_max = {v['prompt.m']}+{v['task.seq_len_max']} "
                     f"exceeds backbone.max_seq_len {v['backbone.max_seq_len']}")
         self.schedule().validate()
-        self.init_strategy(0).validate()
         if v["prompt.k"] < 1 or v["backbone.embed_dim"] % v["prompt.k"]:
             raise ConfigError(f"prompt.k must divide backbone.embed_dim, got {v['prompt.k']}")
-        if v["prompt.init"] == "sampled_vocab" and v["prompt.m"] > v["backbone.vocab_size"]:
-            raise ConfigError("sampled_vocab needs prompt.m <= backbone.vocab_size")
+        if v["prompt.m"] > v["backbone.vocab_size"]:
+            raise ConfigError("prompt.m must be <= backbone.vocab_size: the prompt starts "
+                              "from distinct vocabulary rows")
         if v["tune.epochs"] < 0 or v["prune.retrain_epochs"] < 0:
             raise ConfigError("epoch counts must be >= 0")
         if v["tune.batch_size"] < 1:
@@ -496,7 +487,11 @@ class RunDir:
                     raise DataError(f"{stage.replace('stage1', 'stage-1')} checkpoint missing "
                                     f"for seed {seed}; run {BUILT_BY[stage]} first: "
                                     f"{os.path.dirname(self._file(stage, seed))}")
-        os.makedirs(self.out, exist_ok=True)
+        try:
+            os.makedirs(self.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create run.out {self.out}: "
+                              f"{exc.strerror or exc}") from None
         if theirs is None:
             write_text_atomic(cfg_path, cfg.to_text())
 
@@ -568,8 +563,7 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
         return bank, _read_records(rd.path("stage1", "records.tsv", seed=seed))[0]
     v = rd.cfg.values
     with _stage("stage1"):
-        bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"],
-                           rd.cfg.init_strategy(seed), bb)
+        bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"], seed, bb)
         res = _tune(rd.cfg, bank, bb, data, seed)
         checkpoint.save_prompt(bank, path, "stage1", rd.provenance("stage1", seed))
         record = _record("stage1", seed, res.best_dev_acc,
@@ -784,7 +778,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
                 if not 1 <= m_kept <= stage1.m:
                     raise DataError(f"best cell keeps {m_kept} tokens, not 1 to "
                                     f"{stage1.m}: {rd.path('prune', seed=seed)}")
-                short = init_prompt(m_kept, stage1.e, stage1.k, cfg.init_strategy(seed), bb)
+                short = init_prompt(m_kept, stage1.e, stage1.k, seed, bb)
                 acc = _tune(cfg, short, bb, data, seed).best_dev_acc
                 # counted as the best cell's tokens with every piece kept
                 whole = (final.token_mask, np.ones_like(final.piece_mask))

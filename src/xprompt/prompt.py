@@ -1,5 +1,7 @@
 """Trainable soft prompt: an (m, e) matrix with token and piece masks.
 
+The prompt starts from m distinct vocabulary rows of the backbone's token
+embedding, sampled with a seed (init_prompt), as in Lester et al. (2021).
 The masks meet the prompt in one place, in numpy: effective_values gives
 P * gamma * zeta, the masked prompt that every prompted pass starts from.
 Tuning trains one leaf over it, and every tune call builds its own
@@ -24,21 +26,6 @@ from .util import stable_seed
 log = logging.getLogger("xprompt.prompt")
 
 DEFAULT_BATCH = 16
-
-INIT_KINDS = ("sampled_vocab", "random_uniform")
-
-
-@dataclass(frozen=True)
-class InitStrategy:
-    kind: str = "sampled_vocab"
-    uniform_bound: float = 0.5
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in INIT_KINDS:
-            raise ConfigError(f"unknown init kind {self.kind!r}; expected one of {INIT_KINDS}")
-        if self.kind == "random_uniform" and self.uniform_bound <= 0:
-            raise ConfigError(f"uniform_bound must be positive, got {self.uniform_bound}")
 
 
 @dataclass
@@ -74,26 +61,21 @@ class PromptBank:
             piece_mask=self.piece_mask.copy(), k=self.k)
 
 
-def init_prompt(m: int, e: int, k: int, strat: InitStrategy, bb: FrozenBackbone) -> PromptBank:
-    """Fresh bank with all-ones masks."""
-    strat.validate()
+def init_prompt(m: int, e: int, k: int, seed: int, bb: FrozenBackbone) -> PromptBank:
+    """Fresh bank with all-ones masks whose prompt is m distinct rows of
+    bb's token embedding, drawn from default_rng(seed) (the sampled
+    vocabulary initialization of Lester et al., 2021)."""
     if m < 1:
         raise ConfigError(f"prompt length m must be >= 1, got {m}")
     if e != bb.cfg.embed_dim:
         raise ConfigError(f"prompt width {e} != backbone embed_dim {bb.cfg.embed_dim}")
     if k < 1 or e % k != 0:
         raise ShapeError(f"embedding width e={e} does not split into k={k} pieces (e mod k = {e % k})")
+    if m > bb.cfg.vocab_size:
+        raise ConfigError(f"cannot sample {m} distinct vocabulary rows from {bb.cfg.vocab_size}")
 
-    rng = np.random.default_rng(strat.seed)
-    if strat.kind == "sampled_vocab":
-        if m > bb.cfg.vocab_size:
-            raise ConfigError(
-                f"cannot sample {m} distinct vocabulary rows from {bb.cfg.vocab_size}")
-        idx = rng.choice(bb.cfg.vocab_size, size=m, replace=False)
-        p = bb.weights["tok_emb"][idx].copy()
-    else:
-        b = strat.uniform_bound
-        p = rng.uniform(-b, b, size=(m, e))
+    idx = np.random.default_rng(seed).choice(bb.cfg.vocab_size, size=m, replace=False)
+    p = bb.weights["tok_emb"][idx].copy()
     return PromptBank(p=p, token_mask=np.ones(m), piece_mask=np.ones((m, k)), k=k)
 
 

@@ -159,37 +159,39 @@ def load_jsonl(path: str, vocab_size: int | None = None,
                num_classes: int | None = None) -> tuple[Example, ...]:
     """Read one example per line; errors carry the offending line number."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-        except UnicodeDecodeError as err:
-            raise DataError(f"{path} is not UTF-8 ({err.reason} at byte {err.start})") from None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"line {lineno}: not valid JSON ({err.msg})") from err
-            if not isinstance(rec, dict) or "tokens" not in rec or "label" not in rec:
-                raise DataError(f"line {lineno}: record needs 'tokens' and 'label'")
-            toks = rec["tokens"]
-            label = rec["label"]
-            # exact type checks: JSON true and false load as bool, an int subclass
-            if (not isinstance(toks, list) or not toks
-                    or not all(type(t) is int for t in toks)):
-                raise DataError(f"line {lineno}: 'tokens' must be a non-empty list of ints")
-            if type(label) is not int:
-                raise DataError(f"line {lineno}: 'label' must be an int")
-            if any(t < 0 for t in toks):
-                raise DataError(f"line {lineno}: negative token id")
-            if vocab_size is not None and any(t >= vocab_size for t in toks):
-                bad = next(t for t in toks if t >= vocab_size)
-                raise DataError(f"line {lineno}: token id {bad} >= vocab_size {vocab_size}")
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                raise DataError(f"line {lineno}: label {label} out of range")
-            out.append(Example(tuple(toks), label))
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 ({err.reason} at byte {err.start})") from None
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror or err}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataError(f"line {lineno}: not valid JSON ({err.msg})") from err
+        if not isinstance(rec, dict) or "tokens" not in rec or "label" not in rec:
+            raise DataError(f"line {lineno}: record needs 'tokens' and 'label'")
+        toks = rec["tokens"]
+        label = rec["label"]
+        # exact type checks: JSON true and false load as bool, an int subclass
+        if (not isinstance(toks, list) or not toks
+                or not all(type(t) is int for t in toks)):
+            raise DataError(f"line {lineno}: 'tokens' must be a non-empty list of ints")
+        if type(label) is not int:
+            raise DataError(f"line {lineno}: 'label' must be an int")
+        if any(t < 0 for t in toks):
+            raise DataError(f"line {lineno}: negative token id")
+        if vocab_size is not None and any(t >= vocab_size for t in toks):
+            bad = next(t for t in toks if t >= vocab_size)
+            raise DataError(f"line {lineno}: token id {bad} >= vocab_size {vocab_size}")
+        if label < 0 or (num_classes is not None and label >= num_classes):
+            raise DataError(f"line {lineno}: label {label} out of range")
+        out.append(Example(tuple(toks), label))
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ from xprompt import autograd as ag
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import BackboneConfig, forward_batch, init_backbone, pretrain
-from xprompt.prompt import InitStrategy, PromptBank, init_prompt, tune
+from xprompt.prompt import PromptBank, init_prompt, tune
 from xprompt.tasks import Example, TaskSpec, fewshot_subsample, generate, pretrain_corpus
 
 from support import CRITERIA
@@ -157,7 +157,7 @@ def test_03_first_order_prediction():
                     seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32, seed=11)
     data = generate(spec)
     pretrain(bb, pretrain_corpus(data["train"]), steps=400, lr=1e-2)
-    bank = init_prompt(m=8, e=32, k=4, strat=InitStrategy("sampled_vocab", seed=1), bb=bb)
+    bank = init_prompt(m=8, e=32, k=4, seed=1, bb=bb)
     tune(bank, bb, data["train"], data["dev"], epochs=15,
          lr=0.02, weight_decay=1e-5, batch_size=16, seed=1)
 
@@ -302,9 +302,7 @@ def test_07_masking_arm_ordering(calibration):
 def test_08_rewinding_correctness(micro_backbone, micro_data):
     t0 = time.monotonic()
     train, dev = micro_data["train"], micro_data["dev"]
-    strat = InitStrategy("sampled_vocab", seed=5)
-
-    fresh = init_prompt(m=6, e=16, k=4, strat=strat, bb=micro_backbone)
+    fresh = init_prompt(m=6, e=16, k=4, seed=5, bb=micro_backbone)
     start = fresh.p.copy()
     first = tune(fresh, micro_backbone, train, dev, epochs=3,
                  lr=0.05, weight_decay=1e-5, seed=9)

@@ -11,7 +11,7 @@ from xprompt import checkpoint as ckpt
 from xprompt import pruning as pr
 from xprompt import tasks
 from xprompt.errors import ConfigError, DataError, StateError
-from xprompt.prompt import InitStrategy, batch_loss, init_prompt
+from xprompt.prompt import batch_loss, init_prompt
 
 from conftest import MICRO_CFG
 from support import (batch_loss_full_rows, central_diff, forward_batch_full_rows,
@@ -147,7 +147,7 @@ def oracle_case(request, micro_data):
     token and a dead piece."""
     bb = bbm.init_backbone(dataclasses.replace(MICRO_CFG, layers=request.param))
     bbm.pretrain(bb, tasks.pretrain_corpus(micro_data["train"]), steps=30, lr=1e-2)
-    bank = init_prompt(6, MICRO_CFG.embed_dim, 4, InitStrategy(seed=4), bb)
+    bank = init_prompt(6, MICRO_CFG.embed_dim, 4, 4, bb)
     bank.p += np.random.default_rng(4).normal(scale=0.3, size=bank.p.shape)
     bank.token_mask[1] = 0.0
     bank.piece_mask[3, 2] = 0.0

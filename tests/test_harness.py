@@ -139,7 +139,7 @@ def test_config_validate_errors(tmp_path):
         hz.RunConfig.from_mapping({"run.seeds": ()}).validate()
     with pytest.raises(ConfigError):
         hz.RunConfig.from_mapping({"prune.negative_ratio": 1.0}).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config key"):
         hz.RunConfig.from_mapping({"prompt.init": "zeros"}).validate()
     with pytest.raises(ConfigError):
         hz.RunConfig.from_mapping({"tune.epochs": -1}).validate()
@@ -150,7 +150,7 @@ def test_config_validate_errors(tmp_path):
     train.write_text('{"tokens": [2, 3], "label": 0}\n')
     with pytest.raises(ConfigError, match="pair"):
         hz.RunConfig.from_mapping({"task.train_path": str(train)}).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config key"):
         hz.RunConfig.from_mapping({"prune.rule": "top_k"}).validate()
 
 
@@ -459,6 +459,29 @@ def test_baselines_require_prune_checkpoint(tmp_path):
     assert {r.stage for r in recs} == {"vanilla", "negative", "negative_random"}
 
 
+def test_random_arm_draws_with_each_run_seed(pipe_run, tmp_path, monkeypatch):
+    """The random arm prunes each seed at that seed's best cell with the
+    random rule, drawing its masks from that seed."""
+    cfg, _ = copy_run(pipe_run, tmp_path)
+    drawn = {}
+    prune = hz.hierarchical_prune
+
+    def recording(bank, bb, train, dev, sched, *args, seed, **kwargs):
+        result = prune(bank, bb, train, dev, sched, *args, seed=seed, **kwargs)
+        drawn[seed] = sched.rule, result.best
+        return result
+
+    monkeypatch.setattr(hz, "hierarchical_prune", recording)
+    hz.run_baselines(cfg, which=("random",), jobs=1)
+    assert sorted(drawn) == [1, 2]
+    for seed, (rule, best) in drawn.items():
+        assert rule == "random"
+        tokens = pr.select_tokens(best.token_report, best.token_ratio, "random", seed=seed)
+        assert np.array_equal(best.selection[0], tokens[0])
+    (_, a), (_, b) = drawn.values()
+    assert not all(np.array_equal(x, y) for x, y in zip(a.selection, b.selection))
+
+
 def test_baselines_load_each_checkpoint_once(pipe_run, tmp_path, monkeypatch):
     """All arms of a seed share one stage-1 load and one best-cell load, and
     the length arm reruns to the same record."""
@@ -614,7 +637,9 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"optim.weight_decay": float("inf")}, {"optim.lr": 0.0},
                                  {"optim.weight_decay": -1e-5},
                                  {"pretrain.lr": float("nan")}, {"pretrain.lr": 0.0},
-                                 {"prompt.uniform_bound": float("nan")},
+                                 {"prompt.init": "sampled_vocab"},
+                                 {"prompt.uniform_bound": 0.5},
+                                 {"prune.rule": "lowest_score"},
                                  {"pretrain.steps": -1}, {"pretrain.extra_sequences": -1},
                                  {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)},
                                  {"prune.token_ratios": (0.34, 0.34)},
@@ -623,18 +648,25 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
                               "inf-weight-decay", "zero-lr", "negative-weight-decay",
                               "nan-pretrain-lr", "zero-pretrain-lr",
-                              "nan-uniform-bound", "negative-pretrain-steps",
+                              "removed-prompt-init", "removed-uniform-bound",
+                              "removed-prune-rule", "negative-pretrain-steps",
                               "negative-extra-sequences", "k-not-dividing-e",
                               "m-over-sampled-vocab", "duplicate-seed",
                               "duplicate-token-ratio", "duplicate-piece-ratio",
                               "pattern-detect-3-classes"])
-def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, bad):
+def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, capsys, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
-    and the corrected config can run in the same directory."""
+    and the corrected config can run in the same directory. A key the schema
+    lacks, such as a removed option, is named as unknown."""
     out = str(tmp_path / "bad")
     cfg = write_cfg_file(tmp_path, out, **bad)
+    known = {key for key, _, _ in hz.SCHEMA}
     for command in ("tune", "pipeline"):
+        capsys.readouterr()
         assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert all(f"unknown key {key!r}" in err[0] for key in bad if key not in known)
         assert not os.path.exists(os.path.join(out, "config.txt"))
         assert not os.path.exists(os.path.join(out, "backbone"))
 
@@ -722,13 +754,17 @@ def _unreadable_config(tmp_path, kind: str) -> list[str]:
     if kind == "directory":
         (tmp_path / "cfg.d").mkdir()
         return ["--config", str(tmp_path / "cfg.d")]
-    if kind == "taken-out":
+    if kind in ("taken-out", "out-under-a-file"):
         (tmp_path / "taken").write_text("a file, not a run directory\n")
-        return ["--config", write_cfg_file(tmp_path, str(tmp_path / "taken"))]
+        out = tmp_path / "taken"
+        if kind == "out-under-a-file":
+            out = out / "sub"
+        return ["--config", write_cfg_file(tmp_path, str(out))]
     return ["--config", write_cfg_file(tmp_path, "")]
 
 
-@pytest.mark.parametrize("kind", ["not-utf8", "directory", "empty-out", "taken-out"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "empty-out", "taken-out",
+                                  "out-under-a-file"])
 def test_cli_unreadable_config_exits_2_before_any_write(tmp_path, monkeypatch, capsys, kind):
     args = _unreadable_config(tmp_path, kind)
     monkeypatch.chdir(tmp_path)
@@ -754,6 +790,19 @@ def test_cli_data_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ") and "not UTF-8" in err[0]
+    assert not os.path.exists(os.path.join(out, "backbone"))
+
+
+def test_cli_data_file_that_is_a_directory_exits_3(tmp_path, capsys):
+    data = str(tmp_path / "data.d")
+    os.mkdir(data)
+    out = str(tmp_path / "run")
+    cfg = write_cfg_file(tmp_path, out, **{"task.train_path": data, "task.dev_path": data})
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and data in err[0]
+    assert not os.path.exists(os.path.join(out, "config.txt"))
     assert not os.path.exists(os.path.join(out, "backbone"))
 
 
@@ -1018,17 +1067,6 @@ def test_prompt_manifest_with_a_snapshot_blob_still_loads(pipe_run, tmp_path):
     for a, b in ((got.p, want.p), (got.token_mask, want.token_mask),
                  (got.piece_mask, want.piece_mask)):
         assert a.tobytes() == b.tobytes()
-
-
-def test_random_rule_selects_with_each_run_seed(tmp_path):
-    """prune.rule = random draws each seed's masks from that seed, as the
-    random baseline arm does."""
-    cfg = micro_cfg(str(tmp_path / "random"), **{"prune.rule": "random"})
-    hz.run_pipeline(cfg, jobs=1)
-    masks = [[line for line in read(os.path.join(cfg["run.out"], f"seed{seed}", "prune",
-                                                 "manifest.txt")).splitlines()
-              if line.startswith(("token_mask", "piece_mask"))] for seed in (1, 2)]
-    assert masks[0] != masks[1]
 
 
 @pytest.mark.parametrize("command, target, stage", [

@@ -19,7 +19,7 @@ from support import masked_graph, weight_hash
 
 
 def test_sampled_vocab_rows_come_from_embedding_table(micro_backbone):
-    bank = prompt.init_prompt(6, 16, 4, prompt.InitStrategy(seed=3), micro_backbone)
+    bank = prompt.init_prompt(6, 16, 4, 3, micro_backbone)
     table = micro_backbone.weights["tok_emb"]
     hits = []
     for row in bank.p:
@@ -33,40 +33,27 @@ def test_sampled_vocab_rows_come_from_embedding_table(micro_backbone):
 
 
 def test_sampled_vocab_deterministic_and_seed_sensitive(micro_backbone):
-    a = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=5), micro_backbone)
-    b = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=5), micro_backbone)
-    c = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=6), micro_backbone)
+    a = prompt.init_prompt(4, 16, 4, 5, micro_backbone)
+    b = prompt.init_prompt(4, 16, 4, 5, micro_backbone)
+    c = prompt.init_prompt(4, 16, 4, 6, micro_backbone)
     assert np.array_equal(a.p, b.p)
     assert not np.array_equal(a.p, c.p)
 
 
-def test_random_uniform_respects_bound(micro_backbone):
-    strat = prompt.InitStrategy(kind="random_uniform", uniform_bound=0.25, seed=1)
-    bank = prompt.init_prompt(5, 16, 4, strat, micro_backbone)
-    assert np.all(np.abs(bank.p) <= 0.25)
-    assert bank.p.std() > 0
-
-
 def test_init_errors(micro_backbone):
     with pytest.raises(ConfigError):
-        prompt.init_prompt(17, 16, 4, prompt.InitStrategy(), micro_backbone)  # m > V
+        prompt.init_prompt(17, 16, 4, 0, micro_backbone)  # m > V
     with pytest.raises(ConfigError):
-        prompt.init_prompt(4, 32, 4, prompt.InitStrategy(), micro_backbone)  # e mismatch
+        prompt.init_prompt(4, 32, 4, 0, micro_backbone)  # e mismatch
     with pytest.raises(ConfigError):
-        prompt.init_prompt(0, 16, 4, prompt.InitStrategy(), micro_backbone)
-    with pytest.raises(ConfigError):
-        prompt.init_prompt(4, 16, 4, prompt.InitStrategy(kind="zeros"), micro_backbone)
-    with pytest.raises(ConfigError):
-        prompt.init_prompt(4, 16, 4,
-                           prompt.InitStrategy(kind="random_uniform", uniform_bound=0.0),
-                           micro_backbone)
+        prompt.init_prompt(0, 16, 4, 0, micro_backbone)
 
 
 # --- masking identities ---------------------------------------------------------
 
 
 def test_effective_values_identity_bitwise(micro_backbone):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=2), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 2, micro_backbone)
     bank.token_mask[1] = 0.0
     bank.piece_mask[2, 3] = 0.0
     want = bank.p * bank.effective_mask()
@@ -75,12 +62,12 @@ def test_effective_values_identity_bitwise(micro_backbone):
 
 
 def test_all_ones_masks_leave_prompt_bitwise(micro_backbone):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=2), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 2, micro_backbone)
     assert np.array_equal(masked_graph(bank).output.value, bank.p)
 
 
 def test_masked_forward_equals_literally_zeroed_prompt(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 9, micro_backbone)
     bank.token_mask[0] = 0.0
     bank.piece_mask[3, 1] = 0.0
 
@@ -95,7 +82,7 @@ def test_masked_forward_equals_literally_zeroed_prompt(micro_backbone, micro_dat
 
 
 def test_mask_gradients_flow_to_leaves(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 9, micro_backbone)
     batch = micro_data["train"][:6]
     loss, leaf = prompt.batch_loss(bank, micro_backbone, batch)
     ag.backward(loss)
@@ -128,7 +115,7 @@ def test_tune_step_graph_has_one_gradient_leaf(monkeypatch, micro_backbone, micr
         return loss, leaf
 
     monkeypatch.setattr(prompt, "batch_loss", tracked)
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 9, micro_backbone)
     bank.token_mask[1] = 0.0
     bank.piece_mask[2, 3] = 0.0
     prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], epochs=1,
@@ -137,7 +124,7 @@ def test_tune_step_graph_has_one_gradient_leaf(monkeypatch, micro_backbone, micr
 
 
 def test_batch_loss_matches_mean_of_single_losses(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=9), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 9, micro_backbone)
     batch = micro_data["train"][:5]
     loss, _ = prompt.batch_loss(bank, micro_backbone, batch)
     singles = [prompt.batch_loss(bank, micro_backbone, [ex])[0].value for ex in batch]
@@ -148,7 +135,7 @@ def test_batch_loss_matches_mean_of_single_losses(micro_backbone, micro_data):
 
 
 def test_copy_is_deep(micro_backbone):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=4), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 4, micro_backbone)
     dup = bank.copy()
     dup.p += 1.0
     dup.token_mask[0] = 0.0
@@ -160,7 +147,7 @@ def test_copy_is_deep(micro_backbone):
 
 
 def test_tune_zero_epochs_is_a_no_op(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     before = bank.p.copy()
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                       epochs=0, lr=0.05)
@@ -173,7 +160,7 @@ def test_tune_zero_epochs_is_a_no_op(micro_backbone, micro_data):
 def test_tune_deterministic(micro_backbone, micro_data):
     results = []
     for _ in range(2):
-        bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+        bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
         res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                           epochs=3, lr=0.02, seed=11)
         results.append((bank.p.copy(), tuple(res.losses), tuple(res.dev_history)))
@@ -185,7 +172,7 @@ def test_tune_deterministic(micro_backbone, micro_data):
 def test_tune_never_moves_masked_entries(micro_backbone, micro_data):
     # the restored best checkpoint may be any epoch, including the initial
     # one, so only the dead entries have a guaranteed final value
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     bank.token_mask[2] = 0.0
     bank.piece_mask[0, 1] = 0.0
     dead = bank.effective_mask() == 0
@@ -198,14 +185,14 @@ def test_tune_never_moves_masked_entries(micro_backbone, micro_data):
 
 def test_tune_leaves_backbone_untouched(micro_backbone, micro_data):
     before = weight_hash(micro_backbone)
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                 epochs=2, lr=0.05, seed=1)
     assert weight_hash(micro_backbone) == before
 
 
 def test_tune_restores_best_checkpoint(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                       epochs=4, lr=0.02, seed=3)
     assert res.best_dev_acc == max(res.dev_history)
@@ -214,7 +201,7 @@ def test_tune_restores_best_checkpoint(micro_backbone, micro_data):
 
 
 def test_tune_reduces_training_loss(micro_backbone, micro_data):
-    bank = prompt.init_prompt(8, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(8, 16, 4, 8, micro_backbone)
     res = prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                       epochs=30, lr=0.02, weight_decay=1e-5,
                       batch_size=len(micro_data["train"]), seed=3)
@@ -222,7 +209,7 @@ def test_tune_reduces_training_loss(micro_backbone, micro_data):
 
 
 def test_tune_errors(micro_backbone, micro_data):
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     with pytest.raises(ConfigError):
         prompt.tune(bank, micro_backbone, micro_data["train"], micro_data["dev"],
                     epochs=-1, lr=0.05)
@@ -269,7 +256,7 @@ def test_each_step_frees_its_graph_before_the_next(monkeypatch, micro_backbone, 
     """Every loop that builds one graph per step drops it before building the
     next, so a single graph is resident at a time."""
     train, dev = micro_data["train"], micro_data["dev"]
-    bank = prompt.init_prompt(4, 16, 4, prompt.InitStrategy(seed=8), micro_backbone)
+    bank = prompt.init_prompt(4, 16, 4, 8, micro_backbone)
     if loop == "tune":
         alive = _track_graphs(monkeypatch, prompt, "batch_loss", _loss_node)
         prompt.tune(bank, micro_backbone, train, dev, epochs=2,
@@ -301,7 +288,7 @@ def _step_memory(monkeypatch):
                           seq_len_min=8, seq_len_max=16, train_size=16, dev_size=4, seed=11)
     bb = backbone.init_backbone(cfg)
     bb.freeze()
-    bank = prompt.init_prompt(20, 32, 16, prompt.InitStrategy(seed=8), bb)
+    bank = prompt.init_prompt(20, 32, 16, 8, bb)
     batch = tasks.generate(spec)["train"]
     built = []
     real_init = ag.Node.__init__

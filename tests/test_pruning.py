@@ -19,7 +19,7 @@ from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import forward_batch, init_backbone, pretrain
 from xprompt.errors import ConfigError, DataError
-from xprompt.prompt import InitStrategy, evaluate, init_prompt, tune
+from xprompt.prompt import evaluate, init_prompt, tune
 
 import support
 
@@ -30,7 +30,7 @@ import support
 @pytest.fixture(scope="module")
 def tuned(micro_backbone, micro_data):
     """A lightly tuned 6x16 bank (k=4)."""
-    bank = init_prompt(6, 16, 4, InitStrategy(seed=1), micro_backbone)
+    bank = init_prompt(6, 16, 4, 1, micro_backbone)
     tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3, *RECIPE,
          batch_size=16, seed=2)
     return bank
@@ -209,7 +209,7 @@ def calibration_bank():
     bb = pretrain(init_backbone(cfg.backbone_config()), hz.build_corpus(cfg, data["train"]),
                   cfg["pretrain.steps"], cfg["pretrain.lr"])
     bank = init_prompt(cfg["prompt.m"], cfg["backbone.embed_dim"], cfg["prompt.k"],
-                       cfg.init_strategy(1), bb)
+                       1, bb)
     return bank, bb, data["train"]
 
 
@@ -234,7 +234,7 @@ def test_selections_equal_per_example_oracle(bank, micro_backbone, micro_data, r
 
 
 def test_k1_piece_scores_equal_token_scores(micro_backbone, micro_data):
-    bank = init_prompt(5, 16, 1, InitStrategy(seed=4), micro_backbone)
+    bank = init_prompt(5, 16, 1, 4, micro_backbone)
     rep = pr.score_tokens(bank, micro_backbone, micro_data["train"][:8])
     assert rep.piece_scores.shape == (5, 1)
     assert np.array_equal(rep.piece_scores[:, 0], rep.token_scores)
@@ -452,7 +452,7 @@ def test_rewind_restores_snapshot_and_masks(bank):
 
 def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
     """Keep-all rewind plus retraining walks the stage-1 loss path exactly."""
-    bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
+    bank = init_prompt(6, 16, 4, 8, micro_backbone)
     start = bank.p.copy()
     first = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
                  *RECIPE, batch_size=16, seed=5)
@@ -599,7 +599,7 @@ def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
 def test_degenerate_grid_repeats_stage_one(micro_backbone, micro_data):
     """Grid {(0,0)} with stage 1's seed and epoch count, pruning the untuned
     bank, lands exactly on a stage-1 tune of a copy of it."""
-    bank = init_prompt(6, 16, 4, InitStrategy(seed=8), micro_backbone)
+    bank = init_prompt(6, 16, 4, 8, micro_backbone)
     twin = bank.copy()
     stage1 = tune(twin, micro_backbone, micro_data["train"], micro_data["dev"], 3,
                   *RECIPE, batch_size=16, seed=5)
