@@ -21,15 +21,15 @@ cfg = BackboneConfig(vocab_size=16, embed_dim=32, layers=2, heads=4,
                      max_seq_len=32, num_classes=2, seed=3)
 bb = init_backbone(cfg)
 
-spec = TaskSpec(name="demo", kind="majority_class", vocab_size=16, num_classes=2,
+spec = TaskSpec(name="demo", vocab_size=16, num_classes=2,
                 seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32, seed=11)
 data = generate(spec)
 train, dev = data["train"], data["dev"]
 pretrain(bb, pretrain_corpus(train), steps=400, lr=1e-2)
-print(f"task: {spec.kind}, {len(train)} train / {len(dev)} dev, "
+print(f"task: majority_class, {len(train)} train / {len(dev)} dev, "
       f"majority baseline {max(Counter(ex.label for ex in dev).values()) / len(dev):.3f}")
 
-# --- tune m=6 prompt rows, k=4 pieces each -----------------------------------------
+# --- tune m=8 prompt rows, k=4 pieces each -----------------------------------------
 
 bank = init_prompt(m=8, e=cfg.embed_dim, k=4, seed=1, bb=bb)
 print(f"untuned dev accuracy {evaluate(bank, bb, dev):.3f}")

@@ -24,7 +24,7 @@ from xprompt.tasks import TaskSpec, generate, pretrain_corpus
 cfg = BackboneConfig(vocab_size=16, embed_dim=32, layers=2, heads=4,
                      max_seq_len=32, num_classes=2, seed=3)
 bb = init_backbone(cfg)
-spec = TaskSpec(name="demo", kind="majority_class", vocab_size=16, num_classes=2,
+spec = TaskSpec(name="demo", vocab_size=16, num_classes=2,
                 seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32, seed=11)
 data = generate(spec)
 train, dev = data["train"], data["dev"]
@@ -71,9 +71,10 @@ print("".join(f"  {line}" for line in head), end="")
 
 # --- post-hoc masking: does targeted removal beat random removal? --------------------
 
-neg, kept = baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
+stage1_report = score_tokens(stage1_bank, bb, train)  # one sweep serves every rule and draw
+neg, kept = baseline_negative_masking(stage1_bank, bb, stage1_report, dev, ratio=0.75,
                                       rule="lowest_score")
-draws = [baseline_negative_masking(stage1_bank, bb, train, dev, ratio=0.75,
+draws = [baseline_negative_masking(stage1_bank, bb, stage1_report, dev, ratio=0.75,
                                    rule="random", seed=s)[0] for s in range(1, 6)]
 print(f"post-hoc masking at 75% keeps tokens {np.flatnonzero(kept[0]).tolist()}: "
       f"lowest-score {neg:.3f} vs random draws "

@@ -28,8 +28,7 @@ cfg = RunConfig.from_file(cfg_path).with_overrides(
     backbone__vocab_size=16, backbone__embed_dim=32, backbone__layers=2,
     backbone__heads=4, backbone__max_seq_len=32, backbone__seed=3,
     pretrain__steps=400, pretrain__lr=0.01, pretrain__extra_sequences=40,
-    task__name="demo", task__kind="majority_class",
-    task__seq_len_min=5, task__seq_len_max=9,
+    task__name="demo", task__seq_len_min=5, task__seq_len_max=9,
     task__train_size=48, task__dev_size=32, task__seed=11,
     prompt__m=8, prompt__k=4, optim__lr=0.02,
     tune__epochs=10, tune__batch_size=16,

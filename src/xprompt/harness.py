@@ -49,7 +49,8 @@ from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
 from .prompt import PromptBank, init_prompt, tune
 from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
-                      baseline_negative_masking, hierarchical_prune, kept_params)
+                      baseline_negative_masking, hierarchical_prune, kept_params,
+                      score_tokens)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
 from .util import (BLAS_THREAD_VARS, read_fragment, sha256_hex, stable_seed,
                    write_text_atomic)
@@ -74,7 +75,6 @@ SCHEMA: tuple[tuple[str, str, object], ...] = (
     ("pretrain.lr", "float", 5e-3),
     ("pretrain.extra_sequences", "int", 300),
     ("task.name", "str", "cal"),
-    ("task.kind", "str", "majority_class"),
     ("task.seq_len_min", "int", 8),
     ("task.seq_len_max", "int", 16),
     ("task.train_size", "int", 192),
@@ -196,7 +196,7 @@ class RunConfig:
     def task_spec(self) -> TaskSpec:
         v = self.values
         return TaskSpec(
-            name=v["task.name"], kind=v["task.kind"],
+            name=v["task.name"],
             vocab_size=v["backbone.vocab_size"], num_classes=v["backbone.num_classes"],
             seq_len_min=v["task.seq_len_min"], seq_len_max=v["task.seq_len_max"],
             train_size=v["task.train_size"], dev_size=v["task.dev_size"],
@@ -758,11 +758,11 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
             if "vanilla" in which:
                 recs.append(replace(rec, stage="vanilla"))
             if "negative" in which:
+                report = score_tokens(stage1, bb, data["train"], batch_size=v["tune.batch_size"])
                 for stage, rule in (("negative", "lowest_score"),
                                     ("negative_random", "random")):
                     acc, selection = baseline_negative_masking(
-                        stage1, bb, data["train"], data["dev"], v["prune.negative_ratio"],
-                        rule=rule, batch_size=v["tune.batch_size"], seed=seed)
+                        stage1, bb, report, data["dev"], v["prune.negative_ratio"], rule, seed)
                     recs.append(_record(stage, seed, acc, selection, e))
             if not pruned_arms:
                 return recs

@@ -291,18 +291,17 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 # --- ablation baselines ---------------------------------------------------------
 
 
-def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, train, dev,
-                              ratio: float, rule: str = "lowest_score",
-                              batch_size: int = SCORE_BATCH,
+def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, report: ImportanceReport,
+                              dev, ratio: float, rule: str = "lowest_score",
                               seed: int = 0) -> tuple[float, Masks]:
     """Post-hoc token masking: no rewind, no retraining, bank untouched.
 
+    report is score_tokens of bank, taken once by the caller for both rules.
     rule="lowest_score" masks the suspected negative tokens; rule="random"
     is the random-masking control at the same ratio. Returns the masked
     prompt's dev accuracy and the token masks that were applied.
     """
     probe = bank.copy()
-    report = score_tokens(probe, bb, train, batch_size=batch_size)
     selection = select_tokens(report, ratio, rule, seed)
     apply_selection(probe, selection)
     return evaluate(probe, bb, dev), selection

@@ -1,12 +1,9 @@
-"""Synthetic sequence-classification tasks with deterministic generators.
+"""The synthetic sequence-classification task, with a deterministic generator.
 
-Three families share one interface: classify a token sequence into C classes.
+A token sequence's label is the index of the symbol group, of C contiguous
+groups, with the most tokens in it; ties have no label and are never drawn.
 Symbols 0 and 1 are reserved (0 is the mask token used by backbone
 pretraining), so generated sequences only use ids >= 2.
-
-PatternDetect   label 1 iff the marker bigram (2, 3) occurs adjacently.
-MajorityClass   label = index of the symbol group with the most tokens.
-ParityOfMarkers label = parity of the count of marker symbol 2.
 """
 
 from __future__ import annotations
@@ -20,10 +17,6 @@ from .errors import ConfigError, DataError
 from .util import stable_seed
 
 RESERVED_SYMBOLS = 2
-PATTERN_BIGRAM = (2, 3)
-PARITY_MARKER = 2
-
-KINDS = ("pattern_detect", "majority_class", "parity_of_markers")
 # draws per example, in _draw_example and in dev's redraws, before a spec is refused
 DRAWS = 10_000
 
@@ -39,7 +32,6 @@ class Example:
 @dataclass(frozen=True)
 class TaskSpec:
     name: str
-    kind: str
     vocab_size: int
     num_classes: int
     seq_len_min: int
@@ -49,8 +41,6 @@ class TaskSpec:
     seed: int
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown task kind {self.kind!r}; expected one of {KINDS}")
         if self.vocab_size < 8:
             raise ConfigError(f"vocab_size must be >= 8, got {self.vocab_size}")
         if self.num_classes not in (2, 3):
@@ -60,15 +50,9 @@ class TaskSpec:
                 f"bad seq_len range [{self.seq_len_min}, {self.seq_len_max}]")
         if self.train_size < 1 or self.dev_size < 1:
             raise ConfigError("train_size and dev_size must be positive")
-        if self.kind == "pattern_detect" and self.seq_len_min < 2:
-            raise ConfigError("pattern_detect needs seq_len_min >= 2 to fit the bigram")
-        if self.kind in ("pattern_detect", "parity_of_markers") and self.num_classes != 2:
-            raise ConfigError(f"{self.kind} is a binary task")
-        if self.kind == "majority_class":
-            groups = self.vocab_size - RESERVED_SYMBOLS
-            if groups < 2 * self.num_classes:
-                raise ConfigError(
-                    f"vocab_size {self.vocab_size} too small for {self.num_classes} symbol groups")
+        if self.vocab_size - RESERVED_SYMBOLS < 2 * self.num_classes:
+            raise ConfigError(
+                f"vocab_size {self.vocab_size} too small for {self.num_classes} symbol groups")
 
 
 def majority_groups(spec: TaskSpec) -> list[range]:
@@ -80,20 +64,11 @@ def majority_groups(spec: TaskSpec) -> list[range]:
 
 def label_of(spec: TaskSpec, tokens: tuple[int, ...]) -> int | None:
     """Ground-truth label, or None where the rule is undecided (ties)."""
-    if spec.kind == "pattern_detect":
-        a, b = PATTERN_BIGRAM
-        hit = any(x == a and y == b for x, y in zip(tokens, tokens[1:]))
-        return 1 if hit else 0
-    if spec.kind == "majority_class":
-        groups = majority_groups(spec)
-        counts = [sum(1 for t in tokens if t in g) for g in groups]
-        top = max(counts)
-        if counts.count(top) != 1:
-            return None
-        return counts.index(top)
-    if spec.kind == "parity_of_markers":
-        return sum(1 for t in tokens if t == PARITY_MARKER) % 2
-    raise ConfigError(f"unknown task kind {spec.kind!r}")
+    counts = [sum(1 for t in tokens if t in g) for g in majority_groups(spec)]
+    top = max(counts)
+    if counts.count(top) != 1:
+        return None
+    return counts.index(top)
 
 
 def _draw_example(spec: TaskSpec, rng: np.random.Generator, target: int) -> Example:
@@ -101,23 +76,7 @@ def _draw_example(spec: TaskSpec, rng: np.random.Generator, target: int) -> Exam
     lo, hi = spec.seq_len_min, spec.seq_len_max
     for _ in range(DRAWS):
         n = int(rng.integers(lo, hi + 1))
-        toks = rng.integers(RESERVED_SYMBOLS, spec.vocab_size, size=n)
-        if spec.kind == "pattern_detect" and target == 1:
-            pos = int(rng.integers(0, n - 1))
-            toks[pos], toks[pos + 1] = PATTERN_BIGRAM
-        if spec.kind == "parity_of_markers":
-            # place an exact marker count of the right parity, then shuffle
-            top = max(n // 3, 1)
-            count = int(rng.integers(0, top + 1))
-            count -= (count % 2 != target)
-            if count < 0:
-                count += 2
-            if count > n:
-                continue
-            rest = rng.integers(RESERVED_SYMBOLS + 1, spec.vocab_size, size=n - count)
-            toks = np.concatenate([np.full(count, PARITY_MARKER), rest])
-            rng.shuffle(toks)
-        seq = tuple(int(t) for t in toks)
+        seq = tuple(int(t) for t in rng.integers(RESERVED_SYMBOLS, spec.vocab_size, size=n))
         if label_of(spec, seq) == target:
             return Example(seq, target)
     raise ConfigError(f"could not realize label {target} under spec {spec.name!r}")

@@ -11,9 +11,9 @@ from xprompt import tasks
 MICRO_CFG = bbm.BackboneConfig(vocab_size=16, embed_dim=16, layers=1, heads=2,
                                max_seq_len=32, num_classes=2, seed=3)
 
-MICRO_SPEC = tasks.TaskSpec(name="micro-majority", kind="majority_class",
-                            vocab_size=16, num_classes=2, seq_len_min=5,
-                            seq_len_max=9, train_size=48, dev_size=32, seed=11)
+MICRO_SPEC = tasks.TaskSpec(name="micro-majority", vocab_size=16, num_classes=2,
+                            seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32,
+                            seed=11)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -153,7 +153,7 @@ def test_03_first_order_prediction():
     cfg = BackboneConfig(vocab_size=16, embed_dim=32, layers=2, heads=4,
                          max_seq_len=32, num_classes=2, seed=3)
     bb = init_backbone(cfg)
-    spec = TaskSpec(name="toy", kind="majority_class", vocab_size=16, num_classes=2,
+    spec = TaskSpec(name="toy", vocab_size=16, num_classes=2,
                     seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32, seed=11)
     data = generate(spec)
     pretrain(bb, pretrain_corpus(data["train"]), steps=400, lr=1e-2)
@@ -328,8 +328,7 @@ def acceptance_cfg(out: str, **extra) -> hz.RunConfig:
         "backbone.vocab_size": 16, "backbone.embed_dim": 16, "backbone.layers": 1,
         "backbone.heads": 2, "backbone.max_seq_len": 32, "backbone.seed": 3,
         "pretrain.steps": 80, "pretrain.lr": 0.01, "pretrain.extra_sequences": 40,
-        "task.name": "micro", "task.kind": "majority_class",
-        "task.seq_len_min": 5, "task.seq_len_max": 9,
+        "task.name": "micro", "task.seq_len_min": 5, "task.seq_len_max": 9,
         "task.train_size": 48, "task.dev_size": 32, "task.seed": 11,
         "prompt.m": 6, "prompt.k": 4, "optim.lr": 0.05,
         "tune.epochs": 3, "tune.batch_size": 16,
@@ -367,7 +366,7 @@ def test_09_determinism_and_resume(tmp_path):
 
 def test_10_fewshot_harness(tmp_path):
     t0 = time.monotonic()
-    spec = TaskSpec(name="micro", kind="majority_class", vocab_size=16, num_classes=2,
+    spec = TaskSpec(name="micro", vocab_size=16, num_classes=2,
                     seq_len_min=5, seq_len_max=9, train_size=48, dev_size=32, seed=11)
     full = generate(spec)["train"]
     shot_a = fewshot_subsample(full, 32, seed=7)

@@ -32,8 +32,7 @@ def micro_overrides(out: str) -> dict[str, object]:
         "backbone.vocab_size": 16, "backbone.embed_dim": 16, "backbone.layers": 1,
         "backbone.heads": 2, "backbone.max_seq_len": 32, "backbone.seed": 3,
         "pretrain.steps": 80, "pretrain.lr": 0.01, "pretrain.extra_sequences": 40,
-        "task.name": "micro", "task.kind": "majority_class",
-        "task.seq_len_min": 5, "task.seq_len_max": 9,
+        "task.name": "micro", "task.seq_len_min": 5, "task.seq_len_max": 9,
         "task.train_size": 48, "task.dev_size": 32, "task.seed": 11,
         "prompt.m": 6, "prompt.k": 4, "optim.lr": 0.05,
         "tune.epochs": 3, "tune.batch_size": 16,
@@ -95,6 +94,19 @@ def test_template_protocol_defaults(tmp_path):
     assert cfg["tune.epochs"] == 100
     assert cfg["tune.batch_size"] == 16
     assert cfg["optim.weight_decay"] == 1e-5
+
+
+@pytest.mark.parametrize("classes, digest", [
+    (2, "15ed30587c5841dd436c2c5caf4dcdf85fd69ae2c1c981bff6dc59b4c75c87fb"),
+    (3, "532bf69a3049d4d7159dfe52ffa34de792431a86cb54633f5a37d4f094cc3872"),
+])
+def test_template_splits_are_pinned(classes, digest):
+    """Every byte-identity guarantee downstream rests on this stream: the
+    template's generated splits, as token tuples and labels, hash the same."""
+    data = hz.load_splits(hz.RunConfig.from_mapping({"backbone.num_classes": classes}))
+    text = repr({split: tuple((ex.tokens, ex.label) for ex in data[split])
+                 for split in ("train", "dev")})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("line, fragment", [
@@ -459,6 +471,25 @@ def test_baselines_require_prune_checkpoint(tmp_path):
     assert {r.stage for r in recs} == {"vanilla", "negative", "negative_random"}
 
 
+def test_negative_masking_rules_share_one_sweep_per_seed(pipe_run, tmp_path, monkeypatch):
+    """Both masking rules of a seed read one importance sweep of its stage-1
+    prompt: the random rule never reads the scores."""
+    cfg, _ = copy_run(pipe_run, tmp_path)
+    score = pr.score_tokens
+    swept = []
+
+    def counting(bank, *args, **kwargs):
+        swept.append(bank.p.tobytes())
+        return score(bank, *args, **kwargs)
+
+    for module in (pr, hz):  # wherever the sweep is looked up from
+        monkeypatch.setattr(module, "score_tokens", counting, raising=False)
+    hz.run_baselines(cfg, which=("negative",), jobs=1)
+    seeds = len(cfg["run.seeds"])
+    assert len(swept) == seeds, f"{len(swept)} sweeps for {seeds} seeds"
+    assert len(set(swept)) == seeds
+
+
 def test_random_arm_draws_with_each_run_seed(pipe_run, tmp_path, monkeypatch):
     """The random arm prunes each seed at that seed's best cell with the
     random rule, drawing its masks from that seed."""
@@ -644,7 +675,7 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                                  {"prompt.k": 5}, {"prompt.m": 17}, {"run.seeds": (1, 1)},
                                  {"prune.token_ratios": (0.34, 0.34)},
                                  {"prune.piece_ratios": (0.25, 0.0, 0.25)},
-                                 {"task.kind": "pattern_detect", "backbone.num_classes": 3}],
+                                 {"task.kind": "majority_class"}],
                          ids=["batch-size-0", "negative-lr", "unknown-optimizer", "nan-lr",
                               "inf-weight-decay", "zero-lr", "negative-weight-decay",
                               "nan-pretrain-lr", "zero-pretrain-lr",
@@ -653,7 +684,7 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
                               "negative-extra-sequences", "k-not-dividing-e",
                               "m-over-sampled-vocab", "duplicate-seed",
                               "duplicate-token-ratio", "duplicate-piece-ratio",
-                              "pattern-detect-3-classes"])
+                              "removed-task-kind"])
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, capsys, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory. A key the schema
@@ -671,12 +702,9 @@ def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, capsys, bad):
         assert not os.path.exists(os.path.join(out, "backbone"))
 
 
-@pytest.mark.parametrize("bad", [{"task.kind": "pattern_detect", "task.seq_len_min": 2,
-                                  "task.seq_len_max": 2, "backbone.vocab_size": 8,
-                                  "task.train_size": 8},
-                                 {"task.seq_len_min": 1, "task.seq_len_max": 1,
+@pytest.mark.parametrize("bad", [{"task.seq_len_min": 1, "task.seq_len_max": 1,
                                   "backbone.vocab_size": 8, "task.train_size": 200}],
-                         ids=["pattern-detect-one-positive", "majority-one-token"])
+                         ids=["majority-one-token"])
 def test_cli_dev_split_that_cannot_avoid_train_exits_before_any_work(tmp_path, bad):
     """Only generation can find these: every dev draw of some label is a
     train sequence. A subprocess with a timeout turns a redraw that never

@@ -284,7 +284,7 @@ def _step_memory(monkeypatch):
     tracemalloc, on a frozen backbone at the default run config's scale."""
     cfg = backbone.BackboneConfig(vocab_size=32, embed_dim=32, layers=2, heads=4,
                                   max_seq_len=40, num_classes=2, seed=3)
-    spec = tasks.TaskSpec(name="mem", kind="majority_class", vocab_size=32, num_classes=2,
+    spec = tasks.TaskSpec(name="mem", vocab_size=32, num_classes=2,
                           seq_len_min=8, seq_len_max=16, train_size=16, dev_size=4, seed=11)
     bb = backbone.init_backbone(cfg)
     bb.freeze()

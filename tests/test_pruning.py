@@ -630,7 +630,8 @@ def test_hierarchical_prune_guards(bank, micro_backbone, micro_data):
 def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data):
     p0 = bank.p.copy()
     tm0 = bank.token_mask.copy()
-    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, micro_data["train"],
+    report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
+    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, report,
                                                   micro_data["dev"], 0.34)
     assert 0.0 <= acc <= 1.0
     assert len(support.kept_tokens(selection)) == bank.m - int(np.floor(0.34 * bank.m))
@@ -639,14 +640,16 @@ def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data
 
 
 def test_negative_masking_ratio_zero_is_identity(bank, micro_backbone, micro_data):
-    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, micro_data["train"],
+    report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
+    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, report,
                                                   micro_data["dev"], 0.0)
     assert acc == evaluate(bank, micro_backbone, micro_data["dev"])
     assert support.kept_tokens(selection) == set(range(bank.m))
 
 
 def test_negative_masking_random_rule_is_seeded(bank, micro_backbone, micro_data):
-    args = (bank, micro_backbone, micro_data["train"], micro_data["dev"], 0.34)
+    report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
+    args = (bank, micro_backbone, report, micro_data["dev"], 0.34)
     a = pr.baseline_negative_masking(*args, rule="random", seed=1)
     b = pr.baseline_negative_masking(*args, rule="random", seed=1)
     assert a[0] == b[0] and support.same_masks(a[1], b[1])

@@ -13,8 +13,8 @@ from xprompt import tasks
 from xprompt.errors import ConfigError, DataError
 
 
-def spec(kind="majority_class", **kw):
-    base = dict(name="t", kind=kind, vocab_size=16, num_classes=2,
+def spec(**kw):
+    base = dict(name="t", vocab_size=16, num_classes=2,
                 seq_len_min=6, seq_len_max=10, train_size=40, dev_size=20, seed=9)
     base.update(kw)
     return tasks.TaskSpec(**base)
@@ -39,23 +39,14 @@ def test_splits_are_disjoint():
 
 
 def test_class_balance_within_5pct():
-    for kind in tasks.KINDS:
-        data = tasks.generate(spec(kind=kind, train_size=64, dev_size=32))
-        for split in data.values():
-            counts = np.bincount([ex.label for ex in split], minlength=2)
-            assert abs(counts[0] - counts[1]) <= 0.05 * len(split) + 1
-
-
-def test_pattern_detect_against_independent_scan():
-    data = tasks.generate(spec(kind="pattern_detect"))
-    for ex in data["train"] + data["dev"]:
-        a, b = tasks.PATTERN_BIGRAM
-        found = any(x == a and y == b for x, y in zip(ex.tokens, ex.tokens[1:]))
-        assert ex.label == int(found)
+    data = tasks.generate(spec(train_size=64, dev_size=32))
+    for split in data.values():
+        counts = np.bincount([ex.label for ex in split], minlength=2)
+        assert abs(counts[0] - counts[1]) <= 0.05 * len(split) + 1
 
 
 def test_majority_class_against_independent_counter():
-    sp = spec(kind="majority_class", vocab_size=20, num_classes=3, train_size=30, dev_size=12)
+    sp = spec(vocab_size=20, num_classes=3, train_size=30, dev_size=12)
     groups = tasks.majority_groups(sp)
     for ex in tasks.generate(sp)["train"]:
         counts = [sum(t in g for t in ex.tokens) for g in groups]
@@ -63,31 +54,16 @@ def test_majority_class_against_independent_counter():
         assert counts.count(max(counts)) == 1
 
 
-def test_parity_against_independent_counter():
-    data = tasks.generate(spec(kind="parity_of_markers"))
-    for ex in data["train"] + data["dev"]:
-        assert ex.label == sum(t == tasks.PARITY_MARKER for t in ex.tokens) % 2
-
-
 def test_tokens_in_range_and_reserved_ids_unused():
-    for kind in tasks.KINDS:
-        data = tasks.generate(spec(kind=kind))
-        for ex in data["train"] + data["dev"]:
-            assert all(tasks.RESERVED_SYMBOLS <= t < 16 for t in ex.tokens)
-            assert spec().seq_len_min <= len(ex.tokens) <= spec().seq_len_max
+    data = tasks.generate(spec())
+    for ex in data["train"] + data["dev"]:
+        assert all(tasks.RESERVED_SYMBOLS <= t < 16 for t in ex.tokens)
+        assert spec().seq_len_min <= len(ex.tokens) <= spec().seq_len_max
 
 
 def test_infeasible_spec_rejected():
     with pytest.raises(ConfigError):
-        tasks.generate(spec(kind="pattern_detect", seq_len_min=1, seq_len_max=1))
-    with pytest.raises(ConfigError):
         tasks.generate(spec(vocab_size=7))
-    with pytest.raises(ConfigError):
-        tasks.generate(spec(kind="parity_of_markers", num_classes=3))
-    with pytest.raises(ConfigError, match="pattern_detect is a binary task"):
-        tasks.generate(spec(kind="pattern_detect", num_classes=3))
-    with pytest.raises(ConfigError):
-        tasks.generate(spec(kind="no_such_kind"))
 
 
 @contextmanager
@@ -105,20 +81,16 @@ def alarm(seconds: int):
 
 
 SMALL_SPECS = st.builds(
-    lambda kind, classes, vocab, lo, extra, train, dev, seed: spec(
-        kind=kind, num_classes=classes, vocab_size=vocab, seq_len_min=lo,
+    lambda classes, vocab, lo, extra, train, dev, seed: spec(
+        num_classes=classes, vocab_size=vocab, seq_len_min=lo,
         seq_len_max=min(lo + extra, 3), train_size=train, dev_size=dev, seed=seed),
-    st.sampled_from(tasks.KINDS), st.sampled_from((2, 3)), st.integers(8, 12),
+    st.sampled_from((2, 3)), st.integers(8, 12),
     st.integers(1, 3), st.integers(0, 2), st.integers(1, 300), st.integers(1, 300),
     st.integers(0, 3))
 
 
-# the two specs whose dev split cannot avoid the train split, and a
-# pattern_detect task asked for a label it has no rule for
-@example(spec(kind="pattern_detect", seq_len_min=2, seq_len_max=2, vocab_size=8,
-              train_size=8))
+# a spec whose dev split cannot avoid the train split
 @example(spec(seq_len_min=1, seq_len_max=1, vocab_size=8, train_size=200, dev_size=128))
-@example(spec(kind="pattern_detect", num_classes=3, seq_len_min=2, seq_len_max=3))
 @given(SMALL_SPECS)
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 def test_generate_balances_or_refuses_small_specs(sp):
