@@ -43,7 +43,7 @@ print(f"checkpoint round trip bitwise identical: {same}")
 # --- a frozen backbone still classifies (at chance, prompts come later) ---------------
 
 probe = [Example(tokens=seq, label=0) for seq in corpus[:8]]
-guesses = predict(bb, None, probe)
+guesses = predict(bb, np.zeros((0, cfg.embed_dim)), probe)
 print(f"classifier head output before any tuning: {guesses}")
 print("the head stays at its seeded init; prompt tuning adapts to it without"
       " touching a single backbone weight")

@@ -41,10 +41,9 @@ print(f"dev accuracy per epoch: {[round(a, 3) for a in result.dev_history]}")
 print(f"best {result.best_dev_acc:.3f} at epoch {result.best_epoch} "
       f"(bank restored to that epoch, ties go to the earliest)")
 
-# --- prompt checkpoints carry values, masks, and the training stage -----------------
+# --- prompt checkpoints carry values and masks --------------------------------------
 
 with tempfile.TemporaryDirectory() as tmp:
-    save_prompt(bank, os.path.join(tmp, "prompt"), stage="stage1")
-    again, stage = load_prompt(os.path.join(tmp, "prompt"))
-print(f"reloaded stage={stage!r}, dev accuracy {evaluate(again, bb, dev):.3f} "
-      "(identical by construction)")
+    save_prompt(bank, os.path.join(tmp, "prompt"))
+    again = load_prompt(os.path.join(tmp, "prompt"))
+print(f"reloaded, dev accuracy {evaluate(again, bb, dev):.3f} (identical by construction)")

@@ -54,7 +54,6 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 from . import autograd, backbone, checkpoint, harness, optim, prompt, pruning, tasks
-from .errors import ConfigError, DataError, ShapeError, StageError, StateError
 
 __all__ = [
     "autograd",
@@ -65,9 +64,4 @@ __all__ = [
     "prompt",
     "pruning",
     "tasks",
-    "ConfigError",
-    "DataError",
-    "ShapeError",
-    "StageError",
-    "StateError",
 ]

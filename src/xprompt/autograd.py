@@ -179,8 +179,8 @@ class LossScalar:
     node: Node
 
 
-def leaf(value, requires_grad: bool = True, op: str = "leaf") -> Node:
-    return Node(value, requires_grad=requires_grad, op=op)
+def leaf(value, op: str = "leaf") -> Node:
+    return Node(value, requires_grad=True, op=op)
 
 
 def constant(value, op: str = "const") -> Node:

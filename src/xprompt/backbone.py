@@ -180,7 +180,7 @@ def _check_ids(cfg: BackboneConfig, input_ids, prompt_rows_count: int) -> list[i
     return ids
 
 
-def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences) -> ag.Node:
+def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node, sequences) -> ag.Node:
     """Logits (B, C) for sequences, each with prompt rows prepended.
 
     The batch is packed into one graph: the prompt node is concatenated
@@ -193,7 +193,7 @@ def forward_batch(bb: FrozenBackbone, prompt_rows: ag.Node | None, sequences) ->
     return _forward_packed(bb, [prompt_rows] * len(sequences), sequences)
 
 
-def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences) -> ag.Node:
+def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node], sequences) -> ag.Node:
     """forward_batch with prompts[i] prepended to sequences[i]. Given one
     leaf per sequence, each leaf's gradient is its own sequence's share.
 
@@ -204,29 +204,29 @@ def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node | None], sequences
         raise StateError("backbone must be frozen before prompted forward passes")
     cfg = bb.cfg
     for prompt in prompts:
-        if prompt is not None and prompt.cols != cfg.embed_dim:
+        if prompt.cols != cfg.embed_dim:
             raise ConfigError(
                 f"prompt width {prompt.cols} != backbone embed_dim {cfg.embed_dim}")
     if not sequences:
         raise DataError("forward_batch needs at least one sequence")
 
-    lens = [0 if prompt is None else prompt.rows for prompt in prompts]
+    lens = [prompt.rows for prompt in prompts]
     seqs = [_check_ids(cfg, seq, m) for seq, m in zip(sequences, lens)]
     counts = [len(ids) for ids in seqs]
     positions = np.concatenate([np.arange(n) for n in counts])
     rows = bb.weights["tok_emb"][np.concatenate(seqs)] + bb.weights["pos_emb"][positions]
     parts: list[ag.Node] = []
-    for prompt, m, tokens in zip(prompts, lens, np.split(rows, np.cumsum(counts)[:-1])):
-        parts += [prompt, ag.constant(tokens)] if m > 0 else [ag.constant(tokens)]
+    for prompt, tokens in zip(prompts, np.split(rows, np.cumsum(counts)[:-1])):
+        parts += [prompt, ag.constant(tokens)]
     sizes = [m + n for m, n in zip(lens, counts)]
     h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), sizes, lens)
     return ag.matmul(ag.mean_pool(h, counts), bb.nodes["head"])
 
 
-def predict(bb: FrozenBackbone, prompt_values: np.ndarray | None, dataset) -> list[int]:
+def predict(bb: FrozenBackbone, prompt_values: np.ndarray, dataset) -> list[int]:
     """Argmax class per example (ties resolve to the lowest index), packing
     at most PREDICT_CHUNK sequences into one forward pass."""
-    prompt = None if prompt_values is None else ag.constant(prompt_values)
+    prompt = ag.constant(prompt_values)
     preds: list[int] = []
     for lo in range(0, len(dataset), PREDICT_CHUNK):
         chunk = [ex.tokens for ex in dataset[lo:lo + PREDICT_CHUNK]]

@@ -122,7 +122,7 @@ def load_backbone(dirpath: str) -> FrozenBackbone:
 # --- prompt bank ------------------------------------------------------------------
 
 
-def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
+def save_prompt(bank: PromptBank, dirpath: str, provenance=()) -> None:
     """Persist P_e as a blob plus the masks as 0/1 text."""
     os.makedirs(dirpath, exist_ok=True)
     m, e = bank.p.shape
@@ -131,7 +131,6 @@ def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
         f"m {m}",
         f"e {e}",
         f"k {bank.k}",
-        f"stage {stage}",
         "token_mask " + " ".join(str(int(v)) for v in bank.token_mask),
     ]
     for i in range(m):
@@ -141,7 +140,8 @@ def save_prompt(bank, dirpath: str, stage: str, provenance=()) -> None:
     write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def load_prompt(dirpath: str):
+def load_prompt(dirpath: str) -> PromptBank:
+    """The saved bank; older manifests' stage and snapshot lines are ignored."""
     entries = _read_manifest(dirpath, PROMPT_FORMAT)
     fields = dict(entries)
     m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))
@@ -154,5 +154,4 @@ def load_prompt(dirpath: str):
     rows = dict(val.partition(" ")[::2] for key, val in entries if key == "piece_mask")
     piece_mask = np.array([_mask_row(dirpath, f"piece_mask row {i}", rows.get(str(i)), k)
                            for i in range(m)])
-    bank = PromptBank(p=p, token_mask=token_mask, piece_mask=piece_mask, k=k)
-    return bank, _field(dirpath, fields, "stage")
+    return PromptBank(p=p, token_mask=token_mask, piece_mask=piece_mask, k=k)

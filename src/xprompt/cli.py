@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands compose the pipeline: pretrain and tune stop behind their
-stage (tune builds the backbone only when none is finished), prune
-requires an existing stage-1 checkpoint, pipeline runs
+Subcommands compose the pipeline: pretrain, tune and prune each build
+their own stage (tune builds the backbone only when none is finished,
+prune requires an existing stage-1 checkpoint), pipeline runs
 everything through the report, and baselines/transfer/report build on a
 finished run. Every subcommand checks the run directory before any work
 (see harness.RunDir). Exit codes: 0 success; 2 config error, including a
@@ -84,17 +84,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-# the pipeline stages each building subcommand builds: (start, stop_after)
-PIPELINE_STAGES = {"pretrain": ("backbone", "backbone"), "tune": ("stage1", "stage1"),
-                   "prune": ("prune", "prune"), "pipeline": ("backbone", None)}
+# the pipeline stage each building subcommand builds; pipeline builds them all
+PIPELINE_STAGES = {"pretrain": "backbone", "tune": "stage1", "prune": "prune",
+                   "pipeline": None}
 
 
 def _dispatch(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     if args.command in PIPELINE_STAGES:
-        start, stop_after = PIPELINE_STAGES[args.command]
-        run_pipeline(cfg, resume=args.resume, stop_after=stop_after, jobs=args.jobs,
-                     start=start)
+        run_pipeline(cfg, PIPELINE_STAGES[args.command], args.resume, args.jobs)
     elif args.command == "baselines":
         which = tuple(w.strip() for w in args.which.split(",") if w.strip())
         run_baselines(cfg, which=which, jobs=args.jobs)

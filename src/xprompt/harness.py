@@ -232,6 +232,10 @@ class RunConfig:
         if bool(v["task.train_path"]) != bool(v["task.dev_path"]):
             raise ConfigError("task.train_path and task.dev_path come as a pair")
         self.backbone_config().validate()
+        lo, hi, cap = v["task.seq_len_min"], v["task.seq_len_max"], v["backbone.max_seq_len"]
+        if not 1 <= lo <= hi <= cap:  # build_corpus draws from this range for file data too
+            raise ConfigError(f"task.seq_len_min {lo} and task.seq_len_max {hi} must "
+                              f"satisfy 1 <= min <= max <= backbone.max_seq_len {cap}")
         if not v["task.train_path"]:
             self.task_spec().validate()
             if v["prompt.m"] + v["task.seq_len_max"] > v["backbone.max_seq_len"]:
@@ -559,13 +563,13 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
                 seed: int) -> tuple[PromptBank, MetricsRecord]:
     path = rd.path("stage1", seed=seed)
     if "stage1" in rd.reuse and rd.finished("stage1", seed):
-        bank, _ = checkpoint.load_prompt(path)
+        bank = checkpoint.load_prompt(path)
         return bank, _read_records(rd.path("stage1", "records.tsv", seed=seed))[0]
     v = rd.cfg.values
     with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"], seed, bb)
         res = _tune(rd.cfg, bank, bb, data, seed)
-        checkpoint.save_prompt(bank, path, "stage1", rd.provenance("stage1", seed))
+        checkpoint.save_prompt(bank, path, rd.provenance("stage1", seed))
         record = _record("stage1", seed, res.best_dev_acc,
                          (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
         _write_records(rd.path("stage1", "records.tsv", seed=seed), [record])
@@ -584,8 +588,7 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                    for cell in result.cells]
         best = result.best
         records.append(_record("final", seed, best.dev_acc, best.selection, e))
-        checkpoint.save_prompt(bank, rd.path("prune", seed=seed), "final",
-                               rd.provenance("prune", seed))
+        checkpoint.save_prompt(bank, rd.path("prune", seed=seed), rd.provenance("prune", seed))
         write_text_atomic(rd.path("prune", "best.txt", seed=seed),
                           f"token_ratio = {best.token_ratio!r}\n"
                           f"piece_ratio = {best.piece_ratio!r}\n")
@@ -657,39 +660,37 @@ def _write_metrics(rd: RunDir, records: list[MetricsRecord], wall: dict[str, flo
     write_text_atomic(rd.path("report.txt"), "\n".join(lines) + "\n")
 
 
-def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = None,
-                 jobs: int = DEFAULT_JOBS, start: str = "backbone") -> list[MetricsRecord]:
+def run_pipeline(cfg: RunConfig, stage: str | None = None, resume: bool = False,
+                 jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """pretrain -> stage-1 tune -> hierarchical prune, rewinding to the
     stage-1 prompt -> final retrained model, with metrics, checkpoints, and
     saliency.
 
-    The call builds the stages from start through stop_after (the pretrain,
-    tune and prune subcommands) in the directory RunDir opens, and reuses
-    the earlier ones, which must be finished; only the backbone is built
-    when it is not. metrics.tsv and report.txt are written only by a run
-    that goes through every stage. jobs is how many seeds run at once (see
-    _map_seeds); it changes no result.
+    Given a stage (the pretrain, tune and prune subcommands), the call
+    builds that stage alone in the directory RunDir opens and reuses the
+    earlier ones, which must be finished; only the backbone is built when it
+    is not. Without one it builds every stage and writes metrics.tsv and
+    report.txt. jobs is how many seeds run at once (see _map_seeds); it
+    changes no result.
     """
-    stages = STAGES[:STAGES.index(stop_after) + 1] if stop_after in STAGES else STAGES
-    if stop_after not in (None, *STAGES) or start not in stages:
-        raise ConfigError(f"start and stop_after must be stages of {STAGES} in order, "
-                          f"got {start!r} and {stop_after!r}")
+    if stage not in (None, *STAGES):
+        raise ConfigError(f"stage must be one of {STAGES}, got {stage!r}")
     _check_jobs(jobs)
-    first = stages.index(start)
-    before, built = stages[:first], stages[first:]
+    before = STAGES[:STAGES.index(stage)] if stage else ()
+    built = (stage,) if stage else STAGES
     data = load_splits(cfg)
     rd = RunDir(cfg, need=before[1:], reuse=before[:1] + (built if resume else ()))
     t0 = time.monotonic()
     bb = ensure_backbone(rd, data["train"])
     wall = {"backbone": time.monotonic() - t0}
-    if stop_after == "backbone":
+    if stage == "backbone":
         return []
 
     seeds = list(cfg["run.seeds"])
     t0 = time.monotonic()
     stage1 = _map_seeds("stage1", jobs, lambda seed: _run_stage1(rd, bb, data, seed), seeds)
     wall["stage1"] = time.monotonic() - t0
-    if stop_after == "stage1":
+    if stage == "stage1":
         return [record for _, record in stage1]
 
     banks = dict(zip(seeds, (bank for bank, _ in stage1)))
@@ -698,10 +699,8 @@ def run_pipeline(cfg: RunConfig, resume: bool = False, stop_after: str | None = 
                         lambda seed: _run_prune(rd, bb, data, seed, banks[seed]), seeds)
     wall["prune"] = time.monotonic() - t0
     records = [r for (_, record), recs in zip(stage1, pruned) for r in [record, *recs]]
-    if stop_after == "prune":
-        return records
-
-    _write_metrics(rd, records, wall)
+    if stage is None:
+        _write_metrics(rd, records, wall)
     return records
 
 
@@ -718,7 +717,7 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
 
 
 def _best_cell(rd: RunDir, seed: int) -> tuple[PromptBank, float, float]:
-    bank, _ = checkpoint.load_prompt(rd.path("prune", seed=seed))
+    bank = checkpoint.load_prompt(rd.path("prune", seed=seed))
     best_path = rd.path("prune", "best.txt", seed=seed)
     try:
         with open(best_path, "r", encoding="utf-8") as fh:
@@ -805,7 +804,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
     _check_names("transfer variants", variants, ("transfer_o", "transfer"))
     _check_jobs(jobs)
-    source, _ = checkpoint.load_prompt(source_dir)
+    source = checkpoint.load_prompt(source_dir)
     v = cfg.values
     want = (v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"])
     if (source.m, source.e, source.k) != want:

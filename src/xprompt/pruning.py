@@ -203,7 +203,6 @@ class CellResult:
     selection: Masks
     dev_acc: float
     kept_params: int
-    best_epoch: int
     retrain: TuneResult
     token_report: ImportanceReport | None = None
     piece_report: ImportanceReport | None = None
@@ -271,8 +270,7 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
                            batch_size=batch_size, seed=seed)
 
             cell = CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
-                              kept_params(selection, bank.e),
-                              retrain.best_epoch, retrain,
+                              kept_params(selection, bank.e), retrain,
                               token_report=token_report, piece_report=piece_report)
             cells.append(cell)
             log.info("cell (%.2f, %.2f): dev=%.4f kept=%d", t_ratio, p_ratio,

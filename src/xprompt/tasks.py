@@ -50,9 +50,6 @@ class TaskSpec:
                 f"bad seq_len range [{self.seq_len_min}, {self.seq_len_max}]")
         if self.train_size < 1 or self.dev_size < 1:
             raise ConfigError("train_size and dev_size must be positive")
-        if self.vocab_size - RESERVED_SYMBOLS < 2 * self.num_classes:
-            raise ConfigError(
-                f"vocab_size {self.vocab_size} too small for {self.num_classes} symbol groups")
 
 
 def majority_groups(spec: TaskSpec) -> list[range]:

@@ -177,7 +177,7 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     row; the logits then pool each sequence's non-prompt rows."""
     cfg = bb.cfg
     w = bb.nodes
-    m = 0 if prompt_rows is None else prompt_rows.rows
+    m = prompt_rows.rows
     parts, pos_ids, live = [], [], []
     sizes = [m + len(seq) for seq in sequences]
     for seq in sequences:
@@ -277,7 +277,7 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
             retrain = tune(bank, bb, train, dev, retrain_epochs, learning_rate, weight_decay,
                            batch_size=batch_size, seed=seed)
             cell = pr.CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
-                                 kept_params, retrain.best_epoch, retrain,
+                                 kept_params, retrain,
                                  token_report=token_report, piece_report=piece_report)
             cells.append(cell)
             rank = (-cell.dev_acc, cell.kept_params, t_ratio, p_ratio)

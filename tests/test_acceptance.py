@@ -76,7 +76,7 @@ def mask_gradients(bank, bb, batch):
 def masked_loss(bank, bb, batch, token: np.ndarray, piece: np.ndarray) -> float:
     token_node = ag.constant(token.reshape(-1, 1))
     piece_node = ag.constant(piece)
-    rows = ag.leaf(bank.p, requires_grad=False)
+    rows = ag.constant(bank.p)
     eff = ag.blockwise_scale(ag.rowwise_scale(rows, token_node), piece_node)
     logits = forward_batch(bb, eff, [ex.tokens for ex in batch])
     return ag.softmax_cross_entropy(logits, [ex.label for ex in batch]).value
@@ -349,7 +349,7 @@ def test_09_determinism_and_resume(tmp_path):
     hz.run_pipeline(acceptance_cfg(straight))
 
     resumed = str(tmp_path / "resumed")
-    hz.run_pipeline(acceptance_cfg(resumed), stop_after="stage1")
+    hz.run_pipeline(acceptance_cfg(resumed), "stage1")
     interrupted = not os.path.exists(os.path.join(resumed, "metrics.tsv"))
     hz.run_pipeline(acceptance_cfg(resumed), resume=True)
 

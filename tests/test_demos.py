@@ -3,8 +3,10 @@ arguments their signatures accept, and leave no files behind.
 
 Each demo is parsed, not run (together they take about half a minute).
 Every ``from xprompt... import name`` and every ``alias.attr`` on an
-imported xprompt module must resolve, and every call to an imported xprompt
-name, or to an attribute of one, must bind to its ``inspect.signature``.
+imported xprompt module must resolve, every call to an imported xprompt
+name, or to an attribute of one, must bind to its ``inspect.signature``,
+and a call whose result is unpacked must be annotated to return a tuple,
+if it is annotated at all.
 """
 
 import ast
@@ -77,22 +79,29 @@ def test_demo_names_resolve(path):
     assert not missing, f"{os.path.basename(path)} uses names xprompt lacks: {missing}"
 
 
+def xprompt_callee(call, modules, objects):
+    """The imported xprompt name, or attribute of one, that call calls; None
+    for any other callee."""
+    func = call.func
+    owners = {**objects, **modules}
+    if isinstance(func, ast.Name) and func.id in objects:
+        return objects[func.id]
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and hasattr(owners.get(func.value.id), func.attr)):
+        return getattr(owners[func.value.id], func.attr)
+    return None
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_calls_bind(path):
     tree = parse(path)
     modules, objects, _ = xprompt_imports(tree)
-    owners = {**objects, **modules}
     unbound = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in objects:
-            target = objects[func.id]
-        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-              and hasattr(owners.get(func.value.id), func.attr)):
-            target = getattr(owners[func.value.id], func.attr)
-        else:
+        target = xprompt_callee(node, modules, objects)
+        if target is None:
             continue
         if (any(isinstance(arg, ast.Starred) for arg in node.args)
                 or any(kw.arg is None for kw in node.keywords)):
@@ -103,6 +112,44 @@ def test_demo_calls_bind(path):
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {exc}")
     assert not unbound, f"{os.path.basename(path)} has calls that do not bind: {unbound}"
+
+
+def stale_unpackings(tree):
+    """Assignments that unpack a call to an xprompt name whose return
+    annotation is present and is not a tuple."""
+    modules, objects, _ = xprompt_imports(tree)
+    stale = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+            continue
+        target = xprompt_callee(node.value, modules, objects)
+        if target is None:
+            continue
+        returns = inspect.signature(target).return_annotation
+        if returns is inspect.Signature.empty:
+            continue
+        text = returns if isinstance(returns, str) else inspect.formatannotation(returns)
+        if text.partition("[")[0] != "tuple":
+            stale.append(f"line {node.lineno}: {ast.unparse(node.value.func)} returns {text}")
+    return stale
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_unpacks_only_tuples(path):
+    """A call whose result no longer is a tuple still binds, so unpacking it
+    fails only when the demo runs; the return annotation catches it here."""
+    stale = stale_unpackings(parse(path))
+    assert not stale, f"{os.path.basename(path)} unpacks results that are not tuples: {stale}"
+
+
+def test_the_unpacking_check_sees_a_stale_line():
+    stale = stale_unpackings(ast.parse(
+        "from xprompt.checkpoint import load_prompt\n"
+        "from xprompt.pruning import mask_gradients\n"
+        "again, stage = load_prompt('p')\n"
+        "g_t, g_z = mask_gradients(bank, bb, batch)\n"))
+    assert stale == ["line 3: load_prompt returns PromptBank"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)

@@ -317,7 +317,7 @@ def test_merge_saliency_report_mixes_stages():
                                 np.array([True, False]),
                                 np.array([[True, True], [False, False]]), 3)
     sel = np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])
-    cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, 1, None,
+    cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, None,
                          token_report=tok, piece_report=piece)
     merged = hz.merge_saliency_report(cell)
     assert np.array_equal(merged.token_scores, [0.4, 0.1])      # token-stage scores
@@ -360,11 +360,33 @@ def test_pipeline_rerun_is_bitwise_identical(pipe_run, tmp_path):
 def test_pipeline_resume_matches_uninterrupted(pipe_run, tmp_path):
     _, out, _ = pipe_run
     part = str(tmp_path / "part")
-    assert hz.run_pipeline(micro_cfg(part), stop_after="backbone") == []
-    hz.run_pipeline(micro_cfg(part), resume=True, stop_after="stage1")
+    assert hz.run_pipeline(micro_cfg(part), "backbone") == []
+    hz.run_pipeline(micro_cfg(part), "stage1", resume=True)
     assert not os.path.exists(os.path.join(part, "metrics.tsv"))
     hz.run_pipeline(micro_cfg(part), resume=True)
     assert read(os.path.join(part, "metrics.tsv")) == read(os.path.join(out, "metrics.tsv"))
+
+
+def test_pipeline_given_stage1_reuses_a_finished_backbone(pipe_run, tmp_path, monkeypatch):
+    """Given stage1 and no resume, the call builds stage 1 alone, as tune
+    does: it never pretrains over a finished backbone, and it writes no
+    prune fragment and no metrics."""
+    cfg, out, _ = pipe_run
+    part = str(tmp_path / "part")
+    shutil.copytree(os.path.join(out, "backbone"), os.path.join(part, "backbone"))
+    shutil.copy(os.path.join(out, "config.txt"), part)
+    manifest = os.path.join(part, "backbone", "manifest.txt")
+    with open(manifest, "rb") as fh:
+        before = fh.read()
+    monkeypatch.setattr(hz, "pretrain", lambda *args: pytest.fail("pretrained again"))
+    records = hz.run_pipeline(cfg.with_overrides(run__out=part), "stage1")
+    assert [(r.stage, r.seed) for r in records] == [("stage1", 1), ("stage1", 2)]
+    with open(manifest, "rb") as fh:
+        assert fh.read() == before
+    for seed in (1, 2):
+        assert os.path.exists(os.path.join(part, f"seed{seed}", "stage1", "manifest.txt"))
+        assert not os.path.exists(os.path.join(part, f"seed{seed}", "prune"))
+    assert not os.path.exists(os.path.join(part, "metrics.tsv"))
 
 
 def test_pipeline_resume_refuses_config_change(pipe_run):
@@ -422,10 +444,10 @@ def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
     assert by_stage["final"].kept_params == by_stage["stage1"].kept_params
 
 
-def test_pipeline_rejects_bad_stop_after(tmp_path):
+def test_pipeline_rejects_unknown_stage(tmp_path):
     for stage in ("nowhere", "report"):
         with pytest.raises(ConfigError):
-            hz.run_pipeline(micro_cfg(str(tmp_path / "x")), stop_after=stage)
+            hz.run_pipeline(micro_cfg(str(tmp_path / "x")), stage)
 
 
 def test_fewshot_pipeline_completes_and_reproduces(tmp_path):
@@ -463,7 +485,7 @@ def test_baselines_records(pipe_run, tmp_path):
 def test_baselines_require_prune_checkpoint(tmp_path):
     out = str(tmp_path / "nopr")
     cfg = micro_cfg(out, **{"run.seeds": (1,)})
-    hz.run_pipeline(cfg, stop_after="stage1")
+    hz.run_pipeline(cfg, "stage1")
     with pytest.raises(DataError, match="prune checkpoint missing"):
         hz.run_baselines(cfg, which=("random",))
     # vanilla and negative masking only need stage-1
@@ -572,7 +594,7 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
 
 def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
     cfg, out = copy_run(pipe_run, tmp_path)
-    src_bank, _ = load_prompt(os.path.join(out, "seed1", "prune"))
+    src_bank = load_prompt(os.path.join(out, "seed1", "prune"))
     # tune.epochs = 0 is another config, so it runs in a directory of its own
     frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0,
                                 run__out=str(tmp_path / "frozen"))
@@ -758,6 +780,27 @@ def test_cli_prompt_that_cannot_fit_exits_before_any_work(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "backbone"))
 
 
+@pytest.mark.parametrize("bad", [{"task.seq_len_min": 5, "task.seq_len_max": 3},
+                                 {"task.seq_len_max": 60}],
+                         ids=["min-over-max", "max-over-max-seq-len"])
+def test_cli_file_data_length_range_exits_before_any_work(tmp_path, capsys, bad):
+    """Pretraining draws its extra sequences from the task's length range,
+    file data or not, so the range must fit the encoder either way."""
+    paths = {}
+    for split in ("train", "dev"):
+        paths[f"task.{split}_path"] = str(tmp_path / f"{split}.jsonl")
+        hz.write_text_atomic(paths[f"task.{split}_path"], "".join(
+            f'{{"tokens": [2, 3, 15], "label": {i % 2}}}\n' for i in range(4)))
+    out = str(tmp_path / "run")
+    cfg = write_cfg_file(tmp_path, out, **paths, **bad)
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not os.path.exists(os.path.join(out, "config.txt"))
+    assert not os.path.exists(os.path.join(out, "backbone"))
+
+
 @pytest.mark.parametrize("empty", ["train", "dev"])
 def test_cli_empty_split_exits_before_any_work(tmp_path, capsys, empty):
     paths = {}
@@ -859,7 +902,6 @@ FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
     (STAGE1_MANIFEST, r"^m .*\n", "", "prune"),
     (STAGE1_MANIFEST, r"^e .*", "e wide", "prune"),
     (STAGE1_MANIFEST, r"^k .*", "k 5", "prune"),
-    (STAGE1_MANIFEST, r"^stage .*\n", "", "prune"),
     (STAGE1_MANIFEST, r"^blob p_e .*\n", "", "prune"),
     (STAGE1_MANIFEST, r"^token_mask 1", "token_mask 7", "prune"),
     (STAGE1_MANIFEST, r"^token_mask 1 ", "token_mask ", "prune"),
@@ -880,7 +922,7 @@ FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
     (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
     (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
     (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
-], ids=["no-m", "bad-e", "bad-k", "no-stage", "no-p_e-blob", "token-mask-7",
+], ids=["no-m", "bad-e", "bad-k", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
         "records-short-row", "records-percent-inf", "records-dev-acc-nan",
@@ -981,9 +1023,9 @@ def test_cli_report_refuses_stale_prune_fragment(pipe_run, tmp_path, capsys):
     stage1 = os.path.join(copy, "seed1", "stage1")
     provenance = [line for line in read(os.path.join(stage1, "manifest.txt")).splitlines()
                   if line.split(" ")[0] in PROVENANCE]
-    bank, stage = load_prompt(stage1)
+    bank = load_prompt(stage1)
     bank.p = bank.p + 0.5
-    save_prompt(bank, stage1, stage, provenance)
+    save_prompt(bank, stage1, provenance)
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main(["report", "--config", cfg]) == 3
@@ -1077,21 +1119,21 @@ def test_prompt_checkpoints_hold_one_blob(pipe_run):
 
 
 def test_prompt_manifest_with_a_snapshot_blob_still_loads(pipe_run, tmp_path):
-    """Earlier prompt checkpoints also list a ``blob snapshot`` line and blob;
-    the loader ignores both."""
+    """Earlier prompt checkpoints also list a ``stage`` line and a ``blob
+    snapshot`` line with its blob; the loader ignores them."""
     _, copy = copy_run(pipe_run, tmp_path)
     path = os.path.join(copy, "seed1", "prune")
-    want, want_stage = load_prompt(path)
+    want = load_prompt(path)
     snapshot = os.path.join(path, "snapshot.bin")
     shutil.copy(os.path.join(copy, "seed1", "stage1", "p_e.bin"), snapshot)
     with open(snapshot, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = os.path.join(path, "manifest.txt")
+    text = re.sub(r"^(k .*)$", r"\1\nstage stage1", read(manifest), count=1, flags=re.M)
     hz.write_text_atomic(manifest, re.sub(r"^(blob p_e .*)$", rf"\1\nblob snapshot {digest}",
-                                          read(manifest), count=1, flags=re.M))
-    assert f"blob snapshot {digest}" in read(manifest)
-    got, got_stage = load_prompt(path)
-    assert got_stage == want_stage
+                                          text, count=1, flags=re.M))
+    assert "\nstage stage1\n" in read(manifest) and f"blob snapshot {digest}" in read(manifest)
+    got = load_prompt(path)
     for a, b in ((got.p, want.p), (got.token_mask, want.token_mask),
                  (got.piece_mask, want.piece_mask)):
         assert a.tobytes() == b.tobytes()

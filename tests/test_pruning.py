@@ -537,7 +537,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
         assert support.same_masks(got.selection, want.selection)
         assert got.dev_acc == want.dev_acc
         assert got.kept_params == want.kept_params
-        assert got.best_epoch == want.best_epoch
+        assert got.retrain.best_epoch == want.retrain.best_epoch
         assert got.retrain.losses == want.retrain.losses
         for report, ref_report in ((got.token_report, want.token_report),
                                    (got.piece_report, want.piece_report)):
