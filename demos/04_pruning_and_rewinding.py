@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
-from xprompt.harness import export_saliency, param_count
+from xprompt.harness import param_count, saliency_text
 from xprompt.prompt import init_prompt, tune
 from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
                              hierarchical_prune, score_tokens, select_tokens)
@@ -63,7 +63,8 @@ print(f"best cell ({best.token_ratio}, {best.piece_ratio}): dev {best.dev_acc:.3
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "saliency.txt")
-    export_saliency(result.best.token_report, best.selection, path)
+    with open(path, "w") as fh:
+        fh.write(saliency_text(result.best.token_report, best.selection))
     with open(path) as fh:
         head = [next(fh) for _ in range(6)]
 print("saliency file head:")

@@ -1,13 +1,12 @@
-"""Checkpoint formats: plain-text manifests plus raw float64 blobs.
+"""Fragments: a plain-text manifest that commits float64 blobs and text files.
 
-A checkpoint is a directory holding ``manifest.txt`` (key-value lines,
-human-inspectable; masks stored inline as 0/1 arrays) and one ``.bin`` file
-per matrix (little-endian float64, row-major). Blob hashes live in the
-manifest, so corruption and mixed-up files fail loudly; float64 bytes make
-round trips bitwise exact. The savers append the caller's provenance lines
-(see harness.RunDir) to the manifest; the loaders ignore them.
+A fragment directory holds its files and ``manifest.txt``: key-value lines
+(masks inline as 0/1), the caller's provenance (see harness.RunDir), ``file
+<name> <sha256>`` per file (a ``.bin`` is little-endian row-major float64,
+so round trips are bitwise exact) and last ``digest <sha256>`` of the lines
+above. Written last and removed before a rebuild, the manifest is the commit
+point; read_manifest, the one reader, checks every digest before parsing.
 """
-
 from __future__ import annotations
 
 import os
@@ -25,45 +24,54 @@ BACKBONE_FIELDS = ("vocab_size", "embed_dim", "layers", "heads", "max_seq_len",
                    "num_classes", "seed")
 
 
-def _blob_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _write_blob(dirpath: str, name: str, arr: np.ndarray) -> str:
-    data = _blob_bytes(arr)
-    write_bytes_atomic(os.path.join(dirpath, name + ".bin"), data)
-    return sha256_hex(data)
-
-
-def _read_blob(dirpath: str, name: str, shape: tuple[int, int],
-               want_hash: str | None) -> np.ndarray:
-    if want_hash is None:
-        raise DataError(f"checkpoint manifest in {dirpath} lists no {name} blob")
-    path = os.path.join(dirpath, name + ".bin")
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint blob missing: {path}")
-    data = read_fragment(path, "checkpoint blob", binary=True)
-    if sha256_hex(data) != want_hash:
-        raise DataError(f"checkpoint blob corrupt (hash mismatch): {path}")
-    arr = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    if arr.size != shape[0] * shape[1]:
-        raise DataError(f"checkpoint blob {path} has {arr.size} values, wanted {shape}")
-    return arr.reshape(shape)
-
-
-def _read_manifest(dirpath: str, fmt: str) -> list[tuple[str, str]]:
-    """(key, rest of the line) per entry of a checkpoint manifest of format fmt."""
+def _write_manifest(dirpath: str, lines: list[str], files: dict) -> None:
+    """Write files into dirpath, a .bin from its array and the rest from
+    text, then the manifest: lines, a file line each and the digest."""
+    os.makedirs(dirpath, exist_ok=True)
     path = os.path.join(dirpath, "manifest.txt")
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint manifest missing: {path}")
+    if os.path.exists(path):
+        os.remove(path)
+    for name, value in files.items():
+        data = (np.ascontiguousarray(value, dtype="<f8").tobytes() if name.endswith(".bin")
+                else value.encode("utf-8"))
+        write_bytes_atomic(os.path.join(dirpath, name), data)
+        lines = [*lines, f"file {name} {sha256_hex(data)}"]
+    body = "".join(line + "\n" for line in lines)
+    write_text_atomic(path, f"{body}digest {sha256_hex(body.encode('utf-8'))}\n")
+
+
+def read_manifest(dirpath: str, fmt: str) -> tuple[list[tuple[str, str]], dict]:
+    """(key, rest of the line) per entry of the manifest of format fmt in
+    dirpath, and the files it lists by name: bytes for a .bin, else text.
+    Any byte changed since the save is a DataError."""
+    path = os.path.join(dirpath, "manifest.txt")
     text = read_fragment(path, "checkpoint manifest")
-    entries = [tuple(line.partition(" ")[::2]) for line in text.split("\n")
-               if line and not line.startswith("#")]
+    body = text[:text.rfind("\n", 0, len(text) - 1) + 1]
+    if text != f"{body}digest {sha256_hex(body.encode('utf-8'))}\n":
+        raise DataError(f"checkpoint manifest {path} does not match its digest line: it was "
+                        "changed, or comes from an older xprompt; remove the fragment or "
+                        "rebuild it without --resume")
+    entries = [tuple(line.partition(" ")[::2]) for line in body.splitlines()]
     found = dict(entries).get("format")
     if found != fmt:
         raise DataError(f"unrecognized checkpoint format {found!r} in {path}; "
                         f"wanted {fmt!r}")
-    return entries
+    files = {}
+    for name, _, want in (val.partition(" ") for key, val in entries if key == "file"):
+        file_path = os.path.join(dirpath, name)
+        data = read_fragment(file_path, "checkpoint file", binary=name.endswith(".bin"))
+        if sha256_hex(data if isinstance(data, bytes) else data.encode("utf-8")) != want:
+            raise DataError(f"checkpoint file {file_path} does not match its manifest digest")
+        files[name] = data
+    return entries, files
+
+
+def _read_blob(dirpath: str, name: str, shape: tuple[int, int], files: dict) -> np.ndarray:
+    data = files.get(name + ".bin", b"")
+    if len(data) != 8 * shape[0] * shape[1]:
+        raise DataError(f"checkpoint manifest in {dirpath} lists no {name}.bin of "
+                        f"{shape} float64 values")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _field(dirpath: str, fields: dict[str, str], key: str, parse=str):
@@ -86,33 +94,30 @@ def _mask_row(dirpath: str, what: str, text: str | None, width: int) -> list[flo
 
 
 def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> None:
-    os.makedirs(dirpath, exist_ok=True)
     lines = [f"format {BACKBONE_FORMAT}"]
     cfg = bb.cfg
     for k in BACKBONE_FIELDS:
         lines.append(f"{k} {getattr(cfg, k)}")
     lines.append(f"frozen {int(bb.frozen)}")
-    for name in sorted(bb.weights):
-        arr = bb.weights[name]
-        digest = _write_blob(dirpath, name, arr)
-        lines.append(f"weight {name} {arr.shape[0]} {arr.shape[1]} {digest}")
-    lines.extend(provenance)
-    write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
+    weights = sorted(bb.weights.items())
+    lines.extend(f"weight {name} {arr.shape[0]} {arr.shape[1]}" for name, arr in weights)
+    _write_manifest(dirpath, [*lines, *provenance],
+                    {f"{name}.bin": arr for name, arr in weights})
 
 
 def load_backbone(dirpath: str) -> FrozenBackbone:
-    entries = _read_manifest(dirpath, BACKBONE_FORMAT)
+    entries, files = read_manifest(dirpath, BACKBONE_FORMAT)
     fields = dict(entries)
     cfg = BackboneConfig(**{k: _field(dirpath, fields, k, int) for k in BACKBONE_FIELDS})
     weights = {}
     for val in [val for key, val in entries if key == "weight"]:
         try:
-            name, r, c, digest = val.split(" ")
+            name, r, c = val.split(" ")
             shape = (int(r), int(c))
         except ValueError:
             raise DataError(f"checkpoint manifest in {dirpath}: malformed weight "
                             f"line {val!r}") from None
-        weights[name] = _read_blob(dirpath, name, shape, digest)
+        weights[name] = _read_blob(dirpath, name, shape, files)
     bb = FrozenBackbone(cfg, weights)
     if _mask_row(dirpath, "frozen", fields.get("frozen"), 1) == [1.0]:
         bb.freeze()
@@ -122,9 +127,10 @@ def load_backbone(dirpath: str) -> FrozenBackbone:
 # --- prompt bank ------------------------------------------------------------------
 
 
-def save_prompt(bank: PromptBank, dirpath: str, provenance=()) -> None:
-    """Persist P_e as a blob plus the masks as 0/1 text."""
-    os.makedirs(dirpath, exist_ok=True)
+def save_prompt(bank: PromptBank, dirpath: str, provenance=(),
+                files: dict[str, str] | None = None) -> None:
+    """Persist P_e as a blob, the masks as 0/1 text, and the caller's text
+    files by name."""
     m, e = bank.p.shape
     lines = [
         f"format {PROMPT_FORMAT}",
@@ -135,20 +141,18 @@ def save_prompt(bank: PromptBank, dirpath: str, provenance=()) -> None:
     ]
     for i in range(m):
         lines.append(f"piece_mask {i} " + " ".join(str(int(v)) for v in bank.piece_mask[i]))
-    lines.append(f"blob p_e {_write_blob(dirpath, 'p_e', bank.p)}")
-    lines.extend(provenance)
-    write_text_atomic(os.path.join(dirpath, "manifest.txt"), "\n".join(lines) + "\n")
+    _write_manifest(dirpath, [*lines, *provenance],
+                    {"p_e.bin": bank.p, **(files or {})})
 
 
 def load_prompt(dirpath: str) -> PromptBank:
-    """The saved bank; older manifests' stage and snapshot lines are ignored."""
-    entries = _read_manifest(dirpath, PROMPT_FORMAT)
+    """The saved bank; lines it does not know, such as provenance, are ignored."""
+    entries, files = read_manifest(dirpath, PROMPT_FORMAT)
     fields = dict(entries)
     m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))
     if min(m, e, k) < 1 or e % k != 0:
         raise DataError(f"checkpoint manifest in {dirpath}: bad geometry m={m}, e={e}, k={k}")
-    blobs = dict(val.partition(" ")[::2] for key, val in entries if key == "blob")
-    p = _read_blob(dirpath, "p_e", (m, e), blobs.get("p_e"))
+    p = _read_blob(dirpath, "p_e", (m, e), files)
     token_mask = np.array(_mask_row(dirpath, "token_mask",
                                     _field(dirpath, fields, "token_mask"), m))
     rows = dict(val.partition(" ")[::2] for key, val in entries if key == "piece_mask")

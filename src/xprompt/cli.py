@@ -7,9 +7,9 @@ everything through the report, and baselines/transfer/report build on a
 finished run. Every subcommand checks the run directory before any work
 (see harness.RunDir). Exit codes: 0 success; 2 config error, including a
 run directory whose config.txt holds another config; 3 data error,
-including a missing input and a stale fragment, one whose recorded parent
-no longer matches the run directory's; 4 stage failure. XPROMPT_LOG sets
-the logging level.
+including a missing input, a fragment changed after its manifest was
+written, and a stale fragment, one whose recorded parent no longer matches
+the run directory's; 4 stage failure. XPROMPT_LOG sets the logging level.
 """
 
 from __future__ import annotations

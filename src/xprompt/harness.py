@@ -8,11 +8,12 @@ metrics file byte for byte. Wall-clock times appear only in the human
 report, never in metrics.
 
 The run directory (run.out) has one owner, RunDir. It holds config.txt,
-backbone/, seed<N>/stage1/ and seed<N>/prune/ (the fragments: a checkpoint
-and, but for the backbone, records.tsv; prune adds best.txt and
-saliency.txt, in format saliency v2, see export_saliency), and the merged
+backbone/, seed<N>/stage1/ and seed<N>/prune/ (the fragments, see
+checkpoint: a checkpoint and, but for the backbone, records.tsv; prune
+adds saliency.txt, in format saliency v2, see saliency_text, and the best
+cell's ratios as the manifest field ``best_cell``), and the merged
 metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
-transfer.tsv. Each fragment's manifest.txt ends in three provenance lines:
+transfer.tsv. Each fragment's manifest.txt holds three provenance lines:
 ``run_hash``, the config hash, which leaves out run.out and run.seeds
 since neither changes what a fragment holds;
 ``parent``, the sha256 of the parent's manifest.txt (the backbone's for
@@ -22,12 +23,12 @@ checked. Every command opens the directory before any work and refuses:
 
 - with a ConfigError (exit 2) when config.txt holds another run hash, with
   or without resume; config.txt is written once and never overwritten;
-- with a DataError (exit 3), naming the fragment as stale, when a fragment
-  it reuses lacks provenance, has another run hash or a parent digest that
-  no longer matches, checked up to the backbone; and with a DataError when
-  a fragment it builds on but cannot build is missing. Fragments it
-  rebuilds are not checked; a rebuild that changes bytes leaves their
-  children stale.
+- with a DataError (exit 3) when a fragment it reuses, or one up to the
+  backbone, fails checkpoint.read_manifest's digest checks, or, naming it
+  as stale, lacks provenance, has another run hash or a parent digest that
+  no longer matches; and when a fragment it builds on but cannot build is
+  missing. Fragments it rebuilds are not checked; a rebuild that changes
+  bytes leaves their children stale.
 
 Per-seed stages (stage 1, prune, the baseline arms and the transfer arms)
 run in forked worker processes, one seed per task, when jobs > 1. Each
@@ -301,15 +302,16 @@ class MetricsRecord:
                 f"{self.kept_tokens}\t{self.kept_params}\t{self.percent}")
 
 
-def _write_records(path: str, records: list[MetricsRecord]) -> None:
-    lines = [METRICS_HEADER] + [r.tsv_line() for r in records]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def _records_text(records: list[MetricsRecord]) -> str:
+    return "\n".join([METRICS_HEADER] + [r.tsv_line() for r in records]) + "\n"
 
 
-def _read_records(path: str) -> list[MetricsRecord]:
-    header, *lines = read_fragment(path, "metrics fragment").splitlines() or [""]
+def _read_records(dirpath: str) -> list[MetricsRecord]:
+    """The records.tsv of the fragment in dirpath, once its manifest checks."""
+    text = checkpoint.read_manifest(dirpath, checkpoint.PROMPT_FORMAT)[1].get("records.tsv", "")
+    header, *lines = text.splitlines() or [""]
     if header != METRICS_HEADER:
-        raise DataError(f"metrics fragment {path} has a bad header")
+        raise DataError(f"records.tsv in {dirpath} is unlisted or has a bad header")
     records = []
     for lineno, line in enumerate(lines, start=2):
         try:
@@ -321,7 +323,7 @@ def _read_records(path: str) -> list[MetricsRecord]:
             records.append(MetricsRecord(stage, int(seed), float(acc), int(ktok),
                                          int(kpar), pct))
         except ValueError:
-            raise DataError(f"metrics fragment {path} line {lineno}: "
+            raise DataError(f"records.tsv in {dirpath} line {lineno}: "
                             f"malformed record {line!r}") from None
     return records
 
@@ -334,7 +336,7 @@ def _norm(value: float, peak: float) -> float:
     return 100.0 if peak <= 0.0 else 100.0 * value / peak
 
 
-def export_saliency(report: ImportanceReport, masks: Masks, path: str) -> None:
+def saliency_text(report: ImportanceReport, masks: Masks) -> str:
     """Plot-ready text, format saliency v2: the number of examples the
     scores average over (each score is the mean over training examples of
     |dL(x)/d mask|, see pruning.score_tokens), then raw and row-max-normalized
@@ -362,7 +364,7 @@ def export_saliency(report: ImportanceReport, masks: Masks, path: str) -> None:
             gone = int(not live[i, q])
             lines.append(f"piece {i} {q} raw {raw!r} "
                          f"norm {_norm(raw, row_peak)!r} pruned {gone}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def merge_saliency_report(cell: CellResult) -> ImportanceReport:
@@ -503,13 +505,12 @@ class RunDir:
         """out/names..., or out/seed<seed>/names... for a per-seed stage."""
         return os.path.join(self.out, *([] if seed is None else [f"seed{seed}"]), *names)
 
-    def _file(self, stage: str, seed: int | None, name: str = "manifest.txt") -> str:
-        """A file of the fragment of stage for seed; the backbone is every seed's."""
-        return self.path(stage, name, seed=None if PARENT[stage] is None else seed)
+    def _file(self, stage: str, seed: int | None) -> str:
+        """The manifest of the fragment of stage for seed; the backbone is every seed's."""
+        return self.path(stage, "manifest.txt", seed=None if PARENT[stage] is None else seed)
 
     def finished(self, stage: str, seed: int | None = None) -> bool:
-        names = ["manifest.txt"] + (["records.tsv"] if PARENT[stage] else [])
-        return all(os.path.exists(self._file(stage, seed, name)) for name in names)
+        return os.path.exists(self._file(stage, seed))
 
     def _parent_digest(self, stage: str, seed: int | None) -> str:
         if PARENT[stage] is None:
@@ -526,9 +527,9 @@ class RunDir:
     def _verify(self, stage: str, seed: int | None) -> None:
         """Raise a DataError naming the finished fragment as stale unless its
         provenance holds, and its parent's, up to the backbone."""
-        text = read_fragment(self._file(stage, seed), "manifest")
-        fields = dict(line.partition(" ")[::2] for line in text.splitlines())
         parent = PARENT[stage]
+        fmt = checkpoint.PROMPT_FORMAT if parent else checkpoint.BACKBONE_FORMAT
+        fields = dict(checkpoint.read_manifest(os.path.dirname(self._file(stage, seed)), fmt)[0])
         if not {"run_hash", "parent", "blas_threads"} <= fields.keys():
             reason = "its manifest has no provenance lines"
         elif fields["run_hash"] != self.run_hash:
@@ -563,23 +564,23 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
                 seed: int) -> tuple[PromptBank, MetricsRecord]:
     path = rd.path("stage1", seed=seed)
     if "stage1" in rd.reuse and rd.finished("stage1", seed):
-        bank = checkpoint.load_prompt(path)
-        return bank, _read_records(rd.path("stage1", "records.tsv", seed=seed))[0]
+        return checkpoint.load_prompt(path), _read_records(path)[0]
     v = rd.cfg.values
     with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"], seed, bb)
         res = _tune(rd.cfg, bank, bb, data, seed)
-        checkpoint.save_prompt(bank, path, rd.provenance("stage1", seed))
         record = _record("stage1", seed, res.best_dev_acc,
                          (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
-        _write_records(rd.path("stage1", "records.tsv", seed=seed), [record])
+        checkpoint.save_prompt(bank, path, rd.provenance("stage1", seed),
+                               files={"records.tsv": _records_text([record])})
     return bank, record
 
 
 def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                bank: PromptBank) -> list[MetricsRecord]:
+    path = rd.path("prune", seed=seed)
     if "prune" in rd.reuse and rd.finished("prune", seed):
-        return _read_records(rd.path("prune", "records.tsv", seed=seed))
+        return _read_records(path)
     e = rd.cfg["backbone.embed_dim"]
     with _stage("prune"):
         result = _prune(rd.cfg, bank, bb, data, rd.cfg.schedule(), seed)
@@ -588,13 +589,11 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                    for cell in result.cells]
         best = result.best
         records.append(_record("final", seed, best.dev_acc, best.selection, e))
-        checkpoint.save_prompt(bank, rd.path("prune", seed=seed), rd.provenance("prune", seed))
-        write_text_atomic(rd.path("prune", "best.txt", seed=seed),
-                          f"token_ratio = {best.token_ratio!r}\n"
-                          f"piece_ratio = {best.piece_ratio!r}\n")
-        export_saliency(merge_saliency_report(best), best.selection,
-                        rd.path("prune", "saliency.txt", seed=seed))
-        _write_records(rd.path("prune", "records.tsv", seed=seed), records)
+        checkpoint.save_prompt(
+            bank, path, [f"best_cell {best.token_ratio!r} {best.piece_ratio!r}",
+                         *rd.provenance("prune", seed)],
+            files={"records.tsv": _records_text(records),
+                   "saliency.txt": saliency_text(merge_saliency_report(best), best.selection)})
     return records
 
 
@@ -652,12 +651,11 @@ def _map_seeds(stage: str, jobs: int, fn, seeds: list[int]) -> list:
 
 def _write_metrics(rd: RunDir, records: list[MetricsRecord], wall: dict[str, float]) -> None:
     """metrics.tsv, and report.txt with the run hash and wall-clock times."""
-    _write_records(rd.path("metrics.tsv"), records)
+    text = _records_text(records)
+    write_text_atomic(rd.path("metrics.tsv"), text)
     lines = ["run report", "==========", "", f"config hash: {rd.run_hash}",
-             *(f"wall[{stage}]: {secs:.1f}s" for stage, secs in sorted(wall.items())), "",
-             *(line.replace("\t", "  ") for line in
-               [METRICS_HEADER] + [r.tsv_line() for r in records])]
-    write_text_atomic(rd.path("report.txt"), "\n".join(lines) + "\n")
+             *(f"wall[{stage}]: {secs:.1f}s" for stage, secs in sorted(wall.items())), ""]
+    write_text_atomic(rd.path("report.txt"), "\n".join(lines) + "\n" + text.replace("\t", "  "))
 
 
 def run_pipeline(cfg: RunConfig, stage: str | None = None, resume: bool = False,
@@ -708,7 +706,7 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
     """Regenerate metrics.tsv and report.txt from existing stage fragments."""
     rd = RunDir(cfg, need=("stage1", "prune"))
     records = [r for seed in cfg["run.seeds"] for stage in ("stage1", "prune")
-               for r in _read_records(rd.path(stage, "records.tsv", seed=seed))]
+               for r in _read_records(rd.path(stage, seed=seed))]
     _write_metrics(rd, records, wall={})
     return records
 
@@ -717,18 +715,17 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
 
 
 def _best_cell(rd: RunDir, seed: int) -> tuple[PromptBank, float, float]:
-    bank = checkpoint.load_prompt(rd.path("prune", seed=seed))
-    best_path = rd.path("prune", "best.txt", seed=seed)
+    """The pruned bank of seed and its best cell's token and piece ratios."""
+    path = rd.path("prune", seed=seed)
+    field = dict(checkpoint.read_manifest(path, checkpoint.PROMPT_FORMAT)[0]).get("best_cell", "")
     try:
-        with open(best_path, "r", encoding="utf-8") as fh:
-            ratios = {key.strip(): float(val) for key, _, val in
-                      (line.partition("=") for line in fh.read().splitlines())}
-        ratio = ratios["token_ratio"], ratios["piece_ratio"]
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"best cell {best_path} is missing or malformed ({exc!r})") from None
-    if not all(0.0 <= r < 1.0 for r in ratio):
-        raise DataError(f"best cell {best_path}: ratios {ratio} are not in [0, 1)")
-    return bank, *ratio
+        ratio = [float(r) for r in field.split(" ")]
+    except ValueError:
+        ratio = []
+    if len(ratio) != 2 or not all(0.0 <= r < 1.0 for r in ratio):
+        raise DataError(f"prune manifest in {path}: best_cell must hold two ratios in "
+                        f"[0, 1), got {field!r}")
+    return checkpoint.load_prompt(path), *ratio
 
 
 def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
@@ -786,7 +783,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
 
     per_seed = _map_seeds("baselines", jobs, arm_records, list(cfg["run.seeds"]))
     records = [r for recs in per_seed for r in recs]
-    _write_records(rd.path("baselines.tsv"), records)
+    write_text_atomic(rd.path("baselines.tsv"), _records_text(records))
 
     medians = [f"{arm}\t{float(np.median([r.dev_acc for r in records if r.stage == arm]))!r}"
                for arm in sorted({r.stage for r in records})]
@@ -830,5 +827,5 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
 
     per_seed = _map_seeds("transfer", jobs, transfer_for, list(cfg["run.seeds"]))
     records = [r for recs in per_seed for r in recs]
-    _write_records(rd.path("transfer.tsv"), records)
+    write_text_atomic(rd.path("transfer.tsv"), _records_text(records))
     return records

@@ -21,7 +21,8 @@ from xprompt import checkpoint, cli
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.checkpoint import load_prompt, save_prompt
-from xprompt.errors import ConfigError, DataError
+from xprompt.errors import ConfigError, DataError, StageError
+from xprompt.prompt import PromptBank
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -66,6 +67,23 @@ def copy_run(pipe_run, tmp_path) -> tuple[hz.RunConfig, str]:
 def read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def reseal(path: str) -> None:
+    """Recompute the file lines and the digest line of the manifest at path,
+    so that a fragment edited on purpose passes the digest checks and the
+    edit reaches the parser behind them."""
+    lines = []
+    for line in read(path).splitlines():
+        key, _, rest = line.partition(" ")
+        if key == "file":
+            name = rest.split(" ")[0]
+            with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
+                line = f"file {name} {hashlib.sha256(fh.read()).hexdigest()}"
+        if key != "digest":
+            lines.append(line)
+    body = "".join(line + "\n" for line in lines)
+    hz.write_text_atomic(path, f"{body}digest {hashlib.sha256(body.encode()).hexdigest()}\n")
 
 
 # --- config files -----------------------------------------------------------------
@@ -237,8 +255,9 @@ def test_param_count_rejects_inconsistent_selections():
 def test_metrics_records_round_trip(tmp_path):
     records = [hz.MetricsRecord("stage1", 1, 0.1 + 0.2, 6, 96, "100.0000"),
                hz.MetricsRecord("cell[0.3,0.25]", 2, 1.0 / 3.0, 4, 48, "50.0000")]
-    path = str(tmp_path / "records.tsv")
-    hz._write_records(path, records)
+    path = str(tmp_path / "fragment")
+    bank = PromptBank(p=np.zeros((1, 4)), token_mask=np.ones(1), piece_mask=np.ones((1, 2)), k=2)
+    save_prompt(bank, path, files={"records.tsv": hz._records_text(records)})
     back = hz._read_records(path)
     assert [r.tsv_line() for r in back] == [r.tsv_line() for r in records]
     assert back[0].dev_acc == 0.1 + 0.2  # float repr round trip is exact
@@ -265,12 +284,10 @@ def parse_saliency(text: str):
     return tokens, pieces
 
 
-def test_export_saliency_row_max_is_100(tmp_path):
+def test_export_saliency_row_max_is_100():
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.0]])
     sel = np.ones(2), np.ones((2, 2))
-    path = str(tmp_path / "sal.txt")
-    hz.export_saliency(rep, sel, path)
-    text = read(path)
+    text = hz.saliency_text(rep, sel)
     assert text.startswith("format saliency v2\nexamples_seen 1\n")
     tokens, pieces = parse_saliency(text)
     assert tokens[0] == (0.2, 50.0, 0)
@@ -282,33 +299,29 @@ def test_export_saliency_row_max_is_100(tmp_path):
     assert pieces[(1, 1)] == (0.0, 0.0, 0)
 
 
-def test_export_saliency_flat_rows_normalize_to_100(tmp_path):
+def test_export_saliency_flat_rows_normalize_to_100():
     rep = make_report([0.5, 0.5], [[0.3, 0.3], [0.0, 0.0]])
     sel = np.ones(2), np.ones((2, 2))
-    path = str(tmp_path / "sal.txt")
-    hz.export_saliency(rep, sel, path)
-    tokens, pieces = parse_saliency(read(path))
+    tokens, pieces = parse_saliency(hz.saliency_text(rep, sel))
     assert tokens[0][1] == 100.0 and tokens[1][1] == 100.0
     assert all(pieces[(i, q)][1] == 100.0 for i in range(2) for q in range(2))
 
 
-def test_export_saliency_pruned_flags_keep_raw_scores(tmp_path):
+def test_export_saliency_pruned_flags_keep_raw_scores():
     rep = make_report([0.2, 0.4], [[0.1, 0.2], [0.3, 0.4]])
     sel = np.array([0.0, 1.0]), np.array([[0.0, 0.0], [0.0, 1.0]])
-    path = str(tmp_path / "sal.txt")
-    hz.export_saliency(rep, sel, path)
-    tokens, pieces = parse_saliency(read(path))
+    tokens, pieces = parse_saliency(hz.saliency_text(rep, sel))
     assert tokens[0] == (0.2, 50.0, 1)           # pruned token keeps its score
     assert pieces[(0, 0)][2] == 1 and pieces[(0, 0)][0] == 0.1
     assert pieces[(1, 0)] == (0.3, 75.0, 1)      # pruned piece of a kept token
     assert pieces[(1, 1)] == (0.4, 100.0, 0)
 
 
-def test_export_saliency_geometry_mismatch(tmp_path):
+def test_export_saliency_geometry_mismatch():
     rep = make_report([0.2], [[0.1, 0.2]])
     sel = np.ones(3), np.ones((3, 2))
     with pytest.raises(DataError):
-        hz.export_saliency(rep, sel, str(tmp_path / "sal.txt"))
+        hz.saliency_text(rep, sel)
 
 
 def test_merge_saliency_report_mixes_stages():
@@ -881,60 +894,63 @@ def test_cli_exit_code_3_on_missing_prerequisites(pipe_run, tmp_path, capsys):
     out = str(tmp_path / "empty")
     cfg = write_cfg_file(tmp_path, out)
     assert cli.main(["prune", "--config", cfg]) == 3
-    # a stage-1 checkpoint without its records is not a finished stage 1
+    # a stage-1 fragment without its records is missing a file its manifest lists
     _, copy = copy_run(pipe_run, tmp_path)
     os.remove(os.path.join(copy, "seed1", "stage1", "records.tsv"))
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main(["prune", "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: stage-1 checkpoint missing")
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert os.path.join("seed1", "stage1", "records.tsv") in err[0]
     assert not os.path.exists(os.path.join(copy, "seed1", "stage1", "records.tsv"))
 
 
 # checkpoint files of seed 1, relative to the run directory
 STAGE1_MANIFEST = os.path.join("seed1", "stage1", "manifest.txt")
-BEST_TXT = os.path.join("seed1", "prune", "best.txt")
 FINAL_MANIFEST = os.path.join("seed1", "prune", "manifest.txt")
+BACKBONE_MANIFEST = os.path.join("backbone", "manifest.txt")
+STAGE1_RECORDS = os.path.join("seed1", "stage1", "records.tsv")
+FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
 
 
 @pytest.mark.parametrize("path, pattern, replacement, command", [
     (STAGE1_MANIFEST, r"^m .*\n", "", "prune"),
     (STAGE1_MANIFEST, r"^e .*", "e wide", "prune"),
     (STAGE1_MANIFEST, r"^k .*", "k 5", "prune"),
-    (STAGE1_MANIFEST, r"^blob p_e .*\n", "", "prune"),
+    (STAGE1_MANIFEST, r"^file p_e\.bin .*\n", "", "prune"),
     (STAGE1_MANIFEST, r"^token_mask 1", "token_mask 7", "prune"),
     (STAGE1_MANIFEST, r"^token_mask 1 ", "token_mask ", "prune"),
     (STAGE1_MANIFEST, r"^piece_mask 2 1", "piece_mask 2 0.5", "prune"),
     (STAGE1_MANIFEST, r"^piece_mask 0 1 ", "piece_mask 0 ", "prune"),
-    (os.path.join("backbone", "manifest.txt"), r"^layers .*\n", "", "prune"),
-    (os.path.join("backbone", "manifest.txt"), r"^heads .*", "heads two", "prune"),
-    (os.path.join("backbone", "manifest.txt"), r"^weight head \S+", "weight head", "prune"),
-    (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
-    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t.*)\t[^\t]*$", r"\1",
-     "report"),
-    (os.path.join("seed1", "prune", "records.tsv"), r"^(final\t.*\t)[^\t]*$", r"\1inf",
-     "report"),
-    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t1\t)[^\t]*", r"\1nan",
-     "report"),
-    (os.path.join("seed1", "stage1", "records.tsv"), r"^(stage1\t1\t)[^\t]*", r"\g<1>2.5",
-     "report"),
-    (BEST_TXT, r"^token_ratio = .*", "token_ratio = x", "baselines --which random"),
-    (BEST_TXT, r"^piece_ratio .*\n", "", "baselines --which random"),
+    (BACKBONE_MANIFEST, r"^layers .*\n", "", "pretrain --resume"),
+    (BACKBONE_MANIFEST, r"^heads .*", "heads two", "pretrain --resume"),
+    (BACKBONE_MANIFEST, r"^weight head \S+", "weight head", "pretrain --resume"),
+    (FINAL_RECORDS, r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
+    (STAGE1_RECORDS, r"^(stage1\t.*)\t[^\t]*$", r"\1", "tune --resume"),
+    (FINAL_RECORDS, r"^(final\t.*\t)[^\t]*$", r"\1inf", "report"),
+    (STAGE1_RECORDS, r"^(stage1\t1\t)[^\t]*", r"\1nan", "tune --resume"),
+    (STAGE1_RECORDS, r"^(stage1\t1\t)[^\t]*", r"\g<1>2.5", "tune --resume"),
+    (FINAL_MANIFEST, r"^best_cell \S+", "best_cell x", "baselines --which random"),
+    (FINAL_MANIFEST, r"^best_cell \S+ ", "best_cell ", "baselines --which random"),
+    (FINAL_MANIFEST, r"^best_cell \S+", "best_cell 1.0", "baselines --which random"),
     (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
 ], ids=["no-m", "bad-e", "bad-k", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
         "records-short-row", "records-percent-inf", "records-dev-acc-nan",
-        "records-dev-acc-above-1", "best-txt-bad-ratio",
-        "best-txt-no-piece-ratio", "final-keeps-no-tokens"])
+        "records-dev-acc-above-1", "best-cell-bad-ratio", "best-cell-one-ratio",
+        "best-cell-ratio-1", "final-keeps-no-tokens"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
+    """Each edit is resealed, so it passes the digest checks and is refused
+    by the parser of the file it damages."""
     _, copy = copy_run(pipe_run, tmp_path)
     target = os.path.join(copy, path)
     text, count = re.subn(pattern, replacement, read(target), count=1, flags=re.M)
     assert count == 1
     hz.write_text_atomic(target, text)
+    reseal(os.path.join(os.path.dirname(target), "manifest.txt"))
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main([*command.split(), "--config", cfg]) == 3
@@ -1025,7 +1041,8 @@ def test_cli_report_refuses_stale_prune_fragment(pipe_run, tmp_path, capsys):
                   if line.split(" ")[0] in PROVENANCE]
     bank = load_prompt(stage1)
     bank.p = bank.p + 0.5
-    save_prompt(bank, stage1, provenance)
+    save_prompt(bank, stage1, provenance,
+                files={"records.tsv": read(os.path.join(stage1, "records.tsv"))})
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main(["report", "--config", cfg]) == 3
@@ -1048,6 +1065,7 @@ def test_cli_refuses_fragment_without_provenance(pipe_run, tmp_path, capsys, fra
     kept = [line for line in lines if line.split(" ")[0] not in PROVENANCE]
     assert len(lines) - len(kept) == 3
     hz.write_text_atomic(manifest, "".join(kept))
+    reseal(manifest)
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main([*command.split(), "--config", cfg]) == 3
@@ -1108,35 +1126,111 @@ def test_provenance_lines_name_parent_manifests(pipe_run):
 
 
 def test_prompt_checkpoints_hold_one_blob(pipe_run):
-    """Stage 1 and prune each store the prompt once: one blob line, one .bin."""
+    """Stage 1 and prune each store the prompt once: one .bin file line, one .bin."""
     _, out, _ = pipe_run
     for stage in ("stage1", "prune"):
         path = os.path.join(out, "seed1", stage)
         blobs = [line for line in read(os.path.join(path, "manifest.txt")).splitlines()
-                 if line.startswith("blob ")]
-        assert len(blobs) == 1 and blobs[0].startswith("blob p_e ")
+                 if line.startswith("file ") and line.split(" ")[1].endswith(".bin")]
+        assert len(blobs) == 1 and blobs[0].startswith("file p_e.bin ")
         assert [name for name in os.listdir(path) if name.endswith(".bin")] == ["p_e.bin"]
 
 
-def test_prompt_manifest_with_a_snapshot_blob_still_loads(pipe_run, tmp_path):
-    """Earlier prompt checkpoints also list a ``stage`` line and a ``blob
-    snapshot`` line with its blob; the loader ignores them."""
+def test_manifest_without_a_digest_line_is_refused(pipe_run, tmp_path, capsys):
+    """Fragments built before manifests ended in a digest line are refused,
+    by a resumed stage and as a transfer source, with one line naming the
+    manifest."""
     _, copy = copy_run(pipe_run, tmp_path)
-    path = os.path.join(copy, "seed1", "prune")
-    want = load_prompt(path)
-    snapshot = os.path.join(path, "snapshot.bin")
-    shutil.copy(os.path.join(copy, "seed1", "stage1", "p_e.bin"), snapshot)
-    with open(snapshot, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    manifest = os.path.join(path, "manifest.txt")
-    text = re.sub(r"^(k .*)$", r"\1\nstage stage1", read(manifest), count=1, flags=re.M)
-    hz.write_text_atomic(manifest, re.sub(r"^(blob p_e .*)$", rf"\1\nblob snapshot {digest}",
-                                          text, count=1, flags=re.M))
-    assert "\nstage stage1\n" in read(manifest) and f"blob snapshot {digest}" in read(manifest)
-    got = load_prompt(path)
-    for a, b in ((got.p, want.p), (got.token_mask, want.token_mask),
-                 (got.piece_mask, want.piece_mask)):
-        assert a.tobytes() == b.tobytes()
+    manifest = os.path.join(copy, FINAL_MANIFEST)
+    text, count = re.subn(r"^digest .*\n", "", read(manifest), flags=re.M)
+    assert count == 1
+    hz.write_text_atomic(manifest, text)
+    cfg = write_cfg_file(tmp_path, copy)
+    for command in (["prune", "--resume"], ["transfer", "--source", os.path.dirname(manifest)]):
+        capsys.readouterr()
+        assert cli.main([*command, "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and manifest in err[0]
+        assert "older xprompt" in err[0] and "without --resume" in err[0]
+
+
+def test_every_fragment_file_is_listed_in_its_manifest(pipe_run):
+    _, out, _ = pipe_run
+    texts = {"stage1": {"records.tsv"}, "prune": {"records.tsv", "saliency.txt"}}
+    for parts in [("backbone",), *((f"seed{seed}", stage) for seed in (1, 2)
+                                   for stage in ("stage1", "prune"))]:
+        path = os.path.join(out, *parts)
+        listed = {line.split(" ")[1]
+                  for line in read(os.path.join(path, "manifest.txt")).splitlines()
+                  if line.startswith("file ")}
+        assert set(os.listdir(path)) == listed | {"manifest.txt"}
+        assert texts.get(parts[-1], set()) <= listed
+
+
+def test_prune_without_a_manifest_is_unfinished_and_resume_rebuilds_it(pipe_run, tmp_path):
+    _, out, _ = pipe_run
+    cfg, copy = copy_run(pipe_run, tmp_path)
+    os.remove(os.path.join(copy, FINAL_MANIFEST))
+    assert not hz.RunDir(cfg).finished("prune", 1)
+    hz.run_pipeline(cfg, "prune", resume=True)
+    fragment = os.path.dirname(FINAL_MANIFEST)
+    assert tree_bytes(os.path.join(copy, fragment)) == tree_bytes(os.path.join(out, fragment))
+
+
+def test_prune_rebuild_that_fails_midway_leaves_no_manifest(pipe_run, tmp_path, monkeypatch):
+    """The old manifest goes before the first file is rewritten, so a rebuild
+    that stops after it leaves an unfinished fragment, not a stale finished one."""
+    cfg, copy = copy_run(pipe_run, tmp_path)
+    written, write = [], checkpoint.write_bytes_atomic
+
+    def fail_after_first_file(path, data):
+        write(path, data)
+        written.append(os.path.basename(path))
+        raise RuntimeError("synthetic fault after the first file")
+
+    monkeypatch.setattr(checkpoint, "write_bytes_atomic", fail_after_first_file)
+    with pytest.raises(StageError):
+        hz.run_pipeline(cfg.with_overrides(run__seeds=(1,)), "prune")
+    assert written == ["p_e.bin"]
+    assert not os.path.exists(os.path.join(copy, FINAL_MANIFEST))
+    assert not hz.RunDir(cfg).finished("prune", 1)
+
+
+TAMPERED = [
+    (FINAL_RECORDS, r"^(final\t1\t)[^\t]*", r"\g<1>0.99", "report"),
+    (os.path.join("seed1", "prune", "saliency.txt"), r"^(token 0 raw )\S+", r"\g<1>0.5",
+     "report"),
+    (FINAL_MANIFEST, r"^(token_mask [0 ]*)1", r"\g<1>0", "baselines --which length"),
+    (FINAL_MANIFEST, r"^best_cell .*", "best_cell 0.5 0.5", "baselines --which random"),
+    (os.path.join("seed1", "prune", "p_e.bin"), None, None, "report"),
+]
+
+
+@pytest.mark.parametrize("path, pattern, replacement, command", TAMPERED,
+                         ids=["records-dev-acc", "saliency-raw-score", "manifest-token-mask",
+                              "manifest-best-cell", "p_e-flipped-byte"])
+def test_cli_exit_code_3_on_tampered_fragment(pipe_run, tmp_path, capsys, path, pattern,
+                                              replacement, command):
+    """A valid-looking change to any file of a fragment, its manifest
+    included, fails the digest checks before anything is parsed."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    target = os.path.join(copy, path)
+    with open(target, "rb") as fh:
+        before = fh.read()
+    if pattern is None:
+        after = bytes([before[0] ^ 1]) + before[1:]
+    else:
+        after = re.sub(pattern, replacement, before.decode(), count=1, flags=re.M).encode()
+    assert after != before
+    with open(target, "wb") as fh:
+        fh.write(after)
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ")
 
 
 @pytest.mark.parametrize("command, target, stage", [

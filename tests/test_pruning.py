@@ -552,7 +552,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
 
 
 def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, micro_data,
-                                                       monkeypatch, tmp_path):
+                                                       monkeypatch):
     """A |T| x |P| grid runs 1 + |T| sweeps; cells share their reports, and
     the saliency export leaves the shared arrays as they were."""
     calls = []
@@ -578,9 +578,8 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
 
     shared = [token_report] + [row[0].piece_report for row in rows]
     before = [[a.copy() for a in report_arrays(r)] for r in shared]
-    for i, cell in enumerate(out.cells):
-        hz.export_saliency(hz.merge_saliency_report(cell), cell.selection,
-                           str(tmp_path / f"saliency{i}.txt"))
+    for cell in out.cells:
+        hz.saliency_text(hz.merge_saliency_report(cell), cell.selection)
     for report, arrays in zip(shared, before):
         for a, b in zip(report_arrays(report), arrays):
             assert np.array_equal(a, b)
