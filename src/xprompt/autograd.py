@@ -548,11 +548,13 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = LAYER_NORM_EPS) -> 
 def attention_blocks(q: Node, k: Node, v: Node, heads: int, sizes, skip=None) -> Node:
     """Multi-head attention restricted to independent row blocks, which
     packs many sequences into one matrix. Block i is the next sizes[i] rows
-    of k and v, which the blocks tile; its first skip[i] rows (default none)
-    ask no query. q holds the other rows of every block, in block order,
-    and so does the result. q, k, v and the gradient are laid out head-major
-    once per call; a block's views of them have the inner strides of a
-    per-block copy, so every product gets a copy's arguments and bytes."""
+    of k and v, which the blocks tile; q holds sizes[i] - skip[i] of its
+    rows (skip defaults to zeros), in block order, and so does the result.
+    A block's query rows need not be its tail: without a causal mask,
+    attention does not depend on which rows of the block they are. q, k, v
+    and the gradient are laid out head-major once per call; a block's views
+    of them have the inner strides of a per-block copy, so every product
+    gets a copy's arguments and bytes."""
     if q.cols != k.cols or q.cols != v.cols:
         raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if k.rows != v.rows:

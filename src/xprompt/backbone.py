@@ -10,14 +10,12 @@ over the non-prompt positions, and a linear classifier head that stays at
 its seeded init (pretraining never touches it).
 
 Every pass packs its sequences into one matrix and is built from whole-pack
-ops, so its graph does not grow with the number of sequences. A prompted
-pass differentiates only the prompt: it reads the weights as bb.nodes, the
-graph constants freeze() builds once, and adds the position rows to the
-token rows in numpy. It runs the last block only on the rows the classifier
-pools, gathered in one embedding_lookup: prompt rows still serve as keys and
-values there, but issue no queries and carry no residual. This is exact,
-since nothing reads those rows' outputs. Pretraining keeps every row in
-every block (see _mlm_loss).
+ops, so its graph does not grow with the number of sequences. Its last block
+runs only on the rows its loss reads (see _encode): the pooled rows of a
+prompted pass, each sequence's masked row in pretraining. A prompted pass
+differentiates only the prompt: it reads the weights as bb.nodes, the graph
+constants freeze() builds once, and adds the position rows to the token
+rows in numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +37,9 @@ INIT_STD = 0.02
 MASK_TOKEN = 0
 FFN_MULT = 4
 PRETRAIN_BATCH = 32
-# Sequences per forward pass in predict: the cost per example grows with the
-# packed size, so small packs evaluate faster, with the same logits.
+# Sequences per forward pass in predict, with the same logits at any size. A
+# pack's graph grows with its rows (128 template dev examples: 2.4 MB traced
+# peak in packs of 16, 17 MB in one); time per example stops falling near 16.
 PREDICT_CHUNK = 16
 
 
@@ -128,7 +127,7 @@ def init_backbone(cfg: BackboneConfig) -> FrozenBackbone:
 
 
 def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], h: ag.Node,
-            sizes: list[int], skip: list[int] | None = None) -> ag.Node:
+            sizes: list[int], rows: np.ndarray) -> ag.Node:
     """Post-LN residual blocks over packed rows that already hold their positions.
 
     Each sequence is the next sizes[i] rows; attention is block-diagonal,
@@ -138,21 +137,21 @@ def _encode(cfg: BackboneConfig, w: dict[str, ag.Node], h: ag.Node,
     normalize row scalings away and leave mask variables with no first-order
     effect in shallow stacks.
 
-    Given skip, the last block computes only the rows after the first
-    skip[i] of each sequence, gathered by one embedding_lookup: they alone
+    The last block computes only the packed rows given in rows, ascending,
+    at least one per sequence, gathered by one embedding_lookup: they alone
     issue queries and carry the residual stream, while keys and values
     still come from every row of the block. This is exact, not an
     approximation: every op but attention is row-wise, and the rows left
     out would feed nothing but outputs nobody reads, so the gradient they
-    send back is exactly zero. The bytes match the full-row block wherever
-    BLAS uses one kernel for both row counts; packs of a few short sequences
-    can fall on OpenBLAS's small-matrix kernels and differ in the last bits.
-    The result then holds the query rows, stacked in sequence order.
+    send back is exactly zero. The bytes match a full-row last block
+    wherever BLAS uses one kernel for both row counts. Packs of a few short
+    sequences can fall on OpenBLAS's small-matrix kernels, and pretraining's
+    weight-gradient products sum over fewer rows, so both can differ in the
+    last bits. The result holds the given rows, in their order.
     """
-    rows = None if skip is None else np.concatenate(
-        [np.arange(b - n + s, b) for n, s, b in zip(sizes, skip, accumulate(sizes))])
+    skip = np.array(sizes) - np.diff(np.searchsorted(rows, list(accumulate(sizes))), prepend=0)
     for i in range(cfg.layers):
-        last = rows is not None and i == cfg.layers - 1
+        last = i == cfg.layers - 1
         x = ag.embedding_lookup(h, rows) if last else h
         att = ag.attention_blocks(ag.matmul(x, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
                                   ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, sizes,
@@ -219,7 +218,8 @@ def _forward_packed(bb: FrozenBackbone, prompts: list[ag.Node], sequences) -> ag
     for prompt, tokens in zip(prompts, np.split(rows, np.cumsum(counts)[:-1])):
         parts += [prompt, ag.constant(tokens)]
     sizes = [m + n for m, n in zip(lens, counts)]
-    h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), sizes, lens)
+    pooled = np.concatenate([np.arange(b - n, b) for n, b in zip(counts, accumulate(sizes))])
+    h = _encode(cfg, bb.nodes, ag.concat_rows(*parts), sizes, pooled)
     return ag.matmul(ag.mean_pool(h, counts), bb.nodes["head"])
 
 
@@ -250,13 +250,9 @@ def _mlm_loss(bb: FrozenBackbone, w: dict[str, ag.Node], batch, positions) -> ag
     targets = ids[masked]
     ids[masked] = MASK_TOKEN
     pos = np.arange(len(ids)) - np.repeat(starts, sizes)
-    # Every row runs through the last block, though only the masked one is
-    # read: with trainable weights, dropping the rest would change the order
-    # of the weight-gradient sums and so the pretrained bytes.
     h = _encode(bb.cfg, w, ag.add(ag.embedding_lookup(w["tok_emb"], ids),
-                                  ag.embedding_lookup(w["pos_emb"], pos)), sizes)
-    picked = ag.embedding_lookup(h, masked)
-    logits = ag.matmul(picked, ag.transpose(w["tok_emb"]))
+                                  ag.embedding_lookup(w["pos_emb"], pos)), sizes, masked)
+    logits = ag.matmul(h, ag.transpose(w["tok_emb"]))
     return ag.softmax_cross_entropy(logits, targets)
 
 

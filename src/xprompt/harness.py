@@ -310,8 +310,9 @@ def _read_records(dirpath: str) -> list[MetricsRecord]:
     """The records.tsv of the fragment in dirpath, once its manifest checks."""
     text = checkpoint.read_manifest(dirpath, checkpoint.PROMPT_FORMAT)[1].get("records.tsv", "")
     header, *lines = text.splitlines() or [""]
-    if header != METRICS_HEADER:
-        raise DataError(f"records.tsv in {dirpath} is unlisted or has a bad header")
+    if header != METRICS_HEADER or not lines:
+        raise DataError(f"records.tsv in {dirpath} is unlisted, has a bad header or "
+                        "holds no record")
     records = []
     for lineno, line in enumerate(lines, start=2):
         try:
@@ -479,6 +480,7 @@ class RunDir:
         cfg.validate()
         self.cfg, self.out, self.run_hash = cfg, cfg["run.out"], cfg.config_hash()
         self.reuse = {*need, *reuse}
+        self._verified: set[str] = set()
         cfg_path = self.path("config.txt")
         theirs = (RunConfig.from_file(cfg_path).config_hash()
                   if os.path.exists(cfg_path) else None)
@@ -526,10 +528,14 @@ class RunDir:
 
     def _verify(self, stage: str, seed: int | None) -> None:
         """Raise a DataError naming the finished fragment as stale unless its
-        provenance holds, and its parent's, up to the backbone."""
+        provenance holds, and its parent's, up to the backbone. Each fragment
+        is checked once."""
+        path = os.path.dirname(self._file(stage, seed))
+        if path in self._verified:
+            return None
         parent = PARENT[stage]
         fmt = checkpoint.PROMPT_FORMAT if parent else checkpoint.BACKBONE_FORMAT
-        fields = dict(checkpoint.read_manifest(os.path.dirname(self._file(stage, seed)), fmt)[0])
+        fields = dict(checkpoint.read_manifest(path, fmt)[0])
         if not {"run_hash", "parent", "blas_threads"} <= fields.keys():
             reason = "its manifest has no provenance lines"
         elif fields["run_hash"] != self.run_hash:
@@ -539,8 +545,9 @@ class RunDir:
         elif fields["parent"] != self._parent_digest(stage, seed):
             reason = f"its parent {parent} changed after it was built"
         else:
+            self._verified.add(path)
             return None if parent is None else self._verify(parent, seed)
-        name = os.path.relpath(os.path.dirname(self._file(stage, seed)), self.out)
+        name = os.path.relpath(path, self.out)
         raise DataError(f"stale fragment {name} in {self.out}: {reason}; remove it or "
                         "rebuild it without resume")
 

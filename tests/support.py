@@ -4,9 +4,9 @@ ranges as the references for ``attention_blocks``, a
 scipy-based GELU as the reference for ``gelu``, the masked prompt as a
 graph with gamma and zeta leaves as the reference for ``effective_values``
 and ``mask_gradients``, the full-row encoder as the reference for
-``forward_batch`` and ``batch_loss``, one pass per example through the
-mask leaves as the reference for ``score_tokens``, per-cell
-rescoring as the reference for ``hierarchical_prune``, readers of
+``forward_batch``, ``batch_loss`` and pretraining's ``_mlm_loss``, one pass
+per example through the mask leaves as the reference for ``score_tokens``,
+per-cell rescoring as the reference for ``hierarchical_prune``, readers of
 (gamma, zeta) selection masks, a content hash of backbone weights, and the
 acceptance criteria's report lines."""
 
@@ -172,6 +172,19 @@ def gelu(x: Node) -> Node:
     return out
 
 
+def _encode_full_rows(cfg, w, h, sizes):
+    """Every block, the last one too, run on every packed row."""
+    for i in range(cfg.layers):
+        att = ag.attention_blocks(ag.matmul(h, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
+                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, sizes)
+        h = ag.layer_norm(ag.add(h, ag.matmul(att, w[f"l{i}.wo"])),
+                          w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
+        f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
+        f = ag.bias_add(ag.matmul(ag.gelu(f), w[f"l{i}.w2"]), w[f"l{i}.b2"])
+        h = ag.layer_norm(ag.add(h, f), w[f"l{i}.ln2_g"], w[f"l{i}.ln2_b"])
+    return h
+
+
 def forward_batch_full_rows(bb, prompt_rows, sequences):
     """forward_batch with every block, the last one too, run on every packed
     row; the logits then pool each sequence's non-prompt rows."""
@@ -189,18 +202,26 @@ def forward_batch_full_rows(bb, prompt_rows, sequences):
     pos = ag.embedding_lookup(w["pos_emb"], pos_ids)
     if m > 0:
         pos = ag.rowwise_scale(pos, ag.constant(np.array(live)[:, None]))
-    h = ag.add(ag.concat_rows(*parts), pos)
-    for i in range(cfg.layers):
-        att = ag.attention_blocks(ag.matmul(h, w[f"l{i}.wq"]), ag.matmul(h, w[f"l{i}.wk"]),
-                                  ag.matmul(h, w[f"l{i}.wv"]), cfg.heads, sizes)
-        h = ag.layer_norm(ag.add(h, ag.matmul(att, w[f"l{i}.wo"])),
-                          w[f"l{i}.ln1_g"], w[f"l{i}.ln1_b"])
-        f = ag.bias_add(ag.matmul(h, w[f"l{i}.w1"]), w[f"l{i}.b1"])
-        f = ag.bias_add(ag.matmul(ag.gelu(f), w[f"l{i}.w2"]), w[f"l{i}.b2"])
-        h = ag.layer_norm(ag.add(h, f), w[f"l{i}.ln2_g"], w[f"l{i}.ln2_b"])
+    h = _encode_full_rows(cfg, w, ag.add(ag.concat_rows(*parts), pos), sizes)
     tokens = np.flatnonzero(live)
     pooled = ag.mean_pool(ag.embedding_lookup(h, tokens), [len(seq) for seq in sequences])
     return ag.matmul(pooled, w["head"])
+
+
+def mlm_loss_full_rows(bb, w, batch, positions):
+    """_mlm_loss with every block, the last one too, run on every packed row;
+    the masked rows are gathered from the last block's output."""
+    ids = np.concatenate(batch)
+    sizes = [len(seq) for seq in batch]
+    starts = np.cumsum([0] + sizes[:-1])
+    masked = starts + positions
+    targets = ids[masked]
+    ids[masked] = bbm.MASK_TOKEN
+    pos = np.arange(len(ids)) - np.repeat(starts, sizes)
+    h = _encode_full_rows(bb.cfg, w, ag.add(ag.embedding_lookup(w["tok_emb"], ids),
+                                            ag.embedding_lookup(w["pos_emb"], pos)), sizes)
+    logits = ag.matmul(ag.embedding_lookup(h, masked), ag.transpose(w["tok_emb"]))
+    return ag.softmax_cross_entropy(logits, targets)
 
 
 class MaskedGraph(NamedTuple):

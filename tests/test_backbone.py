@@ -15,7 +15,7 @@ from xprompt.prompt import batch_loss, init_prompt
 
 from conftest import MICRO_CFG
 from support import (batch_loss_full_rows, central_diff, forward_batch_full_rows,
-                     max_rel_err, weight_hash)
+                     max_rel_err, mlm_loss_full_rows, weight_hash)
 
 
 def test_init_same_config_bitwise_identical():
@@ -199,6 +199,38 @@ def test_restricted_last_block_small_packs_agree_to_rounding(oracle_case, micro_
         for a, b in zip(got, want):
             assert max_rel_err(a, b) <= 1e-12
         _assert_near(got_masks, want_masks)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 32])
+def test_mlm_last_block_on_masked_rows_agrees_with_full_rows(oracle_case, micro_data,
+                                                             size, monkeypatch):
+    """Pretraining's loss and weight gradients match every row through the
+    last block, with the masked row first, in the middle or last."""
+    bb, _ = oracle_case
+    batch = [ex.tokens for ex in micro_data["train"][:size]]
+    starts = np.cumsum([0] + [len(seq) for seq in batch[:-1]])
+    lookup = ag.embedding_lookup
+    for where in (lambda n: 0, lambda n: n // 2, lambda n: n - 1):
+        positions = [where(len(seq)) for seq in batch]
+        gathered = []
+        w = {name: ag.leaf(arr) for name, arr in bb.weights.items()}
+        with monkeypatch.context() as m:
+            m.setattr(ag, "embedding_lookup",
+                      lambda table, ids: gathered.append(np.asarray(ids)) or lookup(table, ids))
+            loss = bbm._mlm_loss(bb, w, batch, positions)
+        ag.backward(loss)
+        w_ref = {name: ag.leaf(arr) for name, arr in bb.weights.items()}
+        ref = mlm_loss_full_rows(bb, w_ref, batch, positions)
+        ag.backward(ref)
+        assert max_rel_err(loss.value, ref.value) <= 1e-12
+        # entries that cancel to under 1e-4 of a gradient's largest can differ
+        # by a few ulps of that largest, which max_rel_err's floor magnifies
+        # past 1e-12, so each gradient is compared on its own scale
+        names = [name for name in w if name != "head"]
+        _assert_near([w[n].grad for n in names], [w_ref[n].grad for n in names])
+        # token rows, position rows, then one row per sequence for the last block
+        assert len(gathered) == 3
+        assert gathered[-1].tolist() == (starts + positions).tolist()
 
 
 def _count_ops(monkeypatch, names):

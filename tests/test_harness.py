@@ -935,12 +935,16 @@ FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
     (FINAL_MANIFEST, r"^best_cell \S+ ", "best_cell ", "baselines --which random"),
     (FINAL_MANIFEST, r"^best_cell \S+", "best_cell 1.0", "baselines --which random"),
     (FINAL_MANIFEST, r"^token_mask .*", "token_mask 0 0 0 0 0 0", "baselines --which length"),
+    (STAGE1_RECORDS, r"\n[\s\S]*", "\n", "tune --resume"),
+    (STAGE1_RECORDS, r"\n[\s\S]*", "\n", "baselines --which vanilla"),
+    (FINAL_RECORDS, r"\n[\s\S]*", "\n", "report"),
 ], ids=["no-m", "bad-e", "bad-k", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
         "records-short-row", "records-percent-inf", "records-dev-acc-nan",
         "records-dev-acc-above-1", "best-cell-bad-ratio", "best-cell-one-ratio",
-        "best-cell-ratio-1", "final-keeps-no-tokens"])
+        "best-cell-ratio-1", "final-keeps-no-tokens", "records-header-only-tune",
+        "records-header-only-vanilla", "records-header-only-report"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     """Each edit is resealed, so it passes the digest checks and is refused
@@ -954,8 +958,10 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
     assert cli.main([*command.split(), "--config", cfg]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: ")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ")
 
 
 @pytest.mark.parametrize("path, command", [
@@ -1165,6 +1171,31 @@ def test_every_fragment_file_is_listed_in_its_manifest(pipe_run):
                   if line.startswith("file ")}
         assert set(os.listdir(path)) == listed | {"manifest.txt"}
         assert texts.get(parts[-1], set()) <= listed
+
+
+@pytest.mark.parametrize("command, fragments", [
+    ("report", ["backbone", *(os.path.join(f"seed{seed}", stage) for seed in (1, 2)
+                              for stage in ("stage1", "prune"))]),
+    ("baselines --which random --seed 1",
+     ["backbone", os.path.join("seed1", "stage1"), os.path.join("seed1", "prune")]),
+], ids=["report", "baselines-random-seed1"])
+def test_opening_the_run_checks_each_fragment_once(pipe_run, tmp_path, monkeypatch, command,
+                                                   fragments):
+    _, copy = copy_run(pipe_run, tmp_path)
+    checked = []
+    read_manifest, init = checkpoint.read_manifest, hz.RunDir.__init__
+
+    def counted(dirpath, fmt):
+        checked.append(os.path.relpath(dirpath, copy))
+        return read_manifest(dirpath, fmt)
+
+    def counting_init(self, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "read_manifest", counted)
+            init(self, *args, **kwargs)
+    monkeypatch.setattr(hz.RunDir, "__init__", counting_init)
+    assert cli.main([*command.split(), "--config", write_cfg_file(tmp_path, copy)]) == 0
+    assert sorted(checked) == sorted(fragments)
 
 
 def test_prune_without_a_manifest_is_unfinished_and_resume_rebuilds_it(pipe_run, tmp_path):
