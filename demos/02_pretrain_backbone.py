@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, predict, pretrain
-from xprompt.checkpoint import load_backbone, save_backbone
+from xprompt.checkpoint import BACKBONE_FORMAT, load_backbone, read_manifest, save_backbone
 from xprompt.tasks import Example
 
 cfg = BackboneConfig(vocab_size=16, embed_dim=16, layers=1, heads=2,
@@ -36,7 +36,8 @@ print(f"mlm loss: step 0 {losses[0]:.4f} -> final {losses[-1]:.4f} "
 
 with tempfile.TemporaryDirectory() as tmp:
     save_backbone(bb, os.path.join(tmp, "backbone"))
-    again = load_backbone(os.path.join(tmp, "backbone"))
+    # read_manifest reads and checks the fragment once; load_backbone parses it
+    again = load_backbone(read_manifest(os.path.join(tmp, "backbone"), BACKBONE_FORMAT))
 same = all(np.array_equal(bb.weights[k], again.weights[k]) for k in bb.weights)
 print(f"checkpoint round trip bitwise identical: {same}")
 

@@ -11,7 +11,7 @@ import tempfile
 from collections import Counter
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
-from xprompt.checkpoint import load_prompt, save_prompt
+from xprompt.checkpoint import PROMPT_FORMAT, load_prompt, read_manifest, save_prompt
 from xprompt.prompt import evaluate, init_prompt, tune
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus
 
@@ -45,5 +45,5 @@ print(f"best {result.best_dev_acc:.3f} at epoch {result.best_epoch} "
 
 with tempfile.TemporaryDirectory() as tmp:
     save_prompt(bank, os.path.join(tmp, "prompt"))
-    again = load_prompt(os.path.join(tmp, "prompt"))
+    again = load_prompt(read_manifest(os.path.join(tmp, "prompt"), PROMPT_FORMAT))
 print(f"reloaded, dev accuracy {evaluate(again, bb, dev):.3f} (identical by construction)")

@@ -2,14 +2,16 @@
 
 A fragment directory holds its files and ``manifest.txt``: key-value lines
 (masks inline as 0/1), the caller's provenance (see harness.RunDir), ``file
-<name> <sha256>`` per file (a ``.bin`` is little-endian row-major float64,
-so round trips are bitwise exact) and last ``digest <sha256>`` of the lines
-above. Written last and removed before a rebuild, the manifest is the commit
-point; read_manifest, the one reader, checks every digest before parsing.
+<name> <sha256>`` per file (a ``.bin`` is little-endian row-major float64, so
+round trips are bitwise exact) and last ``digest <sha256>`` of the lines above.
+Written last and removed before a rebuild, the manifest is the commit point.
+read_manifest, the one reader, reads each file once and checks every digest
+over its bytes; the loaders parse the Fragment it returns and read nothing.
 """
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +42,45 @@ def _write_manifest(dirpath: str, lines: list[str], files: dict) -> None:
     write_text_atomic(path, f"{body}digest {sha256_hex(body.encode('utf-8'))}\n")
 
 
-def read_manifest(dirpath: str, fmt: str) -> tuple[list[tuple[str, str]], dict]:
-    """(key, rest of the line) per entry of the manifest of format fmt in
-    dirpath, and the files it lists by name: bytes for a .bin, else text.
-    Any byte changed since the save is a DataError."""
+@dataclass(frozen=True)
+class Fragment:
+    """A fragment as read_manifest checked it."""
+    path: str  # its directory
+    entries: list[tuple[str, str]]  # (key, rest of the line) per manifest line
+    files: dict  # the listed files by name: bytes for a .bin, else text
+    digest: str  # the sha256 of the manifest's bytes
+
+
+def _read(path: str, what: str) -> tuple[str, bytes | str]:
+    """The sha256 of the bytes of path, and the bytes of a .bin or else their text."""
+    data = read_fragment(path, what)
+    try:
+        return sha256_hex(data), data if path.endswith(".bin") else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 ({exc})") from None
+
+
+def read_manifest(dirpath: str, fmt: str) -> Fragment:
+    """The fragment of format fmt in dirpath, each file read once; any byte
+    changed since the save is a DataError."""
     path = os.path.join(dirpath, "manifest.txt")
-    text = read_fragment(path, "checkpoint manifest")
+    digest, text = _read(path, "checkpoint manifest")
     body = text[:text.rfind("\n", 0, len(text) - 1) + 1]
     if text != f"{body}digest {sha256_hex(body.encode('utf-8'))}\n":
         raise DataError(f"checkpoint manifest {path} does not match its digest line: it was "
                         "changed, or comes from an older xprompt; remove the fragment or "
                         "rebuild it without --resume")
     entries = [tuple(line.partition(" ")[::2]) for line in body.splitlines()]
-    found = dict(entries).get("format")
-    if found != fmt:
+    if (found := dict(entries).get("format")) != fmt:
         raise DataError(f"unrecognized checkpoint format {found!r} in {path}; "
                         f"wanted {fmt!r}")
     files = {}
     for name, _, want in (val.partition(" ") for key, val in entries if key == "file"):
         file_path = os.path.join(dirpath, name)
-        data = read_fragment(file_path, "checkpoint file", binary=name.endswith(".bin"))
-        if sha256_hex(data if isinstance(data, bytes) else data.encode("utf-8")) != want:
+        got, files[name] = _read(file_path, "checkpoint file")
+        if got != want:
             raise DataError(f"checkpoint file {file_path} does not match its manifest digest")
-        files[name] = data
-    return entries, files
+    return Fragment(dirpath, entries, files, digest)
 
 
 def _read_blob(dirpath: str, name: str, shape: tuple[int, int], files: dict) -> np.ndarray:
@@ -105,9 +122,8 @@ def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> None:
                     {f"{name}.bin": arr for name, arr in weights})
 
 
-def load_backbone(dirpath: str) -> FrozenBackbone:
-    entries, files = read_manifest(dirpath, BACKBONE_FORMAT)
-    fields = dict(entries)
+def load_backbone(frag: Fragment) -> FrozenBackbone:
+    dirpath, entries, files, fields = frag.path, frag.entries, frag.files, dict(frag.entries)
     cfg = BackboneConfig(**{k: _field(dirpath, fields, k, int) for k in BACKBONE_FIELDS})
     weights = {}
     for val in [val for key, val in entries if key == "weight"]:
@@ -145,10 +161,9 @@ def save_prompt(bank: PromptBank, dirpath: str, provenance=(),
                     {"p_e.bin": bank.p, **(files or {})})
 
 
-def load_prompt(dirpath: str) -> PromptBank:
+def load_prompt(frag: Fragment) -> PromptBank:
     """The saved bank; lines it does not know, such as provenance, are ignored."""
-    entries, files = read_manifest(dirpath, PROMPT_FORMAT)
-    fields = dict(entries)
+    dirpath, entries, files, fields = frag.path, frag.entries, frag.files, dict(frag.entries)
     m, e, k = (_field(dirpath, fields, key, int) for key in ("m", "e", "k"))
     if min(m, e, k) < 1 or e % k != 0:
         raise DataError(f"checkpoint manifest in {dirpath}: bad geometry m={m}, e={e}, k={k}")

@@ -13,22 +13,23 @@ checkpoint: a checkpoint and, but for the backbone, records.tsv; prune
 adds saliency.txt, in format saliency v2, see saliency_text, and the best
 cell's ratios as the manifest field ``best_cell``), and the merged
 metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
-transfer.tsv. Each fragment's manifest.txt holds three provenance lines:
-``run_hash``, the config hash, which leaves out run.out and run.seeds
-since neither changes what a fragment holds;
-``parent``, the sha256 of the parent's manifest.txt (the backbone's for
-stage 1, stage 1's for prune, ``none`` for the backbone); and
-``blas_threads``, the BLAS thread variables in effect, recorded, not
-checked. Every command opens the directory before any work and refuses:
+transfer.tsv. Each fragment's manifest.txt holds provenance lines: ``run_hash``,
+the config hash, which leaves out run.out and run.seeds since neither changes
+what a fragment holds; ``parent``, the sha256 of the bytes of the parent's
+manifest.txt (the backbone's for stage 1, stage 1's for prune, ``none`` for
+the backbone); ``run_seed``, the seed, in stage 1 and prune only; and
+``blas_threads``, the BLAS thread variables in effect, recorded, not checked.
+Every command opens the directory before any work and refuses:
 
 - with a ConfigError (exit 2) when config.txt holds another run hash, with
   or without resume; config.txt is written once and never overwritten;
 - with a DataError (exit 3) when a fragment it reuses, or one up to the
   backbone, fails checkpoint.read_manifest's digest checks, or, naming it
-  as stale, lacks provenance, has another run hash or a parent digest that
-  no longer matches; and when a fragment it builds on but cannot build is
-  missing. Fragments it rebuilds are not checked; a rebuild that changes
-  bytes leaves their children stale.
+  as stale, lacks provenance, has another run hash or seed or a parent
+  digest that no longer matches; and when a fragment it builds on but cannot
+  build is missing. Fragments it rebuilds are not checked; a rebuild that
+  changes bytes leaves their children stale. A process reads each fragment
+  once: RunDir keeps what it checked, forked workers inherit it.
 
 Per-seed stages (stage 1, prune, the baseline arms and the transfer arms)
 run in forked worker processes, one seed per task, when jobs > 1. Each
@@ -53,8 +54,7 @@ from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
                       baseline_negative_masking, hierarchical_prune, kept_params,
                       score_tokens)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
-from .util import (BLAS_THREAD_VARS, read_fragment, sha256_hex, stable_seed,
-                   write_text_atomic)
+from .util import BLAS_THREAD_VARS, sha256_hex, stable_seed, write_text_atomic
 
 STAGES = ("backbone", "stage1", "prune")
 BASELINE_ARMS = ("vanilla", "negative", "random", "reversed", "length")
@@ -306,9 +306,9 @@ def _records_text(records: list[MetricsRecord]) -> str:
     return "\n".join([METRICS_HEADER] + [r.tsv_line() for r in records]) + "\n"
 
 
-def _read_records(dirpath: str) -> list[MetricsRecord]:
-    """The records.tsv of the fragment in dirpath, once its manifest checks."""
-    text = checkpoint.read_manifest(dirpath, checkpoint.PROMPT_FORMAT)[1].get("records.tsv", "")
+def _read_records(frag: checkpoint.Fragment) -> list[MetricsRecord]:
+    """The records in the records.tsv of a checked fragment; it reads no file."""
+    dirpath, text = frag.path, frag.files.get("records.tsv", "")
     header, *lines = text.splitlines() or [""]
     if header != METRICS_HEADER or not lines:
         raise DataError(f"records.tsv in {dirpath} is unlisted, has a bad header or "
@@ -474,13 +474,15 @@ BUILT_BY = {"backbone": "pretrain", "stage1": "tune", "prune": "prune"}
 class RunDir:
     """cfg's run directory, opened for one command (see the module docstring).
     The command loads the fragments of the stages in need, which must be
-    finished for every seed, and the finished ones in reuse; it builds the rest."""
+    finished for every seed, and the finished ones in reuse; it builds the rest.
+    It keeps each fragment it reads, checked: those reused, with their files, and
+    the parents of those reused or built, so none kept is rebuilt by the command."""
 
     def __init__(self, cfg: RunConfig, need=(), reuse=()):
         cfg.validate()
         self.cfg, self.out, self.run_hash = cfg, cfg["run.out"], cfg.config_hash()
         self.reuse = {*need, *reuse}
-        self._verified: set[str] = set()
+        self._fragments: dict[str, checkpoint.Fragment] = {}
         cfg_path = self.path("config.txt")
         theirs = (RunConfig.from_file(cfg_path).config_hash()
                   if os.path.exists(cfg_path) else None)
@@ -514,39 +516,40 @@ class RunDir:
     def finished(self, stage: str, seed: int | None = None) -> bool:
         return os.path.exists(self._file(stage, seed))
 
-    def _parent_digest(self, stage: str, seed: int | None) -> str:
-        if PARENT[stage] is None:
-            return "none"
-        return sha256_hex(read_fragment(self._file(PARENT[stage], seed), "manifest",
-                                        binary=True))
+    def reused(self, stage: str, seed: int | None = None) -> checkpoint.Fragment | None:
+        """The fragment of stage for seed, checked, or None when the command builds it."""
+        return (self._verify(stage, seed) if stage in self.reuse and self.finished(stage, seed)
+                else None)
 
     def provenance(self, stage: str, seed: int | None = None) -> list[str]:
         """The provenance lines of the fragment of stage for seed, as of now."""
         threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
-        return [f"run_hash {self.run_hash}", f"parent {self._parent_digest(stage, seed)}",
-                f"blas_threads {threads}"]
+        parent = self._verify(PARENT[stage], seed).digest if PARENT[stage] else "none"
+        return [f"run_hash {self.run_hash}", f"parent {parent}",
+                f"blas_threads {threads}", *([f"run_seed {seed}"] if PARENT[stage] else [])]
 
-    def _verify(self, stage: str, seed: int | None) -> None:
-        """Raise a DataError naming the finished fragment as stale unless its
-        provenance holds, and its parent's, up to the backbone. Each fragment
-        is checked once."""
+    def _verify(self, stage: str, seed: int | None) -> checkpoint.Fragment:
+        """The finished fragment of stage for seed, read once; a DataError naming
+        it as stale unless its provenance holds, and its parent's, up to the backbone."""
         path = os.path.dirname(self._file(stage, seed))
-        if path in self._verified:
-            return None
+        if path in self._fragments:
+            return self._fragments[path]
         parent = PARENT[stage]
         fmt = checkpoint.PROMPT_FORMAT if parent else checkpoint.BACKBONE_FORMAT
-        fields = dict(checkpoint.read_manifest(path, fmt)[0])
+        fields = dict((frag := checkpoint.read_manifest(path, fmt)).entries)
         if not {"run_hash", "parent", "blas_threads"} <= fields.keys():
             reason = "its manifest has no provenance lines"
         elif fields["run_hash"] != self.run_hash:
             reason = "it was built under another run hash"
+        elif fields.get("run_seed") != (None if parent is None else str(seed)):
+            reason = f"its run_seed is {fields.get('run_seed', 'missing')}, not {seed}"
         elif parent is not None and not self.finished(parent, seed):
             reason = f"its parent {parent} is missing or unfinished"
-        elif fields["parent"] != self._parent_digest(stage, seed):
+        elif fields["parent"] != (self._verify(parent, seed).digest if parent else "none"):
             reason = f"its parent {parent} changed after it was built"
         else:
-            self._verified.add(path)
-            return None if parent is None else self._verify(parent, seed)
+            self._fragments[path] = frag if stage in self.reuse else replace(frag, files={})
+            return self._fragments[path]
         name = os.path.relpath(path, self.out)
         raise DataError(f"stale fragment {name} in {self.out}: {reason}; remove it or "
                         "rebuild it without resume")
@@ -555,8 +558,8 @@ class RunDir:
 def ensure_backbone(rd: RunDir, train) -> FrozenBackbone:
     """Load the run's backbone checkpoint or pretrain and save it."""
     cfg = rd.cfg
-    if "backbone" in rd.reuse and rd.finished("backbone"):
-        bb = checkpoint.load_backbone(rd.path("backbone"))
+    if frag := rd.reused("backbone"):
+        bb = checkpoint.load_backbone(frag)
         if bb.cfg != cfg.backbone_config():
             raise ConfigError("backbone checkpoint does not match backbone config")
         return bb
@@ -570,8 +573,8 @@ def ensure_backbone(rd: RunDir, train) -> FrozenBackbone:
 def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
                 seed: int) -> tuple[PromptBank, MetricsRecord]:
     path = rd.path("stage1", seed=seed)
-    if "stage1" in rd.reuse and rd.finished("stage1", seed):
-        return checkpoint.load_prompt(path), _read_records(path)[0]
+    if frag := rd.reused("stage1", seed):
+        return checkpoint.load_prompt(frag), _read_records(frag)[0]
     v = rd.cfg.values
     with _stage("stage1"):
         bank = init_prompt(v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"], seed, bb)
@@ -586,8 +589,8 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
 def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                bank: PromptBank) -> list[MetricsRecord]:
     path = rd.path("prune", seed=seed)
-    if "prune" in rd.reuse and rd.finished("prune", seed):
-        return _read_records(path)
+    if frag := rd.reused("prune", seed):
+        return _read_records(frag)
     e = rd.cfg["backbone.embed_dim"]
     with _stage("prune"):
         result = _prune(rd.cfg, bank, bb, data, rd.cfg.schedule(), seed)
@@ -713,7 +716,7 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
     """Regenerate metrics.tsv and report.txt from existing stage fragments."""
     rd = RunDir(cfg, need=("stage1", "prune"))
     records = [r for seed in cfg["run.seeds"] for stage in ("stage1", "prune")
-               for r in _read_records(rd.path(stage, seed=seed))]
+               for r in _read_records(rd.reused(stage, seed))]
     _write_metrics(rd, records, wall={})
     return records
 
@@ -721,18 +724,17 @@ def collect_report(cfg: RunConfig) -> list[MetricsRecord]:
 # --- baselines ----------------------------------------------------------------------
 
 
-def _best_cell(rd: RunDir, seed: int) -> tuple[PromptBank, float, float]:
-    """The pruned bank of seed and its best cell's token and piece ratios."""
-    path = rd.path("prune", seed=seed)
-    field = dict(checkpoint.read_manifest(path, checkpoint.PROMPT_FORMAT)[0]).get("best_cell", "")
+def _best_cell(frag: checkpoint.Fragment) -> tuple[PromptBank, float, float]:
+    """The pruned bank of a prune fragment and its best cell's token and piece ratios."""
+    field = dict(frag.entries).get("best_cell", "")
     try:
         ratio = [float(r) for r in field.split(" ")]
     except ValueError:
         ratio = []
     if len(ratio) != 2 or not all(0.0 <= r < 1.0 for r in ratio):
-        raise DataError(f"prune manifest in {path}: best_cell must hold two ratios in "
+        raise DataError(f"prune manifest in {frag.path}: best_cell must hold two ratios in "
                         f"[0, 1), got {field!r}")
-    return checkpoint.load_prompt(path), *ratio
+    return checkpoint.load_prompt(frag), *ratio
 
 
 def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
@@ -769,7 +771,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
                     recs.append(_record(stage, seed, acc, selection, e))
             if not pruned_arms:
                 return recs
-            final, t_ratio, p_ratio = _best_cell(rd, seed)
+            final, t_ratio, p_ratio = _best_cell(rd.reused("prune", seed))
             for arm in ("random", "reversed"):
                 if arm in which:
                     sched = PruneSchedule((t_ratio,), (p_ratio,), arm)
@@ -808,7 +810,7 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
     _check_names("transfer variants", variants, ("transfer_o", "transfer"))
     _check_jobs(jobs)
-    source = checkpoint.load_prompt(source_dir)
+    source = checkpoint.load_prompt(checkpoint.read_manifest(source_dir, checkpoint.PROMPT_FORMAT))
     v = cfg.values
     want = (v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"])
     if (source.m, source.e, source.k) != want:

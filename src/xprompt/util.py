@@ -28,14 +28,11 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def read_fragment(path: str, what: str, binary: bool = False):
-    """The UTF-8 text, or the bytes, of a file the program wrote earlier; one
-    that cannot be read or decoded is a DataError naming it as what."""
+def read_fragment(path: str, what: str) -> bytes:
+    """The bytes of a file the program wrote earlier; a DataError naming it as what."""
     try:
-        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{what} {path} is not UTF-8 ({exc})") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 

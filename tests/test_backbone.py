@@ -286,7 +286,7 @@ def test_predict_chunks_give_the_logits_of_one_pack(oracle_case, micro_data):
 def test_backbone_checkpoint_round_trip(tmp_path, micro_backbone):
     d = str(tmp_path / "bb")
     ckpt.save_backbone(micro_backbone, d)
-    back = ckpt.load_backbone(d)
+    back = ckpt.load_backbone(ckpt.read_manifest(d, ckpt.BACKBONE_FORMAT))
     assert back.cfg == micro_backbone.cfg
     assert back.frozen
     assert weight_hash(back) == weight_hash(micro_backbone)
@@ -302,9 +302,9 @@ def test_backbone_checkpoint_detects_corruption(tmp_path, micro_backbone):
     data[0] ^= 0xFF
     blob.write_bytes(bytes(data))
     with pytest.raises(DataError):
-        ckpt.load_backbone(d)
+        ckpt.read_manifest(d, ckpt.BACKBONE_FORMAT)
 
 
 def test_backbone_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(DataError):
-        ckpt.load_backbone(str(tmp_path / "nope"))
+        ckpt.read_manifest(str(tmp_path / "nope"), ckpt.BACKBONE_FORMAT)

@@ -5,8 +5,9 @@ Each demo is parsed, not run (together they take about half a minute).
 Every ``from xprompt... import name`` and every ``alias.attr`` on an
 imported xprompt module must resolve, every call to an imported xprompt
 name, or to an attribute of one, must bind to its ``inspect.signature``,
-and a call whose result is unpacked must be annotated to return a tuple,
-if it is annotated at all.
+a string literal or ``os.path.join(...)`` may bind only to a parameter
+annotated ``str`` (or not at all), and a call whose result is unpacked must
+be annotated to return a tuple, if it is annotated at all.
 """
 
 import ast
@@ -92,26 +93,81 @@ def xprompt_callee(call, modules, objects):
     return None
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_calls_bind(path):
-    tree = parse(path)
+def xprompt_calls(tree):
+    """(call, callee) for each call to an imported xprompt name, or to an
+    attribute of one, whose arguments are not unpacked: unpacked arguments
+    cannot be counted from the source."""
     modules, objects, _ = xprompt_imports(tree)
-    unbound = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         target = xprompt_callee(node, modules, objects)
-        if target is None:
+        if target is None or (any(isinstance(arg, ast.Starred) for arg in node.args)
+                              or any(kw.arg is None for kw in node.keywords)):
             continue
-        if (any(isinstance(arg, ast.Starred) for arg in node.args)
-                or any(kw.arg is None for kw in node.keywords)):
-            continue  # unpacked arguments cannot be counted from the source
+        yield node, target
+
+
+def bind(call, target):
+    """The arguments of call, as AST nodes, bound to target's parameters."""
+    return inspect.signature(target).bind(*call.args,
+                                          **{kw.arg: kw.value for kw in call.keywords})
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_calls_bind(path):
+    unbound = []
+    for node, target in xprompt_calls(parse(path)):
         try:
-            inspect.signature(target).bind(*node.args,
-                                           **{kw.arg: kw.value for kw in node.keywords})
+            bind(node, target)
         except TypeError as exc:
-            unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {exc}")
+            unbound.append(f"line {node.lineno}: {ast.unparse(node.func)}: {exc}")
     assert not unbound, f"{os.path.basename(path)} has calls that do not bind: {unbound}"
+
+
+def is_path(arg) -> bool:
+    return ((isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+            or (isinstance(arg, ast.Call) and ast.unparse(arg.func) == "os.path.join"))
+
+
+def paths_to_other_types(tree):
+    """Calls that pass a string literal or an os.path.join(...) to a parameter
+    annotated with a type other than str: a path where, say, a checked
+    checkpoint.Fragment is wanted binds, and fails only when the demo runs."""
+    wrong = []
+    for node, target in xprompt_calls(tree):
+        try:
+            bound = bind(node, target)
+        except TypeError:
+            continue  # test_demo_calls_bind reports it
+        params = inspect.signature(target).parameters
+        for name, arg in bound.arguments.items():
+            note = params[name].annotation
+            if not is_path(arg) or note is inspect.Parameter.empty:
+                continue
+            text = note if isinstance(note, str) else inspect.formatannotation(note)
+            if "str" not in (part.strip() for part in text.split("|")):
+                wrong.append(f"line {node.lineno}: {ast.unparse(node.func)} gets a path "
+                             f"for {name}: {text}")
+    return wrong
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_passes_paths_only_to_str_parameters(path):
+    wrong = paths_to_other_types(parse(path))
+    assert not wrong, f"{os.path.basename(path)} passes paths where other types go: {wrong}"
+
+
+def test_the_path_check_sees_a_path_for_a_fragment():
+    wrong = paths_to_other_types(ast.parse(
+        "import os\n"
+        "from xprompt.checkpoint import PROMPT_FORMAT, load_prompt, read_manifest, save_prompt\n"
+        "save_prompt(bank, os.path.join(tmp, 'prompt'))\n"
+        "again = load_prompt(read_manifest(os.path.join(tmp, 'prompt'), PROMPT_FORMAT))\n"
+        "again = load_prompt(os.path.join(tmp, 'prompt'))\n"
+        "again = load_prompt('prompt')\n"))
+    assert wrong == ["line 5: load_prompt gets a path for frag: Fragment",
+                     "line 6: load_prompt gets a path for frag: Fragment"]
 
 
 def stale_unpackings(tree):

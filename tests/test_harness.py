@@ -17,10 +17,10 @@ import sys
 import numpy as np
 import pytest
 
-from xprompt import checkpoint, cli
+from xprompt import checkpoint, cli, util
 from xprompt import harness as hz
 from xprompt import pruning as pr
-from xprompt.checkpoint import load_prompt, save_prompt
+from xprompt.checkpoint import PROMPT_FORMAT, load_prompt, read_manifest, save_prompt
 from xprompt.errors import ConfigError, DataError, StageError
 from xprompt.prompt import PromptBank
 
@@ -258,7 +258,7 @@ def test_metrics_records_round_trip(tmp_path):
     path = str(tmp_path / "fragment")
     bank = PromptBank(p=np.zeros((1, 4)), token_mask=np.ones(1), piece_mask=np.ones((1, 2)), k=2)
     save_prompt(bank, path, files={"records.tsv": hz._records_text(records)})
-    back = hz._read_records(path)
+    back = hz._read_records(read_manifest(path, PROMPT_FORMAT))
     assert [r.tsv_line() for r in back] == [r.tsv_line() for r in records]
     assert back[0].dev_acc == 0.1 + 0.2  # float repr round trip is exact
 
@@ -555,9 +555,9 @@ def test_baselines_load_each_checkpoint_once(pipe_run, tmp_path, monkeypatch):
     loaded = []
     load = checkpoint.load_prompt
 
-    def counting(dirpath):
-        loaded.append(os.path.relpath(dirpath, copy))
-        return load(dirpath)
+    def counting(frag):
+        loaded.append(os.path.relpath(frag.path, copy))
+        return load(frag)
 
     monkeypatch.setattr(checkpoint, "load_prompt", counting)
     brecs = hz.run_baselines(cfg, jobs=1)
@@ -607,7 +607,7 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
 
 def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
     cfg, out = copy_run(pipe_run, tmp_path)
-    src_bank = load_prompt(os.path.join(out, "seed1", "prune"))
+    src_bank = load_prompt(read_manifest(os.path.join(out, "seed1", "prune"), PROMPT_FORMAT))
     # tune.epochs = 0 is another config, so it runs in a directory of its own
     frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0,
                                 run__out=str(tmp_path / "frozen"))
@@ -1021,7 +1021,7 @@ def test_cli_names_the_run_config_it_cannot_parse(pipe_run, tmp_path, capsys):
 
 # --- run directory ownership ---------------------------------------------------------
 
-PROVENANCE = ("run_hash", "parent", "blas_threads")
+PROVENANCE = ("run_hash", "parent", "blas_threads", "run_seed")
 
 
 def test_cli_refuses_another_config(pipe_run, tmp_path, capsys):
@@ -1045,7 +1045,7 @@ def test_cli_report_refuses_stale_prune_fragment(pipe_run, tmp_path, capsys):
     stage1 = os.path.join(copy, "seed1", "stage1")
     provenance = [line for line in read(os.path.join(stage1, "manifest.txt")).splitlines()
                   if line.split(" ")[0] in PROVENANCE]
-    bank = load_prompt(stage1)
+    bank = load_prompt(read_manifest(stage1, PROMPT_FORMAT))
     bank.p = bank.p + 0.5
     save_prompt(bank, stage1, provenance,
                 files={"records.tsv": read(os.path.join(stage1, "records.tsv"))})
@@ -1069,7 +1069,7 @@ def test_cli_refuses_fragment_without_provenance(pipe_run, tmp_path, capsys, fra
     manifest = os.path.join(copy, fragment, "manifest.txt")
     lines = read(manifest).splitlines(keepends=True)
     kept = [line for line in lines if line.split(" ")[0] not in PROVENANCE]
-    assert len(lines) - len(kept) == 3
+    assert len(lines) - len(kept) == (3 if fragment == "backbone" else 4)
     hz.write_text_atomic(manifest, "".join(kept))
     reseal(manifest)
     cfg = write_cfg_file(tmp_path, copy)
@@ -1078,6 +1078,44 @@ def test_cli_refuses_fragment_without_provenance(pipe_run, tmp_path, capsys, fra
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: stale fragment {fragment} ")
     assert "no provenance" in err[0]
+
+
+@pytest.mark.parametrize("command", ["report", "baselines --which random"])
+def test_cli_refuses_another_seeds_fragments(pipe_run, tmp_path, capsys, command):
+    """Seed 2's stage 1 and prune copied over seed 1's pass every digest and
+    parent check; their run_seed line names them as stale."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    for stage in ("stage1", "prune"):
+        shutil.rmtree(os.path.join(copy, "seed1", stage))
+        shutil.copytree(os.path.join(copy, "seed2", stage), os.path.join(copy, "seed1", stage))
+    before = tree_bytes(copy)
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: stale fragment seed1/prune ")
+    assert "run_seed is 2, not 1" in err[0]
+    assert tree_bytes(copy) == before
+
+
+@pytest.mark.parametrize("fragment, command", [
+    (os.path.join("seed1", "prune"), "report"),
+    (os.path.join("seed2", "stage1"), "tune --resume"),
+])
+def test_cli_refuses_fragment_without_run_seed(pipe_run, tmp_path, capsys, fragment, command):
+    """A per-seed fragment built before manifests recorded run_seed is stale."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    manifest = os.path.join(copy, fragment, "manifest.txt")
+    text, count = re.subn(r"^run_seed .*\n", "", read(manifest), flags=re.M)
+    assert count == 1
+    hz.write_text_atomic(manifest, text)
+    reseal(manifest)
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.split(), "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: stale fragment {fragment} ")
+    assert "run_seed is missing" in err[0]
 
 
 def test_cli_prune_one_seed_of_a_two_seed_run(pipe_run, tmp_path):
@@ -1129,6 +1167,7 @@ def test_provenance_lines_name_parent_manifests(pipe_run):
     assert stage1["parent"] == digest("backbone")
     assert prune["parent"] == digest("seed2", "stage1")
     assert prune["blas_threads"].startswith("OPENBLAS_NUM_THREADS=")
+    assert (stage1["run_seed"], prune["run_seed"]) == ("2", "2") and "run_seed" not in backbone
 
 
 def test_prompt_checkpoints_hold_one_blob(pipe_run):
@@ -1173,29 +1212,36 @@ def test_every_fragment_file_is_listed_in_its_manifest(pipe_run):
         assert texts.get(parts[-1], set()) <= listed
 
 
+ALL_FRAGMENTS = ["backbone", *(os.path.join(f"seed{seed}", stage) for seed in (1, 2)
+                              for stage in ("stage1", "prune"))]
+SEED1_FRAGMENTS = ["backbone", os.path.join("seed1", "stage1"), os.path.join("seed1", "prune")]
+
+
 @pytest.mark.parametrize("command, fragments", [
-    ("report", ["backbone", *(os.path.join(f"seed{seed}", stage) for seed in (1, 2)
-                              for stage in ("stage1", "prune"))]),
-    ("baselines --which random --seed 1",
-     ["backbone", os.path.join("seed1", "stage1"), os.path.join("seed1", "prune")]),
-], ids=["report", "baselines-random-seed1"])
+    ("report", ALL_FRAGMENTS),
+    ("baselines --which random --seed 1", SEED1_FRAGMENTS),
+    ("baselines --which random,length --seed 1", SEED1_FRAGMENTS),
+    ("prune --resume", ALL_FRAGMENTS),
+], ids=["report", "baselines-random-seed1", "baselines-random-length-seed1", "prune-resume"])
 def test_opening_the_run_checks_each_fragment_once(pipe_run, tmp_path, monkeypatch, command,
                                                    fragments):
+    """A whole command, run in one process, reads every file of every
+    fragment it uses exactly once: opening the run checks each fragment, and
+    the loaders parse what was checked."""
     _, copy = copy_run(pipe_run, tmp_path)
-    checked = []
-    read_manifest, init = checkpoint.read_manifest, hz.RunDir.__init__
+    files = sorted(os.path.join(fragment, name) for fragment in fragments
+                   for name in os.listdir(os.path.join(copy, fragment)))
+    read_files, read_fragment = [], util.read_fragment
 
-    def counted(dirpath, fmt):
-        checked.append(os.path.relpath(dirpath, copy))
-        return read_manifest(dirpath, fmt)
+    def counted(path, what):
+        read_files.append(os.path.relpath(path, copy))
+        return read_fragment(path, what)
 
-    def counting_init(self, *args, **kwargs):
-        with monkeypatch.context() as m:
-            m.setattr(checkpoint, "read_manifest", counted)
-            init(self, *args, **kwargs)
-    monkeypatch.setattr(hz.RunDir, "__init__", counting_init)
-    assert cli.main([*command.split(), "--config", write_cfg_file(tmp_path, copy)]) == 0
-    assert sorted(checked) == sorted(fragments)
+    monkeypatch.setattr(util, "read_fragment", counted)
+    monkeypatch.setattr(checkpoint, "read_fragment", counted)
+    assert cli.main([*command.split(), "--config", write_cfg_file(tmp_path, copy),
+                     "--jobs", "1"]) == 0
+    assert sorted(read_files) == files
 
 
 def test_prune_without_a_manifest_is_unfinished_and_resume_rebuilds_it(pipe_run, tmp_path):
@@ -1234,22 +1280,32 @@ TAMPERED = [
     (FINAL_MANIFEST, r"^(token_mask [0 ]*)1", r"\g<1>0", "baselines --which length"),
     (FINAL_MANIFEST, r"^best_cell .*", "best_cell 0.5 0.5", "baselines --which random"),
     (os.path.join("seed1", "prune", "p_e.bin"), None, None, "report"),
+    # text files whose line ends went from LF to CRLF
+    (FINAL_RECORDS, b"\n", b"\r\n", "report"),
+    (FINAL_MANIFEST, b"\n", b"\r\n", "report"),
+    (FINAL_MANIFEST, b"\n", b"\r\n", "transfer --source {copy}/seed1/prune"),
+    (STAGE1_MANIFEST, b"\n", b"\r\n", "report"),
 ]
 
 
 @pytest.mark.parametrize("path, pattern, replacement, command", TAMPERED,
                          ids=["records-dev-acc", "saliency-raw-score", "manifest-token-mask",
-                              "manifest-best-cell", "p_e-flipped-byte"])
+                              "manifest-best-cell", "p_e-flipped-byte", "records-crlf",
+                              "manifest-crlf", "transfer-source-manifest-crlf",
+                              "stage1-manifest-crlf-as-parent"])
 def test_cli_exit_code_3_on_tampered_fragment(pipe_run, tmp_path, capsys, path, pattern,
                                               replacement, command):
     """A valid-looking change to any file of a fragment, its manifest
-    included, fails the digest checks before anything is parsed."""
+    included, fails the digest checks before anything is parsed, and the one
+    error names that file, also when it is the parent of the fragment reused."""
     _, copy = copy_run(pipe_run, tmp_path)
     target = os.path.join(copy, path)
     with open(target, "rb") as fh:
         before = fh.read()
     if pattern is None:
         after = bytes([before[0] ^ 1]) + before[1:]
+    elif isinstance(pattern, bytes):
+        after = before.replace(pattern, replacement)
     else:
         after = re.sub(pattern, replacement, before.decode(), count=1, flags=re.M).encode()
     assert after != before
@@ -1257,11 +1313,11 @@ def test_cli_exit_code_3_on_tampered_fragment(pipe_run, tmp_path, capsys, path, 
         fh.write(after)
     cfg = write_cfg_file(tmp_path, copy)
     capsys.readouterr()
-    assert cli.main([*command.split(), "--config", cfg]) == 3
+    assert cli.main([*command.format(copy=copy).split(), "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: ")
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and target in lines[0]
 
 
 @pytest.mark.parametrize("command, target, stage", [
