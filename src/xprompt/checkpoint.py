@@ -4,9 +4,9 @@ A fragment directory holds its files and ``manifest.txt``: key-value lines
 (masks inline as 0/1), the caller's provenance (see harness.RunDir), ``file
 <name> <sha256>`` per file (a ``.bin`` is little-endian row-major float64, so
 round trips are bitwise exact) and last ``digest <sha256>`` of the lines above.
-Written last and removed before a rebuild, the manifest is the commit point.
-read_manifest, the one reader, reads each file once and checks every digest
-over its bytes; the loaders parse the Fragment it returns and read nothing.
+Written last and removed before a rebuild, the manifest commits the fragment,
+and the savers return its Fragment. read_manifest, the one reader, reads each
+file once and checks every digest; the loaders parse its Fragment and read nothing.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .backbone import BackboneConfig, FrozenBackbone
 from .errors import DataError
 from .prompt import PromptBank
-from .util import read_fragment, sha256_hex, write_bytes_atomic, write_text_atomic
+from .util import read_fragment, sha256_hex, write_bytes_atomic
 
 BACKBONE_FORMAT = "backbone-checkpoint v1"
 PROMPT_FORMAT = "prompt-checkpoint v1"
@@ -26,9 +26,18 @@ BACKBONE_FIELDS = ("vocab_size", "embed_dim", "layers", "heads", "max_seq_len",
                    "num_classes", "seed")
 
 
-def _write_manifest(dirpath: str, lines: list[str], files: dict) -> None:
-    """Write files into dirpath, a .bin from its array and the rest from
-    text, then the manifest: lines, a file line each and the digest."""
+@dataclass(frozen=True)
+class Fragment:
+    """A fragment as read_manifest checked it, or as _write_manifest committed it."""
+    path: str  # its directory
+    entries: list[tuple[str, str]]  # (key, rest of the line) per manifest line
+    files: dict  # the listed files by name, bytes for a .bin, else text; {} as written
+    digest: str  # the sha256 of the manifest's bytes
+
+
+def _write_manifest(dirpath: str, lines: list[str], files: dict) -> Fragment:
+    """Write files into dirpath, a .bin from its array and the rest from text, then
+    the manifest: lines, a file line each and the digest; return its Fragment, no files."""
     os.makedirs(dirpath, exist_ok=True)
     path = os.path.join(dirpath, "manifest.txt")
     if os.path.exists(path):
@@ -39,16 +48,9 @@ def _write_manifest(dirpath: str, lines: list[str], files: dict) -> None:
         write_bytes_atomic(os.path.join(dirpath, name), data)
         lines = [*lines, f"file {name} {sha256_hex(data)}"]
     body = "".join(line + "\n" for line in lines)
-    write_text_atomic(path, f"{body}digest {sha256_hex(body.encode('utf-8'))}\n")
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A fragment as read_manifest checked it."""
-    path: str  # its directory
-    entries: list[tuple[str, str]]  # (key, rest of the line) per manifest line
-    files: dict  # the listed files by name: bytes for a .bin, else text
-    digest: str  # the sha256 of the manifest's bytes
+    data = f"{body}digest {sha256_hex(body.encode('utf-8'))}\n".encode("utf-8")
+    write_bytes_atomic(path, data)
+    return Fragment(dirpath, [tuple(ln.partition(" ")[::2]) for ln in lines], {}, sha256_hex(data))
 
 
 def _read(path: str, what: str) -> tuple[str, bytes | str]:
@@ -110,7 +112,7 @@ def _mask_row(dirpath: str, what: str, text: str | None, width: int) -> list[flo
 # --- backbone -------------------------------------------------------------------
 
 
-def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> None:
+def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> Fragment:
     lines = [f"format {BACKBONE_FORMAT}"]
     cfg = bb.cfg
     for k in BACKBONE_FIELDS:
@@ -118,8 +120,8 @@ def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> None:
     lines.append(f"frozen {int(bb.frozen)}")
     weights = sorted(bb.weights.items())
     lines.extend(f"weight {name} {arr.shape[0]} {arr.shape[1]}" for name, arr in weights)
-    _write_manifest(dirpath, [*lines, *provenance],
-                    {f"{name}.bin": arr for name, arr in weights})
+    return _write_manifest(dirpath, [*lines, *provenance],
+                           {f"{name}.bin": arr for name, arr in weights})
 
 
 def load_backbone(frag: Fragment) -> FrozenBackbone:
@@ -144,7 +146,7 @@ def load_backbone(frag: Fragment) -> FrozenBackbone:
 
 
 def save_prompt(bank: PromptBank, dirpath: str, provenance=(),
-                files: dict[str, str] | None = None) -> None:
+                files: dict[str, str] | None = None) -> Fragment:
     """Persist P_e as a blob, the masks as 0/1 text, and the caller's text
     files by name."""
     m, e = bank.p.shape
@@ -157,8 +159,8 @@ def save_prompt(bank: PromptBank, dirpath: str, provenance=(),
     ]
     for i in range(m):
         lines.append(f"piece_mask {i} " + " ".join(str(int(v)) for v in bank.piece_mask[i]))
-    _write_manifest(dirpath, [*lines, *provenance],
-                    {"p_e.bin": bank.p, **(files or {})})
+    return _write_manifest(dirpath, [*lines, *provenance],
+                           {"p_e.bin": bank.p, **(files or {})})
 
 
 def load_prompt(frag: Fragment) -> PromptBank:

@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Subcommands compose the pipeline: pretrain, tune and prune each build
-their own stage (tune builds the backbone only when none is finished,
-prune requires an existing stage-1 checkpoint), pipeline runs
-everything through the report, and baselines/transfer/report build on a
-finished run. Every subcommand checks the run directory before any work
-(see harness.RunDir). Exit codes: 0 success; 2 config error, including a
-run directory whose config.txt holds another config; 3 data error,
-including a missing input, a fragment changed after its manifest was
-written, and a stale fragment, one whose recorded parent no longer matches
-the run directory's; 4 stage failure. XPROMPT_LOG sets the logging level.
+Subcommands compose the pipeline: pretrain, tune and prune each build their
+own stage (tune builds the backbone only when none is finished, prune requires
+an existing stage-1 checkpoint), pipeline runs everything through the report,
+and baselines/transfer/report build on a finished run, reusing what they find
+without --resume. Every subcommand checks the run directory before any work
+(see harness.RunDir). Exit codes: 0 success; 2 config error, including a run
+directory whose config.txt holds another config; 3 data error, including a
+missing input, a fragment changed after its manifest was written, and a stale
+fragment, one whose recorded parent no longer matches the run directory's; 4
+stage failure. XPROMPT_LOG sets the logging level.
 """
 
 from __future__ import annotations
@@ -30,20 +30,26 @@ def _setup_logging() -> None:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+# the pipeline stage each building subcommand builds; pipeline builds them all
+PIPELINE_STAGES = {"pretrain": "backbone", "tune": "stage1", "prune": "prune",
+                   "pipeline": None}
+
+
+def _add_common(sub: argparse.ArgumentParser, name: str) -> None:
     sub.add_argument("--config", help="run config file (defaults used if omitted)")
     sub.add_argument("--seed", type=int,
                      help="override run.seeds with a single seed; the run hash leaves "
                           "out run.seeds, so a per-seed command works on a multi-seed run "
                           "and reuses that seed's fragments")
-    sub.add_argument("--resume", action="store_true",
-                     help="reuse the finished fragments of the stages this command builds "
-                          "once their provenance checks, rather than rebuild them; tune and "
-                          "prune always reuse a finished backbone, and prune stage 1; "
-                          "baselines, transfer, report what they find")
-    sub.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
-                     help="worker processes for per-seed stages; results do not "
-                          f"depend on it (default {DEFAULT_JOBS}, one per usable CPU)")
+    if name in PIPELINE_STAGES:
+        sub.add_argument("--resume", action="store_true",
+                         help="reuse the finished fragments of the stages this command "
+                              "builds once their provenance checks, rather than rebuild them; "
+                              "tune and prune always reuse a finished backbone, prune stage 1")
+    if name != "report":
+        sub.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
+                         help="worker processes, one seed per task; results do not "
+                              f"depend on it (default {DEFAULT_JOBS}, one per usable CPU)")
     sub.add_argument("--out", help="override run.out output directory")
 
 
@@ -63,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("transfer", "initialize the prompt from a source checkpoint"),
             ("report", "regenerate metrics.tsv and report.txt from checkpoints")):
         sub = commands.add_parser(name, help=help_text)
-        _add_common(sub)
+        _add_common(sub, name)
         if name == "baselines":
             sub.add_argument("--which", default=",".join(BASELINE_ARMS),
                              help="comma list from: " + ", ".join(BASELINE_ARMS))
@@ -82,11 +88,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.out:
         cfg = cfg.with_overrides(run__out=args.out)
     return cfg
-
-
-# the pipeline stage each building subcommand builds; pipeline builds them all
-PIPELINE_STAGES = {"pretrain": "backbone", "tune": "stage1", "prune": "prune",
-                   "pipeline": None}
 
 
 def _dispatch(args: argparse.Namespace) -> None:

@@ -4,15 +4,15 @@ A run is described by a flat key-value config file with dotted section
 names. The pipeline stages (backbone, stage1, prune) each persist a
 checkpoint plus a deterministic metrics fragment, so an interrupted run
 resumes from the last finished stage and reproduces the uninterrupted
-metrics file byte for byte. Wall-clock times appear only in the human
-report, never in metrics.
+metrics file byte for byte. Wall-clock times appear only in report.txt:
+wall[backbone], and wall[stage1] and wall[prune], each summed over seeds.
 
-The run directory (run.out) has one owner, RunDir. It holds config.txt,
-backbone/, seed<N>/stage1/ and seed<N>/prune/ (the fragments, see
-checkpoint: a checkpoint and, but for the backbone, records.tsv; prune
-adds saliency.txt, in format saliency v2, see saliency_text, and the best
-cell's ratios as the manifest field ``best_cell``), and the merged
-metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
+The run directory (run.out) has one owner, RunDir, the one reader and writer
+of its fragments. It holds config.txt, backbone/, seed<N>/stage1/ and
+seed<N>/prune/ (the fragments, see checkpoint: a checkpoint and, but for the
+backbone, records.tsv; prune adds saliency.txt, in format saliency v2, see
+saliency_text, and the best cell's ratios as the manifest field ``best_cell``),
+and the merged metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
 transfer.tsv. Each fragment's manifest.txt holds provenance lines: ``run_hash``,
 the config hash, which leaves out run.out and run.seeds since neither changes
 what a fragment holds; ``parent``, the sha256 of the bytes of the parent's
@@ -29,12 +29,12 @@ Every command opens the directory before any work and refuses:
   digest that no longer matches; and when a fragment it builds on but cannot
   build is missing. Fragments it rebuilds are not checked; a rebuild that
   changes bytes leaves their children stale. A process reads each fragment
-  once: RunDir keeps what it checked, forked workers inherit it.
+  once and none that it wrote: RunDir keeps each it checked or saved.
 
-Per-seed stages (stage 1, prune, the baseline arms and the transfer arms)
-run in forked worker processes, one seed per task, when jobs > 1. Each
-seed's work depends only on the config and that seed, so every metric and
-every file in the run directory is the same for any jobs.
+Each command maps one task per seed (stage 1 then prune, the baseline arms,
+the transfer arms) over forked worker processes when jobs > 1. Each seed's
+work depends only on the config and that seed, so every metric and every
+file in the run directory is the same for any jobs.
 """
 
 from __future__ import annotations
@@ -307,8 +307,9 @@ def _records_text(records: list[MetricsRecord]) -> str:
 
 
 def _read_records(frag: checkpoint.Fragment) -> list[MetricsRecord]:
-    """The records in the records.tsv of a checked fragment; it reads no file."""
+    """The records of a checked fragment's records.tsv, each of its run_seed; no read."""
     dirpath, text = frag.path, frag.files.get("records.tsv", "")
+    run_seed = dict(frag.entries).get("run_seed")
     header, *lines = text.splitlines() or [""]
     if header != METRICS_HEADER or not lines:
         raise DataError(f"records.tsv in {dirpath} is unlisted, has a bad header or "
@@ -326,6 +327,8 @@ def _read_records(frag: checkpoint.Fragment) -> list[MetricsRecord]:
         except ValueError:
             raise DataError(f"records.tsv in {dirpath} line {lineno}: "
                             f"malformed record {line!r}") from None
+        if seed != run_seed:
+            raise DataError(f"records.tsv in {dirpath} line {lineno}: seed {seed}, not {run_seed}")
     return records
 
 
@@ -472,11 +475,12 @@ BUILT_BY = {"backbone": "pretrain", "stage1": "tune", "prune": "prune"}
 
 
 class RunDir:
-    """cfg's run directory, opened for one command (see the module docstring).
-    The command loads the fragments of the stages in need, which must be
-    finished for every seed, and the finished ones in reuse; it builds the rest.
-    It keeps each fragment it reads, checked: those reused, with their files, and
-    the parents of those reused or built, so none kept is rebuilt by the command."""
+    """cfg's run directory, opened for one command (see the module docstring): the
+    one reader and writer of its fragments. The command loads the fragments of the
+    stages in need, which must be finished for every seed, and the finished ones in
+    reuse, and builds the rest. It keeps each fragment it checks (those reused with
+    their files, and the parents of those reused or built) and, with no files, each
+    it saves. A runner asks reused() before it builds, so none it built is reused."""
 
     def __init__(self, cfg: RunConfig, need=(), reuse=()):
         cfg.validate()
@@ -521,12 +525,14 @@ class RunDir:
         return (self._verify(stage, seed) if stage in self.reuse and self.finished(stage, seed)
                 else None)
 
-    def provenance(self, stage: str, seed: int | None = None) -> list[str]:
-        """The provenance lines of the fragment of stage for seed, as of now."""
+    def save(self, stage: str, seed: int | None, saver, obj, head=(), **kwargs) -> None:
+        """Commit obj with saver as stage's fragment for seed (head, then provenance); keep it."""
         threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
         parent = self._verify(PARENT[stage], seed).digest if PARENT[stage] else "none"
-        return [f"run_hash {self.run_hash}", f"parent {parent}",
-                f"blas_threads {threads}", *([f"run_seed {seed}"] if PARENT[stage] else [])]
+        lines = [*head, f"run_hash {self.run_hash}", f"parent {parent}",
+                 f"blas_threads {threads}", *([f"run_seed {seed}"] if PARENT[stage] else [])]
+        path = os.path.dirname(self._file(stage, seed))
+        self._fragments[path] = saver(obj, path, lines, **kwargs)
 
     def _verify(self, stage: str, seed: int | None) -> checkpoint.Fragment:
         """The finished fragment of stage for seed, read once; a DataError naming
@@ -566,13 +572,12 @@ def ensure_backbone(rd: RunDir, train) -> FrozenBackbone:
     with _stage("backbone"):
         bb = init_backbone(cfg.backbone_config())
         pretrain(bb, build_corpus(cfg, train), cfg["pretrain.steps"], cfg["pretrain.lr"])
-        checkpoint.save_backbone(bb, rd.path("backbone"), rd.provenance("backbone"))
+        rd.save("backbone", None, checkpoint.save_backbone, bb)
     return bb
 
 
 def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
                 seed: int) -> tuple[PromptBank, MetricsRecord]:
-    path = rd.path("stage1", seed=seed)
     if frag := rd.reused("stage1", seed):
         return checkpoint.load_prompt(frag), _read_records(frag)[0]
     v = rd.cfg.values
@@ -581,14 +586,13 @@ def _run_stage1(rd: RunDir, bb: FrozenBackbone, data,
         res = _tune(rd.cfg, bank, bb, data, seed)
         record = _record("stage1", seed, res.best_dev_acc,
                          (bank.token_mask, bank.piece_mask), v["backbone.embed_dim"])
-        checkpoint.save_prompt(bank, path, rd.provenance("stage1", seed),
-                               files={"records.tsv": _records_text([record])})
+        rd.save("stage1", seed, checkpoint.save_prompt, bank,
+                files={"records.tsv": _records_text([record])})
     return bank, record
 
 
 def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                bank: PromptBank) -> list[MetricsRecord]:
-    path = rd.path("prune", seed=seed)
     if frag := rd.reused("prune", seed):
         return _read_records(frag)
     e = rd.cfg["backbone.embed_dim"]
@@ -599,11 +603,10 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                    for cell in result.cells]
         best = result.best
         records.append(_record("final", seed, best.dev_acc, best.selection, e))
-        checkpoint.save_prompt(
-            bank, path, [f"best_cell {best.token_ratio!r} {best.piece_ratio!r}",
-                         *rd.provenance("prune", seed)],
-            files={"records.tsv": _records_text(records),
-                   "saliency.txt": saliency_text(merge_saliency_report(best), best.selection)})
+        rd.save("prune", seed, checkpoint.save_prompt, bank,
+                head=[f"best_cell {best.token_ratio!r} {best.piece_ratio!r}"],
+                files={"records.tsv": _records_text(records),
+                       "saliency.txt": saliency_text(merge_saliency_report(best), best.selection)})
     return records
 
 
@@ -640,10 +643,10 @@ def _map_seeds(stage: str, jobs: int, fn, seeds: list[int]) -> list:
     """[fn(seed) for seed in seeds], in min(jobs, len(seeds)) forked worker
     processes when that is more than one.
 
-    A worker inherits fn, and the backbone, splits and config it closes over,
-    at fork, so a task sends only its seed; only fn's result comes back,
-    pickled. Results merge in seed order, so they, and every file fn writes,
-    do not depend on jobs. A worker that dies fails the stage.
+    A worker inherits fn at fork, with the backbone, splits, config and RunDir's
+    kept fragments it closes over, so a task sends only its seed; only fn's result
+    comes back, pickled. Results merge in seed order, so they, and every file fn
+    writes, do not depend on jobs. A worker that dies fails stage: what one task runs.
     """
     workers = min(jobs, len(seeds))
     if workers <= 1:
@@ -678,8 +681,8 @@ def run_pipeline(cfg: RunConfig, stage: str | None = None, resume: bool = False,
     builds that stage alone in the directory RunDir opens and reuses the
     earlier ones, which must be finished; only the backbone is built when it
     is not. Without one it builds every stage and writes metrics.tsv and
-    report.txt. jobs is how many seeds run at once (see _map_seeds); it
-    changes no result.
+    report.txt. Each seed is one task, stage 1 then prune; jobs is how many
+    run at once (see _map_seeds), and changes no result.
     """
     if stage not in (None, *STAGES):
         raise ConfigError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -694,19 +697,17 @@ def run_pipeline(cfg: RunConfig, stage: str | None = None, resume: bool = False,
     if stage == "backbone":
         return []
 
-    seeds = list(cfg["run.seeds"])
-    t0 = time.monotonic()
-    stage1 = _map_seeds("stage1", jobs, lambda seed: _run_stage1(rd, bb, data, seed), seeds)
-    wall["stage1"] = time.monotonic() - t0
-    if stage == "stage1":
-        return [record for _, record in stage1]
+    def seed_task(seed: int) -> tuple[list[MetricsRecord], float, float]:
+        """seed's records, and its seconds in stage 1 and in prune."""
+        t0 = time.monotonic()
+        bank, record = _run_stage1(rd, bb, data, seed)
+        t1 = time.monotonic()
+        pruned = [] if stage == "stage1" else _run_prune(rd, bb, data, seed, bank)
+        return [record, *pruned], t1 - t0, time.monotonic() - t1
 
-    banks = dict(zip(seeds, (bank for bank, _ in stage1)))
-    t0 = time.monotonic()
-    pruned = _map_seeds("prune", jobs,
-                        lambda seed: _run_prune(rd, bb, data, seed, banks[seed]), seeds)
-    wall["prune"] = time.monotonic() - t0
-    records = [r for (_, record), recs in zip(stage1, pruned) for r in [record, *recs]]
+    per_seed = _map_seeds("+".join(built[-2:]), jobs, seed_task, list(cfg["run.seeds"]))
+    wall.update(stage1=sum(s for _, s, _ in per_seed), prune=sum(s for *_, s in per_seed))
+    records = [r for recs, *_ in per_seed for r in recs]
     if stage is None:
         _write_metrics(rd, records, wall)
     return records

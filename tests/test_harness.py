@@ -5,6 +5,7 @@ oracle; pipeline determinism is checked by byte comparison of metrics files
 across rerun, resume, and parallel execution.
 """
 
+import ast
 import decimal
 import hashlib
 import multiprocessing
@@ -253,14 +254,18 @@ def test_param_count_rejects_inconsistent_selections():
 
 
 def test_metrics_records_round_trip(tmp_path):
+    """Records read back as written, and only in a fragment of their seed."""
     records = [hz.MetricsRecord("stage1", 1, 0.1 + 0.2, 6, 96, "100.0000"),
-               hz.MetricsRecord("cell[0.3,0.25]", 2, 1.0 / 3.0, 4, 48, "50.0000")]
-    path = str(tmp_path / "fragment")
+               hz.MetricsRecord("cell[0.3,0.25]", 1, 1.0 / 3.0, 4, 48, "50.0000")]
     bank = PromptBank(p=np.zeros((1, 4)), token_mask=np.ones(1), piece_mask=np.ones((1, 2)), k=2)
-    save_prompt(bank, path, files={"records.tsv": hz._records_text(records)})
-    back = hz._read_records(read_manifest(path, PROMPT_FORMAT))
+    for seed in (1, 2):
+        save_prompt(bank, str(tmp_path / f"seed{seed}"), [f"run_seed {seed}"],
+                    files={"records.tsv": hz._records_text(records)})
+    back = hz._read_records(read_manifest(str(tmp_path / "seed1"), PROMPT_FORMAT))
     assert [r.tsv_line() for r in back] == [r.tsv_line() for r in records]
     assert back[0].dev_acc == 0.1 + 0.2  # float repr round trip is exact
+    with pytest.raises(DataError, match="line 2: seed 1, not 2"):
+        hz._read_records(read_manifest(str(tmp_path / "seed2"), PROMPT_FORMAT))
 
 
 # --- saliency export ----------------------------------------------------------------
@@ -432,7 +437,8 @@ def run_files(out: str) -> dict[str, bytes]:
 
 def test_pipeline_parallel_jobs_match_serial(tmp_path):
     """Pipeline, every baseline arm and transfer write the same bytes for
-    any number of worker processes."""
+    any number of worker processes, and tune then prune --jobs 2 write the
+    same fragments as the pipeline's per-seed tasks."""
     runs = []
     for jobs in (1, 2, 3):
         cfg = micro_cfg(str(tmp_path / f"jobs{jobs}"), **{"run.seeds": (1, 2, 3)})
@@ -444,6 +450,13 @@ def test_pipeline_parallel_jobs_match_serial(tmp_path):
             os.path.join("seed3", "prune", "saliency.txt")} <= set(runs[0])
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+    split = micro_cfg(str(tmp_path / "split"), **{"run.seeds": (1, 2, 3)})
+    hz.run_pipeline(split, "stage1", jobs=1)
+    hz.run_pipeline(split, "prune", jobs=2)
+    fragments = tree_bytes(split["run.out"])
+    del fragments["config.txt"]  # it differs from the others in run.out alone
+    assert fragments == {name: data for name, data in runs[0].items()
+                         if name.startswith(("backbone", "seed"))}
 
 
 def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
@@ -938,13 +951,16 @@ FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
     (STAGE1_RECORDS, r"\n[\s\S]*", "\n", "tune --resume"),
     (STAGE1_RECORDS, r"\n[\s\S]*", "\n", "baselines --which vanilla"),
     (FINAL_RECORDS, r"\n[\s\S]*", "\n", "report"),
+    (FINAL_RECORDS, r"^(final\t)1\t", r"\g<1>2\t", "report"),
+    (STAGE1_RECORDS, r"^(stage1\t)1\t", r"\g<1>7\t", "baselines --which vanilla"),
 ], ids=["no-m", "bad-e", "bad-k", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
         "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
         "records-short-row", "records-percent-inf", "records-dev-acc-nan",
         "records-dev-acc-above-1", "best-cell-bad-ratio", "best-cell-one-ratio",
         "best-cell-ratio-1", "final-keeps-no-tokens", "records-header-only-tune",
-        "records-header-only-vanilla", "records-header-only-report"])
+        "records-header-only-vanilla", "records-header-only-report",
+        "records-final-of-seed-2", "records-stage1-of-seed-7-vanilla"])
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     """Each edit is resealed, so it passes the digest checks and is refused
@@ -1219,9 +1235,9 @@ SEED1_FRAGMENTS = ["backbone", os.path.join("seed1", "stage1"), os.path.join("se
 
 @pytest.mark.parametrize("command, fragments", [
     ("report", ALL_FRAGMENTS),
-    ("baselines --which random --seed 1", SEED1_FRAGMENTS),
-    ("baselines --which random,length --seed 1", SEED1_FRAGMENTS),
-    ("prune --resume", ALL_FRAGMENTS),
+    ("baselines --which random --seed 1 --jobs 1", SEED1_FRAGMENTS),
+    ("baselines --which random,length --seed 1 --jobs 1", SEED1_FRAGMENTS),
+    ("prune --resume --jobs 1", ALL_FRAGMENTS),
 ], ids=["report", "baselines-random-seed1", "baselines-random-length-seed1", "prune-resume"])
 def test_opening_the_run_checks_each_fragment_once(pipe_run, tmp_path, monkeypatch, command,
                                                    fragments):
@@ -1239,9 +1255,64 @@ def test_opening_the_run_checks_each_fragment_once(pipe_run, tmp_path, monkeypat
 
     monkeypatch.setattr(util, "read_fragment", counted)
     monkeypatch.setattr(checkpoint, "read_fragment", counted)
-    assert cli.main([*command.split(), "--config", write_cfg_file(tmp_path, copy),
-                     "--jobs", "1"]) == 0
+    assert cli.main([*command.split(), "--config", write_cfg_file(tmp_path, copy)]) == 0
     assert sorted(read_files) == files
+
+
+def test_a_fresh_pipeline_reads_back_no_fragment_it_built(tmp_path, monkeypatch):
+    """Each parent digest comes from the fragment its process saved or
+    inherited at fork, so a fresh pipeline reads no fragment file, in the
+    calling process or in a worker; reads are logged to a file so that the
+    workers' reads count too."""
+    log, read_fragment = tmp_path / "reads.log", util.read_fragment
+
+    def logged(path, what):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(path + "\n")
+        return read_fragment(path, what)
+
+    def reads() -> list[str]:
+        return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+    monkeypatch.setattr(util, "read_fragment", logged)
+    monkeypatch.setattr(checkpoint, "read_fragment", logged)
+    for jobs in (1, 2):
+        cfg = micro_cfg(str(tmp_path / f"jobs{jobs}"), **{"run.seeds": (1, 2, 3)})
+        hz.run_pipeline(cfg, jobs=jobs)
+        assert reads() == [], f"--jobs {jobs}"
+    hz.collect_report(cfg)  # the log sees the reads of a command that reuses fragments
+    assert len(reads()) == len(set(reads())) > 0
+
+
+def test_only_rundir_calls_the_fragment_savers_and_reader():
+    """harness writes and reads fragments only through RunDir; the one other
+    call is run_transfer's read of its source directory."""
+    guarded = {"save_backbone", "save_prompt", "read_manifest"}
+    calls = set()
+    for top in ast.parse(read(hz.__file__)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in guarded:
+                    calls.add((getattr(top, "name", None), name))
+    assert ("RunDir", "read_manifest") in calls
+    assert {call for call in calls if call[0] != "RunDir"} == {("run_transfer", "read_manifest")}
+
+
+@pytest.mark.parametrize("command", [
+    "baselines --resume", "transfer --source src --resume", "report --resume",
+    "report --jobs 1"],
+    ids=["baselines-resume", "transfer-resume", "report-resume", "report-jobs"])
+def test_cli_refuses_options_no_code_reads(tmp_path, capsys, command):
+    """baselines, transfer and report take no --resume, report no --jobs;
+    the building subcommands keep both."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    for name in ("pretrain", "tune", "prune", "pipeline"):
+        args = cli.build_parser().parse_args([name, "--resume", "--jobs", "2"])
+        assert (args.resume, args.jobs) == (True, 2)
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_prune_without_a_manifest_is_unfinished_and_resume_rebuilds_it(pipe_run, tmp_path):
@@ -1346,7 +1417,8 @@ def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsy
 
 
 def test_cli_exit_code_4_when_a_worker_dies(tmp_path, monkeypatch, capsys):
-    cfg = write_cfg_file(tmp_path, str(tmp_path / "dies"))
+    """A worker that dies fails the stages its task runs: stage 1 under tune,
+    stage 1 and prune under pipeline."""
     parent = os.getpid()
 
     def die(*args, **kwargs):
@@ -1355,10 +1427,12 @@ def test_cli_exit_code_4_when_a_worker_dies(tmp_path, monkeypatch, capsys):
         os._exit(1)
 
     monkeypatch.setattr(hz, "tune", die)
-    capsys.readouterr()
-    assert cli.main(["tune", "--config", cfg, "--jobs", "2"]) == 4
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("stage failure: stage stage1 failed")
+    for command, stages in (("tune", "stage1"), ("pipeline", "stage1+prune")):
+        cfg = write_cfg_file(tmp_path, str(tmp_path / command))
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--jobs", "2"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"stage failure: stage {stages} failed")
 
 
 def test_cli_exit_code_2_when_workers_cannot_fork(tmp_path, monkeypatch):
