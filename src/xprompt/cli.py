@@ -9,7 +9,8 @@ without --resume. Every subcommand checks the run directory before any work
 directory whose config.txt holds another config; 3 data error, including a
 missing input, a fragment changed after its manifest was written, and a stale
 fragment, one whose recorded parent no longer matches the run directory's; 4
-stage failure. XPROMPT_LOG sets the logging level.
+stage failure, including a file of the run (config.txt, metrics.tsv, ...) that
+cannot be written. XPROMPT_LOG sets the logging level.
 """
 
 from __future__ import annotations

@@ -212,6 +212,8 @@ class RunConfig:
         for key, kind, _ in SCHEMA:
             if kind in ("float", "floats") and not np.isfinite(v[key]).all():
                 raise ConfigError(f"{key} must be finite, got {_render(key, v[key])}")
+            if kind == "str" and "\0" in v[key]:  # no path or name may hold one
+                raise ConfigError(f"{key} must not hold a NUL byte, got {v[key]!r}")
         for key in ("pretrain.lr", "optim.lr"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {v[key]!r}")

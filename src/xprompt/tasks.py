@@ -2,8 +2,8 @@
 
 A token sequence's label is the index of the symbol group, of C contiguous
 groups, with the most tokens in it; ties have no label and are never drawn.
-Symbols 0 and 1 are reserved (0 is the mask token used by backbone
-pretraining), so generated sequences only use ids >= 2.
+Symbols 0 and 1 are reserved (0 is the mask token of backbone pretraining),
+so generated ids are >= 2; an example gets DRAWS draws before it is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError
 from .util import stable_seed
 
 RESERVED_SYMBOLS = 2
-# draws per example, in _draw_example and in dev's redraws, before a spec is refused
+# draws per example, of any label, before generate refuses the spec
 DRAWS = 10_000
 
 
@@ -68,40 +68,31 @@ def label_of(spec: TaskSpec, tokens: tuple[int, ...]) -> int | None:
     return counts.index(top)
 
 
-def _draw_example(spec: TaskSpec, rng: np.random.Generator, target: int) -> Example:
-    """Rejection-sample one sequence whose ground truth equals target."""
-    lo, hi = spec.seq_len_min, spec.seq_len_max
-    for _ in range(DRAWS):
-        n = int(rng.integers(lo, hi + 1))
-        seq = tuple(int(t) for t in rng.integers(RESERVED_SYMBOLS, spec.vocab_size, size=n))
-        if label_of(spec, seq) == target:
-            return Example(seq, target)
-    raise ConfigError(f"could not realize label {target} under spec {spec.name!r}")
-
-
 def generate(spec: TaskSpec) -> dict[str, tuple[Example, ...]]:
     """Deterministic {train, dev} splits, exactly class-balanced, disjoint.
 
-    Train and dev draw from independent seed streams; dev additionally
-    rejects any sequence that already appears in train, and a spec whose dev
-    split cannot find one in DRAWS draws is refused.
+    Train and dev draw from independent seed streams. Each example keeps the
+    first of at most DRAWS draws whose label is its target and that is not a
+    train sequence; a spec with an example that finds none is refused.
     """
     spec.validate()
     splits: dict[str, tuple[Example, ...]] = {}
-    train_seqs: set[tuple[int, ...]] = set()
+    train_seqs: set[tuple[int, ...]] = set()  # empty while train is drawn
     for split, size in (("train", spec.train_size), ("dev", spec.dev_size)):
         rng = np.random.default_rng(stable_seed(spec.seed, spec.name, split))
         out = []
         for i in range(size):
             target = i % spec.num_classes
             for _ in range(DRAWS):
-                ex = _draw_example(spec, rng, target)
-                if ex.tokens not in train_seqs:  # empty while train is drawn
+                n = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
+                seq = tuple(int(t) for t in rng.integers(RESERVED_SYMBOLS, spec.vocab_size, size=n))
+                if label_of(spec, seq) == target and seq not in train_seqs:
                     break
             else:
-                raise ConfigError(f"the {split} split found no label-{target} sequence outside "
-                                  f"the train split in {DRAWS} draws under spec {spec.name!r}")
-            out.append(ex)
+                outside = " outside the train split" if train_seqs else ""
+                raise ConfigError(f"the {split} split found no label-{target} sequence{outside} "
+                                  f"in {DRAWS} draws under spec {spec.name!r}")
+            out.append(Example(seq, target))
         splits[split] = tuple(out)
         if split == "train":
             train_seqs = {ex.tokens for ex in out}

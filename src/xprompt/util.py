@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import os
 
-from .errors import DataError
+from .errors import DataError, StageError
 
 # environment variables that set the BLAS thread count (OpenBLAS, OpenMP, MKL)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -42,8 +42,12 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see a partial file."""
+    """Write via a temp file + rename so readers never see a partial file; a
+    StageError naming path when it cannot be written."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise StageError(f"cannot write {path}: {exc.strerror or exc}") from None

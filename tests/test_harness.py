@@ -14,16 +14,19 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xprompt import checkpoint, cli, util
+from xprompt import checkpoint, cli, tasks, util
 from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.checkpoint import PROMPT_FORMAT, load_prompt, read_manifest, save_prompt
 from xprompt.errors import ConfigError, DataError, StageError
 from xprompt.prompt import PromptBank
+
+from conftest import MICRO_SPEC
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -123,6 +126,19 @@ def test_template_splits_are_pinned(classes, digest):
     """Every byte-identity guarantee downstream rests on this stream: the
     template's generated splits, as token tuples and labels, hash the same."""
     data = hz.load_splits(hz.RunConfig.from_mapping({"backbone.num_classes": classes}))
+    text = repr({split: tuple((ex.tokens, ex.label) for ex in data[split])
+                 for split in ("train", "dev")})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (MICRO_SPEC, "817ddd9723804352639e2c909279db7fa6172efe86ebfb5a135e56592151878b"),
+    (replace(MICRO_SPEC, name="micro-majority-3", vocab_size=20, num_classes=3, dev_size=30),
+     "d75f0f79511570063aa458902de355c9cb9e72ca64a2524bbf41f2f819c2a962"),
+], ids=["micro", "three-classes"])
+def test_micro_splits_are_pinned(spec, digest):
+    """The splits most tests train on hash the same, like the template's."""
+    data = tasks.generate(spec)
     text = repr({split: tuple((ex.tokens, ex.label) for ex in data[split])
                  for split in ("train", "dev")})
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -691,8 +707,17 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert all(line.split("\t")[1] == "1" for line in lines)
 
 
-def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path):
+def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path, capsys):
     assert cli.main(["pipeline", "--config", "/nonexistent.cfg"]) == 2
+    # a NUL byte in a path or name is refused before anything is written
+    out = str(tmp_path / "nul")
+    for key in ("run.out", "task.train_path", "task.dev_path", "task.name"):
+        cfg = write_cfg_file(tmp_path, out, **{key: str(tmp_path / "a") + "\0b"})
+        capsys.readouterr()
+        assert cli.main(["pretrain", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} must not hold a NUL")
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "a")
     bad = str(tmp_path / "bad.cfg")
     hz.write_text_atomic(bad, "nonsense.key = 1\n")
     assert cli.main(["pipeline", "--config", bad]) == 2
@@ -1414,6 +1439,30 @@ def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert cli.main([command, "--config", cfg, *extra]) == 4
     assert f"stage {stage} failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("pipeline --resume", "report.txt"),
+    ("report", "metrics.tsv"),
+    ("baselines --which vanilla", "baselines.tsv.tmp"),
+    ("transfer --variants transfer_o --source {copy}/seed1/prune", "transfer.tsv.tmp"),
+    ("report", "config.txt.tmp"),
+], ids=["pipeline", "report", "baselines", "transfer", "config"])
+def test_cli_run_file_that_cannot_be_written_exits_4(pipe_run, tmp_path, capsys, command,
+                                                     blocked):
+    """A directory where a command writes a file of the run, or its temp
+    file, is a stage failure naming the file, not a crash."""
+    _, copy = copy_run(pipe_run, tmp_path)
+    written = os.path.join(copy, blocked.removesuffix(".tmp"))
+    if os.path.exists(written):  # config.txt too, so that the command writes it anew
+        os.remove(written)
+    os.mkdir(os.path.join(copy, blocked))
+    cfg = write_cfg_file(tmp_path, copy)
+    capsys.readouterr()
+    assert cli.main([*command.format(copy=copy).split(), "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(f"stage failure: cannot write {re.escape(written)}: .*\n", err)
 
 
 def test_cli_exit_code_4_when_a_worker_dies(tmp_path, monkeypatch, capsys):

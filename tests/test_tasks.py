@@ -110,6 +110,36 @@ def test_generate_balances_or_refuses_small_specs(sp):
     assert not {ex.tokens for ex in data["dev"]} & {ex.tokens for ex in data["train"]}
 
 
+def test_refused_example_consumes_at_most_DRAWS_draws(monkeypatch):
+    """An example is refused after DRAWS draws of its split's stream, whether
+    its draws had the wrong label or were train sequences."""
+    default_rng, streams = np.random.default_rng, []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng, self.draws = default_rng(seed), 0
+
+        def integers(self, low, high, size=None):
+            self.draws += size is None  # each draw takes its length first
+            return self.rng.integers(low, high, size=size)
+
+    def counting_rng(seed):
+        streams.append(Counting(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(tasks, "DRAWS", 40)
+    # every one-token label-0 sequence is a train sequence
+    with pytest.raises(ConfigError, match=r"^the dev split found no label-0 sequence outside "
+                                          r"the train split in 40 draws under spec 't'$"):
+        tasks.generate(spec(seq_len_min=1, seq_len_max=1, vocab_size=8, train_size=200))
+    assert streams[1].draws == 40
+    monkeypatch.setattr(tasks, "DRAWS", 2)
+    with pytest.raises(ConfigError, match=r"^the train split found no label-\d sequence "
+                                          r"in 2 draws under spec 't'$"):
+        tasks.generate(spec())
+
+
 # --- jsonl ---------------------------------------------------------------------
 
 
