@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
-from xprompt.harness import param_count, saliency_text
+from xprompt.harness import exact_percent, saliency_text
 from xprompt.prompt import init_prompt, tune
 from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
                              hierarchical_prune, score_tokens, select_tokens)
@@ -55,16 +55,16 @@ for cell in result.cells:
     print(f"  cell ({cell.token_ratio}, {cell.piece_ratio}): "
           f"dev {cell.dev_acc:.3f}, kept params {cell.kept_params}")
 best = result.best
-counted = param_count(32, best.selection)
+percent = exact_percent(best.kept_params, bank.m * bank.e)
 print(f"best cell ({best.token_ratio}, {best.piece_ratio}): dev {best.dev_acc:.3f} "
-      f"with {counted['count']} params = {counted['percentage']}% of the full prompt")
+      f"with {best.kept_params} params = {percent}% of the full prompt")
 
 # --- saliency export for plotting ---------------------------------------------------
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "saliency.txt")
     with open(path, "w") as fh:
-        fh.write(saliency_text(result.best.token_report, best.selection))
+        fh.write(saliency_text(best.saliency(), best.selection))
     with open(path) as fh:
         head = [next(fh) for _ in range(6)]
 print("saliency file head:")

@@ -10,8 +10,9 @@ wall[backbone], and wall[stage1] and wall[prune], each summed over seeds.
 The run directory (run.out) has one owner, RunDir, the one reader and writer
 of its fragments. It holds config.txt, backbone/, seed<N>/stage1/ and
 seed<N>/prune/ (the fragments, see checkpoint: a checkpoint and, but for the
-backbone, records.tsv; prune adds saliency.txt, in format saliency v2, see
-saliency_text, and the best cell's ratios as the manifest field ``best_cell``),
+backbone, records.tsv; prune adds saliency.txt, the best cell's
+pruning.CellResult.saliency in format saliency v2 (see saliency_text), and
+the best cell's ratios as the manifest field ``best_cell``),
 and the merged metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
 transfer.tsv. Each fragment's manifest.txt holds provenance lines: ``run_hash``,
 the config hash, which leaves out run.out and run.seeds since neither changes
@@ -50,9 +51,8 @@ from . import checkpoint, tasks
 from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
 from .prompt import PromptBank, init_prompt, tune
-from .pruning import (CellResult, ImportanceReport, Masks, PruneSchedule,
-                      baseline_negative_masking, hierarchical_prune, kept_params,
-                      score_tokens)
+from .pruning import (ImportanceReport, Masks, PruneSchedule, baseline_negative_masking,
+                      hierarchical_prune, kept_params, score_tokens)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
 from .util import BLAS_THREAD_VARS, sha256_hex, stable_seed, write_text_atomic
 
@@ -274,16 +274,6 @@ def exact_percent(count: int, total: int) -> str:
     return f"{q // 10_000}.{q % 10_000:04d}"
 
 
-def param_count(e: int, masks: Masks) -> dict[str, object]:
-    """Kept tunable parameters of the (gamma, zeta) masks, plus the exact
-    percentage of the full m*e prompt."""
-    m, k = masks[1].shape
-    if k < 1 or e % k != 0:
-        raise DataError(f"piece count k={k} does not divide e={e}")
-    count = kept_params(masks, e)
-    return {"count": count, "percentage": exact_percent(count, m * e)}
-
-
 # --- metrics ---------------------------------------------------------------------
 
 
@@ -373,24 +363,6 @@ def saliency_text(report: ImportanceReport, masks: Masks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def merge_saliency_report(cell: CellResult) -> ImportanceReport:
-    """One report covering both pruning levels of a grid cell.
-
-    Token scores come from the token-stage sweep; piece rows come from the
-    piece-stage sweep for tokens that survived, and from the token-stage
-    sweep for tokens removed there, so every pruned cell still carries the
-    score it had when it was last live.
-    """
-    tok, pc = cell.token_report, cell.piece_report
-    alive = pc.token_live[:, None]
-    return ImportanceReport(
-        token_scores=tok.token_scores.copy(),
-        piece_scores=np.where(alive, pc.piece_scores, tok.piece_scores),
-        token_live=tok.token_live.copy(),
-        piece_live=tok.piece_live.copy(),
-        examples_seen=pc.examples_seen)
-
-
 # --- datasets and corpus --------------------------------------------------------------
 
 
@@ -450,9 +422,10 @@ def _stage(name: str):
 
 
 def _record(stage: str, seed: int, dev_acc: float, masks: Masks, e: int) -> MetricsRecord:
-    counted = param_count(e, masks)
+    """The record of masks: kept tokens, kept parameters and their exact percent of m*e."""
+    count = kept_params(masks, e)
     return MetricsRecord(stage, seed, dev_acc, int(np.count_nonzero(masks[0] > 0)),
-                         counted["count"], counted["percentage"])
+                         count, exact_percent(count, masks[0].size * e))
 
 
 def _tune(cfg: RunConfig, bank: PromptBank, bb: FrozenBackbone, data, seed: int):
@@ -608,7 +581,7 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
         rd.save("prune", seed, checkpoint.save_prompt, bank,
                 head=[f"best_cell {best.token_ratio!r} {best.piece_ratio!r}"],
                 files={"records.tsv": _records_text(records),
-                       "saliency.txt": saliency_text(merge_saliency_report(best), best.selection)})
+                       "saliency.txt": saliency_text(best.saliency(), best.selection)})
     return records
 
 

@@ -13,7 +13,8 @@ flags, and kept_params counts parameters from the same arrays. Rewinding
 sets the prompt back to the values it is given, the prompt hierarchical
 pruning was called with, and installs the masks; each cell then retrains
 through tune, which builds its own optimizer on every call, so every cell
-starts from a fresh optimizer state.
+starts from a fresh optimizer state. CellResult holds the best-cell rank
+and the saliency rule (each score from the sweep where it was last live).
 """
 
 from __future__ import annotations
@@ -207,6 +208,20 @@ class CellResult:
     token_report: ImportanceReport | None = None
     piece_report: ImportanceReport | None = None
 
+    def rank(self) -> tuple:
+        """The best cell has the least rank: the highest dev accuracy, then the
+        fewest kept parameters, then the lexicographically smallest ratios."""
+        return (-self.dev_acc, self.kept_params, self.token_ratio, self.piece_ratio)
+
+    def saliency(self) -> ImportanceReport:
+        """One report of both pruning levels: token scores and the piece rows of
+        removed tokens from the token sweep, the other piece rows from the piece
+        sweep, so every structure keeps the score it had when it was last live."""
+        tok, pc = self.token_report, self.piece_report
+        pieces = np.where(pc.token_live[:, None], pc.piece_scores, tok.piece_scores)
+        return ImportanceReport(tok.token_scores.copy(), pieces, tok.token_live.copy(),
+                                tok.piece_live.copy(), pc.examples_seen)
+
 
 @dataclass
 class PruneResult:
@@ -239,11 +254,10 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
 
     All cells share one ``token_report`` object, and the cells of one token
     ratio share one ``piece_report``; callers must treat reports as
-    read-only.
+    read-only, and CellResult.saliency merges a cell's two into one.
 
-    The returned best cell maximizes dev accuracy; ties prefer fewer kept
-    parameters, then lexicographically smaller ratios. The bank is left in
-    the best cell's retrained state.
+    The returned best cell has the least CellResult.rank, which holds the
+    tie-break, and the bank is left in its retrained state.
     """
     sched.validate()
     if retrain_epochs < 0:
@@ -276,13 +290,10 @@ def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
             log.info("cell (%.2f, %.2f): dev=%.4f kept=%d", t_ratio, p_ratio,
                      cell.dev_acc, cell.kept_params)
 
-            rank = (-cell.dev_acc, cell.kept_params, cell.token_ratio, cell.piece_ratio)
-            if best is None or rank < (-best.dev_acc, best.kept_params,
-                                       best.token_ratio, best.piece_ratio):
+            if best is None or cell.rank() < best.rank():
                 best, best_p = cell, bank.p.copy()
 
-    bank.p[:] = best_p
-    apply_selection(bank, best.selection)
+    rewind(bank, best_p, best.selection)
     return PruneResult(best, cells)
 
 

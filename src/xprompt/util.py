@@ -3,6 +3,7 @@ atomic file writes."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
@@ -42,12 +43,16 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see a partial file; a
-    StageError naming path when it cannot be written."""
-    tmp = path + ".tmp"
+    """Write via a temp file + rename so readers never see a partial file. On an
+    OSError, remove the temp file if this call opened it and raise a StageError."""
+    tmp, opened = path + ".tmp", False
     try:
         with open(tmp, "wb") as fh:
+            opened = True
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise StageError(f"cannot write {path}: {exc.strerror or exc}") from None

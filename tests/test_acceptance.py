@@ -8,7 +8,10 @@ summary, so they appear in any pytest run, -q included.
 Criteria 1-5 and 8-10 run at micro scale. Criteria 6 and 7 run the real
 pipeline and baseline arms at the calibration defaults shipped in the
 config template (restricted to a two-cell ratio grid so the whole check
-fits its time budget) and compare 5-seed median dev accuracies.
+fits its time budget) and compare 5-seed median dev accuracies. They carry
+the ``calibration`` marker: their shared fixture takes most of tier-1's
+time, so a fast local loop is ``pytest -m "not calibration"``, while the
+tier-1 command, with no ``-m``, still runs every test.
 """
 
 import os
@@ -223,10 +226,10 @@ def test_05_param_count_table():
                 ({0: 16, 1: 16, 2: 16}, 6144, "15.0000"),
                 ({0: 16, 1: 4}, 2560, "6.2500"),
                 ({0: 4}, 512, "1.2500")]
-    got = [hz.param_count(e, keep_cells(m, k, cells)) for cells, _, _ in expected]
-    ok = all(g == {"count": c, "percentage": p} for g, (_, c, p) in zip(got, expected))
+    got = [hz._record("final", 0, 1.0, keep_cells(m, k, cells), e) for cells, _, _ in expected]
+    ok = all((g.kept_params, g.percent) == (c, p) for g, (_, c, p) in zip(got, expected))
     report(5, "parameter-count table", ok,
-           "param_count reproduces (40960, 100.0000), (6144, 15.0000), "
+           "the metrics record reproduces (40960, 100.0000), (6144, 15.0000), "
            "(2560, 6.2500), (512, 1.2500) exactly",
            t0, budget=1.0)
 
@@ -273,6 +276,7 @@ def calibration(tmp_path_factory):
     }
 
 
+@pytest.mark.calibration
 def test_06_pruned_arm_ordering(calibration):
     c = calibration
     t0 = time.monotonic() - c["wall_prune"]
@@ -286,6 +290,7 @@ def test_06_pruned_arm_ordering(calibration):
            t0, budget=600.0)
 
 
+@pytest.mark.calibration
 def test_07_masking_arm_ordering(calibration):
     c = calibration
     t0 = time.monotonic() - c["wall_mask"]

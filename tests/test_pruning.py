@@ -579,7 +579,7 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
     shared = [token_report] + [row[0].piece_report for row in rows]
     before = [[a.copy() for a in report_arrays(r)] for r in shared]
     for cell in out.cells:
-        hz.saliency_text(hz.merge_saliency_report(cell), cell.selection)
+        hz.saliency_text(cell.saliency(), cell.selection)
     for report, arrays in zip(shared, before):
         for a, b in zip(report_arrays(report), arrays):
             assert np.array_equal(a, b)
@@ -621,6 +621,32 @@ def test_hierarchical_prune_guards(bank, micro_backbone, micro_data):
                 pr.PruneSchedule((0.5,), (0.0,), "top_k")):
         with pytest.raises(ConfigError):
             bad.validate()
+
+
+def test_cell_rank_prefers_accuracy_then_fewer_params_then_smaller_ratios():
+    def cell(t_ratio, p_ratio, dev_acc, kept):
+        return pr.CellResult(t_ratio, p_ratio, None, dev_acc, kept, None)
+
+    cells = [cell(0.0, 0.0, 0.75, 96), cell(0.5, 0.5, 0.75, 24), cell(0.5, 0.0, 0.75, 24),
+             cell(0.34, 0.25, 0.5, 8), cell(0.34, 0.5, 0.8, 64)]
+    ranked = sorted(cells, key=pr.CellResult.rank)
+    assert [(c.token_ratio, c.piece_ratio) for c in ranked] == [
+        (0.34, 0.5), (0.5, 0.0), (0.5, 0.5), (0.0, 0.0), (0.34, 0.25)]
+
+
+def test_cell_saliency_mixes_stages():
+    tok = make_report([0.4, 0.1], [[0.5, 0.6], [0.7, 0.8]])
+    piece = pr.ImportanceReport(np.array([0.9, 0.0]), np.array([[1.5, 1.6], [0.0, 0.0]]),
+                                np.array([True, False]),
+                                np.array([[True, True], [False, False]]), 3)
+    sel = np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])
+    cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, None,
+                         token_report=tok, piece_report=piece)
+    merged = cell.saliency()
+    assert np.array_equal(merged.token_scores, [0.4, 0.1])      # token-stage scores
+    assert np.array_equal(merged.piece_scores[0], [1.5, 1.6])   # survivor: piece stage
+    assert np.array_equal(merged.piece_scores[1], [0.7, 0.8])   # removed: token stage
+    assert merged.examples_seen == 3
 
 
 # --- ablation baselines -------------------------------------------------------------
