@@ -36,8 +36,9 @@ print(f"mlm loss: step 0 {losses[0]:.4f} -> final {losses[-1]:.4f} "
 
 with tempfile.TemporaryDirectory() as tmp:
     save_backbone(bb, os.path.join(tmp, "backbone"))
-    # read_manifest reads and checks the fragment once; load_backbone parses it
-    again = load_backbone(read_manifest(os.path.join(tmp, "backbone"), BACKBONE_FORMAT))
+    # read_manifest reads and checks the fragment once; load_backbone checks its
+    # config fields against cfg and reads each weight at the shape cfg gives it
+    again = load_backbone(read_manifest(os.path.join(tmp, "backbone"), BACKBONE_FORMAT), cfg)
 same = all(np.array_equal(bb.weights[k], again.weights[k]) for k in bb.weights)
 print(f"checkpoint round trip bitwise identical: {same}")
 

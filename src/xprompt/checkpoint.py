@@ -7,23 +7,23 @@ round trips are bitwise exact) and last ``digest <sha256>`` of the lines above.
 Written last and removed before a rebuild, the manifest commits the fragment,
 and the savers return its Fragment. read_manifest, the one reader, reads each
 file once and checks every digest; the loaders parse its Fragment and read nothing.
+A backbone's manifest holds its config fields and a blob per weight: it loads frozen,
+laid out by backbone._weight_shapes of the caller's config, which its fields must equal.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, FrozenBackbone
+from .backbone import BackboneConfig, FrozenBackbone, _weight_shapes
 from .errors import DataError
 from .prompt import PromptBank
 from .util import read_fragment, sha256_hex, write_bytes_atomic
 
 BACKBONE_FORMAT = "backbone-checkpoint v1"
 PROMPT_FORMAT = "prompt-checkpoint v1"
-BACKBONE_FIELDS = ("vocab_size", "embed_dim", "layers", "heads", "max_seq_len",
-                   "num_classes", "seed")
 
 
 @dataclass(frozen=True)
@@ -113,32 +113,23 @@ def _mask_row(dirpath: str, what: str, text: str | None, width: int) -> list[flo
 
 
 def save_backbone(bb: FrozenBackbone, dirpath: str, provenance=()) -> Fragment:
-    lines = [f"format {BACKBONE_FORMAT}"]
-    cfg = bb.cfg
-    for k in BACKBONE_FIELDS:
-        lines.append(f"{k} {getattr(cfg, k)}")
-    lines.append(f"frozen {int(bb.frozen)}")
-    weights = sorted(bb.weights.items())
-    lines.extend(f"weight {name} {arr.shape[0]} {arr.shape[1]}" for name, arr in weights)
+    """Persist bb's config fields and a blob per weight, the layout its config gives."""
+    lines = [f"format {BACKBONE_FORMAT}", *(f"{k} {v}" for k, v in asdict(bb.cfg).items())]
     return _write_manifest(dirpath, [*lines, *provenance],
-                           {f"{name}.bin": arr for name, arr in weights})
+                           {f"{name}.bin": arr for name, arr in sorted(bb.weights.items())})
 
 
-def load_backbone(frag: Fragment) -> FrozenBackbone:
-    dirpath, entries, files, fields = frag.path, frag.entries, frag.files, dict(frag.entries)
-    cfg = BackboneConfig(**{k: _field(dirpath, fields, k, int) for k in BACKBONE_FIELDS})
-    weights = {}
-    for val in [val for key, val in entries if key == "weight"]:
-        try:
-            name, r, c = val.split(" ")
-            shape = (int(r), int(c))
-        except ValueError:
-            raise DataError(f"checkpoint manifest in {dirpath}: malformed weight "
-                            f"line {val!r}") from None
-        weights[name] = _read_blob(dirpath, name, shape, files)
-    bb = FrozenBackbone(cfg, weights)
-    if _mask_row(dirpath, "frozen", fields.get("frozen"), 1) == [1.0]:
-        bb.freeze()
+def load_backbone(frag: Fragment, cfg: BackboneConfig) -> FrozenBackbone:
+    """The saved backbone of config cfg, frozen; a DataError unless the manifest's config
+    fields are cfg's. Each weight _weight_shapes(cfg) names is read at that shape."""
+    fields = dict(frag.entries)
+    for key, want in asdict(cfg).items():
+        if (got := _field(frag.path, fields, key, int)) != want:
+            raise DataError(f"checkpoint manifest in {frag.path}: {key} {got} does not "
+                            f"match the backbone config's {want}")
+    bb = FrozenBackbone(cfg, {name: _read_blob(frag.path, name, shape, frag.files)
+                              for name, shape in sorted(_weight_shapes(cfg).items())})
+    bb.freeze()
     return bb
 
 

@@ -86,7 +86,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_mapping()
     if args.seed is not None:
         cfg = cfg.with_overrides(run__seeds=(args.seed,))
-    if args.out:
+    if args.out is not None:
         cfg = cfg.with_overrides(run__out=args.out)
     return cfg
 

@@ -9,10 +9,10 @@ wall[backbone], and wall[stage1] and wall[prune], each summed over seeds.
 
 The run directory (run.out) has one owner, RunDir, the one reader and writer
 of its fragments. It holds config.txt, backbone/, seed<N>/stage1/ and
-seed<N>/prune/ (the fragments, see checkpoint: a checkpoint and, but for the
-backbone, records.tsv; prune adds saliency.txt, the best cell's
-pruning.CellResult.saliency in format saliency v2 (see saliency_text), and
-the best cell's ratios as the manifest field ``best_cell``),
+seed<N>/prune/ (the fragments, see checkpoint: the backbone's checkpoint, which
+loads frozen under the run's backbone config, and the others' with records.tsv;
+prune adds saliency.txt, the best cell's pruning.CellResult.saliency in format
+saliency v2 (see saliency_text), and its ratios as the manifest field ``best_cell``),
 and the merged metrics.tsv, report.txt, baselines.tsv, baseline_medians.tsv and
 transfer.tsv. Each fragment's manifest.txt holds provenance lines: ``run_hash``,
 the config hash, which leaves out run.out and run.seeds since neither changes
@@ -540,10 +540,7 @@ def ensure_backbone(rd: RunDir, train) -> FrozenBackbone:
     """Load the run's backbone checkpoint or pretrain and save it."""
     cfg = rd.cfg
     if frag := rd.reused("backbone"):
-        bb = checkpoint.load_backbone(frag)
-        if bb.cfg != cfg.backbone_config():
-            raise ConfigError("backbone checkpoint does not match backbone config")
-        return bb
+        return checkpoint.load_backbone(frag, cfg.backbone_config())
     with _stage("backbone"):
         bb = init_backbone(cfg.backbone_config())
         pretrain(bb, build_corpus(cfg, train), cfg["pretrain.steps"], cfg["pretrain.lr"])

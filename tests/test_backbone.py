@@ -286,7 +286,7 @@ def test_predict_chunks_give_the_logits_of_one_pack(oracle_case, micro_data):
 def test_backbone_checkpoint_round_trip(tmp_path, micro_backbone):
     d = str(tmp_path / "bb")
     ckpt.save_backbone(micro_backbone, d)
-    back = ckpt.load_backbone(ckpt.read_manifest(d, ckpt.BACKBONE_FORMAT))
+    back = ckpt.load_backbone(ckpt.read_manifest(d, ckpt.BACKBONE_FORMAT), micro_backbone.cfg)
     assert back.cfg == micro_backbone.cfg
     assert back.frozen
     assert weight_hash(back) == weight_hash(micro_backbone)

@@ -22,6 +22,7 @@ import pytest
 from xprompt import checkpoint, cli, tasks, util
 from xprompt import harness as hz
 from xprompt import pruning as pr
+from xprompt.backbone import _weight_shapes
 from xprompt.checkpoint import PROMPT_FORMAT, load_prompt, read_manifest, save_prompt
 from xprompt.errors import ConfigError, DataError, StageError
 from xprompt.prompt import PromptBank
@@ -516,6 +517,40 @@ def test_cli_resume_after_a_crash_at_a_commit_point_gives_the_same_bytes(
     assert not [name for name in files if name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("point", [
+    os.path.join("seed2", "stage1", "manifest.txt"),
+    os.path.join("seed2", "prune", "manifest.txt"),
+], ids=["seed2-stage1", "seed2-prune"])
+def test_cli_resume_after_a_worker_dies_at_a_commit_point_gives_the_same_bytes(
+        pipe_run, tmp_path, monkeypatch, capsys, point):
+    """Under --jobs 2, a worker that dies at a fragment's commit with half of the
+    temp file written fails the pipeline as a stage failure, and a resume with
+    --jobs 2 gives the uninterrupted run's bytes and leaves no temp file."""
+    out = str(tmp_path / "crashed")
+    cfg = write_cfg_file(tmp_path, out)
+    write, parent = util.write_bytes_atomic, os.getpid()
+
+    def dying(path, data):
+        if path == os.path.join(out, point) and os.getpid() != parent:
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            os._exit(1)
+        write(path, data)
+
+    monkeypatch.setattr(util, "write_bytes_atomic", dying)
+    monkeypatch.setattr(checkpoint, "write_bytes_atomic", dying)
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--config", cfg, "--jobs", "2"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("stage failure: ")
+    assert os.path.exists(os.path.join(out, point + ".tmp"))
+    monkeypatch.undo()
+    assert cli.main(["pipeline", "--config", cfg, "--resume", "--jobs", "2"]) == 0
+    files = run_files(out)
+    assert files == run_files(pipe_run[1])
+    assert not [name for name in files if name.endswith(".tmp")]
+
+
 def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
     # keep-all cell with no retraining evaluates the rewound = stage-1 state
     out = str(tmp_path / "deg")
@@ -746,6 +781,18 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert cli.main(["pipeline", "--config", cfg, "--seed", "1", "--out", out]) == 0
     lines = read(os.path.join(out, "metrics.tsv")).strip().split("\n")[1:]
     assert all(line.split("\t")[1] == "1" for line in lines)
+
+
+def test_cli_empty_out_exits_2_before_any_write(tmp_path, capsys):
+    """--out "" overrides run.out like any other value, and an empty run.out is
+    refused; the config's run.out is not used in its place."""
+    cfg = write_cfg_file(tmp_path, str(tmp_path / "from-config"))
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", cfg, "--out", ""]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: run.out must name a directory")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path, capsys):
@@ -1004,7 +1051,9 @@ FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
     (STAGE1_MANIFEST, r"^piece_mask 0 1 ", "piece_mask 0 ", "prune"),
     (BACKBONE_MANIFEST, r"^layers .*\n", "", "pretrain --resume"),
     (BACKBONE_MANIFEST, r"^heads .*", "heads two", "pretrain --resume"),
-    (BACKBONE_MANIFEST, r"^weight head \S+", "weight head", "pretrain --resume"),
+    (BACKBONE_MANIFEST, r"^heads 2$", "heads 4", "pretrain --resume"),
+    (BACKBONE_MANIFEST, r"^file l0\.wq\.bin .*\n", "", "pretrain --resume"),
+    (BACKBONE_MANIFEST, r"^layers 1$", "layers 1000000000", "pretrain --resume"),
     (FINAL_RECORDS, r"^(final\t1\t)[^\t]*", r"\1abc", "report"),
     (STAGE1_RECORDS, r"^(stage1\t.*)\t[^\t]*$", r"\1", "tune --resume"),
     (FINAL_RECORDS, r"^(final\t.*\t)[^\t]*$", r"\1inf", "report"),
@@ -1021,7 +1070,8 @@ FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
     (STAGE1_RECORDS, r"^(stage1\t)1\t", r"\g<1>7\t", "baselines --which vanilla"),
 ], ids=["no-m", "bad-e", "bad-k", "no-p_e-blob", "token-mask-7",
         "short-token-mask", "piece-mask-0.5", "short-piece-mask", "backbone-no-layers",
-        "backbone-bad-heads", "backbone-bad-weight-line", "records-dev-acc-abc",
+        "backbone-bad-heads", "backbone-other-heads", "backbone-no-blob",
+        "backbone-huge-layers", "records-dev-acc-abc",
         "records-short-row", "records-percent-inf", "records-dev-acc-nan",
         "records-dev-acc-above-1", "best-cell-bad-ratio", "best-cell-one-ratio",
         "best-cell-ratio-1", "final-keeps-no-tokens", "records-header-only-tune",
@@ -1030,7 +1080,9 @@ FINAL_RECORDS = os.path.join("seed1", "prune", "records.tsv")
 def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path, pattern,
                                                 replacement, command):
     """Each edit is resealed, so it passes the digest checks and is refused
-    by the parser of the file it damages."""
+    by the parser of the file it damages, which the error names when it is
+    the backbone's: a backbone of another config is refused before any of
+    its weights is read or allocated."""
     _, copy = copy_run(pipe_run, tmp_path)
     target = os.path.join(copy, path)
     text, count = re.subn(pattern, replacement, read(target), count=1, flags=re.M)
@@ -1044,6 +1096,35 @@ def test_cli_exit_code_3_on_malformed_artifacts(pipe_run, tmp_path, capsys, path
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error: ")
+    if path == BACKBONE_MANIFEST:
+        assert os.path.join(copy, "backbone") in lines[0]
+
+
+@pytest.mark.parametrize("edit", [
+    None, ("frozen 1", "frozen 0"), ("weight l0.wq 16 16\n", ""),
+    ("weight tok_emb 16 16", "weight tok_emb 8 32"),
+], ids=["as-saved", "frozen-0", "no-l0.wq-line", "tok_emb-8x32"])
+def test_cli_backbone_manifest_in_the_old_layout_still_loads(pipe_run, tmp_path, capsys, edit):
+    """A backbone manifest in the layout that also listed the frozen flag and a
+    weight line per weight loads with those lines ignored, whatever they say:
+    the run's backbone config gives the layout, and a loaded backbone is frozen."""
+    cfg, copy = copy_run(pipe_run, tmp_path)
+    shapes = sorted(_weight_shapes(cfg.backbone_config()).items())
+    old = "frozen 1\n" + "".join(f"weight {name} {r} {c}\n" for name, (r, c) in shapes)
+    if edit:
+        assert edit[0] in old
+        old = old.replace(*edit)
+    target = os.path.join(copy, BACKBONE_MANIFEST)
+    text = re.sub(r"^(frozen|weight) .*\n", "", read(target), flags=re.M)
+    text, count = re.subn(r"^seed \d+\n", lambda m: m.group(0) + old, text, count=1, flags=re.M)
+    assert count == 1
+    hz.write_text_atomic(target, text)
+    reseal(target)
+    capsys.readouterr()
+    assert cli.main(["tune", "--seed", "1", "--config", write_cfg_file(tmp_path, copy)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read(os.path.join(copy, STAGE1_RECORDS)) == \
+        read(os.path.join(pipe_run[1], STAGE1_RECORDS))
 
 
 @pytest.mark.parametrize("path, command", [
