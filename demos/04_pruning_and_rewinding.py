@@ -3,8 +3,9 @@
 Importance of a prompt structure is the mean absolute gradient of the
 loss with respect to its mask variable. Token-level pruning removes
 whole rows; piece-level pruning removes width-e/k slices of the
-survivors. Each cell rewinds what survives to the stage-1 prompt it was
-given before retraining, which is the lottery-ticket recipe.
+survivors. Each cell retrains a fresh copy of the stage-1 prompt under its
+masks, which is the lottery-ticket recipe, so the stage-1 bank itself stays
+as it was and serves the post-hoc masking at the end.
 """
 
 import os
@@ -32,7 +33,6 @@ pretrain(bb, pretrain_corpus(train), steps=400, lr=1e-2)
 
 bank = init_prompt(m=8, e=32, k=4, seed=1, bb=bb)
 tuned = tune(bank, bb, train, dev, epochs=15, lr=0.02, weight_decay=1e-5, seed=1)
-stage1_bank = bank.copy()
 print(f"stage-1 dev accuracy {tuned.best_dev_acc:.3f}")
 
 # --- importance scores rank the prompt tokens ---------------------------------------
@@ -72,10 +72,10 @@ print("".join(f"  {line}" for line in head), end="")
 
 # --- post-hoc masking: does targeted removal beat random removal? --------------------
 
-stage1_report = score_tokens(stage1_bank, bb, train)  # one sweep serves every rule and draw
-neg, kept = baseline_negative_masking(stage1_bank, bb, stage1_report, dev, ratio=0.75,
+# the stage-1 report from above serves every rule and draw
+neg, kept = baseline_negative_masking(bank, bb, report, dev, ratio=0.75,
                                       rule="lowest_score")
-draws = [baseline_negative_masking(stage1_bank, bb, stage1_report, dev, ratio=0.75,
+draws = [baseline_negative_masking(bank, bb, report, dev, ratio=0.75,
                                    rule="random", seed=s)[0] for s in range(1, 6)]
 print(f"post-hoc masking at 75% keeps tokens {np.flatnonzero(kept[0]).tolist()}: "
       f"lowest-score {neg:.3f} vs random draws "

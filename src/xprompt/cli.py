@@ -21,7 +21,7 @@ import os
 import sys
 
 from .errors import ConfigError, DataError, ShapeError, StageError, StateError
-from .harness import (BASELINE_ARMS, DEFAULT_JOBS, RunConfig, collect_report,
+from .harness import (BASELINE_ARMS, BUILT_BY, DEFAULT_JOBS, RunConfig, collect_report,
                       run_baselines, run_pipeline, run_transfer)
 
 
@@ -32,7 +32,7 @@ def _setup_logging() -> None:
 
 
 # the pipeline stage each building subcommand builds; pipeline builds them all
-PIPELINE_STAGES = {"pretrain": "backbone", "tune": "stage1", "prune": "prune",
+PIPELINE_STAGES = {**{command: stage for stage, command in BUILT_BY.items()},
                    "pipeline": None}
 
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_mapping()
+    cfg = RunConfig.from_file(args.config) if args.config is not None else RunConfig.from_mapping()
     if args.seed is not None:
         cfg = cfg.with_overrides(run__seeds=(args.seed,))
     if args.out is not None:

@@ -575,7 +575,7 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
                    for cell in result.cells]
         best = result.best
         records.append(_record("final", seed, best.dev_acc, best.selection, e))
-        rd.save("prune", seed, checkpoint.save_prompt, bank,
+        rd.save("prune", seed, checkpoint.save_prompt, best.bank,
                 head=[f"best_cell {best.token_ratio!r} {best.piece_ratio!r}"],
                 files={"records.tsv": _records_text(records),
                        "saliency.txt": saliency_text(best.saliency(), best.selection)})
@@ -748,7 +748,7 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
             for arm in ("random", "reversed"):
                 if arm in which:
                     sched = PruneSchedule((t_ratio,), (p_ratio,), arm)
-                    best = _prune(cfg, stage1.copy(), bb, data, sched, seed).best
+                    best = _prune(cfg, stage1, bb, data, sched, seed).best
                     recs.append(_record(arm, seed, best.dev_acc, best.selection, e))
             if "length" in which:
                 # excision against masking: a fresh prompt of the surviving length

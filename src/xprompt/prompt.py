@@ -51,14 +51,18 @@ class PromptBank:
     def effective_values(self) -> np.ndarray:
         return self.p * self.effective_mask()
 
-    def reset_masks(self) -> None:
-        self.token_mask[:] = 1.0
-        self.piece_mask[:] = 1.0
+    def with_masks(self, selection) -> "PromptBank":
+        """A new bank: a copy of p under a copy of selection's (gamma (m,), zeta
+        (m, k)) masks, so writing to either bank leaves the other as it was."""
+        gamma, zeta = selection
+        if (gamma.shape, zeta.shape) != ((self.m,), (self.m, self.k)):
+            raise ConfigError(f"selection masks {gamma.shape} and {zeta.shape} do not "
+                              f"match bank ({self.m}, {self.k})")
+        return PromptBank(p=self.p.copy(), token_mask=gamma.astype(float),
+                          piece_mask=zeta.astype(float), k=self.k)
 
     def copy(self) -> "PromptBank":
-        return PromptBank(
-            p=self.p.copy(), token_mask=self.token_mask.copy(),
-            piece_mask=self.piece_mask.copy(), k=self.k)
+        return self.with_masks((self.token_mask, self.piece_mask))
 
 
 def init_prompt(m: int, e: int, k: int, seed: int, bb: FrozenBackbone) -> PromptBank:

@@ -10,11 +10,11 @@ A selection is the pair of 0/1 mask arrays the bank holds, gamma (m,) and
 zeta (m, k): selecting writes floor(ratio * live) removals, under a
 documented deterministic tie-break, into copies of a report's liveness
 flags, and kept_params counts parameters from the same arrays. Rewinding
-sets the prompt back to the values it is given, the prompt hierarchical
-pruning was called with, and installs the masks; each cell then retrains
-through tune, which builds its own optimizer on every call, so every cell
-starts from a fresh optimizer state. CellResult holds the best-cell rank
-and the saliency rule (each score from the sweep where it was last live).
+is each cell tuning a fresh copy of the start prompt under its masks, so
+the prompt hierarchical pruning is given is left untouched, and tune builds
+its own optimizer on every call. CellResult keeps the cell's retrained bank
+(which holds its masks), the best-cell rank and the saliency rule (each
+score from the sweep where it was last live).
 """
 
 from __future__ import annotations
@@ -160,21 +160,6 @@ def select_pieces(report: ImportanceReport, ratio: float, rule: str,
     return report.token_live.astype(float), zeta
 
 
-def apply_selection(bank: PromptBank, selection: Masks) -> None:
-    gamma, zeta = selection
-    if (gamma.shape, zeta.shape) != ((bank.m,), (bank.m, bank.k)):
-        raise ConfigError(f"selection masks {gamma.shape} and {zeta.shape} do not "
-                          f"match bank ({bank.m}, {bank.k})")
-    bank.token_mask[:] = gamma
-    bank.piece_mask[:] = zeta
-
-
-def rewind(bank: PromptBank, values: np.ndarray, selection: Masks) -> None:
-    """Set the prompt to values and install the masks."""
-    bank.p[:] = values
-    apply_selection(bank, selection)
-
-
 # --- hierarchical pruning -------------------------------------------------------
 
 
@@ -201,12 +186,17 @@ class PruneSchedule:
 class CellResult:
     token_ratio: float
     piece_ratio: float
-    selection: Masks
+    bank: PromptBank
     dev_acc: float
     kept_params: int
     retrain: TuneResult
     token_report: ImportanceReport | None = None
     piece_report: ImportanceReport | None = None
+
+    @property
+    def selection(self) -> Masks:
+        """The (gamma, zeta) masks the cell retrained under: its bank's."""
+        return self.bank.token_mask, self.bank.piece_mask
 
     def rank(self) -> tuple:
         """The best cell has the least rank: the highest dev accuracy, then the
@@ -229,72 +219,62 @@ class PruneResult:
     cells: list[CellResult] = field(default_factory=list)
 
 
-def hierarchical_prune(bank: PromptBank, bb: FrozenBackbone, train, dev,
+def hierarchical_prune(start: PromptBank, bb: FrozenBackbone, train, dev,
                        sched: PruneSchedule, retrain_epochs: int, lr: float,
                        weight_decay: float = 0.0, batch_size: int = 16,
                        seed: int = 0) -> PruneResult:
     """Grid search over (token ratio, piece ratio) cells, scoring each mask
-    state once.
+    state once; start is left as it was given.
 
-    The rewind point is the prompt bank.p holds when the call starts; every
-    command passes stage 1's trained prompt, as the paper's lottery-ticket
-    rewinding asks. Token scores are taken once per run, at that prompt with
-    all-ones masks. Each token ratio selects tokens from that report, and
-    pieces are rescored once per token ratio, at that prompt with that
-    ratio's token masks. Each cell then selects pieces from its row's piece
-    report, rewinds to that prompt, and retrains with tune at ``lr`` and
-    ``weight_decay``; every tune call builds its own optimizer, so every
+    The rewind point is start's prompt; every command passes stage 1's
+    trained prompt, as the paper's lottery-ticket rewinding asks. Token
+    scores are taken once per run, at that prompt with all-ones masks. Each
+    token ratio selects tokens from that report, and pieces are rescored
+    once per token ratio, at that prompt with that ratio's token masks. Each
+    cell then selects pieces from its row's piece report and tunes a fresh
+    copy of the start prompt under its masks (start.with_masks) at ``lr``
+    and ``weight_decay``; every tune call builds its own optimizer, so every
     cell starts from a fresh optimizer state. A sweep depends only on the
     prompt and the masks, so every cell sees exactly the scores a per-cell
     rescoring would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
     ``seed`` seeds the random rule's selections and the retraining shuffles.
 
-    Each cell's ``selection`` holds the (gamma, zeta) masks it retrained
-    under, and its ``kept_params`` counts them with ``kept_params``.
+    Each cell keeps its retrained copy as ``bank``, whose (gamma, zeta)
+    masks are its ``selection``, counted in ``kept_params``.
 
     All cells share one ``token_report`` object, and the cells of one token
     ratio share one ``piece_report``; callers must treat reports as
     read-only, and CellResult.saliency merges a cell's two into one.
 
-    The returned best cell has the least CellResult.rank, which holds the
-    tie-break, and the bank is left in its retrained state.
+    The best cell has the least CellResult.rank, which holds the tie-break;
+    its retrained prompt is ``result.best.bank``.
     """
     sched.validate()
     if retrain_epochs < 0:
         raise ConfigError(f"retrain_epochs must be >= 0, got {retrain_epochs}")
 
     cells: list[CellResult] = []
-    best: CellResult | None = None
-    best_p: np.ndarray | None = None
-
-    start = bank.p.copy()
-    bank.reset_masks()
-    token_report = score_tokens(bank, bb, train, batch_size=batch_size)
+    keep_all = np.ones(start.m), np.ones((start.m, start.k))
+    token_report = score_tokens(start.with_masks(keep_all), bb, train, batch_size=batch_size)
 
     for t_ratio in sched.token_ratios:
         token_sel = select_tokens(token_report, t_ratio, sched.rule, seed)
-        rewind(bank, start, token_sel)
         # the same sweep, rescored over the surviving tokens only
-        piece_report = score_tokens(bank, bb, train, batch_size=batch_size)
+        piece_report = score_tokens(start.with_masks(token_sel), bb, train, batch_size=batch_size)
 
         for p_ratio in sched.piece_ratios:
             selection = select_pieces(piece_report, p_ratio, sched.rule, seed)
-            rewind(bank, start, selection)
+            bank = start.with_masks(selection)
             retrain = tune(bank, bb, train, dev, retrain_epochs, lr, weight_decay,
                            batch_size=batch_size, seed=seed)
-
-            cell = CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
+            cell = CellResult(t_ratio, p_ratio, bank, retrain.best_dev_acc,
                               kept_params(selection, bank.e), retrain,
                               token_report=token_report, piece_report=piece_report)
             cells.append(cell)
             log.info("cell (%.2f, %.2f): dev=%.4f kept=%d", t_ratio, p_ratio,
                      cell.dev_acc, cell.kept_params)
 
-            if best is None or cell.rank() < best.rank():
-                best, best_p = cell, bank.p.copy()
-
-    rewind(bank, best_p, best.selection)
-    return PruneResult(best, cells)
+    return PruneResult(min(cells, key=CellResult.rank), cells)
 
 
 # --- ablation baselines ---------------------------------------------------------
@@ -310,7 +290,5 @@ def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, report: Impo
     is the random-masking control at the same ratio. Returns the masked
     prompt's dev accuracy and the token masks that were applied.
     """
-    probe = bank.copy()
     selection = select_tokens(report, ratio, rule, seed)
-    apply_selection(probe, selection)
-    return evaluate(probe, bb, dev), selection
+    return evaluate(bank.with_masks(selection), bb, dev), selection

@@ -22,7 +22,7 @@ from xprompt import backbone as bbm
 from xprompt import pruning as pr
 from xprompt.autograd import Node
 from xprompt.errors import ShapeError
-from xprompt.prompt import tune
+from xprompt.prompt import PromptBank, tune
 from xprompt.util import sha256_hex
 
 FD_EPS = 1e-5
@@ -276,28 +276,34 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
                        learning_rate=0.05, weight_decay=1e-5, batch_size=16, seed=0):
     """Grid search that rescores tokens and pieces from scratch in every cell.
 
-    Each cell sets the bank back to the prompt the call was given, resets the
-    masks, scores tokens, applies the token selection, scores pieces, then
-    rewinds and retrains: two sweeps per cell and no state shared between
-    cells. seed seeds the selections and the retraining.
+    Each cell assigns the prompt the call was given back into the bank's own
+    arrays with all-ones masks, scores tokens, installs the token selection,
+    scores pieces, then installs the cell's masks and retrains: two sweeps per
+    cell and no state shared between cells. Each cell keeps a snapshot of its
+    retrained bank, and the bank ends in the best cell's state. seed seeds the
+    selections and the retraining.
     """
+    def install(values, gamma, zeta):
+        bank.p[:], bank.token_mask[:], bank.piece_mask[:] = values, gamma, zeta
+
     cells = []
-    best = best_state = None
+    best = None
     start = bank.p.copy()
     for t_ratio in sched.token_ratios:
         for p_ratio in sched.piece_ratios:
-            bank.p[:] = start
-            bank.reset_masks()
+            install(start, 1.0, 1.0)
             token_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
             token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, seed)
-            pr.apply_selection(bank, token_sel)
+            install(start, *token_sel)
             piece_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
             selection = pr.select_pieces(piece_report, p_ratio, sched.rule, seed)
-            pr.rewind(bank, start, selection)
+            install(start, *selection)
             kept_params = int(bank.effective_mask().sum())
             retrain = tune(bank, bb, train, dev, retrain_epochs, learning_rate, weight_decay,
                            batch_size=batch_size, seed=seed)
-            cell = pr.CellResult(t_ratio, p_ratio, selection, retrain.best_dev_acc,
+            snapshot = PromptBank(bank.p.copy(), bank.token_mask.copy(),
+                                  bank.piece_mask.copy(), bank.k)
+            cell = pr.CellResult(t_ratio, p_ratio, snapshot, retrain.best_dev_acc,
                                  kept_params, retrain,
                                  token_report=token_report, piece_report=piece_report)
             cells.append(cell)
@@ -305,9 +311,7 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
             if best is None or rank < (-best.dev_acc, best.kept_params,
                                        best.token_ratio, best.piece_ratio):
                 best = cell
-                best_state = (bank.p.copy(), bank.token_mask.copy(),
-                              bank.piece_mask.copy())
-    bank.p[:], bank.token_mask[:], bank.piece_mask[:] = best_state
+    install(best.bank.p, best.bank.token_mask, best.bank.piece_mask)
     return pr.PruneResult(best, cells)
 
 

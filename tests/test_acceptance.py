@@ -308,13 +308,12 @@ def test_08_rewinding_correctness(micro_backbone, micro_data):
     t0 = time.monotonic()
     train, dev = micro_data["train"], micro_data["dev"]
     fresh = init_prompt(m=6, e=16, k=4, seed=5, bb=micro_backbone)
-    start = fresh.p.copy()
+    start = fresh.copy()
     first = tune(fresh, micro_backbone, train, dev, epochs=3,
                  lr=0.05, weight_decay=1e-5, seed=9)
 
     keep_all = np.ones(6), np.ones((6, 4))
-    pr.rewind(fresh, start, keep_all)
-    second = tune(fresh, micro_backbone, train, dev, epochs=3,
+    second = tune(start.with_masks(keep_all), micro_backbone, train, dev, epochs=3,
                   lr=0.05, weight_decay=1e-5, seed=9)
 
     gap = max(abs(a - b) for a, b in zip(first.losses, second.losses))

@@ -551,6 +551,68 @@ def test_cli_resume_after_a_worker_dies_at_a_commit_point_gives_the_same_bytes(
     assert not [name for name in files if name.endswith(".tmp")]
 
 
+def arm_commands(out: str) -> list[list[str]]:
+    """baselines, every arm, then transfer from seed 1's pruned prompt."""
+    return [["baselines"], ["transfer", "--source", os.path.join(out, "seed1", "prune")]]
+
+
+def fragment_bytes(out: str) -> dict[str, bytes]:
+    return {name: data for name, data in tree_bytes(out).items()
+            if name.startswith(("backbone", "seed"))}
+
+
+@pytest.fixture(scope="module")
+def arms_run(pipe_run, tmp_path_factory):
+    """The files of a copy of the shared run after arm_commands, uninterrupted."""
+    out = str(tmp_path_factory.mktemp("arms") / "run")
+    shutil.copytree(pipe_run[1], out)
+    cfg = write_cfg_file(tmp_path_factory.mktemp("arms-cfg"), out)
+    for command in arm_commands(out):
+        assert cli.main([*command, "--config", cfg, "--jobs", "1"]) == 0
+    return run_files(out)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["before", "half"])
+@pytest.mark.parametrize("command, point", [
+    ("baselines", "baselines.tsv"), ("baselines", "baseline_medians.tsv"),
+    ("transfer", "transfer.tsv"),
+], ids=["baselines", "baseline-medians", "transfer"])
+def test_cli_rerun_after_a_crash_in_baselines_or_transfer_gives_the_same_bytes(
+        pipe_run, arms_run, tmp_path, monkeypatch, command, point, half):
+    """baselines or transfer dying at one of its tsv files, before writing or
+    with half of the temp file written, leaves every fragment as it was, and
+    rerunning the command gives the uninterrupted run's bytes and leaves no
+    temp file."""
+    out = str(tmp_path / "crashed")
+    shutil.copytree(pipe_run[1], out)
+    cfg = write_cfg_file(tmp_path, out)
+    fragments = fragment_bytes(out)
+    write = util.write_bytes_atomic
+
+    def crashing(path, data):
+        if path == os.path.join(out, point):
+            if half:
+                with open(path + ".tmp", "wb") as fh:
+                    fh.write(data[:len(data) // 2])
+            raise Crash(path)
+        write(path, data)
+
+    monkeypatch.setattr(util, "write_bytes_atomic", crashing)
+    monkeypatch.setattr(checkpoint, "write_bytes_atomic", crashing)
+    for args in arm_commands(out):
+        args = [*args, "--config", cfg, "--jobs", "1"]
+        if args[0] == command:
+            with pytest.raises(Crash):
+                cli.main(args)
+            monkeypatch.undo()
+            assert fragment_bytes(out) == fragments
+        assert cli.main(args) == 0
+    files = run_files(out)
+    assert fragment_bytes(out) == fragments
+    assert files == arms_run
+    assert not [name for name in files if name.endswith(".tmp")]
+
+
 def test_pipeline_degenerate_grid_repeats_stage1(tmp_path):
     # keep-all cell with no retraining evaluates the rewound = stage-1 state
     out = str(tmp_path / "deg")
@@ -793,6 +855,17 @@ def test_cli_empty_out_exits_2_before_any_write(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: run.out must name a directory")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_empty_config_path_exits_2_before_any_write(tmp_path, monkeypatch, capsys):
+    """--config "" names a file like any other path, and no file has that name;
+    the template defaults are not used in its place."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", ""]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path, capsys):

@@ -71,9 +71,8 @@ def test_masked_forward_equals_literally_zeroed_prompt(micro_backbone, micro_dat
     bank.token_mask[0] = 0.0
     bank.piece_mask[3, 1] = 0.0
 
-    zeroed = bank.copy()
+    zeroed = bank.with_masks((np.ones(bank.m), np.ones((bank.m, bank.k))))
     zeroed.p[:] = bank.effective_values()
-    zeroed.reset_masks()
 
     seqs = [ex.tokens for ex in micro_data["dev"][:8]]
     a = forward_batch(micro_backbone, ag.constant(bank.effective_values()), seqs)

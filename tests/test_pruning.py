@@ -19,7 +19,7 @@ from xprompt import harness as hz
 from xprompt import pruning as pr
 from xprompt.backbone import forward_batch, init_backbone, pretrain
 from xprompt.errors import ConfigError, DataError
-from xprompt.prompt import evaluate, init_prompt, tune
+from xprompt.prompt import PromptBank, evaluate, init_prompt, tune
 
 import support
 
@@ -222,14 +222,14 @@ def test_selections_equal_per_example_oracle(bank, micro_backbone, micro_data, r
         bb, train = micro_backbone, micro_data["train"]
     else:
         bank, bb, train = request.getfixturevalue("calibration_bank")
-        bank = bank.copy()
     for rule in pr.RULES:
-        bank.reset_masks()
-        reports = [pr.score_tokens(bank, bb, train), support.score_per_example(bank, bb, train)]
+        full = bank.with_masks(keep_all_selection(bank))
+        reports = [pr.score_tokens(full, bb, train), support.score_per_example(full, bb, train)]
         tokens = [pr.select_tokens(r, 0.3, rule, seed=1) for r in reports]
         assert support.same_masks(*tokens)
-        pr.apply_selection(bank, tokens[0])
-        reports = [pr.score_tokens(bank, bb, train), support.score_per_example(bank, bb, train)]
+        survivors = bank.with_masks(tokens[0])
+        reports = [pr.score_tokens(survivors, bb, train),
+                   support.score_per_example(survivors, bb, train)]
         assert support.same_masks(*(pr.select_pieces(r, 0.5, rule, seed=1) for r in reports))
 
 
@@ -419,19 +419,20 @@ def test_golden_hand_trace():
     assert pr.kept_params(sel, 2) == 3  # three cells of width e/k = 1
 
 
-def test_apply_selection_and_geometry_check(bank):
+def test_with_masks_and_geometry_check(bank):
     rep = pr.ImportanceReport(np.arange(float(bank.m)),
                               np.arange(float(bank.m * bank.k)).reshape(bank.m, bank.k),
                               np.ones(bank.m, bool), np.ones((bank.m, bank.k), bool), 1)
     sel = pr.select_tokens(rep, 0.34, "lowest_score")
-    pr.apply_selection(bank, sel)
+    masked = bank.with_masks(sel)
     gamma, zeta = sel
-    assert np.array_equal(bank.token_mask, gamma)
-    assert np.array_equal(bank.piece_mask, zeta)
+    assert np.array_equal(masked.token_mask, gamma)
+    assert np.array_equal(masked.piece_mask, zeta)
+    assert np.array_equal(masked.p, bank.p)
     for wrong in ((np.ones(3), np.ones((3, 2))),
                   (np.ones(bank.m + 1), np.ones((bank.m, bank.k)))):
         with pytest.raises(ConfigError):
-            pr.apply_selection(bank, wrong)
+            bank.with_masks(wrong)
 
 
 # --- rewinding -------------------------------------------------------------------
@@ -441,24 +442,35 @@ def keep_all_selection(bank):
     return np.ones(bank.m), np.ones((bank.m, bank.k))
 
 
-def test_rewind_restores_snapshot_and_masks(bank):
+def bank_bytes(bank) -> tuple[bytes, ...]:
+    return bank.p.tobytes(), bank.token_mask.tobytes(), bank.piece_mask.tobytes()
+
+
+def test_with_masks_copies_prompt_and_masks(bank):
+    """The new bank holds the bank's prompt under the given masks, and writing
+    to it leaves the bank and the selection it was made from as they were."""
     snap = bank.p.copy()
-    bank.p += 1.0
     bank.token_mask[:] = 0.0
-    pr.rewind(bank, snap, keep_all_selection(bank))
+    sel = keep_all_selection(bank)
+    rewound = bank.with_masks(sel)
+    assert np.array_equal(rewound.p, snap)
+    assert (rewound.token_mask == 1.0).all() and (rewound.piece_mask == 1.0).all()
+    rewound.p += 1.0
+    rewound.token_mask[0] = rewound.piece_mask[0, 0] = 0.0
     assert np.array_equal(bank.p, snap)
-    assert (bank.token_mask == 1.0).all() and (bank.piece_mask == 1.0).all()
+    assert (bank.token_mask == 0.0).all() and (bank.piece_mask == 1.0).all()
+    assert (sel[0] == 1.0).all() and (sel[1] == 1.0).all()
 
 
 def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
-    """Keep-all rewind plus retraining walks the stage-1 loss path exactly."""
+    """Retraining a keep-all copy of the untuned prompt walks the stage-1 loss
+    path exactly."""
     bank = init_prompt(6, 16, 4, 8, micro_backbone)
-    start = bank.p.copy()
+    start = bank.copy()
     first = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
                  *RECIPE, batch_size=16, seed=5)
-    pr.rewind(bank, start, keep_all_selection(bank))
-    second = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                  *RECIPE, batch_size=16, seed=5)
+    second = tune(start.with_masks(keep_all_selection(start)), micro_backbone,
+                  micro_data["train"], micro_data["dev"], 3, *RECIPE, batch_size=16, seed=5)
     assert len(first.losses) == len(second.losses)
     diff = max(abs(a - b) for a, b in zip(first.losses, second.losses))
     assert diff <= 1e-10
@@ -469,6 +481,7 @@ def test_rewind_retrain_reproduces_fresh_trajectory(micro_backbone, micro_data):
 
 def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
     before_hash = support.weight_hash(micro_backbone)
+    before = bank_bytes(bank)
     start = bank.p.copy()
     sched = pr.PruneSchedule((0.0, 0.34), (0.0, 0.25), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
@@ -483,11 +496,13 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
     finalists = [c for c in contenders if c.kept_params == fewest]
     assert out.best is min(finalists, key=lambda c: (c.token_ratio, c.piece_ratio))
 
-    # bank left in the best retrained configuration
+    # the bank given is untouched; the best cell keeps its retrained configuration
+    assert bank_bytes(bank) == before
+    best = out.best.bank
     gamma, zeta = out.best.selection
-    assert np.array_equal(bank.token_mask, gamma)
-    assert np.array_equal(bank.piece_mask, zeta)
-    assert evaluate(bank, micro_backbone, micro_data["dev"]) == out.best.dev_acc
+    assert np.array_equal(best.token_mask, gamma)
+    assert np.array_equal(best.piece_mask, zeta)
+    assert evaluate(best, micro_backbone, micro_data["dev"]) == out.best.dev_acc
 
     for c in out.cells:
         gamma, zeta = c.selection
@@ -496,8 +511,8 @@ def test_hierarchical_prune_grid(bank, micro_backbone, micro_data):
 
     assert support.weight_hash(micro_backbone) == before_hash
     # the best cell rewound to the prompt it was given; retraining moved only live entries
-    dead = bank.effective_mask() == 0
-    assert dead.any() and np.array_equal(bank.p[dead], start[dead])
+    dead = best.effective_mask() == 0
+    assert dead.any() and np.array_equal(best.p[dead], start[dead])
 
 
 MICRO_GRID = ((0.0, 0.34, 0.5), (0.0, 0.25))
@@ -529,7 +544,9 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
     ref_bank = bank.copy()
     ref = support.hierarchical_prune(ref_bank, *args, retrain_epochs=2, seed=2)
+    before = bank_bytes(bank)
     out = pr.hierarchical_prune(bank, *args, 2, *RECIPE, seed=2)
+    assert bank_bytes(bank) == before
 
     assert len(out.cells) == len(ref.cells) == 6
     for got, want in zip(out.cells, ref.cells):
@@ -546,9 +563,7 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
                 assert np.array_equal(a, b)
     assert (out.best.token_ratio, out.best.piece_ratio) == (
         ref.best.token_ratio, ref.best.piece_ratio)
-    for got, want in ((bank.p, ref_bank.p), (bank.token_mask, ref_bank.token_mask),
-                      (bank.piece_mask, ref_bank.piece_mask)):
-        assert got.tobytes() == want.tobytes()
+    assert bank_bytes(out.best.bank) == bank_bytes(ref_bank)
 
 
 def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, micro_data,
@@ -588,8 +603,8 @@ def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, mic
 def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
     sched = pr.PruneSchedule((0.34,), (0.25,), "lowest_score")
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
-    first = pr.hierarchical_prune(bank.copy(), *args, 2, *RECIPE, batch_size=16, seed=2)
-    second = pr.hierarchical_prune(bank.copy(), *args, 2, *RECIPE, batch_size=16, seed=2)
+    first = pr.hierarchical_prune(bank, *args, 2, *RECIPE, batch_size=16, seed=2)
+    second = pr.hierarchical_prune(bank, *args, 2, *RECIPE, batch_size=16, seed=2)
     assert first.best.dev_acc == second.best.dev_acc
     assert support.same_masks(first.best.selection, second.best.selection)
     assert first.best.retrain.losses == second.best.retrain.losses
@@ -606,9 +621,10 @@ def test_degenerate_grid_repeats_stage_one(micro_backbone, micro_data):
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
                                 micro_data["dev"], sched, 3, *RECIPE,
                                 batch_size=16, seed=5)
+    best = out.best.bank
     assert out.best.dev_acc == stage1.best_dev_acc
-    assert bank.p.tobytes() == twin.p.tobytes()
-    assert (bank.token_mask == 1.0).all() and (bank.piece_mask == 1.0).all()
+    assert best.p.tobytes() == twin.p.tobytes()
+    assert (best.token_mask == 1.0).all() and (best.piece_mask == 1.0).all()
 
 
 def test_hierarchical_prune_guards(bank, micro_backbone, micro_data):
@@ -640,7 +656,7 @@ def test_cell_saliency_mixes_stages():
                                 np.array([True, False]),
                                 np.array([[True, True], [False, False]]), 3)
     sel = np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])
-    cell = pr.CellResult(0.5, 0.5, sel, 0.8, 8, None,
+    cell = pr.CellResult(0.5, 0.5, PromptBank(np.zeros((2, 2)), *sel, k=2), 0.8, 8, None,
                          token_report=tok, piece_report=piece)
     merged = cell.saliency()
     assert np.array_equal(merged.token_scores, [0.4, 0.1])      # token-stage scores
@@ -653,15 +669,13 @@ def test_cell_saliency_mixes_stages():
 
 
 def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data):
-    p0 = bank.p.copy()
-    tm0 = bank.token_mask.copy()
+    before = bank_bytes(bank)
     report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
     acc, selection = pr.baseline_negative_masking(bank, micro_backbone, report,
                                                   micro_data["dev"], 0.34)
     assert 0.0 <= acc <= 1.0
     assert len(support.kept_tokens(selection)) == bank.m - int(np.floor(0.34 * bank.m))
-    assert np.array_equal(bank.p, p0)
-    assert np.array_equal(bank.token_mask, tm0)
+    assert bank_bytes(bank) == before
 
 
 def test_negative_masking_ratio_zero_is_identity(bank, micro_backbone, micro_data):
