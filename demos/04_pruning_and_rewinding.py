@@ -15,9 +15,8 @@ import numpy as np
 
 from xprompt.backbone import BackboneConfig, init_backbone, pretrain
 from xprompt.harness import exact_percent, saliency_text
-from xprompt.prompt import init_prompt, tune
-from xprompt.pruning import (PruneSchedule, baseline_negative_masking,
-                             hierarchical_prune, score_tokens, select_tokens)
+from xprompt.prompt import evaluate, init_prompt, tune
+from xprompt.pruning import PruneSchedule, hierarchical_prune, score_tokens, select_tokens
 from xprompt.tasks import TaskSpec, generate, pretrain_corpus
 
 # --- stage 1: tune a prompt -----------------------------------------------------
@@ -72,11 +71,12 @@ print("".join(f"  {line}" for line in head), end="")
 
 # --- post-hoc masking: does targeted removal beat random removal? --------------------
 
-# the stage-1 report from above serves every rule and draw
-neg, kept = baseline_negative_masking(bank, bb, report, dev, ratio=0.75,
-                                      rule="lowest_score")
-draws = [baseline_negative_masking(bank, bb, report, dev, ratio=0.75,
-                                   rule="random", seed=s)[0] for s in range(1, 6)]
+# the stage-1 report from above serves every rule and draw; each masked copy is
+# evaluated as it is, with no rewind and no retraining
+kept = select_tokens(report, ratio=0.75, rule="lowest_score")
+neg = evaluate(bank.with_masks(kept), bb, dev)
+draws = [evaluate(bank.with_masks(select_tokens(report, ratio=0.75, rule="random", seed=s)),
+                  bb, dev) for s in range(1, 6)]
 print(f"post-hoc masking at 75% keeps tokens {np.flatnonzero(kept[0]).tolist()}: "
       f"lowest-score {neg:.3f} vs random draws "
       f"{[f'{d:.3f}' for d in draws]} (median {float(np.median(draws)):.3f})")

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("prune", "hierarchical pruning + rewinding from stage-1 checkpoints"),
             ("pipeline", "full run: backbone, tune, prune, metrics report"),
             ("baselines", "ablation arms over the configured seeds"),
-            ("transfer", "initialize the prompt from a source checkpoint"),
+            ("transfer", "tune from a source checkpoint (transfer_o), then prune (transfer)"),
             ("report", "regenerate metrics.tsv and report.txt from checkpoints")):
         sub = commands.add_parser(name, help=help_text)
         _add_common(sub, name)
@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "transfer":
             sub.add_argument("--source", required=True,
                              help="prompt checkpoint directory to transfer from")
-            sub.add_argument("--variants", default="transfer_o,transfer",
-                             help="comma list from: transfer_o, transfer")
     return parser
 
 
@@ -99,8 +97,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         which = tuple(w.strip() for w in args.which.split(",") if w.strip())
         run_baselines(cfg, which=which, jobs=args.jobs)
     elif args.command == "transfer":
-        variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-        run_transfer(cfg, args.source, variants=variants, jobs=args.jobs)
+        run_transfer(cfg, args.source, jobs=args.jobs)
     elif args.command == "report":
         collect_report(cfg)
 

@@ -32,10 +32,10 @@ Every command opens the directory before any work and refuses:
   changes bytes leaves their children stale. A process reads each fragment
   once and none that it wrote: RunDir keeps each it checked or saved.
 
-Each command maps one task per seed (stage 1 then prune, the baseline arms,
-the transfer arms) over forked worker processes when jobs > 1. Each seed's
-work depends only on the config and that seed, so every metric and every
-file in the run directory is the same for any jobs.
+Each command maps one task per seed (stage 1 then prune; every ablation arm,
+all written here; transfer's tune then prune) over forked worker processes when
+jobs > 1. Each seed's work depends only on the config and that seed, so every
+metric and every file in the run directory is the same for any jobs.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ import numpy as np
 from . import checkpoint, tasks
 from .backbone import BackboneConfig, FrozenBackbone, init_backbone, pretrain
 from .errors import ConfigError, DataError, StageError
-from .prompt import PromptBank, init_prompt, tune
-from .pruning import (ImportanceReport, Masks, PruneSchedule, baseline_negative_masking,
-                      hierarchical_prune, kept_params, score_tokens)
+from .prompt import PromptBank, evaluate, init_prompt, tune
+from .pruning import (ImportanceReport, Masks, PruneSchedule, hierarchical_prune,
+                      kept_params, score_tokens, select_tokens)
 from .tasks import RESERVED_SYMBOLS, TaskSpec
 from .util import BLAS_THREAD_VARS, sha256_hex, stable_seed, write_text_atomic
 
@@ -582,11 +582,6 @@ def _run_prune(rd: RunDir, bb: FrozenBackbone, data, seed: int,
     return records
 
 
-def _check_names(kind: str, given, allowed) -> None:
-    if not given or not set(given) <= set(allowed):
-        raise ConfigError(f"{kind} must be some of {allowed}, got {tuple(given)}")
-
-
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -719,7 +714,8 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
     they run at the best cell's ratios or surviving length. Each seed loads
     each checkpoint at most once.
     """
-    _check_names("baseline arms", which, BASELINE_ARMS)
+    if not which or not set(which) <= set(BASELINE_ARMS):
+        raise ConfigError(f"baseline arms must be some of {BASELINE_ARMS}, got {tuple(which)}")
     _check_jobs(jobs)
     pruned_arms = {"random", "reversed", "length"} & set(which)
     need = ([] if "vanilla" in which else ["stage1"]) + (["prune"] if pruned_arms else [])
@@ -736,11 +732,12 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
             if "vanilla" in which:
                 recs.append(replace(rec, stage="vanilla"))
             if "negative" in which:
+                # post-hoc masking of the trained prompt: no rewind, no retraining
                 report = score_tokens(stage1, bb, data["train"], batch_size=v["tune.batch_size"])
                 for stage, rule in (("negative", "lowest_score"),
                                     ("negative_random", "random")):
-                    acc, selection = baseline_negative_masking(
-                        stage1, bb, report, data["dev"], v["prune.negative_ratio"], rule, seed)
+                    selection = select_tokens(report, v["prune.negative_ratio"], rule, seed)
+                    acc = evaluate(stage1.with_masks(selection), bb, data["dev"])
                     recs.append(_record(stage, seed, acc, selection, e))
             if not pruned_arms:
                 return recs
@@ -777,11 +774,11 @@ def run_baselines(cfg: RunConfig, which=BASELINE_ARMS,
 # --- transfer ------------------------------------------------------------------------
 
 
-def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "transfer"),
+def run_transfer(cfg: RunConfig, source_dir: str,
                  jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
-    """Initialize the target prompt from a source checkpoint and either tune
-    (transfer_o) or run tune + hierarchical prune (transfer) on the target."""
-    _check_names("transfer variants", variants, ("transfer_o", "transfer"))
+    """Initialize the target prompt from a source checkpoint and, per seed,
+    write two records: transfer_o, the prompt tuned on the target, then
+    transfer, that tuned prompt pruned by hierarchical pruning."""
     _check_jobs(jobs)
     source = checkpoint.load_prompt(checkpoint.read_manifest(source_dir, checkpoint.PROMPT_FORMAT))
     v = cfg.values
@@ -795,17 +792,13 @@ def run_transfer(cfg: RunConfig, source_dir: str, variants=("transfer_o", "trans
     e = v["backbone.embed_dim"]
 
     def transfer_for(seed: int) -> list[MetricsRecord]:
-        recs = []
         with _stage("transfer"):
             bank = source.copy()
             res = _tune(cfg, bank, bb, data, seed)
-            if "transfer_o" in variants:
-                recs.append(_record("transfer_o", seed, res.best_dev_acc,
-                                    (bank.token_mask, bank.piece_mask), e))
-            if "transfer" in variants:
-                best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best
-                recs.append(_record("transfer", seed, best.dev_acc, best.selection, e))
-        return recs
+            best = _prune(cfg, bank, bb, data, cfg.schedule(), seed).best
+            return [_record("transfer_o", seed, res.best_dev_acc,
+                            (bank.token_mask, bank.piece_mask), e),
+                    _record("transfer", seed, best.dev_acc, best.selection, e)]
 
     per_seed = _map_seeds("transfer", jobs, transfer_for, list(cfg["run.seeds"]))
     records = [r for recs in per_seed for r in recs]

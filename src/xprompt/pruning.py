@@ -27,7 +27,7 @@ import numpy as np
 from . import autograd as ag
 from .backbone import FrozenBackbone, _forward_packed
 from .errors import ConfigError, DataError
-from .prompt import PromptBank, TuneResult, evaluate, tune
+from .prompt import PromptBank, TuneResult, tune
 from .util import stable_seed
 
 log = logging.getLogger("xprompt.pruning")
@@ -276,19 +276,3 @@ def hierarchical_prune(start: PromptBank, bb: FrozenBackbone, train, dev,
 
     return PruneResult(min(cells, key=CellResult.rank), cells)
 
-
-# --- ablation baselines ---------------------------------------------------------
-
-
-def baseline_negative_masking(bank: PromptBank, bb: FrozenBackbone, report: ImportanceReport,
-                              dev, ratio: float, rule: str = "lowest_score",
-                              seed: int = 0) -> tuple[float, Masks]:
-    """Post-hoc token masking: no rewind, no retraining, bank untouched.
-
-    report is score_tokens of bank, taken once by the caller for both rules.
-    rule="lowest_score" masks the suspected negative tokens; rule="random"
-    is the random-masking control at the same ratio. Returns the masked
-    prompt's dev accuracy and the token masks that were applied.
-    """
-    selection = select_tokens(report, ratio, rule, seed)
-    return evaluate(bank.with_masks(selection), bb, dev), selection

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -551,6 +552,47 @@ def test_cli_resume_after_a_worker_dies_at_a_commit_point_gives_the_same_bytes(
     assert not [name for name in files if name.endswith(".tmp")]
 
 
+# an xprompt command whose Nth write puts half of the temp file on disk and then
+# SIGKILLs its own process: argv is N, then the command line
+KILLED_AT_WRITE = """
+import os, signal, sys
+from xprompt import checkpoint, cli, util
+n, count, write = int(sys.argv[1]), [0], util.write_bytes_atomic
+
+def killed(path, data):
+    count[0] += 1
+    if count[0] == n:
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    write(path, data)
+
+util.write_bytes_atomic = checkpoint.write_bytes_atomic = killed
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_cli_resume_after_a_sigkill_at_a_write_gives_the_same_bytes(pipe_run, tmp_path, n):
+    """A pipeline process killed by SIGKILL at its Nth write, with half of the
+    temp file written, resumes to the uninterrupted run's bytes and leaves no
+    temp file."""
+    out = str(tmp_path / "killed")
+    cfg = write_cfg_file(tmp_path, out)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", KILLED_AT_WRITE, str(n), "pipeline",
+                           "--config", cfg, "--jobs", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert [name for name in tree_bytes(out) if name.endswith(".tmp")]
+    assert cli.main(["pipeline", "--config", cfg, "--resume", "--jobs", "1"]) == 0
+    files = run_files(out)
+    assert files == run_files(pipe_run[1])
+    assert not [name for name in files if name.endswith(".tmp")]
+
+
 def arm_commands(out: str) -> list[list[str]]:
     """baselines, every arm, then transfer from seed 1's pruned prompt."""
     return [["baselines"], ["transfer", "--source", os.path.join(out, "seed1", "prune")]]
@@ -778,8 +820,7 @@ def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
     # tune.epochs = 0 is another config, so it runs in a directory of its own
     frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0,
                                 run__out=str(tmp_path / "frozen"))
-    trecs = hz.run_transfer(frozen, os.path.join(out, "seed1", "prune"),
-                            variants=("transfer_o",))
+    trecs = hz.run_transfer(frozen, os.path.join(out, "seed1", "prune"))
     rec = trecs[0]
     assert rec.kept_tokens == int((src_bank.token_mask > 0).sum())
     assert rec.kept_params == int(src_bank.effective_mask().sum())
@@ -790,9 +831,6 @@ def test_transfer_shape_mismatch(pipe_run):
     wrong = cfg.with_overrides(prompt__m=5)
     with pytest.raises(ConfigError, match="does not match"):
         hz.run_transfer(wrong, os.path.join(out, "seed1", "prune"))
-    with pytest.raises(ConfigError):
-        hz.run_transfer(cfg, os.path.join(out, "seed1", "prune"),
-                        variants=("sideways",))
 
 
 # --- report regeneration --------------------------------------------------------------
@@ -882,18 +920,18 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path, capsys):
     bad = str(tmp_path / "bad.cfg")
     hz.write_text_atomic(bad, "nonsense.key = 1\n")
     assert cli.main(["pipeline", "--config", bad]) == 2
-    # an empty arm or variant list is refused before anything is written
+    # an empty arm list is refused before anything is written
     _, copy = copy_run(pipe_run, tmp_path)
     earlier = [os.path.join(copy, name) for name in ("baselines.tsv", "transfer.tsv")]
     for path in earlier:
         hz.write_text_atomic(path, "earlier records\n")
     cfg = write_cfg_file(tmp_path, copy)
     assert cli.main(["baselines", "--config", cfg, "--which", ","]) == 2
-    assert cli.main(["transfer", "--config", cfg, "--variants", ",",
-                     "--source", os.path.join(copy, "seed1", "prune")]) == 2
     # and so are fewer than one worker
     for command in ("pretrain", "baselines"):
         assert cli.main([command, "--config", cfg, "--jobs", "0"]) == 2
+    assert cli.main(["transfer", "--config", cfg, "--jobs", "0",
+                     "--source", os.path.join(copy, "seed1", "prune")]) == 2
     assert all(read(path) == "earlier records\n" for path in earlier)
 
 
@@ -1521,11 +1559,12 @@ def test_only_rundir_calls_the_fragment_savers_and_reader():
 
 @pytest.mark.parametrize("command", [
     "baselines --resume", "transfer --source src --resume", "report --resume",
-    "report --jobs 1"],
-    ids=["baselines-resume", "transfer-resume", "report-resume", "report-jobs"])
+    "report --jobs 1", "transfer --source src --variants transfer_o"],
+    ids=["baselines-resume", "transfer-resume", "report-resume", "report-jobs",
+         "transfer-variants"])
 def test_cli_refuses_options_no_code_reads(tmp_path, capsys, command):
-    """baselines, transfer and report take no --resume, report no --jobs;
-    the building subcommands keep both."""
+    """baselines, transfer and report take no --resume, report no --jobs,
+    transfer no --variants; the building subcommands keep both."""
     with pytest.raises(SystemExit) as exc:
         cli.main([*command.split(), "--out", str(tmp_path / "run")])
     assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
@@ -1615,7 +1654,7 @@ def test_cli_exit_code_3_on_tampered_fragment(pipe_run, tmp_path, capsys, path, 
     ("pipeline", "tune", "stage1"),
     ("pipeline", "pretrain", "backbone"),
     ("pipeline", "hierarchical_prune", "prune"),
-    ("baselines", "baseline_negative_masking", "baselines"),
+    ("baselines", "select_tokens", "baselines"),
     ("transfer", "tune", "transfer"),
 ])
 def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsys,
@@ -1624,8 +1663,7 @@ def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsy
     out = copy_run(pipe_run, tmp_path)[1] if command != "pipeline" else str(tmp_path / "boom")
     cfg = write_cfg_file(tmp_path, out)
     extra = {"baselines": ["--which", "negative"],
-             "transfer": ["--source", os.path.join(out, "seed1", "prune"),
-                          "--variants", "transfer_o"]}.get(command, [])
+             "transfer": ["--source", os.path.join(out, "seed1", "prune")]}.get(command, [])
 
     def explode(*args, **kwargs):
         raise RuntimeError("synthetic fault")
@@ -1640,7 +1678,7 @@ def test_cli_exit_code_4_on_stage_failure(pipe_run, tmp_path, monkeypatch, capsy
     ("pipeline --resume", "report.txt"),
     ("report", "metrics.tsv"),
     ("baselines --which vanilla", "baselines.tsv.tmp"),
-    ("transfer --variants transfer_o --source {copy}/seed1/prune", "transfer.tsv.tmp"),
+    ("transfer --source {copy}/seed1/prune", "transfer.tsv.tmp"),
     ("report", "config.txt.tmp"),
 ], ids=["pipeline", "report", "baselines", "transfer", "config"])
 def test_cli_run_file_that_cannot_be_written_exits_4(pipe_run, tmp_path, capsys, command,

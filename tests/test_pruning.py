@@ -29,10 +29,11 @@ import support
 
 @pytest.fixture(scope="module")
 def tuned(micro_backbone, micro_data):
-    """A lightly tuned 6x16 bank (k=4)."""
-    bank = init_prompt(6, 16, 4, 1, micro_backbone)
-    tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 3, *RECIPE,
-         batch_size=16, seed=2)
+    """A lightly tuned 6x16 bank (k=4): its best epoch is past the initial prompt."""
+    bank = init_prompt(6, 16, 4, 4, micro_backbone)
+    res = tune(bank, micro_backbone, micro_data["train"], micro_data["dev"], 4,
+               *STAGE1_RECIPE, batch_size=16, seed=5)
+    assert res.best_epoch >= 1
     return bank
 
 
@@ -41,8 +42,10 @@ def bank(tuned):
     return tuned.copy()
 
 
-# the (lr, weight_decay) the tests tune and retrain with
+# the (lr, weight_decay) the tests retrain with
 RECIPE = (0.05, 1e-5)
+# the (lr, weight_decay) of a 4-epoch stage-1 tune that moves the micro prompt
+STAGE1_RECIPE = (0.1, 1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -612,18 +615,22 @@ def test_hierarchical_prune_is_deterministic(bank, micro_backbone, micro_data):
 
 def test_degenerate_grid_repeats_stage_one(micro_backbone, micro_data):
     """Grid {(0,0)} with stage 1's seed and epoch count, pruning the untuned
-    bank, lands exactly on a stage-1 tune of a copy of it."""
-    bank = init_prompt(6, 16, 4, 8, micro_backbone)
+    bank, lands exactly on a stage-1 tune of a copy of it, a tune that moves
+    the prompt, and leaves the bank it was given untuned."""
+    bank = init_prompt(6, 16, 4, 4, micro_backbone)
+    before = bank.p.tobytes()
     twin = bank.copy()
-    stage1 = tune(twin, micro_backbone, micro_data["train"], micro_data["dev"], 3,
-                  *RECIPE, batch_size=16, seed=5)
+    stage1 = tune(twin, micro_backbone, micro_data["train"], micro_data["dev"], 4,
+                  *STAGE1_RECIPE, batch_size=16, seed=5)
+    assert stage1.best_epoch >= 1
     sched = pr.PruneSchedule((0.0,), (0.0,), "lowest_score")
     out = pr.hierarchical_prune(bank, micro_backbone, micro_data["train"],
-                                micro_data["dev"], sched, 3, *RECIPE,
+                                micro_data["dev"], sched, 4, *STAGE1_RECIPE,
                                 batch_size=16, seed=5)
     best = out.best.bank
     assert out.best.dev_acc == stage1.best_dev_acc
     assert best.p.tobytes() == twin.p.tobytes()
+    assert best.p.tobytes() != before and bank.p.tobytes() == before
     assert (best.token_mask == 1.0).all() and (best.piece_mask == 1.0).all()
 
 
@@ -671,8 +678,8 @@ def test_cell_saliency_mixes_stages():
 def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data):
     before = bank_bytes(bank)
     report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
-    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, report,
-                                                  micro_data["dev"], 0.34)
+    selection = pr.select_tokens(report, 0.34, "lowest_score")
+    acc = evaluate(bank.with_masks(selection), micro_backbone, micro_data["dev"])
     assert 0.0 <= acc <= 1.0
     assert len(support.kept_tokens(selection)) == bank.m - int(np.floor(0.34 * bank.m))
     assert bank_bytes(bank) == before
@@ -680,15 +687,14 @@ def test_negative_masking_leaves_bank_untouched(bank, micro_backbone, micro_data
 
 def test_negative_masking_ratio_zero_is_identity(bank, micro_backbone, micro_data):
     report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
-    acc, selection = pr.baseline_negative_masking(bank, micro_backbone, report,
-                                                  micro_data["dev"], 0.0)
+    selection = pr.select_tokens(report, 0.0, "lowest_score")
+    acc = evaluate(bank.with_masks(selection), micro_backbone, micro_data["dev"])
     assert acc == evaluate(bank, micro_backbone, micro_data["dev"])
     assert support.kept_tokens(selection) == set(range(bank.m))
 
 
 def test_negative_masking_random_rule_is_seeded(bank, micro_backbone, micro_data):
     report = pr.score_tokens(bank, micro_backbone, micro_data["train"])
-    args = (bank, micro_backbone, report, micro_data["dev"], 0.34)
-    a = pr.baseline_negative_masking(*args, rule="random", seed=1)
-    b = pr.baseline_negative_masking(*args, rule="random", seed=1)
-    assert a[0] == b[0] and support.same_masks(a[1], b[1])
+    a, b = (pr.select_tokens(report, 0.34, "random", seed=1) for _ in range(2))
+    accs = [evaluate(bank.with_masks(sel), micro_backbone, micro_data["dev"]) for sel in (a, b)]
+    assert accs[0] == accs[1] and support.same_masks(a, b)
