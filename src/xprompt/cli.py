@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("prune", "hierarchical pruning + rewinding from stage-1 checkpoints"),
             ("pipeline", "full run: backbone, tune, prune, metrics report"),
             ("baselines", "ablation arms over the configured seeds"),
-            ("transfer", "tune from a source checkpoint (transfer_o), then prune (transfer)"),
+            ("transfer", "tune a source prompt (transfer_o), then prune its live parts (transfer)"),
             ("report", "regenerate metrics.tsv and report.txt from checkpoints")):
         sub = commands.add_parser(name, help=help_text)
         _add_common(sub, name)

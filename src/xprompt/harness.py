@@ -778,15 +778,15 @@ def run_transfer(cfg: RunConfig, source_dir: str,
                  jobs: int = DEFAULT_JOBS) -> list[MetricsRecord]:
     """Initialize the target prompt from a source checkpoint and, per seed,
     write two records: transfer_o, the prompt tuned on the target, then
-    transfer, that tuned prompt pruned by hierarchical pruning."""
+    transfer, that prompt pruned from its live tokens and pieces."""
     _check_jobs(jobs)
+    data = load_splits(cfg)
     source = checkpoint.load_prompt(checkpoint.read_manifest(source_dir, checkpoint.PROMPT_FORMAT))
     v = cfg.values
     want = (v["prompt.m"], v["backbone.embed_dim"], v["prompt.k"])
     if (source.m, source.e, source.k) != want:
         raise ConfigError(f"source prompt (m, e, k) = {(source.m, source.e, source.k)} "
                           f"does not match target config {want}")
-    data = load_splits(cfg)
     rd = RunDir(cfg, reuse=("backbone",))
     bb = ensure_backbone(rd, data["train"])
     e = v["backbone.embed_dim"]

@@ -226,18 +226,18 @@ def hierarchical_prune(start: PromptBank, bb: FrozenBackbone, train, dev,
     """Grid search over (token ratio, piece ratio) cells, scoring each mask
     state once; start is left as it was given.
 
-    The rewind point is start's prompt; every command passes stage 1's
-    trained prompt, as the paper's lottery-ticket rewinding asks. Token
-    scores are taken once per run, at that prompt with all-ones masks. Each
-    token ratio selects tokens from that report, and pieces are rescored
-    once per token ratio, at that prompt with that ratio's token masks. Each
-    cell then selects pieces from its row's piece report and tunes a fresh
-    copy of the start prompt under its masks (start.with_masks) at ``lr``
-    and ``weight_decay``; every tune call builds its own optimizer, so every
-    cell starts from a fresh optimizer state. A sweep depends only on the
-    prompt and the masks, so every cell sees exactly the scores a per-cell
-    rescoring would give, for 1 + |T| sweeps instead of 2 * |T| * |P|.
-    ``seed`` seeds the random rule's selections and the retraining shuffles.
+    The rewind point is start's prompt, and the search space is its live tokens
+    and pieces: a structure start's masks removed never returns, as the paper's
+    lottery-ticket rewinding asks. Token scores are taken once per run, at
+    start's masks. Each token ratio selects tokens from that report, and pieces
+    are rescored once per token ratio, at that ratio's token masks. Each cell
+    then selects pieces from its row's piece report and tunes a fresh copy of
+    the start prompt under its masks (start.with_masks) at ``lr`` and
+    ``weight_decay``; every tune call builds its own optimizer, so every cell
+    starts from a fresh optimizer state. A sweep depends only on the prompt and
+    the masks, so every cell sees exactly the scores a per-cell rescoring would
+    give, for 1 + |T| sweeps instead of 2 * |T| * |P|. ``seed`` seeds the
+    random rule's selections and the retraining shuffles.
 
     Each cell keeps its retrained copy as ``bank``, whose (gamma, zeta)
     masks are its ``selection``, counted in ``kept_params``.
@@ -254,8 +254,7 @@ def hierarchical_prune(start: PromptBank, bb: FrozenBackbone, train, dev,
         raise ConfigError(f"retrain_epochs must be >= 0, got {retrain_epochs}")
 
     cells: list[CellResult] = []
-    keep_all = np.ones(start.m), np.ones((start.m, start.k))
-    token_report = score_tokens(start.with_masks(keep_all), bb, train, batch_size=batch_size)
+    token_report = score_tokens(start, bb, train, batch_size=batch_size)
 
     for t_ratio in sched.token_ratios:
         token_sel = select_tokens(token_report, t_ratio, sched.rule, seed)

@@ -276,8 +276,8 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
                        learning_rate=0.05, weight_decay=1e-5, batch_size=16, seed=0):
     """Grid search that rescores tokens and pieces from scratch in every cell.
 
-    Each cell assigns the prompt the call was given back into the bank's own
-    arrays with all-ones masks, scores tokens, installs the token selection,
+    Each cell assigns the prompt and the masks the call was given back into
+    the bank's own arrays, scores tokens, installs the token selection,
     scores pieces, then installs the cell's masks and retrains: two sweeps per
     cell and no state shared between cells. Each cell keeps a snapshot of its
     retrained bank, and the bank ends in the best cell's state. seed seeds the
@@ -289,9 +289,10 @@ def hierarchical_prune(bank, bb, train, dev, sched, retrain_epochs,
     cells = []
     best = None
     start = bank.p.copy()
+    start_masks = bank.token_mask.copy(), bank.piece_mask.copy()
     for t_ratio in sched.token_ratios:
         for p_ratio in sched.piece_ratios:
-            install(start, 1.0, 1.0)
+            install(start, *start_masks)
             token_report = pr.score_tokens(bank, bb, train, batch_size=batch_size)
             token_sel = pr.select_tokens(token_report, t_ratio, sched.rule, seed)
             install(start, *token_sel)

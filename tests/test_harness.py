@@ -467,7 +467,7 @@ def test_pipeline_parallel_jobs_match_serial(tmp_path):
 RECORD_DIGESTS = {
     "metrics.tsv": "65cff084e19777102f84919caf643379e6b4484ebb2e78ff46324725c542e7b4",
     "baselines.tsv": "d74ee25d39addc3d8b45613db06b903541b4e64e2a1510f354089344539ff66c",
-    "transfer.tsv": "7f7ab19e2bb89638739226c5e3c308673a5ed192209fcb1b300b2daa70a36e30",
+    "transfer.tsv": "40db227291995bdc2ec4673a604068c96d6fe8b75d58b64aa9d89c0032fc8f65",
 }
 
 
@@ -814,16 +814,29 @@ def test_transfer_tunes_each_seed_once(pipe_run, tmp_path, monkeypatch):
         ("transfer_o", 1), ("transfer", 1), ("transfer_o", 2), ("transfer", 2)]
 
 
-def test_transfer_carries_masks_verbatim(pipe_run, tmp_path):
+@pytest.mark.parametrize("overrides, pruned", [
+    (dict(run__seeds=(1,), tune__epochs=0), (3, 28)),
+    # a grid that removes nothing keeps what transfer_o keeps
+    (dict(prune__token_ratios=(0.0,), prune__piece_ratios=(0.0,)), None),
+    # the micro grid removes floor(0.34 * 4) = 1 of the source's 4 live tokens
+    ({}, (3, 28)),
+], ids=["frozen", "zero_grid", "micro_grid"])
+def test_transfer_carries_masks_verbatim(pipe_run, tmp_path, overrides, pruned):
+    """transfer_o keeps the source's masks, and transfer prunes only what
+    they keep live: no token or piece the source pruned comes back."""
     cfg, out = copy_run(pipe_run, tmp_path)
-    src_bank = load_prompt(read_manifest(os.path.join(out, "seed1", "prune"), PROMPT_FORMAT))
-    # tune.epochs = 0 is another config, so it runs in a directory of its own
-    frozen = cfg.with_overrides(run__seeds=(1,), tune__epochs=0,
-                                run__out=str(tmp_path / "frozen"))
-    trecs = hz.run_transfer(frozen, os.path.join(out, "seed1", "prune"))
-    rec = trecs[0]
-    assert rec.kept_tokens == int((src_bank.token_mask > 0).sum())
-    assert rec.kept_params == int(src_bank.effective_mask().sum())
+    source = os.path.join(out, "seed1", "prune")
+    src_bank = load_prompt(read_manifest(source, PROMPT_FORMAT))
+    kept = int((src_bank.token_mask > 0).sum()), int(src_bank.effective_mask().sum())
+    assert kept == (4, 48)
+    if overrides:
+        # another config runs in a directory of its own
+        cfg = cfg.with_overrides(run__out=str(tmp_path / "other"), **overrides)
+    trecs = hz.run_transfer(cfg, source, jobs=1)
+    assert [r.stage for r in trecs] == ["transfer_o", "transfer"] * len(cfg["run.seeds"])
+    for tuned, pruned_rec in zip(trecs[::2], trecs[1::2]):
+        assert (tuned.kept_tokens, tuned.kept_params) == kept
+        assert (pruned_rec.kept_tokens, pruned_rec.kept_params) == (pruned or kept)
 
 
 def test_transfer_shape_mismatch(pipe_run):
@@ -960,18 +973,18 @@ def test_cli_exit_code_2_on_config_errors(pipe_run, tmp_path, capsys):
 def test_cli_tuning_config_errors_exit_before_any_work(tmp_path, capsys, bad):
     """Caught before pretraining, so nothing is written under the bad run hash
     and the corrected config can run in the same directory. A key the schema
-    lacks, such as a removed option, is named as unknown."""
+    lacks, such as a removed option, is named as unknown. transfer names the
+    config's error before it reads its source, here a missing one."""
     out = str(tmp_path / "bad")
     cfg = write_cfg_file(tmp_path, out, **bad)
     known = {key for key, _, _ in hz.SCHEMA}
-    for command in ("tune", "pipeline"):
+    for command in (["tune"], ["pipeline"], ["transfer", "--source", str(tmp_path / "none")]):
         capsys.readouterr()
-        assert cli.main([command, "--config", cfg]) == 2
+        assert cli.main([*command, "--config", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert all(f"unknown key {key!r}" in err[0] for key in bad if key not in known)
-        assert not os.path.exists(os.path.join(out, "config.txt"))
-        assert not os.path.exists(os.path.join(out, "backbone"))
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("bad", [{"task.seq_len_min": 1, "task.seq_len_max": 1,
@@ -1408,9 +1421,11 @@ def test_cli_prune_one_seed_of_a_two_seed_run(pipe_run, tmp_path):
 
 
 def test_cli_tune_reuses_a_finished_backbone(pipe_run, tmp_path, monkeypatch):
-    """tune builds the backbone only when none is finished, so a re-tune under
-    other BLAS settings leaves the backbone, and the other seeds built on it,
-    as they were."""
+    """tune builds the backbone only when none is finished: a re-tune, also one
+    under another value of the BLAS thread variables, which manifests record
+    and the run hash leaves out, leaves the backbone, and the other seeds built
+    on it, as they were. The value is set after OpenBLAS has loaded, so the
+    re-tune itself still runs on the threads it had."""
     _, copy = copy_run(pipe_run, tmp_path)
     cfg = write_cfg_file(tmp_path, copy)
     manifest = os.path.join(copy, "backbone", "manifest.txt")

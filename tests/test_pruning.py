@@ -526,11 +526,21 @@ def report_arrays(report: pr.ImportanceReport) -> tuple[np.ndarray, ...]:
             report.piece_live)
 
 
+def masked_start(bank):
+    """bank under masks a finished prune could leave: token 1 removed, and
+    pieces (0, 2), (3, 0) and (4, 3) of live tokens removed."""
+    gamma, zeta = np.ones(bank.m), np.ones((bank.m, bank.k))
+    gamma[1], zeta[1] = 0.0, 0.0
+    zeta[0, 2] = zeta[3, 0] = zeta[4, 3] = 0.0
+    return bank.with_masks((gamma, zeta))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all_ones", "masked"])
 @pytest.mark.parametrize("rule", pr.RULES)
 def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, micro_data,
-                                                       monkeypatch, rule):
+                                                       monkeypatch, rule, masked):
     """Scoring once per mask state gives exactly what per-cell rescoring
-    gives.
+    gives, and from a masked start no cell revives what start's masks removed.
 
     The micro task barely learns, so retraining alone may leave the prompt
     at the rewind point; every retrain here also shifts the live entries, so a
@@ -543,6 +553,8 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
 
     monkeypatch.setattr(pr, "tune", shifting_tune)
     monkeypatch.setattr(support, "tune", shifting_tune)
+    if masked:
+        bank = masked_start(bank)
     sched = pr.PruneSchedule(*MICRO_GRID, rule)
     args = (micro_backbone, micro_data["train"], micro_data["dev"], sched)
     ref_bank = bank.copy()
@@ -567,6 +579,9 @@ def test_hierarchical_prune_matches_per_cell_reference(bank, micro_backbone, mic
     assert (out.best.token_ratio, out.best.piece_ratio) == (
         ref.best.token_ratio, ref.best.piece_ratio)
     assert bank_bytes(out.best.bank) == bank_bytes(ref_bank)
+    for cell in out.cells:
+        gamma, zeta = cell.selection
+        assert (gamma <= bank.token_mask).all() and (zeta <= bank.piece_mask).all()
 
 
 def test_hierarchical_prune_scores_once_per_mask_state(bank, micro_backbone, micro_data,
